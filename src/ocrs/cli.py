@@ -36,11 +36,14 @@ def _write_json(payload: dict, out: str | None, suffix: str = ".json") -> None:
         print(text)
 
 
+def _alpha(args, inst: Instance) -> Fraction:
+    return inst.declared_alpha if args.alpha is None else args.alpha
+
+
 def _preselect_cfg(args, inst: Instance) -> PreselectConfig:
-    alpha = Fraction(args.alpha) if args.alpha else inst.declared_alpha
     mode = "exact" if args.mode == "exact" else "monte_carlo"
     return PreselectConfig(
-        alpha=float(alpha), eps=args.eps, mode=mode, sample_override=args.samples
+        alpha=_alpha(args, inst), eps=args.eps, mode=mode, sample_override=args.samples
     )
 
 
@@ -54,7 +57,7 @@ def _build_scheme(args, inst: Instance, rng: Random):
         if inst.canonical_order is None:
             raise ValueError(f"instance {inst.name} has no canonical order")
         order = inst.canonical_order
-    alpha = Fraction(args.alpha) if args.alpha else inst.declared_alpha
+    alpha = _alpha(args, inst)
     cfg = _preselect_cfg(args, inst)
     if name in ("indep", "indep-subsample"):
         return build_independent_subsampling_scheme(
@@ -85,7 +88,7 @@ def cmd_preselect(args) -> int:
         if kind == "indep"
         else build_prefix_subsampling_scheme
     )
-    alpha = Fraction(args.alpha) if args.alpha else inst.declared_alpha
+    alpha = _alpha(args, inst)
     try:
         scheme = build(inst.matroid, inst.prior, alpha, rng, cfg=cfg)
     except NoQualifyingElement as err:
@@ -167,7 +170,7 @@ def cmd_oracle_alpha(args) -> int:
 def cmd_lp_build(args) -> int:
     inst = parse_instance(args.instance)
     rng = Random(args.seed)
-    alpha = float(Fraction(args.alpha)) if args.alpha else float(inst.declared_alpha)
+    alpha = _alpha(args, inst)
     if args.reduction == "permutation":
         scheme, report = build_lp_scheme(
             inst.matroid, inst.prior, eps=args.eps, rng=rng,
@@ -193,8 +196,9 @@ def cmd_lp_build(args) -> int:
 def _add_common(p: argparse.ArgumentParser, trials: bool = False) -> None:
     p.add_argument("--instance", required=True, help="instance shorthand or JSON path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--alpha", default=None, help="override the instance's declared level")
+    p.add_argument("--eps", type=Fraction, default=Fraction(1, 4))
+    p.add_argument("--alpha", type=Fraction, default=None,
+                   help="override the instance's declared level (exact, e.g. 5/7)")
     p.add_argument("--mode", choices=["exact", "mc", "auto"], default="mc")
     p.add_argument("--samples", type=int, default=None, help="override per-step sample count")
     p.add_argument("--out", default=None, help="output path prefix (stdout if omitted)")

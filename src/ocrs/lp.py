@@ -195,7 +195,7 @@ class BuildReport:
         return {
             "kind": self.kind,
             "n": self.n,
-            "eps": self.eps,
+            "eps": float(self.eps),
             "eps_split": self.eps_split,
             "exact_columns": self.exact_columns,
             "beta_trajectory": [float(b) for b in self.beta_trajectory],
@@ -286,7 +286,7 @@ def build_lp_scheme(
         kind="permutation_mixture",
         n=n,
         eps=eps,
-        eps_split={"per_stage": eps_prime, "stages": 6},
+        eps_split={"per_stage": float(eps_prime), "stages": 6},
         exact_columns=exact,
     )
 

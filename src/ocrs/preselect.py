@@ -43,7 +43,11 @@ class NoQualifyingElement(RuntimeError):
     def __init__(self, step: int, suffix: list[int], detail: str = ""):
         self.step = step
         self.suffix = suffix
-        msg = f"no qualifying element at step {step} (positions {step}..{step + len(suffix) - 1} filled)"
+        if suffix:
+            filled = f"positions {step}..{step + len(suffix) - 1} filled"
+        else:
+            filled = "no position filled yet"
+        msg = f"no qualifying element at step {step} ({filled})"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
@@ -55,8 +59,8 @@ class ExactModeTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class PreselectConfig:
-    alpha: float
-    eps: float = 0.25
+    alpha: Fraction
+    eps: Fraction = Fraction(1, 4)
     mode: str = "monte_carlo"  # or "exact"
     sample_override: Optional[int] = None
 

@@ -233,6 +233,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert sorted(payload["order"]) == [0, 1]
 
+    @pytest.mark.parametrize("alpha", [[], ["--alpha", "5/7"]])
+    def test_preselect_exact_at_tight_alpha(self, capsys, alpha):
+        # alpha* = 5/7 is met with equality at the last step; its float,
+        # 0.7142857142857143, lies above 5/7 and used to fail there.
+        rc = cli_run(
+            ["preselect", "--instance", "kuniform:7,5", "--kind", "prefix", "--mode", "exact"]
+            + alpha
+        )
+        assert rc == 0
+        assert sorted(json.loads(capsys.readouterr().out)["order"]) == list(range(7))
+
     def test_config_error_exit_code(self, capsys):
         assert cli_run(["oracle-alpha", "--instance", "nonsense:1"]) == 2
         assert cli_run(["evaluate", "--instance", "kuniform:4,2", "--scheme", "wat"]) == 2

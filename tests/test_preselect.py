@@ -144,6 +144,7 @@ class TestPreselectExact:
             preselect_independent(inst.matroid, inst.prior, cfg, rng)
         assert exc.value.step == 2
         assert exc.value.suffix == []
+        assert str(exc.value) == "no qualifying element at step 2 (no position filled yet)"
 
     def test_never_active_element_is_skipped_then_fails(self, rng):
         # element 1 never active: conservative rule keeps it unqualified, so
@@ -155,6 +156,7 @@ class TestPreselectExact:
             preselect_independent(m, p, cfg, rng)
         assert exc.value.step == 1
         assert exc.value.suffix == [0]
+        assert str(exc.value) == "no qualifying element at step 1 (positions 1..1 filled)"
 
 
 class TestPreselectMonteCarlo:

@@ -2,8 +2,11 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrs.simplex import LpInfeasible, LpUnbounded, solve_lp
+from simplex_reference import reference_solve_lp
 
 
 def F(a, b=1):
@@ -109,3 +112,68 @@ class TestDualityProperties:
             )
             assert res.objective == dual_obj
             assert sum(res.x) == 1
+
+
+small = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+rhs = st.one_of(st.just(Fraction(0)), small)  # zero right-hand sides make ties
+
+
+@st.composite
+def exact_lps(draw):
+    """Small exact LPs: mixed rows, negative b, redundant equalities, ties,
+    and infeasible or unbounded cases, all left to chance in the draw."""
+    nv = draw(st.integers(1, 4))
+    row = st.lists(small, min_size=nv, max_size=nv)
+    A_eq = draw(st.lists(row, max_size=3))
+    b_eq = [draw(rhs) for _ in A_eq]
+    if A_eq and draw(st.booleans()):
+        # a multiple of an existing equality, so phase 1 leaves a redundant row
+        k = draw(st.integers(0, len(A_eq) - 1))
+        t = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)]))
+        A_eq.append([t * v for v in A_eq[k]])
+        b_eq.append(t * b_eq[k])
+    A_ub = draw(st.lists(row, min_size=0 if A_eq else 1, max_size=3))
+    b_ub = [draw(rhs) for _ in A_ub]
+    return dict(c=draw(row), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                maximize=draw(st.booleans()))
+
+
+def outcome(solver, lp):
+    try:
+        res = solver(**lp)
+    except (LpInfeasible, LpUnbounded) as err:
+        return type(err)
+    return res.x, res.objective, res.dual_eq, res.dual_ub, res.iterations
+
+
+class TestAgainstReference:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(exact_lps())
+    def test_same_result_as_fraction_tableau(self, lp):
+        assert outcome(solve_lp, lp) == outcome(reference_solve_lp, lp)
+
+    def test_objective_matches_scipy_linprog(self):
+        optimize = pytest.importorskip("scipy.optimize")
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(exact_lps())
+        def check(lp):
+            sense = -1 if lp["maximize"] else 1
+            ref = optimize.linprog(
+                [sense * float(v) for v in lp["c"]],
+                A_ub=[[float(v) for v in r] for r in lp["A_ub"]] or None,
+                b_ub=[float(v) for v in lp["b_ub"]] or None,
+                A_eq=[[float(v) for v in r] for r in lp["A_eq"]] or None,
+                b_eq=[float(v) for v in lp["b_eq"]] or None,
+                method="highs",
+            )
+            got = outcome(solve_lp, lp)
+            if got is LpInfeasible:
+                assert ref.status == 2
+            elif got is LpUnbounded:
+                assert ref.status == 3
+            else:
+                assert ref.status == 0
+                assert abs(sense * ref.fun - float(got[1])) <= 1e-7 * (1 + abs(ref.fun))
+
+        check()
