@@ -78,9 +78,7 @@ from .schemes import (
     build_independent_subsampling_scheme,
     build_prefix_subsampling_scheme,
     greedy_ordered,
-    independent_subsampling_round,
     order_by_weight,
-    prefix_subsampling_round,
     scheme_from_spec,
     secretary_wrap,
 )

@@ -1,8 +1,8 @@
 """Exact ground truth for small instances.
 
-Everything here enumerates: the best achievable balancedness of any
-offline selection rule (as an LP over per-atom selection distributions),
-the exact per-element balancedness of a scheme by integrating out its
+The best achievable balancedness of any offline selection rule (by exact
+column generation over greedy orders, over an enumerated support), the
+exact per-element balancedness of a scheme by integrating out its
 randomness, and exhaustive weighted-rank maximization. Probabilities are
 Fractions end to end, so equality assertions in tests are legitimate.
 """
@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Optional
 
 from .bitset import iter_bits, popcount
+from .lp import build_lp_scheme
 from .matroid import Matroid
 from .priors import Prior, to_fraction
 from .schemes import (
@@ -29,7 +29,7 @@ from .schemes import (
     greedy_ordered_bits,
     secretary_wrap_bits,
 )
-from .simplex import solve_lp
+from .simplex import solve_lp  # noqa: F401 - unused; bench/tracer.py patches this name
 
 INDEPENDENT_ENUM_LIMIT = 14  # 2^n thinning outcomes
 PREFIX_ENUM_LIMIT = 8  # (n+1)! sentinel permutations, enumerated by subset weight
@@ -84,72 +84,45 @@ class AlphaCertificate:
 
 
 def max_uncontentious_alpha(M: Matroid, P: Prior) -> AlphaCertificate:
-    """Exact LP over all (atom, independent subset) selection variables:
-    maximize the worst-case conditional selection probability.
+    """The instance's uncontentiousness level alpha*: the best worst-case
+    conditional selection probability of any offline selection rule, with a
+    rule that achieves it.
 
-    The optimum is the largest alpha for which some alpha-balanced offline
-    selection rule exists, i.e. the instance's uncontentiousness level.
+    Solved as the LP mixture over greedy orders, by the column generation of
+    `build_lp_scheme` with exact columns and gap 0. This rests on M being a
+    matroid: the LP over all selection rules prices each atom by its
+    max-weight independent subset, which greedy along decreasing weight
+    finds exactly (Edmonds), so both LPs have the same optimum. The result
+    always carries the loop's convergence certificate; without it this
+    raises rather than return an uncertified value.
     """
     support = P.support()
     if support is None:
         raise EnumerationTooLarge("oracle needs an explicit prior support")
     atoms = [(bits, p) for bits, p in support if p > 0]
-    probs = [Fraction(0)] * M.n
+    probs = P.activation_probabilities()
+    if not any(probs):
+        # No element is ever active, so every rule is vacuously 1-balanced.
+        witness = {bits: [(0, Fraction(1))] for bits, _ in atoms}
+        return AlphaCertificate(Fraction(1), witness, [None] * M.n)
+    # Exact columns draw no randomness and give up no eps.
+    mixture, report = build_lp_scheme(M, P, eps=0, rng=Random(0), mode="exact")
+    if not report.converged:
+        raise RuntimeError(f"alpha* column generation ended uncertified: {report.notes}")
+
+    witness = {}
+    selected = [Fraction(0)] * M.n
     for bits, p in atoms:
-        for e in iter_bits(bits):
-            probs[e] += p
-
-    variables: list[tuple[int, int]] = []  # (atom index, subset bits)
-    offsets = []
-    for ai, (bits, _) in enumerate(atoms):
-        subs = independent_subsets(M, bits)
-        offsets.append((len(variables), len(subs)))
-        variables.extend((ai, y) for y in subs)
-
-    nv = 1 + len(variables)  # alpha first
-    c = [Fraction(1)] + [Fraction(0)] * len(variables)
-    A_eq, b_eq = [], []
-    for ai in range(len(atoms)):
-        row = [Fraction(0)] * nv
-        start, count = offsets[ai]
-        for v in range(start, start + count):
-            row[1 + v] = Fraction(1)
-        A_eq.append(row)
-        b_eq.append(Fraction(1))
-    A_ub, b_ub = [], []
-    for i in range(M.n):
-        if probs[i] == 0:
-            continue
-        row = [Fraction(0)] * nv
-        row[0] = probs[i]
-        for v, (ai, y) in enumerate(variables):
-            if (y >> i) & 1:
-                row[1 + v] = -atoms[ai][1]
-        A_ub.append(row)
-        b_ub.append(Fraction(0))
-    cap = [Fraction(0)] * nv
-    cap[0] = Fraction(1)
-    A_ub.append(cap)
-    b_ub.append(Fraction(1))
-
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, maximize=True)
-
-    witness: dict[int, list] = {}
-    for v, (ai, y) in enumerate(variables):
-        weight = res.x[1 + v]
-        if weight > 0:
-            witness.setdefault(atoms[ai][0], []).append((y, weight))
-    per_element: list[Optional[Fraction]] = []
-    for i in range(M.n):
-        if probs[i] == 0:
-            per_element.append(None)
-            continue
-        mass = Fraction(0)
-        for v, (ai, y) in enumerate(variables):
-            if (y >> i) & 1 and res.x[1 + v] > 0:
-                mass += atoms[ai][1] * res.x[1 + v]
-        per_element.append(mass / probs[i])
-    return AlphaCertificate(alpha_star=res.objective, witness=witness, per_element=per_element)
+        dist: dict[int, Fraction] = {}
+        for pi, lam in mixture.components:
+            y = greedy_ordered_bits(M, pi.order, bits)
+            dist[y] = dist.get(y, Fraction(0)) + lam
+        witness[bits] = list(dist.items())
+        for y, lam in dist.items():
+            for e in iter_bits(y):
+                selected[e] += p * lam
+    per_element = [s / x if x > 0 else None for s, x in zip(selected, probs)]
+    return AlphaCertificate(report.beta_trajectory[-1], witness, per_element)
 
 
 def _scheme_randomness(M: Matroid, scheme: Scheme):
@@ -223,17 +196,4 @@ def bruteforce_weighted_rank(M: Matroid, w, S) -> object:
     bits = S.bits if hasattr(S, "bits") else S
     if popcount(bits) > BRUTEFORCE_LIMIT:
         raise EnumerationTooLarge(f"|S|={popcount(bits)} exceeds {BRUTEFORCE_LIMIT}")
-    elems = list(iter_bits(bits))
-    best = 0
-
-    def grow(cur_bits, cur_w, start):
-        nonlocal best
-        if cur_w > best:
-            best = cur_w
-        for idx in range(start, len(elems)):
-            cand = cur_bits | (1 << elems[idx])
-            if M._independent(cand):
-                grow(cand, cur_w + w[elems[idx]], idx + 1)
-
-    grow(0, 0, 0)
-    return best
+    return max(sum(w[e] for e in iter_bits(y)) for y in independent_subsets(M, bits))

@@ -84,11 +84,6 @@ class SpanStats:
     def zeros(cls, n: int) -> "SpanStats":
         return cls([0] * n, [0] * n)
 
-    def merge(self, other: "SpanStats") -> None:
-        for j in range(len(self.m)):
-            self.m[j] += other.m[j]
-            self.k[j] += other.k[j]
-
 
 def sample_size(n: int, alpha: float, eps: float, p_min: float) -> int:
     """Samples per preselection step: ceil(128 ln(4n/eps) / (alpha^2 eps^2 p_min))."""

@@ -103,7 +103,8 @@ class ExplicitPrior(Prior):
 
     Atoms are stored sorted by mask value so inverse-CDF sampling is
     deterministic for a fixed seed. Probabilities must be nonnegative and
-    sum to 1 (exactly, up to 1e-12 to admit float input).
+    sum to 1 up to 1e-12, to admit float input; they are divided by their
+    exact total, so the support's mass is exactly 1.
     """
 
     def __init__(self, n: int, atoms: Iterable[tuple[object, object]]):
@@ -120,7 +121,9 @@ class ExplicitPrior(Prior):
         total = sum(merged.values(), Fraction(0))
         if abs(total - 1) > PROB_SUM_TOL:
             raise PriorError(f"probabilities sum to {total}, expected 1")
-        self.atoms: list[tuple[int, Fraction]] = sorted(merged.items())
+        self.atoms: list[tuple[int, Fraction]] = sorted(
+            (bits, p / total) for bits, p in merged.items()
+        )
         cum = 0.0
         self._cdf = []
         for _, p in self.atoms:
@@ -209,12 +212,6 @@ class ProductPrior(Prior):
             if p > 0:
                 sup.append((bits, p))
         return sup
-
-    def to_explicit(self) -> ExplicitPrior:
-        sup = self.support()
-        if sup is None:
-            raise PriorError(f"product prior over {self.n} elements too large to expand")
-        return ExplicitPrior(self.n, sup)
 
     def marginal(self, S: SubsetMask) -> "ProductPrior":
         if S.n != self.n:

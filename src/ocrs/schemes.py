@@ -314,7 +314,7 @@ def _num_str(x):
     return str(x) if isinstance(x, Fraction) else x
 
 
-# -- build + single-round helpers ------------------------------------------
+# -- build helpers ---------------------------------------------------------
 
 
 def build_independent_subsampling_scheme(
@@ -333,7 +333,7 @@ def build_independent_subsampling_scheme(
         if alpha == 0:
             order = Permutation.identity(M.n)
         else:
-            cfg = cfg or PreselectConfig(alpha=float(alpha))
+            cfg = cfg or PreselectConfig(alpha=alpha)
             order = preselect_independent(M, P, cfg, rng)
     return IndependentSubsampling(order, alpha / 2)
 
@@ -348,37 +348,9 @@ def build_prefix_subsampling_scheme(
 ) -> PrefixSubsampling:
     alpha = to_fraction(alpha)
     if order is None:
-        cfg = cfg or PreselectConfig(alpha=float(alpha))
+        cfg = cfg or PreselectConfig(alpha=alpha)
         order = preselect_prefix(M, P, cfg, rng)
     return PrefixSubsampling(order)
-
-
-def independent_subsampling_round(
-    M: Matroid,
-    P: Prior,
-    alpha,
-    rng: Random,
-    cfg: Optional[PreselectConfig] = None,
-    order: Optional[Permutation] = None,
-) -> tuple[Permutation, SubsetMask]:
-    """One full round: preselect (unless an order is supplied), then draw an
-    active set and run. Returns (order, selection)."""
-    scheme = build_independent_subsampling_scheme(M, P, alpha, rng, cfg, order)
-    a = P.sample_bits(rng)
-    return scheme.order, SubsetMask(M.n, scheme.run_bits(M, a, rng))
-
-
-def prefix_subsampling_round(
-    M: Matroid,
-    P: Prior,
-    alpha,
-    rng: Random,
-    cfg: Optional[PreselectConfig] = None,
-    order: Optional[Permutation] = None,
-) -> tuple[Permutation, SubsetMask]:
-    scheme = build_prefix_subsampling_scheme(M, P, alpha, rng, cfg, order)
-    a = P.sample_bits(rng)
-    return scheme.order, SubsetMask(M.n, scheme.run_bits(M, a, rng))
 
 
 def scheme_from_spec(spec: dict) -> Scheme:

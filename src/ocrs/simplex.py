@@ -68,7 +68,10 @@ def _rational(v):
 
 def _integer_multiple(values: Sequence) -> tuple[list[int], int]:
     """(s * values as ints, s) for ints or Fractions, s the lcm of the denominators."""
-    s = math.lcm(*(v.denominator for v in values))
+    # A list, not a generator: unpacking a generator resizes the argument
+    # tuple, which leaves a tuple of each row length on CPython's freelists
+    # per call and grows peak memory over a long run of solves.
+    s = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (s // v.denominator) for v in values], s
 
 

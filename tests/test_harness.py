@@ -177,6 +177,11 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["alpha_star"] == "1/2"
 
+    def test_oracle_alpha_parallel_hats(self, capsys):
+        assert cli_run(["oracle-alpha", "--instance", "parallel-hats:1/2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["alpha_star"] == "1/2"
+
     def test_run_single_draw(self, tmp_path):
         out = str(tmp_path / "draw")
         rc = cli_run(

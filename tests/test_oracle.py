@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrs import (
     ExplicitPrior,
@@ -19,13 +21,17 @@ from ocrs import (
     gen_hidden_element,
     gen_kuniform_allactive,
     max_uncontentious_alpha,
+    parse_instance,
     two_element_instance,
 )
+from ocrs import oracle
+from ocrs.bitset import iter_bits
 from ocrs.oracle import EnumerationTooLarge, independent_subsets
 from ocrs.preselect import exact_unspanned_prob_independent
 from ocrs.priors import AllActivePrior, SamplerPrior
 
 from conftest import explicit_battery, random_explicit_prior, random_small_matroid
+from oracle_reference import reference_max_uncontentious_alpha
 
 
 class TestAlphaStar:
@@ -58,6 +64,59 @@ class TestAlphaStar:
     def test_opaque_prior_rejected(self):
         with pytest.raises(EnumerationTooLarge):
             max_uncontentious_alpha(UniformMatroid(2, 1), SamplerPrior(2, lambda r: 0b11))
+
+
+def assert_valid_certificate(m, p, cert):
+    """The witness is a selection rule over the support whose per-element
+    probabilities are the reported ones, with minimum alpha_star."""
+    probs = p.activation_probabilities()
+    selected = [Fraction(0)] * m.n
+    for atom, prob in p.support():
+        if prob == 0:
+            continue
+        dist = cert.witness[atom]
+        assert sum(pr for _, pr in dist) == 1
+        for y, pr in dist:
+            assert pr > 0 and y & ~atom == 0 and m._independent(y)
+            for e in iter_bits(y):
+                selected[e] += prob * pr
+    assert cert.per_element == [s / x if x > 0 else None for s, x in zip(selected, probs)]
+    assert cert.min_balancedness() == cert.alpha_star
+
+
+class TestAgainstEnumerationLp:
+    def test_battery(self):
+        for inst in explicit_battery():
+            cert = max_uncontentious_alpha(inst.matroid, inst.prior)
+            ref = reference_max_uncontentious_alpha(inst.matroid, inst.prior)
+            assert cert.alpha_star == ref.alpha_star
+            assert_valid_certificate(inst.matroid, inst.prior, cert)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_random_small_instances(self, seed, restrict):
+        rng = Random(seed)
+        m = random_small_matroid(rng, max_n=7)
+        p = random_explicit_prior(rng, m.n)
+        if restrict:  # some elements never active
+            p = p.marginal(SubsetMask(m.n, rng.randrange(1 << m.n)))
+        cert = max_uncontentious_alpha(m, p)
+        assert cert.alpha_star == reference_max_uncontentious_alpha(m, p).alpha_star
+        assert_valid_certificate(m, p, cert)
+
+    @pytest.mark.parametrize("spec", ["parallel-hats:1/2", "kuniform:30,15"])
+    def test_beyond_enumeration_scale(self, spec):
+        inst = parse_instance(spec)
+        assert max_uncontentious_alpha(inst.matroid, inst.prior).alpha_star == Fraction(1, 2)
+
+    def test_uncertified_result_raises(self, monkeypatch):
+        build = oracle.build_lp_scheme
+        monkeypatch.setattr(
+            oracle, "build_lp_scheme", lambda *a, **kw: build(*a, iteration_cap=1, **kw)
+        )
+        inst = gen_kuniform_allactive(4, 2)
+        with pytest.raises(RuntimeError, match="uncertified"):
+            max_uncontentious_alpha(inst.matroid, inst.prior)
 
 
 class TestCertificate:

@@ -64,6 +64,12 @@ class TestValidation:
         p = ExplicitPrior(1, [(1, 0.25), (1, 0.25), (0, 0.5)])
         assert dict(p.atoms)[1] == Fraction(1, 2)
 
+    def test_near_one_total_is_normalised_exactly(self):
+        p = ExplicitPrior(2, [(1, 0.5), (2, 0.5 + 1e-13)])
+        assert sum(prob for _, prob in p.support()) == 1
+        exact = ExplicitPrior(2, [(1, Fraction(1, 3)), (2, Fraction(2, 3))])
+        assert exact.atoms == [(1, Fraction(1, 3)), (2, Fraction(2, 3))]
+
 
 class TestMarginal:
     def test_all_active_marginal(self, rng):

@@ -14,12 +14,11 @@ from ocrs import (
     UniformMatroid,
     WeightMixture,
     build_independent_subsampling_scheme,
+    build_prefix_subsampling_scheme,
     gen_kuniform_allactive,
     greedy_ordered,
-    independent_subsampling_round,
     measure_competitiveness,
     order_by_weight,
-    prefix_subsampling_round,
     scheme_from_spec,
     secretary_wrap,
 )
@@ -94,9 +93,8 @@ class TestOnlineConsistency:
 class TestSubsamplingSchemes:
     def test_alpha_zero_selects_nothing(self, rng):
         inst = gen_kuniform_allactive(3, 1)
-        order, chosen = independent_subsampling_round(
-            inst.matroid, inst.prior, 0, rng
-        )
+        scheme = build_independent_subsampling_scheme(inst.matroid, inst.prior, 0, rng)
+        chosen = SubsetMask(3, scheme.run_bits(inst.matroid, inst.prior.sample_bits(rng), rng))
         assert chosen == SubsetMask.empty(3)
 
     def test_round_returns_order_and_feasible_set(self, rng):
@@ -104,9 +102,11 @@ class TestSubsamplingSchemes:
         from ocrs import PreselectConfig
 
         cfg = PreselectConfig(alpha=0.5, mode="exact")
-        order, chosen = prefix_subsampling_round(
+        scheme = build_prefix_subsampling_scheme(
             inst.matroid, inst.prior, Fraction(1, 2), rng, cfg=cfg
         )
+        order = scheme.order
+        chosen = SubsetMask(4, scheme.run_bits(inst.matroid, inst.prior.sample_bits(rng), rng))
         assert sorted(order.order) == [0, 1, 2, 3]
         assert chosen.cardinality() <= 2
 
