@@ -5,11 +5,14 @@ column generation over greedy orders, over an enumerated support), the
 exact per-element balancedness of a scheme by integrating out its
 randomness, and exhaustive weighted-rank maximization. Probabilities are
 Fractions end to end, so equality assertions in tests are legitimate.
+
+A subsampling scheme's selection greedy(A ∩ T) depends on T only through
+T ∩ A, so `exact_balancedness` marginalises the subsample onto each support
+atom A (`sampling.SubsampleLaw`): its limits bound |A|, not n.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -17,7 +20,8 @@ from random import Random
 from .bitset import iter_bits, popcount
 from .lp import build_lp_scheme
 from .matroid import Matroid
-from .priors import Prior, to_fraction
+from .priors import Prior
+from .sampling import EnumerationTooLarge
 from .schemes import (
     DETERMINISTIC_SECRETARIES,
     IndependentSubsampling,
@@ -31,13 +35,7 @@ from .schemes import (
 )
 from .simplex import solve_lp  # noqa: F401 - unused; bench/tracer.py patches this name
 
-INDEPENDENT_ENUM_LIMIT = 14  # 2^n thinning outcomes
-PREFIX_ENUM_LIMIT = 8  # (n+1)! sentinel permutations, enumerated by subset weight
 BRUTEFORCE_LIMIT = 20
-
-
-class EnumerationTooLarge(ValueError):
-    pass
 
 
 def independent_subsets(M: Matroid, pool_bits: int) -> list[int]:
@@ -125,35 +123,18 @@ def max_uncontentious_alpha(M: Matroid, P: Prior) -> AlphaCertificate:
     return AlphaCertificate(report.beta_trajectory[-1], witness, per_element)
 
 
-def _scheme_randomness(M: Matroid, scheme: Scheme):
-    """Yield (weight, deterministic selector) pairs covering the scheme's
-    internal randomness exactly."""
-    n = scheme.n
+def _scheme_randomness(M: Matroid, scheme: Scheme, atom: int):
+    """Yield (weight, selected bits) pairs covering the scheme's internal
+    randomness exactly, on the active set `atom`."""
     if isinstance(scheme, OrderedGreedy):
-        order = scheme.order.order
-        yield Fraction(1), lambda a: greedy_ordered_bits(M, order, a)
+        yield Fraction(1), greedy_ordered_bits(M, scheme.order.order, atom)
     elif isinstance(scheme, PermutationMixture):
         for pi, wt in scheme.components:
-            order = pi.order
-            yield wt, lambda a, order=order: greedy_ordered_bits(M, order, a)
-    elif isinstance(scheme, IndependentSubsampling):
-        if n > INDEPENDENT_ENUM_LIMIT:
-            raise EnumerationTooLarge(f"2^{n} thinning outcomes exceed limit")
-        rho = to_fraction(scheme.rho)
+            yield wt, greedy_ordered_bits(M, pi.order, atom)
+    elif isinstance(scheme, (IndependentSubsampling, PrefixSubsampling)):
         order = scheme.order.order
-        for t in range(1 << n):
-            w = rho ** popcount(t) * (1 - rho) ** (n - popcount(t))
-            if w > 0:
-                yield w, lambda a, t=t: greedy_ordered_bits(M, order, a & t)
-    elif isinstance(scheme, PrefixSubsampling):
-        if n > PREFIX_ENUM_LIMIT:
-            raise EnumerationTooLarge(f"({n}+1)! sentinel permutations exceed limit")
-        order = scheme.order.order
-        fact = [math.factorial(i) for i in range(n + 2)]
-        for t in range(1 << n):
-            s = popcount(t)
-            w = Fraction(fact[s] * fact[n - s], fact[n + 1])
-            yield w, lambda a, t=t: greedy_ordered_bits(M, order, a & t)
+        for b, w in scheme.law.outcomes(atom):
+            yield w, greedy_ordered_bits(M, order, b)
     elif isinstance(scheme, WeightMixture):
         if scheme.secretary_kind not in DETERMINISTIC_SECRETARIES:
             raise EnumerationTooLarge(
@@ -161,32 +142,27 @@ def _scheme_randomness(M: Matroid, scheme: Scheme):
             )
         dummy = Random(0)
         for wv, wt in scheme.components:
-            yield wt, lambda a, wv=wv: secretary_wrap_bits(
-                scheme.secretary_kind, wv, M, a, dummy
-            )
+            yield wt, secretary_wrap_bits(scheme.secretary_kind, wv, M, atom, dummy)
     else:
         raise TypeError(f"cannot enumerate scheme {type(scheme).__name__}")
 
 
 def exact_balancedness(M: Matroid, scheme: Scheme, P: Prior) -> list:
-    """Per-element conditional selection probability, by joint enumeration
-    of the support and the scheme randomness. None for never-active elements."""
+    """Per-element conditional selection probability, by enumerating the support
+    and, per atom, the scheme randomness. None for never-active elements."""
     support = P.support()
     if support is None:
         raise EnumerationTooLarge("exact balancedness needs an explicit prior support")
     n = M.n
-    probs = [Fraction(0)] * n
+    probs = P.activation_probabilities()
     selmass = [Fraction(0)] * n
-    for w, selector in _scheme_randomness(M, scheme):
-        for atom, p in support:
-            if p == 0:
-                continue
-            wp = w * p
-            for e in iter_bits(selector(atom)):
-                selmass[e] += wp
     for atom, p in support:
-        for e in iter_bits(atom):
-            probs[e] += p
+        if p == 0:
+            continue
+        for w, selected in _scheme_randomness(M, scheme, atom):
+            wp = w * p
+            for e in iter_bits(selected):
+                selmass[e] += wp
     return [selmass[i] / probs[i] if probs[i] > 0 else None for i in range(n)]
 
 

@@ -11,8 +11,10 @@ statistics are supported:
   prefix of the remaining elements; qualifying threshold alpha.
 
 Each comes in a Monte-Carlo flavour (counters over m joint samples, with a
-(1 - eps/4) relaxation of the threshold) and an exact flavour (full
-enumeration over explicit supports, feasible at desk scale only).
+(1 - eps/4) relaxation of the threshold) and an exact flavour over explicit
+supports, which marginalises the subsample onto each atom A: it enumerates
+subsets of A ∩ S, not of S (`sampling.SubsampleLaw`), so its limits bound
+the atom, not the ground set.
 """
 
 from __future__ import annotations
@@ -23,13 +25,20 @@ from fractions import Fraction
 from random import Random
 from typing import Optional
 
-from .bitset import SubsetMask, full_mask, iter_bits, popcount
+from .bitset import SubsetMask, full_mask, iter_bits
 from .matroid import Matroid
 from .priors import Prior, to_fraction
-from .sampling import Permutation, shuffled, t_rho_bits
+from .sampling import (
+    EnumerationTooLarge,
+    IndependentLaw,
+    Permutation,
+    PrefixLaw,
+    SubsampleLaw,
+    shuffled,
+    t_rho_bits,
+)
 
-INDEPENDENT_EXACT_LIMIT = 12  # max |A ∩ S| for 2^|A∩S| subsample enumeration
-PREFIX_EXACT_LIMIT = 9  # max |S_i| for prefix enumeration
+ExactModeTooLarge = EnumerationTooLarge  # the name exact preselection has always raised
 
 
 class NoQualifyingElement(RuntimeError):
@@ -51,10 +60,6 @@ class NoQualifyingElement(RuntimeError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-
-
-class ExactModeTooLarge(ValueError):
-    """Exact enumeration was requested beyond the desk-scale limits."""
 
 
 @dataclass(frozen=True)
@@ -131,128 +136,78 @@ def count_span_stats_prefix(
     return stats
 
 
-def exact_unspanned_prob_independent(
-    M: Matroid, P: Prior, S: SubsetMask, j: int, rho
-) -> Fraction:
-    """Exact Pr[j not spanned by the rho-thinned active part of S | j active].
-
-    Enumerates the thinning outcomes per support atom; requires an explicit
-    prior. Outcomes containing j itself contribute nothing (j spans itself),
-    so only subsets of S \\ {j} are enumerated.
-    """
+def _exact_unspanned_prob(M: Matroid, P: Prior, j: int, law: SubsampleLaw, drawn_on: int):
+    """Exact Pr[j not spanned by T ∩ A | j active], T drawn by `law` on A ∩ drawn_on,
+    for each support atom A that holds j. Outcomes that contain j contribute
+    nothing (j spans itself), so they are not enumerated."""
     support = P.support()
     if support is None:
-        raise ExactModeTooLarge("exact mode needs an explicit prior support")
-    rho = to_fraction(rho)
+        raise EnumerationTooLarge("exact mode needs an explicit prior support")
     jbit = 1 << j
-    num = Fraction(0)
-    den = Fraction(0)
+    num = den = Fraction(0)
     for atom, p in support:
         if not atom & jbit or p == 0:
             continue
         den += p
-        pool = atom & S.bits & ~jbit
-        size = popcount(pool)
-        if size > INDEPENDENT_EXACT_LIMIT:
-            raise ExactModeTooLarge(
-                f"atom restricted to S has {size} elements; limit {INDEPENDENT_EXACT_LIMIT}"
-            )
-        elems = list(iter_bits(pool))
         unspanned = Fraction(0)
-        for sub in range(1 << size):
-            b = 0
-            for idx in range(size):
-                if (sub >> idx) & 1:
-                    b |= 1 << elems[idx]
-            weight = rho ** popcount(b) * (1 - rho) ** (size - popcount(b))
-            sp = M._span_of_independent(M._basis_bits(b))
-            if not (sp >> j) & 1:
-                unspanned += weight
-        num += p * (1 - rho) * unspanned
-    if den == 0:
-        return Fraction(0)
-    return num / den
+        for b, w in law.outcomes(atom & drawn_on, avoid=jbit):
+            if not (M._span_of_independent(M._basis_bits(b)) >> j) & 1:
+                unspanned += w
+        num += p * unspanned
+    return num / den if den else Fraction(0)
+
+
+def exact_unspanned_prob_independent(M: Matroid, P: Prior, S: SubsetMask, j: int, rho) -> Fraction:
+    """Exact Pr[j not spanned by the rho-thinned active part of S | j active],
+    for an explicit prior. The law is drawn on A ∩ S, j included, so each
+    outcome carries the factor 1 - rho of j being thinned away."""
+    return _exact_unspanned_prob(M, P, j, IndependentLaw(rho), S.bits)
 
 
 def exact_unspanned_prob_prefix(M: Matroid, P: Prior, S: SubsetMask, j: int) -> Fraction:
-    """Exact Pr[j not spanned by the active part of a uniform-prefix of S | j active].
-
-    The prefix of j under a uniform order of S is a uniformly sized, then
-    uniformly chosen, subset of S \\ {j}; each specific subset of size s has
-    probability s! (|S|-1-s)! / |S|!.
-    """
-    support = P.support()
-    if support is None:
-        raise ExactModeTooLarge("exact mode needs an explicit prior support")
-    i = popcount(S.bits)
-    if i > PREFIX_EXACT_LIMIT:
-        raise ExactModeTooLarge(f"|S|={i} exceeds prefix enumeration limit {PREFIX_EXACT_LIMIT}")
-    jbit = 1 << j
-    pool = list(iter_bits(S.bits & ~jbit))
-    fact = [math.factorial(x) for x in range(i + 1)]
-    weights = [Fraction(fact[s] * fact[i - 1 - s], fact[i]) for s in range(i)]
-    num = Fraction(0)
-    den = Fraction(0)
-    for atom, p in support:
-        if not atom & jbit or p == 0:
-            continue
-        den += p
-        unspanned = Fraction(0)
-        for sub in range(1 << len(pool)):
-            pre = 0
-            for idx in range(len(pool)):
-                if (sub >> idx) & 1:
-                    pre |= 1 << pool[idx]
-            sp = M._span_of_independent(M._basis_bits(atom & pre))
-            if not (sp >> j) & 1:
-                unspanned += weights[popcount(pre)]
-        num += p * unspanned
-    if den == 0:
-        return Fraction(0)
-    return num / den
+    """Exact Pr[j not spanned by the active part of a uniform-prefix of S | j active],
+    for an explicit prior. The prefix of j under a uniform order of S is the
+    prefix law on S \\ {j}, with j as the sentinel."""
+    return _exact_unspanned_prob(M, P, j, PrefixLaw(), S.bits & ~(1 << j))
 
 
 def _preselect(M, P, cfg, rng, prefix_mode: bool) -> Permutation:
     n = M.n
-    order = [0] * n
-    remaining = full_mask(n)
-    alpha = to_fraction(cfg.alpha)
     if cfg.mode == "monte_carlo":
         m = cfg.sample_override or sample_size(
             n, float(cfg.alpha), float(cfg.eps), float(P.p_min(rng=rng))
         )
         slack = 1 - float(cfg.eps) / 4
-        threshold_rate = slack * (float(cfg.alpha) if prefix_mode else float(cfg.alpha) / 2)
-    for i in range(n, 0, -1):
-        S = SubsetMask(n, remaining)
-        chosen = -1
-        if cfg.mode == "monte_carlo":
-            if prefix_mode:
-                stats = count_span_stats_prefix(M, P, S, m, rng)
-            else:
-                stats = count_span_stats_independent(M, P, S, float(cfg.alpha) / 2, m, rng)
-            for j in iter_bits(remaining):
-                # never-sampled elements cannot qualify; conservative choice
-                if stats.m[j] > 0 and stats.k[j] >= threshold_rate * stats.m[j]:
-                    chosen = j
-                    break
+        rate = slack * (float(cfg.alpha) if prefix_mode else float(cfg.alpha) / 2)
+        rho = float(cfg.alpha) / 2
+        if prefix_mode:
+            stats_of = lambda S: count_span_stats_prefix(M, P, S, m, rng)
         else:
-            probs = P.activation_probabilities()
-            if probs is None:
-                raise ExactModeTooLarge("exact mode needs an explicit prior support")
-            for j in iter_bits(remaining):
-                if probs[j] == 0:
-                    continue
-                if prefix_mode:
-                    q = exact_unspanned_prob_prefix(M, P, S, j)
-                    if q >= alpha:
-                        chosen = j
-                        break
-                else:
-                    q = exact_unspanned_prob_independent(M, P, S, j, alpha / 2)
-                    if q >= alpha / 2:
-                        chosen = j
-                        break
+            stats_of = lambda S: count_span_stats_independent(M, P, S, rho, m, rng)
+
+        def qualifying(S: SubsetMask):
+            stats = stats_of(S)
+            # never-sampled elements cannot qualify; conservative choice
+            return (j for j in iter_bits(S.bits) if stats.m[j] and stats.k[j] >= rate * stats.m[j])
+
+    else:
+        probs = P.activation_probabilities()
+        if probs is None:
+            raise EnumerationTooLarge("exact mode needs an explicit prior support")
+        alpha = to_fraction(cfg.alpha)
+        threshold = alpha if prefix_mode else alpha / 2
+        if prefix_mode:
+            stat = lambda S, j: exact_unspanned_prob_prefix(M, P, S, j)
+        else:
+            stat = lambda S, j: exact_unspanned_prob_independent(M, P, S, j, threshold)
+
+        def qualifying(S: SubsetMask):
+            return (j for j in iter_bits(S.bits) if probs[j] and stat(S, j) >= threshold)
+
+    order = [0] * n
+    remaining = full_mask(n)
+    for i in range(n, 0, -1):
+        chosen = next(qualifying(SubsetMask(n, remaining)), -1)
         if chosen < 0:
             raise NoQualifyingElement(i, order[i:])
         order[i - 1] = chosen

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -200,18 +201,15 @@ class ProductPrior(Prior):
         return list(self.x)
 
     def support(self):
-        if self.n > 16:
-            return None
-        sup = []
-        for bits in range(1 << self.n):
-            p = Fraction(1)
-            for i, xi in enumerate(self.x):
-                p *= xi if (bits >> i) & 1 else 1 - xi
-                if p == 0:
-                    break
-            if p > 0:
-                sup.append((bits, p))
-        return sup
+        return None if self.n > 16 else list(self._atoms)
+
+    @cached_property
+    def _atoms(self) -> list[tuple[int, Fraction]]:
+        """The positive-probability atoms, by mask, enumerated once."""
+        sup = [(0, Fraction(1))]
+        for i, xi in enumerate(self.x):
+            sup = [(b | c, p * q) for b, p in sup for c, q in ((0, 1 - xi), (1 << i, xi)) if q]
+        return sorted(sup)
 
     def marginal(self, S: SubsetMask) -> "ProductPrior":
         if S.n != self.n:
@@ -239,8 +237,10 @@ class SamplerPrior(Prior):
 
     def p_min(self, rng: Optional[Random] = None, eps: float = 0.05) -> float:
         """Lower-confidence estimate: empirical frequency minus eps, from
-        ceil(3 ln(2n/0.01) / eps^2) samples. Aborts if some element never
-        shows up, since every downstream guarantee divides by p_min."""
+        ceil(3 ln(2n/0.01) / eps^2) samples. It resolves frequencies above
+        eps only: if an element is active in at most an eps share of the
+        samples, this raises, since every downstream guarantee divides by
+        p_min. A smaller eps resolves rarer elements, at 1/eps^2 the samples."""
         if rng is None:
             raise PriorError("p_min estimation needs an rng")
         m = math.ceil(3 * math.log(2 * self.n / 0.01) / eps**2)
@@ -251,10 +251,11 @@ class SamplerPrior(Prior):
                 counts[e] += 1
         floor = min(max(c / m - eps, 0.0) for c in counts)
         if floor <= 0:
-            never = [e for e, c in enumerate(counts) if c == 0]
+            rare = [e for e, c in enumerate(counts) if c / m <= eps]
             raise PriorError(
-                f"p_min estimate hit 0 (elements {never or 'several'} too rare "
-                f"in {m} samples); every element must be active with positive probability"
+                f"p_min estimate hit 0: elements {rare} were active in at most eps={eps} "
+                f"of {m} samples; this estimate resolves frequencies above eps only, "
+                f"so pass a smaller eps"
             )
         return floor
 

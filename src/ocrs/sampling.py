@@ -1,4 +1,4 @@
-"""Subsampling operators and permutation utilities.
+"""Subsampling operators, their exact laws, and permutation utilities.
 
 Two subsamplers are provided: independent per-element thinning, and the
 correlated prefix subsampler (everything before a uniformly placed sentinel
@@ -10,10 +10,13 @@ tests reproduce it with zero error.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .bitset import SubsetMask, iter_bits, mask_of
+from .bitset import SubsetMask, iter_bits, mask_of, popcount
+from .priors import to_fraction
 
 
 class Permutation:
@@ -118,3 +121,56 @@ def prefix_subsample_bits(n: int, rng: Random) -> int:
 
 def prefix_subsample(n: int, rng: Random) -> SubsetMask:
     return SubsetMask(n, prefix_subsample_bits(n, rng))
+
+
+class EnumerationTooLarge(ValueError):
+    """Exact enumeration was requested beyond the desk-scale limits."""
+
+
+class SubsampleLaw:
+    """The exact law of T ∩ a, for a subsample T of the ground set and a set a.
+
+    Both subsamplers keep their form under restriction: T ∩ a is the same
+    law on a (for the prefix law, because the relative order of a and the
+    sentinel is uniform), and Pr[T ∩ a = B] depends only on |a| and |B|:
+    `weights(r)` lists it by |B| for |a| = r. So exact consumers enumerate
+    subsets of an active atom, not of the ground set; `limit` bounds |a|.
+    """
+
+    def outcomes(self, a_bits: int, avoid: int = 0) -> Iterator[tuple[int, Fraction]]:
+        """Yield (B, Pr[T ∩ a = B]) for the subsets B of a that miss `avoid`,
+        skipping outcomes of probability 0."""
+        r = popcount(a_bits)
+        if r > self.limit:
+            raise EnumerationTooLarge(f"{type(self).__name__} on {r} elements; limit {self.limit}")
+        weights = self.weights(r)
+        b = pool = a_bits & ~avoid
+        while True:
+            w = weights[popcount(b)]
+            if w:
+                yield b, w
+            if not b:
+                return
+            b = (b - 1) & pool
+
+
+class IndependentLaw(SubsampleLaw):
+    """Each element kept independently with probability rho (`t_rho_bits`)."""
+
+    limit = 13  # 2^13 thinning outcomes
+
+    def __init__(self, rho):
+        self.rho = to_fraction(rho)
+
+    def weights(self, r: int) -> list[Fraction]:
+        return [self.rho**s * (1 - self.rho) ** (r - s) for s in range(r + 1)]
+
+
+class PrefixLaw(SubsampleLaw):
+    """The elements before a uniformly placed sentinel (`prefix_subsample_bits`):
+    |T ∩ a| is uniform on {0..r}, then T ∩ a is a uniform subset of that size."""
+
+    limit = 8  # 2^8 prefix outcomes
+
+    def weights(self, r: int) -> list[Fraction]:
+        return [Fraction(1, (r + 1) * math.comb(r, s)) for s in range(r + 1)]

@@ -28,7 +28,14 @@ from .bitset import SubsetMask, full_mask
 from .matroid import Matroid
 from .preselect import PreselectConfig, preselect_independent, preselect_prefix
 from .priors import Prior, to_fraction
-from .sampling import Permutation, prefix_subsample_bits, random_permutation, t_rho_bits
+from .sampling import (
+    IndependentLaw,
+    Permutation,
+    PrefixLaw,
+    prefix_subsample_bits,
+    random_permutation,
+    t_rho_bits,
+)
 
 MIXTURE_WEIGHT_TOL = 1e-9
 
@@ -91,6 +98,7 @@ class IndependentSubsampling(Scheme):
         if not 0 <= self.rho <= 1:
             raise ValueError(f"rho {rho} outside [0,1]")
         self.n = order.n
+        self.law = IndependentLaw(self.rho)  # what t_rho_bits draws, stated exactly
         self._rho_f = float(self.rho)
         self._full = full_mask(self.n)
 
@@ -116,6 +124,7 @@ class PrefixSubsampling(Scheme):
     def __init__(self, order: Permutation):
         self.order = order
         self.n = order.n
+        self.law = PrefixLaw()  # what prefix_subsample_bits draws, stated exactly
 
     def run_bits(self, M, a_bits, rng):
         t = prefix_subsample_bits(self.n, rng)

@@ -127,6 +127,53 @@ class TestPMin:
             p.p_min(rng=Random(0), eps=0.1)
 
 
+    def test_opaque_estimator_names_the_rare_elements(self):
+        # element 1 is active ~3% of the time: seen, but not above eps = 0.05
+        p = SamplerPrior(3, lambda r: 0b101 | (0b010 if r.random() < 0.03 else 0))
+        with pytest.raises(PriorError, match=r"elements \[1\] .*pass a smaller eps"):
+            p.p_min(rng=Random(0))
+        assert 0 < p.p_min(rng=Random(0), eps=0.01) < 0.03
+
+
+def _counted(name):
+    def op(self, other):
+        _CountedFraction.ops += 1
+        return getattr(Fraction, name)(self, other)
+
+    return op
+
+
+class _CountedFraction(Fraction):
+    """A Fraction that counts the products and differences taken with it."""
+
+    ops = 0
+    __mul__, __rmul__ = _counted("__mul__"), _counted("__rmul__")
+    __sub__, __rsub__ = _counted("__sub__"), _counted("__rsub__")
+
+
+class TestProductSupport:
+    def test_support_is_enumerated_once(self):
+        p = ProductPrior([_CountedFraction(k, 10) for k in (1, 3, 5, 7, 9)])
+        first = p.support()
+        done = _CountedFraction.ops
+        assert done > 0 and len(first) == 2**5
+        first.clear()  # callers get a copy
+        for _ in range(3):
+            assert p.support() == sorted(p.support()) and len(p.support()) == 2**5
+        assert _CountedFraction.ops == done
+
+    def test_support_matches_the_product_formula(self):
+        x = [Fraction(1, 4), Fraction(0), Fraction(1), Fraction(2, 3)]
+        want = []
+        for bits in range(1 << len(x)):
+            pr = Fraction(1)
+            for i, xi in enumerate(x):
+                pr *= xi if (bits >> i) & 1 else 1 - xi
+            if pr:
+                want.append((bits, pr))
+        assert ProductPrior(x).support() == want
+
+
 class TestHiddenElementPrior:
     def test_normalization_example(self):
         p = hidden_element_prior(3, Fraction(1, 2), Fraction(1, 5), 0)

@@ -1,0 +1,119 @@
+"""The exact subsample laws: the restriction property they rest on, the
+per-atom enumeration against the whole-ground-set references, and the reach
+that marginalising onto the atom buys."""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ocrs import (
+    ExplicitPrior,
+    IndependentSubsampling,
+    Permutation,
+    PrefixSubsampling,
+    PreselectConfig,
+    SubsetMask,
+    UniformMatroid,
+    exact_balancedness,
+    max_uncontentious_alpha,
+    preselect_prefix,
+)
+from ocrs.bitset import popcount
+from ocrs.preselect import exact_unspanned_prob_independent, exact_unspanned_prob_prefix
+from ocrs.sampling import EnumerationTooLarge, IndependentLaw, PrefixLaw
+
+from conftest import random_explicit_prior, random_small_matroid, sentinel_prefix_law
+from subsample_reference import (
+    reference_exact_balancedness,
+    reference_unspanned_prob_independent,
+    reference_unspanned_prob_prefix,
+)
+
+
+def _restricted(law_of_t: dict, a: int) -> dict:
+    """The law of T ∩ a, from the law of T."""
+    out: dict = {}
+    for t, pr in law_of_t.items():
+        out[t & a] = out.get(t & a, 0) + pr
+    return {b: pr for b, pr in out.items() if pr}
+
+
+class TestRestriction:
+    def test_prefix_law_is_the_sentinel_law_on_the_atom(self):
+        n = 5
+        whole = sentinel_prefix_law(n)  # all (n+1)! permutations
+        for a in range(1 << n):
+            assert dict(PrefixLaw().outcomes(a)) == _restricted(whole, a)
+
+    @pytest.mark.parametrize("rho", [Fraction(0), Fraction(1, 3), Fraction(1)])
+    def test_independent_law_is_the_thinning_law_on_the_atom(self, rho):
+        n = 5
+        whole = {
+            t: rho ** popcount(t) * (1 - rho) ** (n - popcount(t)) for t in range(1 << n)
+        }
+        for a in range(1 << n):
+            assert dict(IndependentLaw(rho).outcomes(a)) == _restricted(whole, a)
+
+    def test_avoided_outcomes_keep_their_weights(self):
+        got = dict(IndependentLaw(Fraction(1, 4)).outcomes(0b111, avoid=0b001))
+        assert set(got) == {0b000, 0b010, 0b100, 0b110}
+        assert sum(got.values()) == Fraction(3, 4)  # element 0 dropped
+
+    def test_limits_bound_the_atom_not_the_ground_set(self):
+        with pytest.raises(EnumerationTooLarge):
+            next(IndependentLaw(Fraction(1, 2)).outcomes((1 << 14) - 1))
+        with pytest.raises(EnumerationTooLarge):
+            next(PrefixLaw().outcomes((1 << 9) - 1))
+        assert sum(w for _, w in PrefixLaw().outcomes((1 << 8) - 1)) == 1
+        far = 1 << 200
+        assert dict(PrefixLaw().outcomes(far)) == {far: Fraction(1, 2), 0: Fraction(1, 2)}
+
+
+class TestAgainstWholeGroundSet:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_random_small_instances(self, seed, restrict):
+        rng = Random(seed)
+        m = random_small_matroid(rng, max_n=7)
+        n = m.n
+        p = random_explicit_prior(rng, n)
+        if restrict:  # some elements never active
+            p = p.marginal(SubsetMask(n, rng.randrange(1 << n)))
+        s = SubsetMask(n, rng.randrange(1, 1 << n))
+        j = rng.choice(list(s))
+        q = rng.randint(1, 9)
+        rho = Fraction(rng.randint(0, q), q)
+        assert exact_unspanned_prob_independent(m, p, s, j, rho) == (
+            reference_unspanned_prob_independent(m, p, s, j, rho)
+        )
+        assert exact_unspanned_prob_prefix(m, p, s, j) == reference_unspanned_prob_prefix(m, p, s, j)
+        order = Permutation(rng.sample(range(n), n))
+        for scheme in (IndependentSubsampling(order, rho), PrefixSubsampling(order)):
+            assert exact_balancedness(m, scheme, p) == reference_exact_balancedness(m, scheme, p)
+
+
+class TestReach:
+    def test_balancedness_of_singletons_at_n30(self):
+        n = 30
+        m = UniformMatroid(n, 1)
+        p = ExplicitPrior(n, [(0, Fraction(1, 2))] + [(1 << e, Fraction(1, 60)) for e in range(n)])
+        order = Permutation.identity(n)
+        indep = IndependentSubsampling(order, Fraction(1, 4))
+        assert exact_balancedness(m, indep, p) == [Fraction(1, 4)] * n
+        assert exact_balancedness(m, PrefixSubsampling(order), p) == [Fraction(1, 2)] * n
+
+    def test_exact_prefix_preselection_on_sparse_n20(self):
+        n = 20
+        m = UniformMatroid(n, 2)
+        weights = {0: 20, **{1 << e: 1 for e in range(n)}}
+        weights.update({0b111 << e: 2 for e in range(n - 2)})  # runs of three
+        total = sum(weights.values())
+        p = ExplicitPrior(n, [(a, Fraction(w, total)) for a, w in weights.items()])
+        alpha = max_uncontentious_alpha(m, p).alpha_star
+        order = preselect_prefix(m, p, PreselectConfig(alpha=alpha, mode="exact"), Random(0))
+        assert sorted(order.order) == list(range(n))
+        bal = exact_balancedness(m, PrefixSubsampling(order), p)
+        assert min(bal) >= alpha * alpha / 2
