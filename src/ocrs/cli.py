@@ -174,13 +174,13 @@ def cmd_lp_build(args) -> int:
     if args.reduction == "permutation":
         scheme, report = build_lp_scheme(
             inst.matroid, inst.prior, eps=args.eps, rng=rng,
-            mode=args.mode, alpha_target=alpha,
+            mode=args.mode, alpha_target=alpha, estimation_override=args.samples,
         )
     else:
         scheme, report = build_secretary_reduction(
             inst.matroid, inst.prior, secretary_kind=args.secretary,
             c=args.competitiveness, eps=args.eps, rng=rng,
-            mode=args.mode, alpha_target=alpha,
+            mode=args.mode, alpha_target=alpha, estimation_override=args.samples,
         )
     payload = {
         "instance": inst.name,

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from random import Random
 from typing import Optional
 
@@ -174,7 +175,7 @@ def parse_instance(text: str) -> Instance:
             key, _, val = p.partition("=")
             if key == "m":
                 m_override = int(val)
-        return gen_parallel_hats(Fraction(parts[0]) if "/" in parts[0] else parts[0], m_override)
+        return gen_parallel_hats(parts[0], m_override)
     if name == "hidden":
         n, alpha, delta, j = args.split(",")
         return gen_hidden_element(int(n), alpha, delta, int(j))
@@ -259,20 +260,9 @@ def estimate_balancedness(
     Hoeffding interval. Elements never seen active get a no-data row."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    n = M.n
-    act = [0] * n
-    sel = [0] * n
-    sample = P.sample_bits
-    run = scheme.run_bits
-    for _ in range(trials):
-        a = sample(rng)
-        x = run(M, a, rng)
-        for e in iter_bits(a):
-            act[e] += 1
-        for e in iter_bits(x):
-            sel[e] += 1
+    act, sel = P.count(trials, rng, partial(scheme.run_bits, M))
     elements = []
-    for e in range(n):
+    for e in range(M.n):
         if act[e] == 0:
             elements.append(ElementEstimate(e, 0, 0, None, None, None))
             continue

@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence
 from .bitset import iter_bits
 from .matroid import Matroid
 from .priors import Prior, to_fraction
-from .sampling import Permutation
 from .schemes import (
     DETERMINISTIC_SECRETARIES,
     PermutationMixture,
@@ -133,7 +132,7 @@ def estimation_sample_size(eta: float, delta: float, p_min: float) -> int:
 
 
 def estimate_xq(
-    runner: Callable[[int, Random], int],
+    runner: Optional[Callable[[int, Random], int]],
     P: Prior,
     eta: float,
     delta: float,
@@ -141,7 +140,8 @@ def estimate_xq(
     p_min=None,
     m_override: Optional[int] = None,
 ) -> tuple[list[float], list[float], int]:
-    """Empirical activation and selection frequencies from m joint samples.
+    """Empirical activation and selection frequencies from m joint samples
+    (`Prior.count`); a `runner` of None counts activations only.
 
     Per element, each estimate misses its target by more than eta*x_i with
     probability at most delta. `m_override` trades the guarantee for speed.
@@ -149,16 +149,7 @@ def estimate_xq(
     if p_min is None:
         p_min = P.p_min(rng=rng)
     m = m_override or estimation_sample_size(eta, delta, p_min)
-    n = P.n
-    act = [0] * n
-    sel = [0] * n
-    for _ in range(m):
-        a = P.sample_bits(rng)
-        s = runner(a, rng)
-        for e in iter_bits(a):
-            act[e] += 1
-        for e in iter_bits(s):
-            sel[e] += 1
+    act, sel = P.count(m, rng, runner)
     return [a / m for a in act], [s / m for s in sel], m
 
 
@@ -219,18 +210,61 @@ def _want_exact(P: Prior, mode: str) -> bool:
     return sup is not None and len(sup) <= 4096
 
 
-def _generic_loop(
-    x,
-    first_key,
-    column_of: Callable[[object], LpColumn],
-    separate: Callable[[Sequence], object],
-    gap: float,
-    cap: int,
-    report: BuildReport,
-):
-    """Shared cutting-plane loop; returns (columns, final LpSolution)."""
-    columns = [column_of(first_key)]
-    seen = {columns[0].key}
+def _column_generation(
+    M, P, eps, rng, mode, alpha_target, iteration_cap, estimation_override,
+    *, kind, stages, c, select, start, key_json, no_exact_columns=None,
+) -> tuple[list, BuildReport]:
+    """The cutting-plane build both mixtures share; returns the mixture's
+    (key, weight) items and the report.
+
+    The column family is given by `select(key, atom, rng)`, the selection of
+    one column on one active set; `start(x, p_min)`, the first key and the
+    separation that maps a dual mu to the next key; and `key_json(key)`.
+    Columns are exact over the support when `_want_exact` says so and
+    `no_exact_columns` (the reason exact mode is refused) is None; else they
+    are estimated with relative accuracy eta = eps*c*alpha_target and
+    confidence delta, an eps/stages share of the failure budget
+    union-bounded over the columns the loop can visit.
+    """
+    n = M.n
+    exact = _want_exact(P, mode)
+    if exact and no_exact_columns is not None:
+        if mode == "exact":
+            raise ValueError(no_exact_columns)
+        exact = False
+    per_stage = eps / stages
+    cap = iteration_cap or 50 * n
+    eta = eps * c * alpha_target
+    gap = 0 if exact else min(DEFAULT_GAP_FLOOR, eta / 10)
+    report = BuildReport(
+        kind=kind,
+        n=n,
+        eps=eps,
+        eps_split={"per_stage": float(per_stage), "stages": stages},
+        exact_columns=exact,
+    )
+    p_min = P.p_min(rng=rng)
+    if exact:
+        x = P.activation_probabilities()
+    else:
+        delta = per_stage / (n * (cap + 2))
+        x, _, report.estimation_samples["x"] = estimate_xq(
+            None, P, eta, delta, rng, p_min, estimation_override
+        )
+
+    def price(key) -> LpColumn:
+        if exact:
+            q = exact_selection_column(P, lambda atom: select(key, atom, rng))
+        else:
+            _, q, m = estimate_xq(
+                lambda a, r: select(key, a, r), P, eta, delta, rng, p_min, estimation_override
+            )
+            report.estimation_samples[str(key_json(key))] = m
+        return LpColumn(key=key, q=q)
+
+    key, separate = start(x, p_min)
+    columns = [price(key)]
+    seen = {key}
     sol = solve_restricted(columns, x)
     report.beta_trajectory.append(sol.beta)
     for _ in range(cap):
@@ -239,7 +273,7 @@ def _generic_loop(
         if key in seen:
             report.converged = True
             break
-        col = column_of(key)
+        col = price(key)
         violation = sum(qi * mi for qi, mi in zip(col.q, sol.mu)) - sol.gamma
         if violation <= gap:
             report.converged = True
@@ -251,13 +285,12 @@ def _generic_loop(
     else:
         report.notes.append(f"iteration cap {cap} reached; returning best mixture so far")
     report.gamma = sol.gamma
-    return columns, sol
 
-
-def _mixture_items(columns, lam):
-    items = [(col.key, l) for col, l in zip(columns, lam) if l > 0]
-    total = sum(l for _, l in items)
-    return [(k, to_fraction(l) / to_fraction(total)) for k, l in items]
+    items = [(col.key, l) for col, l in zip(columns, sol.lam) if l > 0]
+    total = to_fraction(sum(l for _, l in items))
+    items = [(k, to_fraction(l) / total) for k, l in items]
+    report.columns = [key_json(k) for k, _ in items]
+    return items, report
 
 
 def build_lp_scheme(
@@ -270,59 +303,16 @@ def build_lp_scheme(
     iteration_cap: Optional[int] = None,
     estimation_override: Optional[int] = None,
 ) -> tuple[PermutationMixture, BuildReport]:
-    """Column generation over deterministic greedy orders.
-
-    Column estimates use relative accuracy eta = eps * alpha_target; the
-    per-column confidence delta carries an eps/6 share of the failure
-    budget, union-bounded over the columns the loop can visit. With exact
-    columns the estimation terms vanish.
-    """
-    n = M.n
-    eps_prime = eps / 6
-    exact = _want_exact(P, mode)
-    cap = iteration_cap or 50 * n
-    gap = 0 if exact else min(DEFAULT_GAP_FLOOR, eps * alpha_target / 10)
-    report = BuildReport(
-        kind="permutation_mixture",
-        n=n,
-        eps=eps,
-        eps_split={"per_stage": float(eps_prime), "stages": 6},
-        exact_columns=exact,
+    """Column generation over deterministic greedy orders; separation sorts
+    the dual. eps is split over 6 stages."""
+    items, report = _column_generation(
+        M, P, eps, rng, mode, alpha_target, iteration_cap, estimation_override,
+        kind="permutation_mixture", stages=6, c=1,
+        select=lambda pi, a, r: greedy_ordered_bits(M, pi.order, a),
+        start=lambda x, p_min: (order_by_weight(x), order_by_weight),
+        key_json=lambda pi: list(pi.order),
     )
-
-    if exact:
-        x = P.activation_probabilities()
-    else:
-        p_min = P.p_min(rng=rng)
-        eta = eps * alpha_target
-        delta = eps_prime / (n * (cap + 2))
-        x, _, m0 = estimate_xq(
-            lambda a, r: 0, P, eta, delta, rng, p_min=p_min, m_override=estimation_override
-        )
-        report.estimation_samples["x"] = m0
-
-    def column_of(pi: Permutation) -> LpColumn:
-        if exact:
-            q = exact_selection_column(P, lambda atom: greedy_ordered_bits(M, pi.order, atom))
-        else:
-            _, q, m = estimate_xq(
-                lambda a, r: greedy_ordered_bits(M, pi.order, a),
-                P,
-                eta,
-                delta,
-                rng,
-                p_min=p_min,
-                m_override=estimation_override,
-            )
-            report.estimation_samples[str(list(pi.order))] = m
-        return LpColumn(key=pi, q=q)
-
-    columns, sol = _generic_loop(
-        x, order_by_weight(x), column_of, order_by_weight, gap, cap, report
-    )
-    mixture = PermutationMixture(_mixture_items(columns, sol.lam))
-    report.columns = [list(pi.order) for pi, _ in mixture.components]
-    return mixture, report
+    return PermutationMixture(items), report
 
 
 def build_secretary_reduction(
@@ -338,66 +328,33 @@ def build_secretary_reduction(
     estimation_override: Optional[int] = None,
 ) -> tuple[WeightMixture, BuildReport]:
     """Column generation over weight vectors from the eps-grid; each column
-    replays the given secretary algorithm with masked weights. Separation
-    floors the current dual onto the grid."""
+    replays the given secretary algorithm with masked weights, and
+    separation floors the current dual onto the grid. eps is split over 7
+    stages; exact columns need a deterministic secretary."""
+    eps = to_fraction(eps)  # the grid step eps/7 is exact
     n = M.n
-    eps_frac = to_fraction(eps) / 7  # exact grid step; float twin for sample sizes
-    eps_prime = float(eps_frac)
-    exact = _want_exact(P, mode) and secretary_kind in DETERMINISTIC_SECRETARIES
-    if mode == "exact" and secretary_kind not in DETERMINISTIC_SECRETARIES:
-        raise ValueError(f"secretary {secretary_kind!r} is randomized; exact columns unavailable")
-    cap = iteration_cap or 50 * n
-    gap = 0 if exact else min(DEFAULT_GAP_FLOOR, eps * c * alpha_target / 10)
-    report = BuildReport(
-        kind="weight_mixture",
-        n=n,
-        eps=eps,
-        eps_split={"per_stage": eps_prime, "stages": 7},
-        exact_columns=exact,
+
+    def start(x, p_min):
+        # Grid built from the smallest activation probability actually seen,
+        # so every dual mu (mu_i <= 1/x_i) stays on the grid even with noisy x.
+        grid_pmin = min([to_fraction(p_min)] + [to_fraction(xi) for xi in x if xi > 0])
+        grid = WeightGrid(n=n, eps=eps / 7, p_min=grid_pmin)
+        pos = [i for i in range(n) if x[i] > 0]
+        mu0 = [0] * n
+        for i in pos:
+            mu0[i] = Fraction(1, len(pos)) / to_fraction(x[i])
+        return round_to_grid(mu0, grid), lambda mu: round_to_grid(mu, grid)
+
+    items, report = _column_generation(
+        M, P, eps, rng, mode, alpha_target, iteration_cap, estimation_override,
+        kind="weight_mixture", stages=7, c=c,
+        select=lambda wv, a, r: secretary_wrap_bits(secretary_kind, wv, M, a, r),
+        start=start,
+        key_json=lambda wv: [str(v) for v in wv],
+        no_exact_columns=(
+            None
+            if secretary_kind in DETERMINISTIC_SECRETARIES
+            else f"secretary {secretary_kind!r} is randomized; exact columns unavailable"
+        ),
     )
-
-    p_min = P.p_min(rng=rng)
-    if exact:
-        x = P.activation_probabilities()
-    else:
-        eta = eps * c * alpha_target
-        delta = eps_prime / (n * (cap + 2))
-        x, _, m0 = estimate_xq(
-            lambda a, r: 0, P, eta, delta, rng, p_min=p_min, m_override=estimation_override
-        )
-        report.estimation_samples["x"] = m0
-
-    # Grid built from the smallest activation probability actually seen, so
-    # every dual mu (mu_i <= 1/x_i) stays on the grid even with noisy x.
-    grid_pmin = min([to_fraction(p_min)] + [to_fraction(xi) for xi in x if xi > 0])
-    grid = WeightGrid(n=n, eps=eps_frac, p_min=grid_pmin)
-
-    def column_of(wv: tuple) -> LpColumn:
-        if exact:
-            q = exact_selection_column(
-                P, lambda atom: secretary_wrap_bits(secretary_kind, wv, M, atom, rng)
-            )
-        else:
-            _, q, m = estimate_xq(
-                lambda a, r: secretary_wrap_bits(secretary_kind, wv, M, a, r),
-                P,
-                eta,
-                delta,
-                rng,
-                p_min=p_min,
-                m_override=estimation_override,
-            )
-            report.estimation_samples[str([str(v) for v in wv])] = m
-        return LpColumn(key=wv, q=q)
-
-    def separate(mu):
-        return round_to_grid(mu, grid)
-
-    pos = [i for i in range(n) if x[i] > 0]
-    mu0 = [0] * n
-    for i in pos:
-        mu0[i] = Fraction(1, len(pos)) / to_fraction(x[i])
-    columns, sol = _generic_loop(x, separate(mu0), column_of, separate, gap, cap, report)
-    mixture = WeightMixture(secretary_kind, _mixture_items(columns, sol.lam))
-    report.columns = [[str(v) for v in wv] for wv, _ in mixture.components]
-    return mixture, report
+    return WeightMixture(secretary_kind, items), report

@@ -39,6 +39,23 @@ def to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def float_cdf(weights: Iterable) -> list[float]:
+    """Running float sums of `weights` for inverse-CDF draws. The last sum
+    is raised to at least 1, so every draw in [0, 1) lands on an index."""
+    cum = 0.0
+    cdf = []
+    for w in weights:
+        cum += float(w)
+        cdf.append(cum)
+    cdf[-1] = max(cdf[-1], 1.0)
+    return cdf
+
+
+def draw_index(cdf: list[float], rng: Random) -> int:
+    """One inverse-CDF draw: the first index whose running sum exceeds u."""
+    return bisect_right(cdf, rng.random())
+
+
 class Prior:
     """Base class; subclasses implement `sample_bits`."""
 
@@ -52,6 +69,27 @@ class Prior:
 
     def sample(self, rng: Random) -> SubsetMask:
         return SubsetMask(self.n, self.sample_bits(rng))
+
+    def count(
+        self, m: int, rng: Random, select: Optional[Callable[[int, Random], int]] = None
+    ) -> tuple[list[int], list[int]]:
+        """Per-element activation and selection counts over m draws.
+
+        Each draw samples an active set a and then, when `select` is given,
+        selects `select(a, rng)` from it, in that order on the one rng. This
+        is the library's Monte-Carlo counting loop.
+        """
+        act = [0] * self.n
+        sel = [0] * self.n
+        sample = self.sample_bits
+        for _ in range(m):
+            a = sample(rng)
+            for e in iter_bits(a):
+                act[e] += 1
+            if select is not None:
+                for e in iter_bits(select(a, rng)):
+                    sel[e] += 1
+        return act, sel
 
     def support(self) -> Optional[list[tuple[int, Fraction]]]:
         """Explicit (bits, probability) atoms, or None when unknown."""
@@ -125,18 +163,10 @@ class ExplicitPrior(Prior):
         self.atoms: list[tuple[int, Fraction]] = sorted(
             (bits, p / total) for bits, p in merged.items()
         )
-        cum = 0.0
-        self._cdf = []
-        for _, p in self.atoms:
-            cum += float(p)
-            self._cdf.append(cum)
-        self._cdf[-1] = max(self._cdf[-1], 1.0)
+        self._cdf = float_cdf(p for _, p in self.atoms)
 
     def sample_bits(self, rng: Random) -> int:
-        i = bisect_right(self._cdf, rng.random())
-        if i >= len(self.atoms):
-            i = len(self.atoms) - 1
-        return self.atoms[i][0]
+        return self.atoms[draw_index(self._cdf, rng)][0]
 
     def support(self):
         return list(self.atoms)
@@ -244,11 +274,7 @@ class SamplerPrior(Prior):
         if rng is None:
             raise PriorError("p_min estimation needs an rng")
         m = math.ceil(3 * math.log(2 * self.n / 0.01) / eps**2)
-        counts = [0] * self.n
-        for _ in range(m):
-            bits = self.sample_bits(rng)
-            for e in iter_bits(bits):
-                counts[e] += 1
+        counts, _ = self.count(m, rng)
         floor = min(max(c / m - eps, 0.0) for c in counts)
         if floor <= 0:
             rare = [e for e, c in enumerate(counts) if c / m <= eps]

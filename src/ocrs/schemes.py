@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .bitset import SubsetMask, full_mask
 from .matroid import Matroid
 from .preselect import PreselectConfig, preselect_independent, preselect_prefix
-from .priors import Prior, to_fraction
+from .priors import Prior, draw_index, float_cdf, to_fraction
 from .sampling import (
     IndependentLaw,
     Permutation,
@@ -150,10 +150,10 @@ class PermutationMixture(Scheme):
         self.components = [(pi, to_fraction(wt)) for pi, wt in components]
         _check_mixture_weights(wt for _, wt in self.components)
         self.n = self.components[0][0].n
-        self._cdf = _cdf([wt for _, wt in self.components])
+        self._cdf = float_cdf(wt for _, wt in self.components)
 
     def sample_component(self, rng: Random) -> Permutation:
-        return self.components[_draw(self._cdf, rng)][0]
+        return self.components[draw_index(self._cdf, rng)][0]
 
     def run_bits(self, M, a_bits, rng):
         pi = self.sample_component(rng)
@@ -169,24 +169,6 @@ class PermutationMixture(Scheme):
 
     def __repr__(self):
         return f"PermutationMixture({len(self.components)} orders)"
-
-
-def _cdf(weights) -> list[float]:
-    cum = 0.0
-    out = []
-    for wt in weights:
-        cum += float(wt)
-        out.append(cum)
-    out[-1] = max(out[-1], 1.0)
-    return out
-
-
-def _draw(cdf: list[float], rng: Random) -> int:
-    u = rng.random()
-    for i, c in enumerate(cdf):
-        if u < c:
-            return i
-    return len(cdf) - 1
 
 
 # -- matroid secretary algorithms ------------------------------------------
@@ -296,10 +278,10 @@ class WeightMixture(Scheme):
         self.components = [(tuple(wv), to_fraction(wt)) for wv, wt in components]
         _check_mixture_weights(wt for _, wt in self.components)
         self.n = len(self.components[0][0])
-        self._cdf = _cdf([wt for _, wt in self.components])
+        self._cdf = float_cdf(wt for _, wt in self.components)
 
     def sample_component(self, rng: Random) -> tuple:
-        return self.components[_draw(self._cdf, rng)][0]
+        return self.components[draw_index(self._cdf, rng)][0]
 
     def run_bits(self, M, a_bits, rng):
         wv = self.sample_component(rng)

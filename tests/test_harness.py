@@ -261,3 +261,14 @@ class TestCli:
         assert rc == 0
         payload = json.loads((tmp_path / "d.json").read_text())
         assert payload["scheme"]["order"] == list(range(7))
+
+    @pytest.mark.parametrize("reduction", ["permutation", "secretary"])
+    def test_lp_build_samples_flag_sets_every_estimate(self, capsys, reduction):
+        rc = cli_run(
+            ["lp-build", "--instance", "kuniform:4,2", "--mode", "mc", "--samples", "500",
+             "--seed", "3", "--reduction", reduction]
+        )
+        assert rc == 0
+        samples = json.loads(capsys.readouterr().out)["report"]["estimation_samples"]
+        assert "x" in samples and len(samples) > 1
+        assert set(samples.values()) == {500}

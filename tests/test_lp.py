@@ -20,8 +20,10 @@ from ocrs import (
     two_element_instance,
 )
 from ocrs.lp import GridRangeError, estimation_sample_size, exact_selection_column
+from ocrs.harness import estimate_balancedness
 from ocrs.priors import AllActivePrior
-from ocrs.schemes import greedy_ordered_bits, order_by_weight
+from ocrs.sampling import Permutation
+from ocrs.schemes import IndependentSubsampling, greedy_ordered_bits, order_by_weight
 
 from conftest import random_explicit_prior
 
@@ -74,6 +76,22 @@ class TestEstimation:
         x, q, m = estimate_xq(lambda a, r: 0, p, 0.3, 0.3, rng, m_override=500)
         assert q == [0.0] * 4
         assert m == 500
+
+
+    def test_counts_match_estimate_balancedness(self):
+        # Both count through Prior.count: same seed, same draws, same counts.
+        rng = Random(21)
+        M = UniformMatroid(5, 2)
+        P = random_explicit_prior(rng, 5)
+        scheme = IndependentSubsampling(Permutation([3, 1, 4, 0, 2]), Fraction(1, 3))
+        x, q, m = estimate_xq(
+            lambda a, r: scheme.run_bits(M, a, r), P, 0.1, 0.1, Random(4), m_override=3000
+        )
+        report = estimate_balancedness(M, scheme, P, 3000, Random(4))
+        assert m == 3000
+        assert x == [e.active_count / m for e in report.elements]
+        assert q == [e.selected_count / m for e in report.elements]
+        assert any(q)
 
 
 class TestSolveRestricted:
@@ -232,3 +250,37 @@ class TestSecretaryReduction:
             estimation_override=3000,
         )
         assert report.beta_trajectory[-1] > 0.2
+
+
+class TestMonteCarloBuildContract:
+    """Both builders share one set-up: the eps split over their stage count
+    and one sample size per estimate, from eta = eps*c*alpha_target and
+    delta = (eps/stages)/(n(cap+2))."""
+
+    EPS = Fraction(1, 4)
+    ALPHA = Fraction(1, 2)
+
+    def builds(self):
+        inst = gen_kuniform_allactive(4, 2)
+        M, P = inst.matroid, inst.prior
+        yield 6, 1, build_lp_scheme(
+            M, P, eps=self.EPS, rng=Random(3), mode="mc", alpha_target=self.ALPHA
+        )[1]
+        yield 7, 1.0, build_secretary_reduction(
+            M, P, "greedy_by_weight", c=1.0, eps=self.EPS, rng=Random(2), mode="mc",
+            alpha_target=self.ALPHA,
+        )[1]
+
+    def test_sample_sizes_follow_the_eps_split(self):
+        n, cap = 4, 200
+        for stages, c, report in self.builds():
+            m = estimation_sample_size(
+                self.EPS * c * self.ALPHA, (self.EPS / stages) / (n * (cap + 2)), 1
+            )
+            assert "x" in report.estimation_samples and len(report.estimation_samples) > 1
+            assert set(report.estimation_samples.values()) == {m}
+
+    def test_eps_split(self):
+        for stages, _, report in self.builds():
+            assert report.eps_split == {"per_stage": float(self.EPS / stages), "stages": stages}
+            assert report.to_json()["eps_split"] == report.eps_split
