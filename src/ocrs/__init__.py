@@ -48,7 +48,6 @@ from .preselect import (
     ExactModeTooLarge,
     NoQualifyingElement,
     PreselectConfig,
-    SpanStats,
     count_span_stats_independent,
     count_span_stats_prefix,
     preselect_independent,

@@ -14,11 +14,12 @@ import sys
 from fractions import Fraction
 from random import Random
 
+from .bitset import popcount
 from .harness import Instance, estimate_balancedness, parse_instance
-from .lp import build_lp_scheme, build_secretary_reduction
+from .lp import _want_exact, build_lp_scheme, build_secretary_reduction
 from .oracle import max_uncontentious_alpha
 from .preselect import NoQualifyingElement, PreselectConfig
-from .sampling import Permutation
+from .sampling import IndependentLaw, Permutation, PrefixLaw
 from .schemes import (
     OrderedGreedy,
     build_independent_subsampling_scheme,
@@ -40,8 +41,16 @@ def _alpha(args, inst: Instance) -> Fraction:
     return inst.declared_alpha if args.alpha is None else args.alpha
 
 
-def _preselect_cfg(args, inst: Instance) -> PreselectConfig:
-    mode = "exact" if args.mode == "exact" else "monte_carlo"
+def _preselect_cfg(args, inst: Instance, kind: str) -> PreselectConfig:
+    exact = args.mode == "exact"
+    if args.mode == "auto":
+        # Exact when lp's rule would enumerate the support and each positive atom
+        # fits the law; the prefix law is drawn on the atom minus the candidate.
+        limit = PrefixLaw.limit + 1 if kind == "prefix" else IndependentLaw.limit
+        exact = _want_exact(inst.prior, "auto") and all(
+            popcount(a) <= limit for a, p in inst.prior.support() if p
+        )
+    mode = "exact" if exact else "monte_carlo"
     return PreselectConfig(
         alpha=_alpha(args, inst), eps=args.eps, mode=mode, sample_override=args.samples
     )
@@ -58,7 +67,7 @@ def _build_scheme(args, inst: Instance, rng: Random):
             raise ValueError(f"instance {inst.name} has no canonical order")
         order = inst.canonical_order
     alpha = _alpha(args, inst)
-    cfg = _preselect_cfg(args, inst)
+    cfg = _preselect_cfg(args, inst, "prefix" if name.startswith("prefix") else "indep")
     if name in ("indep", "indep-subsample"):
         return build_independent_subsampling_scheme(
             inst.matroid, inst.prior, alpha, rng, cfg=cfg, order=order
@@ -81,8 +90,8 @@ def cmd_gen_instance(args) -> int:
 def cmd_preselect(args) -> int:
     inst = parse_instance(args.instance)
     rng = Random(args.seed)
-    cfg = _preselect_cfg(args, inst)
     kind = args.kind
+    cfg = _preselect_cfg(args, inst, kind)
     build = (
         build_independent_subsampling_scheme
         if kind == "indep"

@@ -23,7 +23,6 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Optional, Sequence
 
-from .bitset import iter_bits
 from .matroid import Matroid
 from .priors import Prior, to_fraction
 from .schemes import (
@@ -156,15 +155,7 @@ def estimate_xq(
 def exact_selection_column(P: Prior, select: Callable[[int], int]) -> list[Fraction]:
     """Exact per-element selection probabilities of a deterministic selector
     over an explicit support."""
-    support = P.support()
-    if support is None:
-        raise ValueError("exact columns need an explicit prior support")
-    q = [Fraction(0)] * P.n
-    for atom, p in support:
-        chosen = select(atom)
-        for e in iter_bits(chosen):
-            q[e] += p
-    return q
+    return P.exact_count(lambda atom: ((1, select(atom)),))
 
 
 @dataclass

@@ -109,16 +109,13 @@ def max_uncontentious_alpha(M: Matroid, P: Prior) -> AlphaCertificate:
         raise RuntimeError(f"alpha* column generation ended uncertified: {report.notes}")
 
     witness = {}
-    selected = [Fraction(0)] * M.n
-    for bits, p in atoms:
+    for bits, _ in atoms:
         dist: dict[int, Fraction] = {}
         for pi, lam in mixture.components:
             y = greedy_ordered_bits(M, pi.order, bits)
             dist[y] = dist.get(y, Fraction(0)) + lam
         witness[bits] = list(dist.items())
-        for y, lam in dist.items():
-            for e in iter_bits(y):
-                selected[e] += p * lam
+    selected = P.exact_count(lambda a: ((lam, y) for y, lam in witness[a]))
     per_element = [s / x if x > 0 else None for s, x in zip(selected, probs)]
     return AlphaCertificate(report.beta_trajectory[-1], witness, per_element)
 
@@ -150,20 +147,9 @@ def _scheme_randomness(M: Matroid, scheme: Scheme, atom: int):
 def exact_balancedness(M: Matroid, scheme: Scheme, P: Prior) -> list:
     """Per-element conditional selection probability, by enumerating the support
     and, per atom, the scheme randomness. None for never-active elements."""
-    support = P.support()
-    if support is None:
-        raise EnumerationTooLarge("exact balancedness needs an explicit prior support")
-    n = M.n
+    selected = P.exact_count(lambda atom: _scheme_randomness(M, scheme, atom))
     probs = P.activation_probabilities()
-    selmass = [Fraction(0)] * n
-    for atom, p in support:
-        if p == 0:
-            continue
-        for w, selected in _scheme_randomness(M, scheme, atom):
-            wp = w * p
-            for e in iter_bits(selected):
-                selmass[e] += wp
-    return [selmass[i] / probs[i] if probs[i] > 0 else None for i in range(n)]
+    return [s / x if x > 0 else None for s, x in zip(selected, probs)]
 
 
 def bruteforce_weighted_rank(M: Matroid, w, S) -> object:

@@ -78,18 +78,6 @@ class PreselectConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-@dataclass
-class SpanStats:
-    """Per-element counters: times active (m) and times active-and-unspanned (k)."""
-
-    m: list[int]
-    k: list[int]
-
-    @classmethod
-    def zeros(cls, n: int) -> "SpanStats":
-        return cls([0] * n, [0] * n)
-
-
 def sample_size(n: int, alpha: float, eps: float, p_min: float) -> int:
     """Samples per preselection step: ceil(128 ln(4n/eps) / (alpha^2 eps^2 p_min))."""
     return math.ceil(128 * math.log(4 * n / eps) / (alpha**2 * eps**2 * float(p_min)))
@@ -97,63 +85,56 @@ def sample_size(n: int, alpha: float, eps: float, p_min: float) -> int:
 
 def count_span_stats_independent(
     M: Matroid, P: Prior, S: SubsetMask, rho: float, m: int, rng: Random
-) -> SpanStats:
-    """Draw m active sets, thin each by rho, and count per element of S how
-    often it is active and how often it additionally escapes the span of the
-    thinned set (restricted to S)."""
-    stats = SpanStats.zeros(M.n)
+) -> tuple[list[int], list[int]]:
+    """`Prior.count` over m draws, each thinned by rho: per element, how often
+    it is active, and how often it is active in S and escapes the span of the
+    thinned active part of S."""
     s_bits = S.bits
     rho = float(rho)
-    ms, ks = stats.m, stats.k
-    for _ in range(m):
-        a = P.sample_bits(rng)
-        b = t_rho_bits(a, rho, rng) & s_bits
-        sp = M._span_of_independent(M._basis_bits(b))
-        act = a & s_bits
-        for j in iter_bits(act):
-            ms[j] += 1
-            if not (sp >> j) & 1:
-                ks[j] += 1
-    return stats
+
+    def unspanned(a: int, r: Random) -> int:
+        b = t_rho_bits(a, rho, r) & s_bits
+        return a & s_bits & ~M._span_of_independent(M._basis_bits(b))
+
+    return P.count(m, rng, unspanned)
 
 
 def count_span_stats_prefix(
     M: Matroid, P: Prior, S: SubsetMask, m: int, rng: Random
-) -> SpanStats:
-    """Joint samples (active set, uniform order of S); per element of S,
-    count activations and escapes from the span of the active prefix."""
-    stats = SpanStats.zeros(M.n)
-    base = list(iter_bits(S.bits))
-    ms, ks = stats.m, stats.k
-    for _ in range(m):
-        a = P.sample_bits(rng)
+) -> tuple[list[int], list[int]]:
+    """`Prior.count` over joint draws (active set, uniform order of S): per
+    element, how often it is active, and how often it is active in S and
+    escapes the span of the active elements of S before it."""
+    s_bits = S.bits
+    base = list(iter_bits(s_bits))
+
+    def unspanned(a: int, r: Random) -> int:
+        order = shuffled(base, r)  # drawn even when a misses S, to keep the stream
+        if not a & s_bits:
+            return 0
         g = M.grower()
-        for e in shuffled(base, rng):
+        for e in order:
             if (a >> e) & 1:
-                ms[e] += 1
-                if g.try_add(e):
-                    ks[e] += 1
-    return stats
+                g.try_add(e)
+        return g.bits
+
+    return P.count(m, rng, unspanned)
 
 
 def _exact_unspanned_prob(M: Matroid, P: Prior, j: int, law: SubsampleLaw, drawn_on: int):
     """Exact Pr[j not spanned by T ∩ A | j active], T drawn by `law` on A ∩ drawn_on,
-    for each support atom A that holds j. Outcomes that contain j contribute
-    nothing (j spans itself), so they are not enumerated."""
-    support = P.support()
-    if support is None:
-        raise EnumerationTooLarge("exact mode needs an explicit prior support")
+    by `Prior.exact_count` over the support atoms A that hold j. Outcomes that
+    contain j contribute nothing (j spans itself), so they are not enumerated."""
     jbit = 1 << j
-    num = den = Fraction(0)
-    for atom, p in support:
-        if not atom & jbit or p == 0:
-            continue
-        den += p
-        unspanned = Fraction(0)
-        for b, w in law.outcomes(atom & drawn_on, avoid=jbit):
-            if not (M._span_of_independent(M._basis_bits(b)) >> j) & 1:
-                unspanned += w
-        num += p * unspanned
+
+    def unspanned(atom: int):
+        if atom & jbit:
+            for b, w in law.outcomes(atom & drawn_on, avoid=jbit):
+                if not (M._span_of_independent(M._basis_bits(b)) >> j) & 1:
+                    yield w, jbit
+
+    num = P.exact_count(unspanned)[j]
+    den = P.activation_probabilities()[j]
     return num / den if den else Fraction(0)
 
 
@@ -186,9 +167,9 @@ def _preselect(M, P, cfg, rng, prefix_mode: bool) -> Permutation:
             stats_of = lambda S: count_span_stats_independent(M, P, S, rho, m, rng)
 
         def qualifying(S: SubsetMask):
-            stats = stats_of(S)
+            act, unspanned = stats_of(S)
             # never-sampled elements cannot qualify; conservative choice
-            return (j for j in iter_bits(S.bits) if stats.m[j] and stats.k[j] >= rate * stats.m[j])
+            return (j for j in iter_bits(S.bits) if act[j] and unspanned[j] >= rate * act[j])
 
     else:
         probs = P.activation_probabilities()

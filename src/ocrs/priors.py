@@ -28,6 +28,10 @@ class PriorError(ValueError):
     pass
 
 
+class EnumerationTooLarge(ValueError):
+    """Exact enumeration was requested beyond the desk-scale limits."""
+
+
 def to_fraction(x) -> Fraction:
     """Exact Fraction from int/Fraction/str; floats via their repr digits."""
     if isinstance(x, Fraction):
@@ -78,32 +82,61 @@ class Prior:
         Each draw samples an active set a and then, when `select` is given,
         selects `select(a, rng)` from it, in that order on the one rng. This
         is the library's Monte-Carlo counting loop.
+
+        The counts are bit-sliced: levels[i] holds bit i of every count, the
+        selections n bits above the activations, and each draw adds its mask
+        through a carry chain. A draw costs a few big-int operations, not one
+        per element, and the memory is O(n log m) whatever the masks are.
         """
-        act = [0] * self.n
-        sel = [0] * self.n
+        n = self.n
         sample = self.sample_bits
+        levels = [0] * m.bit_length()  # no count exceeds m
         for _ in range(m):
             a = sample(rng)
-            for e in iter_bits(a):
-                act[e] += 1
-            if select is not None:
-                for e in iter_bits(select(a, rng)):
-                    sel[e] += 1
-        return act, sel
+            carry = a if select is None else a | select(a, rng) << n
+            i = 0
+            while carry:
+                level = levels[i]
+                levels[i] = level ^ carry
+                carry &= level
+                i += 1
+        counts = [0] * (2 * n)
+        for i, level in enumerate(levels):
+            for e in iter_bits(level):
+                counts[e] += 1 << i
+        return counts[:n], counts[n:]
+
+    def exact_count(
+        self, outcomes: Callable[[int], Iterable[tuple[object, int]]]
+    ) -> list[Fraction]:
+        """Exact twin of `count`: per-element mass over the explicit support.
+
+        For each atom a of probability p > 0, every (w, bits) that
+        `outcomes(a)` yields credits p*w to each element of bits. Equal sets
+        are merged first and expanded once.
+        """
+        support = self.support()
+        if support is None:
+            raise EnumerationTooLarge("exact enumeration needs an explicit prior support")
+        mass: dict[int, Fraction] = {}
+        for a, p in support:
+            if p:
+                for w, bits in outcomes(a):
+                    mass[bits] = mass.get(bits, 0) + p * w
+        totals = [Fraction(0)] * self.n
+        for bits, q in mass.items():
+            for e in iter_bits(bits):
+                totals[e] += q
+        return totals
 
     def support(self) -> Optional[list[tuple[int, Fraction]]]:
         """Explicit (bits, probability) atoms, or None when unknown."""
         return None
 
     def activation_probabilities(self) -> Optional[list[Fraction]]:
-        sup = self.support()
-        if sup is None:
+        if self.support() is None:
             return None
-        probs = [Fraction(0)] * self.n
-        for bits, p in sup:
-            for e in iter_bits(bits):
-                probs[e] += p
-        return probs
+        return self.exact_count(lambda a: ((1, a),))
 
     @property
     def never_active_bits(self) -> int:

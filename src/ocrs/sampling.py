@@ -16,7 +16,7 @@ from random import Random
 from typing import Iterable, Iterator, Sequence
 
 from .bitset import SubsetMask, iter_bits, mask_of, popcount
-from .priors import to_fraction
+from .priors import EnumerationTooLarge, to_fraction
 
 
 class Permutation:
@@ -121,10 +121,6 @@ def prefix_subsample_bits(n: int, rng: Random) -> int:
 
 def prefix_subsample(n: int, rng: Random) -> SubsetMask:
     return SubsetMask(n, prefix_subsample_bits(n, rng))
-
-
-class EnumerationTooLarge(ValueError):
-    """Exact enumeration was requested beyond the desk-scale limits."""
 
 
 class SubsampleLaw:

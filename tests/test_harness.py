@@ -18,6 +18,7 @@ from ocrs import (
     parse_instance,
     two_element_instance,
 )
+from ocrs import cli
 from ocrs.cli import cli_run
 from ocrs.harness import hats_count, hoeffding_halfwidth
 from ocrs.priors import AllActivePrior, ExplicitPrior
@@ -272,3 +273,28 @@ class TestCli:
         samples = json.loads(capsys.readouterr().out)["report"]["estimation_samples"]
         assert "x" in samples and len(samples) > 1
         assert set(samples.values()) == {500}
+
+    @pytest.mark.parametrize(
+        "instance, kind, mode",
+        [
+            ("kuniform:8,4", "prefix", "exact"),
+            ("kuniform:9,4", "prefix", "exact"),  # the prefix law is drawn on 8 of the 9
+            ("kuniform:10,5", "prefix", "monte_carlo"),
+            ("kuniform:13,6", "indep", "exact"),
+            ("kuniform:14,7", "indep", "monte_carlo"),
+            ("kuniform:30,15", "prefix", "monte_carlo"),
+            ("kuniform:30,15", "indep", "monte_carlo"),
+        ],
+    )
+    def test_auto_mode_is_exact_when_the_support_fits(self, monkeypatch, instance, kind, mode):
+        seen = []
+
+        def build(M, P, alpha, rng, cfg, order=None):
+            seen.append(cfg.mode)
+            return OrderedGreedy(Permutation.identity(M.n))
+
+        builder = "build_independent" if kind == "indep" else "build_prefix"
+        monkeypatch.setattr(cli, builder + "_subsampling_scheme", build)
+        assert cli_run(["preselect", "--instance", instance, "--kind", kind, "--mode", "auto"]) == 0
+        assert cli_run(["run", "--instance", instance, "--scheme", kind, "--mode", "auto"]) == 0
+        assert seen == [mode, mode]

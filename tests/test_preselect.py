@@ -3,6 +3,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrs import (
     ExplicitPrior,
@@ -24,7 +26,10 @@ from ocrs.preselect import (
     exact_unspanned_prob_independent,
     exact_unspanned_prob_prefix,
 )
-from ocrs.priors import AllActivePrior, SamplerPrior
+from ocrs.priors import AllActivePrior, ProductPrior, SamplerPrior
+
+from conftest import random_explicit_prior, random_small_matroid
+from span_stats_reference import reference_span_stats_independent, reference_span_stats_prefix
 
 
 def test_sample_size_formula():
@@ -37,19 +42,19 @@ def test_sample_size_formula():
 class TestCountStatsIndependent:
     def test_rho_zero_nothing_spanned(self, rng):
         m = UniformMatroid(4, 2)
-        stats = count_span_stats_independent(
+        act, unspanned = count_span_stats_independent(
             m, AllActivePrior(4), SubsetMask.full(4), 0.0, 50, rng
         )
-        assert stats.m == [50] * 4
-        assert stats.k == [50] * 4
+        assert act == [50] * 4
+        assert unspanned == [50] * 4
 
     def test_rho_one_everything_spanned(self, rng):
         m = UniformMatroid(3, 1)
-        stats = count_span_stats_independent(
+        act, unspanned = count_span_stats_independent(
             m, AllActivePrior(3), SubsetMask.full(3), 1.0, 40, rng
         )
-        assert stats.m == [40] * 3
-        assert stats.k == [0] * 3
+        assert act == [40] * 3
+        assert unspanned == [0] * 3
 
     def test_two_element_exact_value_and_counters(self, rng):
         inst = two_element_instance()
@@ -58,23 +63,54 @@ class TestCountStatsIndependent:
         )
         assert q == Fraction(9, 16)
         trials = 20000
-        stats = count_span_stats_independent(
+        act, unspanned = count_span_stats_independent(
             inst.matroid, inst.prior, SubsetMask.full(2), 0.25, trials, rng
         )
         for j in range(2):
-            rate = stats.k[j] / stats.m[j]
-            band = 4 * math.sqrt(0.25 / stats.m[j]) + 0.01
+            rate = unspanned[j] / act[j]
+            band = 4 * math.sqrt(0.25 / act[j]) + 0.01
             assert abs(rate - 9 / 16) < band
 
     def test_restricted_to_s(self, rng):
         # span is computed inside S only: with S={0}, element 0 escapes
         # whenever it is dropped, regardless of element 1
         m = UniformMatroid(2, 1)
-        stats = count_span_stats_independent(
+        act, unspanned = count_span_stats_independent(
             m, AllActivePrior(2), SubsetMask.from_elements(2, [0]), 1.0, 30, rng
         )
-        assert stats.m[1] == 0  # only elements of S are counted
-        assert stats.k[0] == 0  # rho=1 keeps 0 itself, which spans itself
+        assert act[1] == 30  # activations are counted everywhere (`Prior.count`)
+        assert unspanned[1] == 0  # escapes are credited only inside S
+        assert unspanned[0] == 0  # rho=1 keeps 0 itself, which spans itself
+
+
+class TestAgainstReferenceLoops:
+    """The span statistics are selectors on `Prior.count`; on S they count what
+    the two bespoke loops they replaced counted, on the same random stream."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_same_counts_and_same_stream(self, seed, product, prefix):
+        rng = Random(seed)
+        M = random_small_matroid(rng, max_n=7)
+        n = M.n
+        if product:
+            P = ProductPrior([Fraction(rng.randint(0, 4), 4) for _ in range(n)])
+        else:
+            P = random_explicit_prior(rng, n)
+        S = SubsetMask(n, rng.randrange(1 << n))
+        m = rng.randint(0, 40)
+        draws = rng.randrange(2**32)
+        ours, ref = Random(draws), Random(draws)
+        if prefix:
+            act, unspanned = count_span_stats_prefix(M, P, S, m, ours)
+            want = reference_span_stats_prefix(M, P, S, m, ref)
+        else:
+            rho = rng.choice([0.0, 0.25, 0.5, rng.random(), 1.0])
+            act, unspanned = count_span_stats_independent(M, P, S, rho, m, ours)
+            want = reference_span_stats_independent(M, P, S, rho, m, ref)
+        assert [act[j] for j in S] == [want.m[j] for j in S]
+        assert unspanned == want.k  # never credited outside S
+        assert ours.getstate() == ref.getstate()
 
 
 class TestExactProbabilities:
@@ -211,13 +247,13 @@ class TestPreselectMonteCarlo:
         n = inst.matroid.n
         base_edge = 34  # arrives right after the 2*17 hat edges
         s = SubsetMask(n, (1 << (base_edge + 1)) - 1)
-        stats = count_span_stats_independent(
+        act, unspanned = count_span_stats_independent(
             inst.matroid, inst.prior, s, 0.25, 20000, Random(12)
         )
         threshold = (1 - 0.25 / 4) * 0.25
-        assert stats.k[base_edge] >= threshold * stats.m[base_edge]
+        assert unspanned[base_edge] >= threshold * act[base_edge]
         # earlier hat edges clear the bar by a wide margin
-        assert stats.k[0] >= threshold * stats.m[0]
+        assert unspanned[0] >= threshold * act[0]
 
 
 class TestConfig:
@@ -235,9 +271,9 @@ class TestConfig:
 def test_prefix_counter_statistic_matches_exact(rng):
     inst = gen_kuniform_allactive(4, 2)
     trials = 20000
-    stats = count_span_stats_prefix(
+    act, unspanned = count_span_stats_prefix(
         inst.matroid, inst.prior, SubsetMask.full(4), trials, rng
     )
     for j in range(4):
-        rate = stats.k[j] / stats.m[j]
+        rate = unspanned[j] / act[j]
         assert abs(rate - 0.5) < 4 * math.sqrt(0.25 / trials) + 0.01

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -14,6 +16,7 @@ from ocrs import (
     hidden_element_prior,
     prior_from_spec,
 )
+from ocrs.sampling import EnumerationTooLarge
 
 from conftest import random_explicit_prior
 
@@ -133,6 +136,72 @@ class TestPMin:
         with pytest.raises(PriorError, match=r"elements \[1\] .*pass a smaller eps"):
             p.p_min(rng=Random(0))
         assert 0 < p.p_min(rng=Random(0), eps=0.01) < 0.03
+
+
+def _naive_count(P, m, rng, select):
+    """Per-draw, per-element counting: what `Prior.count` must agree with."""
+    act, sel = [0] * P.n, [0] * P.n
+    for _ in range(m):
+        a = P.sample_bits(rng)
+        s = select(a, rng)
+        for e in range(P.n):
+            act[e] += (a >> e) & 1
+            sel[e] += (s >> e) & 1
+    return act, sel
+
+
+class TestCount:
+    @pytest.mark.parametrize("m", [0, 1, 7, 8, 1023, 1024])
+    @pytest.mark.parametrize("n", [1, 13, 70])
+    def test_matches_a_naive_count(self, n, m):
+        # Random masks in and out, so each element's counter carries at its own times.
+        P = SamplerPrior(n, lambda r: r.getrandbits(n))
+        select = lambda a, r: a & r.getrandbits(n) if r.random() < 0.5 else r.getrandbits(n)
+        ours, ref = Random(n * m), Random(n * m)
+        assert P.count(m, ours, select) == _naive_count(P, m, ref, select)
+        assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("m", [0, 1, 1023, 1024])
+    def test_every_draw_full_and_no_selector(self, m):
+        act, sel = AllActivePrior(70).count(m, Random(0))
+        assert act == [m] * 70 and sel == [0] * 70
+
+    def test_memory_is_bounded_in_the_number_of_distinct_sets(self):
+        # A tally keyed by selected set would hold 50,000 keys here.
+        n = 64
+        P = SamplerPrior(n, lambda r: r.getrandbits(n))
+        distinct = itertools.count(1)
+        tracemalloc.start()
+        try:
+            act, sel = P.count(50_000, Random(1), lambda a, r: next(distinct))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sel[0] == 25_000 and sum(act) > 0
+        assert peak < 1 << 20
+
+
+class TestExactCount:
+    def test_credits_p_times_w_to_each_element(self):
+        P = ExplicitPrior(3, [(0b011, Fraction(1, 3)), (0b110, Fraction(2, 3))])
+        got = P.exact_count(lambda a: [(Fraction(1, 2), a), (Fraction(1, 4), a & 0b010)])
+        assert got == [Fraction(1, 6), Fraction(3, 4), Fraction(1, 3)]
+
+    def test_skips_atoms_of_probability_zero(self):
+        P = ExplicitPrior(2, [(0b01, 1), (0b10, 0)])
+        seen = []
+        assert P.exact_count(lambda a: seen.append(a) or [(1, a)]) == [1, 0]
+        assert seen == [0b01]
+
+    def test_activation_probabilities_are_its_identity_count(self, rng):
+        P = random_explicit_prior(rng, 5)
+        want = [sum((p for a, p in P.atoms if (a >> e) & 1), Fraction(0)) for e in range(5)]
+        assert P.activation_probabilities() == want
+
+    def test_needs_an_explicit_support(self):
+        with pytest.raises(EnumerationTooLarge):
+            SamplerPrior(2, lambda r: 0b11).exact_count(lambda a: [(1, a)])
+        assert SamplerPrior(2, lambda r: 0b11).activation_probabilities() is None
 
 
 def _counted(name):
