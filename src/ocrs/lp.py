@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 from .matroid import Matroid
 from .priors import Prior, to_fraction
 from .schemes import (
-    DETERMINISTIC_SECRETARIES,
+    SECRETARY_KINDS,
     PermutationMixture,
     WeightMixture,
     greedy_ordered_bits,
@@ -343,9 +343,9 @@ def build_secretary_reduction(
         start=start,
         key_json=lambda wv: [str(v) for v in wv],
         no_exact_columns=(
-            None
-            if secretary_kind in DETERMINISTIC_SECRETARIES
-            else f"secretary {secretary_kind!r} is randomized; exact columns unavailable"
+            f"secretary {secretary_kind!r} is randomized; exact columns unavailable"
+            if SECRETARY_KINDS[secretary_kind].arrival_model == "random"
+            else None
         ),
     )
     return WeightMixture(secretary_kind, items), report

@@ -134,6 +134,15 @@ class IndependentSetGrower:
         return False
 
 
+def greedy_ordered_bits(M: Matroid, order: Iterable[int], a_bits: int) -> int:
+    """Scan `order`; take every element of a_bits that keeps the set independent."""
+    g = M.grower()
+    for e in order:
+        if (a_bits >> e) & 1:
+            g.try_add(e)
+    return g.bits
+
+
 class UniformMatroid(Matroid):
     """Independent sets are those of size at most k."""
 

@@ -2,13 +2,10 @@
 
 The best achievable balancedness of any offline selection rule (by exact
 column generation over greedy orders, over an enumerated support), the
-exact per-element balancedness of a scheme by integrating out its
-randomness, and exhaustive weighted-rank maximization. Probabilities are
-Fractions end to end, so equality assertions in tests are legitimate.
-
-A subsampling scheme's selection greedy(A ∩ T) depends on T only through
-T ∩ A, so `exact_balancedness` marginalises the subsample onto each support
-atom A (`sampling.SubsampleLaw`): its limits bound |A|, not n.
+exact per-element balancedness of any scheme from its `outcomes` (each
+scheme enumerates its own randomness, in `schemes.py`), and exhaustive
+weighted-rank maximization. Probabilities are Fractions end to end, so
+equality assertions in tests are legitimate.
 """
 
 from __future__ import annotations
@@ -22,17 +19,8 @@ from .lp import build_lp_scheme
 from .matroid import Matroid
 from .priors import Prior
 from .sampling import EnumerationTooLarge
-from .schemes import (
-    DETERMINISTIC_SECRETARIES,
-    IndependentSubsampling,
-    OrderedGreedy,
-    PermutationMixture,
-    PrefixSubsampling,
-    Scheme,
-    WeightMixture,
-    greedy_ordered_bits,
-    secretary_wrap_bits,
-)
+from .schemes import greedy_ordered_bits  # noqa: F401 - unused; bench/tracer.py patches this name
+from .schemes import secretary_wrap_bits  # noqa: F401 - unused; bench/tracer.py patches this name
 from .simplex import solve_lp  # noqa: F401 - unused; bench/tracer.py patches this name
 
 BRUTEFORCE_LIMIT = 20
@@ -111,8 +99,7 @@ def max_uncontentious_alpha(M: Matroid, P: Prior) -> AlphaCertificate:
     witness = {}
     for bits, _ in atoms:
         dist: dict[int, Fraction] = {}
-        for pi, lam in mixture.components:
-            y = greedy_ordered_bits(M, pi.order, bits)
+        for lam, y in mixture.outcomes(M, bits):
             dist[y] = dist.get(y, Fraction(0)) + lam
         witness[bits] = list(dist.items())
     selected = P.exact_count(lambda a: ((lam, y) for y, lam in witness[a]))
@@ -120,33 +107,15 @@ def max_uncontentious_alpha(M: Matroid, P: Prior) -> AlphaCertificate:
     return AlphaCertificate(report.beta_trajectory[-1], witness, per_element)
 
 
-def _scheme_randomness(M: Matroid, scheme: Scheme, atom: int):
-    """Yield (weight, selected bits) pairs covering the scheme's internal
-    randomness exactly, on the active set `atom`."""
-    if isinstance(scheme, OrderedGreedy):
-        yield Fraction(1), greedy_ordered_bits(M, scheme.order.order, atom)
-    elif isinstance(scheme, PermutationMixture):
-        for pi, wt in scheme.components:
-            yield wt, greedy_ordered_bits(M, pi.order, atom)
-    elif isinstance(scheme, (IndependentSubsampling, PrefixSubsampling)):
-        order = scheme.order.order
-        for b, w in scheme.law.outcomes(atom):
-            yield w, greedy_ordered_bits(M, order, b)
-    elif isinstance(scheme, WeightMixture):
-        if scheme.secretary_kind not in DETERMINISTIC_SECRETARIES:
-            raise EnumerationTooLarge(
-                f"secretary {scheme.secretary_kind!r} is randomized; no exact enumeration"
-            )
-        dummy = Random(0)
-        for wv, wt in scheme.components:
-            yield wt, secretary_wrap_bits(scheme.secretary_kind, wv, M, atom, dummy)
-    else:
-        raise TypeError(f"cannot enumerate scheme {type(scheme).__name__}")
+def _scheme_randomness(M: Matroid, scheme, atom: int):
+    """`scheme.outcomes` on `atom`; bench/tracer.py wraps this name to count outcomes."""
+    return scheme.outcomes(M, atom)
 
 
-def exact_balancedness(M: Matroid, scheme: Scheme, P: Prior) -> list:
-    """Per-element conditional selection probability, by enumerating the support
-    and, per atom, the scheme randomness. None for never-active elements."""
+def exact_balancedness(M: Matroid, scheme, P: Prior) -> list:
+    """Per-element conditional selection probability of a `schemes.Scheme`:
+    an exact count over the support of the scheme's `outcomes` on each atom.
+    None for never-active elements."""
     selected = P.exact_count(lambda atom: _scheme_randomness(M, scheme, atom))
     probs = P.activation_probabilities()
     return [s / x if x > 0 else None for s, x in zip(selected, probs)]

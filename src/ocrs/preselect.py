@@ -26,7 +26,7 @@ from random import Random
 from typing import Optional
 
 from .bitset import SubsetMask, full_mask, iter_bits
-from .matroid import Matroid
+from .matroid import Matroid, greedy_ordered_bits
 from .priors import Prior, to_fraction
 from .sampling import (
     EnumerationTooLarge,
@@ -112,11 +112,7 @@ def count_span_stats_prefix(
         order = shuffled(base, r)  # drawn even when a misses S, to keep the stream
         if not a & s_bits:
             return 0
-        g = M.grower()
-        for e in order:
-            if (a >> e) & 1:
-                g.try_add(e)
-        return g.bits
+        return greedy_ordered_bits(M, order, a)
 
     return P.count(m, rng, unspanned)
 

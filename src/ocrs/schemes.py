@@ -6,6 +6,10 @@ pass over a fresh active set; cheap, repeated across trials). Run phases
 only ever look at the revealed prefix, so decisions are online by
 construction.
 
+Each scheme states its own randomness once, in two twins side by side:
+`run_bits` draws it for one pass (Monte-Carlo), and `outcomes` enumerates
+it exactly on one active set (exact balancedness).
+
 Schemes:
 
 * OrderedGreedy        -- deterministic greedy along a fixed order.
@@ -22,13 +26,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from random import Random
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .bitset import SubsetMask, full_mask
-from .matroid import Matroid
+from .matroid import Matroid, greedy_ordered_bits
 from .preselect import PreselectConfig, preselect_independent, preselect_prefix
 from .priors import Prior, draw_index, float_cdf, to_fraction
 from .sampling import (
+    EnumerationTooLarge,
     IndependentLaw,
     Permutation,
     PrefixLaw,
@@ -38,14 +43,6 @@ from .sampling import (
 )
 
 MIXTURE_WEIGHT_TOL = 1e-9
-
-
-def greedy_ordered_bits(M: Matroid, order: Sequence[int], a_bits: int) -> int:
-    g = M.grower()
-    for e in order:
-        if (a_bits >> e) & 1:
-            g.try_add(e)
-    return g.bits
 
 
 def greedy_ordered(M: Matroid, pi: Permutation, A: SubsetMask) -> SubsetMask:
@@ -59,11 +56,16 @@ def order_by_weight(w: Sequence) -> Permutation:
 
 
 class Scheme:
-    """Base run-phase interface."""
+    """Base run-phase interface. `outcomes` is the exact twin of `run_bits`:
+    it yields (probability, selected bits) over the scheme's own randomness
+    on a_bits, summing to exactly 1, or raises `EnumerationTooLarge`."""
 
     n: int
 
     def run_bits(self, M: Matroid, a_bits: int, rng: Random) -> int:
+        raise NotImplementedError
+
+    def outcomes(self, M: Matroid, a_bits: int) -> Iterator[tuple[Fraction, int]]:
         raise NotImplementedError
 
     def run(self, M: Matroid, A: SubsetMask, rng: Random) -> SubsetMask:
@@ -81,6 +83,9 @@ class OrderedGreedy(Scheme):
     def run_bits(self, M, a_bits, rng):
         return greedy_ordered_bits(M, self.order.order, a_bits)
 
+    def outcomes(self, M, a_bits):
+        yield Fraction(1), greedy_ordered_bits(M, self.order.order, a_bits)
+
     def to_spec(self):
         return {"kind": "ordered_greedy", "order": list(self.order.order)}
 
@@ -88,9 +93,19 @@ class OrderedGreedy(Scheme):
         return f"OrderedGreedy({list(self.order.order)})"
 
 
-class IndependentSubsampling(Scheme):
-    """Greedy along `order` over A ∩ T, T an independent rho-thinning of the
-    whole ground set (drawn fresh per run, independent of A)."""
+class _Subsampling(Scheme):
+    """Greedy along `order` over A ∩ T, T a subsample of the ground set drawn
+    fresh per run, independent of A; `law` states exactly what it draws."""
+
+    def outcomes(self, M, a_bits):
+        # greedy(A ∩ T) depends on T only through T ∩ A: enumerate the law on A.
+        order = self.order.order
+        for b, w in self.law.outcomes(a_bits):
+            yield w, greedy_ordered_bits(M, order, b)
+
+
+class IndependentSubsampling(_Subsampling):
+    """T: an independent rho-thinning of the whole ground set."""
 
     def __init__(self, order: Permutation, rho):
         self.order = order
@@ -98,7 +113,7 @@ class IndependentSubsampling(Scheme):
         if not 0 <= self.rho <= 1:
             raise ValueError(f"rho {rho} outside [0,1]")
         self.n = order.n
-        self.law = IndependentLaw(self.rho)  # what t_rho_bits draws, stated exactly
+        self.law = IndependentLaw(self.rho)
         self._rho_f = float(self.rho)
         self._full = full_mask(self.n)
 
@@ -117,14 +132,13 @@ class IndependentSubsampling(Scheme):
         return f"IndependentSubsampling(order={list(self.order.order)}, rho={self.rho})"
 
 
-class PrefixSubsampling(Scheme):
-    """Greedy along `order` over A ∩ T, T drawn by the sentinel-prefix
-    subsampler (drawn fresh per run, independent of A)."""
+class PrefixSubsampling(_Subsampling):
+    """T: drawn by the sentinel-prefix subsampler."""
 
     def __init__(self, order: Permutation):
         self.order = order
         self.n = order.n
-        self.law = PrefixLaw()  # what prefix_subsample_bits draws, stated exactly
+        self.law = PrefixLaw()
 
     def run_bits(self, M, a_bits, rng):
         t = prefix_subsample_bits(self.n, rng)
@@ -137,26 +151,39 @@ class PrefixSubsampling(Scheme):
         return f"PrefixSubsampling(order={list(self.order.order)})"
 
 
-def _check_mixture_weights(weights):
-    total = math.fsum(float(x) for x in weights)
-    if any(float(x) < 0 for x in weights) or abs(total - 1) > MIXTURE_WEIGHT_TOL:
-        raise ValueError(f"mixture weights must be >= 0 and sum to 1, got sum {total}")
+class _Mixture(Scheme):
+    """A finite mixture of columns; each subclass states one column's
+    selection, `_select`. Weights must be >= 0 and sum to 1 within
+    MIXTURE_WEIGHT_TOL; they are divided by their exact total, as in
+    `ExplicitPrior`, so the outcome weights sum to exactly 1."""
 
-
-class PermutationMixture(Scheme):
-    def __init__(self, components: Sequence[tuple[Permutation, object]]):
+    def __init__(self, components: Sequence[tuple[object, object]]):
         if not components:
             raise ValueError("empty mixture")
-        self.components = [(pi, to_fraction(wt)) for pi, wt in components]
-        _check_mixture_weights(wt for _, wt in self.components)
-        self.n = self.components[0][0].n
+        weights = [to_fraction(wt) for _, wt in components]
+        total = sum(weights, Fraction(0))
+        if any(wt < 0 for wt in weights) or abs(total - 1) > MIXTURE_WEIGHT_TOL:
+            raise ValueError(f"mixture weights must be >= 0 and sum to 1, got sum {float(total)}")
+        self.components = [(col, wt / total) for (col, _), wt in zip(components, weights)]
         self._cdf = float_cdf(wt for _, wt in self.components)
 
-    def sample_component(self, rng: Random) -> Permutation:
-        return self.components[draw_index(self._cdf, rng)][0]
-
     def run_bits(self, M, a_bits, rng):
-        pi = self.sample_component(rng)
+        column = self.components[draw_index(self._cdf, rng)][0]
+        return self._select(M, column, a_bits, rng)
+
+    def outcomes(self, M, a_bits):
+        for column, wt in self.components:
+            yield wt, self._select(M, column, a_bits, None)
+
+
+class PermutationMixture(_Mixture):
+    """Draw an order from the mixture, then run greedy along it."""
+
+    def __init__(self, components: Sequence[tuple[Permutation, object]]):
+        super().__init__(components)
+        self.n = self.components[0][0].n
+
+    def _select(self, M, pi, a_bits, rng):
         return greedy_ordered_bits(M, pi.order, a_bits)
 
     def to_spec(self):
@@ -177,7 +204,8 @@ class PermutationMixture(Scheme):
 class SecretaryAlgorithm:
     """Streaming interface: one instance per run, elements pushed in arrival
     order via next(element, weight) -> accept. The arrival order itself is
-    generated outside, according to `arrival_model`."""
+    generated outside, according to `arrival_model`; a "random" arrival
+    order is the only randomness a secretary run draws."""
 
     arrival_model = "random"  # or "by_weight"
 
@@ -228,32 +256,23 @@ SECRETARY_KINDS = {
     "classic_1uniform": Classic1Uniform,
 }
 
-DETERMINISTIC_SECRETARIES = {"greedy_by_weight"}
-
 
 def secretary_wrap(
-    alg_kind: str,
-    w: Sequence,
-    M: Matroid,
-    A: SubsetMask,
-    rng: Random,
-    arrival: Optional[Permutation] = None,
+    alg_kind: str, w: Sequence, M: Matroid, A: SubsetMask, rng: Random
 ) -> SubsetMask:
     """Run a secretary algorithm against weights masked by the active set.
 
     Inactive elements are presented with weight 0 (and positive-weight
-    acceptance then keeps the output inside A). `arrival` overrides the
-    algorithm's own arrival model when given.
+    acceptance then keeps the output inside A). Elements arrive by the
+    algorithm's own `arrival_model`.
     """
-    return SubsetMask(M.n, secretary_wrap_bits(alg_kind, w, M, A.bits, rng, arrival))
+    return SubsetMask(M.n, secretary_wrap_bits(alg_kind, w, M, A.bits, rng))
 
 
-def secretary_wrap_bits(alg_kind, w, M, a_bits, rng, arrival=None) -> int:
+def secretary_wrap_bits(alg_kind, w, M, a_bits, rng) -> int:
     cls = SECRETARY_KINDS[alg_kind]
     alg = cls(M)
-    if arrival is not None:
-        order = arrival.order
-    elif cls.arrival_model == "by_weight":
+    if cls.arrival_model == "by_weight":
         order = order_by_weight(w).order
     else:
         order = random_permutation(M.n, rng).order
@@ -265,27 +284,26 @@ def secretary_wrap_bits(alg_kind, w, M, a_bits, rng, arrival=None) -> int:
     return out
 
 
-class WeightMixture(Scheme):
+class WeightMixture(_Mixture):
     """Sample a weight vector from the mixture, then replay the secretary
     algorithm with active-masked weights."""
 
     def __init__(self, secretary_kind: str, components: Sequence[tuple[Sequence, object]]):
         if secretary_kind not in SECRETARY_KINDS:
             raise ValueError(f"unknown secretary kind {secretary_kind!r}")
-        if not components:
-            raise ValueError("empty mixture")
+        super().__init__([(tuple(wv), wt) for wv, wt in components])
         self.secretary_kind = secretary_kind
-        self.components = [(tuple(wv), to_fraction(wt)) for wv, wt in components]
-        _check_mixture_weights(wt for _, wt in self.components)
         self.n = len(self.components[0][0])
-        self._cdf = float_cdf(wt for _, wt in self.components)
 
-    def sample_component(self, rng: Random) -> tuple:
-        return self.components[draw_index(self._cdf, rng)][0]
-
-    def run_bits(self, M, a_bits, rng):
-        wv = self.sample_component(rng)
+    def _select(self, M, wv, a_bits, rng):
         return secretary_wrap_bits(self.secretary_kind, wv, M, a_bits, rng)
+
+    def outcomes(self, M, a_bits):
+        if SECRETARY_KINDS[self.secretary_kind].arrival_model == "random":
+            raise EnumerationTooLarge(
+                f"secretary {self.secretary_kind!r} is randomized; no exact enumeration"
+            )
+        return super().outcomes(M, a_bits)
 
     def to_spec(self):
         return {
@@ -345,29 +363,23 @@ def build_prefix_subsampling_scheme(
 
 
 def scheme_from_spec(spec: dict) -> Scheme:
+    """Inverse of `to_spec`. Numbers are read by `to_fraction` (in the
+    constructors for rho and mixture weights), so a JSON float means its
+    decimal digits."""
     kind = spec.get("kind")
     if kind == "ordered_greedy":
         return OrderedGreedy(Permutation(spec["order"]))
     if kind == "independent_subsampling":
-        return IndependentSubsampling(Permutation(spec["order"]), Fraction(spec["rho"]))
+        return IndependentSubsampling(Permutation(spec["order"]), spec["rho"])
     if kind == "prefix_subsampling":
         return PrefixSubsampling(Permutation(spec["order"]))
     if kind == "permutation_mixture":
         return PermutationMixture(
-            [(Permutation(c["order"]), Fraction(c["weight"])) for c in spec["components"]]
+            [(Permutation(c["order"]), c["weight"]) for c in spec["components"]]
         )
     if kind == "weight_mixture":
         return WeightMixture(
             spec["secretary"],
-            [
-                ([_parse_num(x) for x in c["w"]], Fraction(c["weight"]))
-                for c in spec["components"]
-            ],
+            [([to_fraction(x) for x in c["w"]], c["weight"]) for c in spec["components"]],
         )
     raise ValueError(f"unknown scheme kind {kind!r}")
-
-
-def _parse_num(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    return x

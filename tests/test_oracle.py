@@ -22,6 +22,7 @@ from ocrs import (
     gen_kuniform_allactive,
     max_uncontentious_alpha,
     parse_instance,
+    scheme_from_spec,
     two_element_instance,
 )
 from ocrs import oracle
@@ -32,6 +33,7 @@ from ocrs.priors import AllActivePrior, SamplerPrior
 
 from conftest import explicit_battery, random_explicit_prior, random_small_matroid
 from oracle_reference import reference_max_uncontentious_alpha
+from scheme_reference import reference_exact_balancedness
 
 
 class TestAlphaStar:
@@ -196,15 +198,98 @@ class TestExactBalancedness:
         with pytest.raises(EnumerationTooLarge):
             exact_balancedness(big9.matroid, PrefixSubsampling(Permutation.identity(9)), big9.prior)
 
-    def test_matches_monte_carlo(self):
+    def test_float_spec_weights_read_exactly(self):
+        # JSON floats 0.1 and 0.9 mean 1/10 and 9/10, not their binary values.
+        spec = {
+            "kind": "permutation_mixture",
+            "components": [{"order": [0], "weight": 0.1}, {"order": [0], "weight": 0.9}],
+        }
+        m = UniformMatroid(1, 1)
+        assert exact_balancedness(m, scheme_from_spec(spec), AllActivePrior(1)) == [1]
+
+    def test_mixture_weights_divided_by_exact_total(self):
+        # Within the 1e-9 tolerance of 1, but not exactly 1.
+        weights = (Fraction(1, 3), Fraction(2, 3) - Fraction(1, 10**10))
+        mix = PermutationMixture([(Permutation([0]), wt) for wt in weights])
+        assert exact_balancedness(UniformMatroid(1, 1), mix, AllActivePrior(1)) == [1]
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            pytest.param(OrderedGreedy(Permutation([2, 0, 3, 1])), id="ordered_greedy"),
+            pytest.param(
+                IndependentSubsampling(Permutation.identity(4), Fraction(1, 4)),
+                id="independent_subsampling",
+            ),
+            pytest.param(PrefixSubsampling(Permutation.identity(4)), id="prefix_subsampling"),
+            pytest.param(
+                PermutationMixture(
+                    [
+                        (Permutation.identity(4), Fraction(1, 3)),
+                        (Permutation([3, 2, 1, 0]), Fraction(2, 3)),
+                    ]
+                ),
+                id="permutation_mixture",
+            ),
+            pytest.param(
+                WeightMixture(
+                    "greedy_by_weight",
+                    [((3, 1, 2, 0), Fraction(1, 2)), ((0, 2, 1, 3), Fraction(1, 2))],
+                ),
+                id="weight_mixture",
+            ),
+        ],
+    )
+    def test_matches_monte_carlo(self, scheme):
+        # run_bits (sampled) against outcomes (enumerated), scheme by scheme.
         inst = gen_kuniform_allactive(4, 2)
-        scheme = PrefixSubsampling(Permutation.identity(4))
         bal = exact_balancedness(inst.matroid, scheme, inst.prior)
         rep = estimate_balancedness(
             inst.matroid, scheme, inst.prior, trials=30000, rng=Random(4), ci_level=0.999
         )
         for e in range(4):
             assert rep.elements[e].ci_lo <= float(bal[e]) <= rep.elements[e].ci_hi
+
+
+class TestAgainstSchemeLadder:
+    """`exact_balancedness` over `Scheme.outcomes` against the oracle's former
+    `isinstance` ladder (tests/scheme_reference.py), over all five kinds."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_small_instances(self, seed):
+        rng = Random(seed)
+        m = random_small_matroid(rng, max_n=7)
+        p = random_explicit_prior(rng, m.n)
+
+        def order():
+            return Permutation(sorted(range(m.n), key=lambda e: rng.random()))
+
+        def weights(k):
+            raw = [rng.randint(0, 4) for _ in range(k - 1)] + [rng.randint(1, 4)]
+            return [Fraction(x, sum(raw)) for x in raw]
+
+        k = rng.randint(1, 3)
+        schemes = [
+            OrderedGreedy(order()),
+            IndependentSubsampling(order(), Fraction(rng.randint(0, 8), 8)),
+            PrefixSubsampling(order()),
+            PermutationMixture([(order(), wt) for wt in weights(k)]),
+            WeightMixture(
+                "greedy_by_weight",
+                [
+                    (tuple(Fraction(rng.randint(0, 5), 2) for _ in range(m.n)), wt)
+                    for wt in weights(k)
+                ],
+            ),
+        ]
+        for scheme in schemes:
+            assert exact_balancedness(m, scheme, p) == reference_exact_balancedness(m, scheme, p)
+            for atom, _ in p.support():
+                outcomes = list(scheme.outcomes(m, atom))
+                assert sum(w for w, _ in outcomes) == 1
+                for _, y in outcomes:
+                    assert y & ~atom == 0 and m._independent(y)
 
 
 class TestBruteForce:

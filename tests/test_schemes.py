@@ -190,13 +190,6 @@ class TestSecretaryWrap:
             out = secretary_wrap(kind, (0, 0, 0), m, SubsetMask.full(3), rng)
             assert out == SubsetMask.empty(3)
 
-    def test_explicit_arrival_respected(self, rng):
-        m = UniformMatroid(2, 1)
-        out = secretary_wrap(
-            "greedy_by_weight", (5, 1), m, SubsetMask.full(2), rng, arrival=Permutation([1, 0])
-        )
-        assert out == S(2, 1)  # element 1 arrives first and is taken greedily
-
 
 class TestGreedyOrderDominance:
     def test_weight_order_maximizes_expected_weight(self, rng):
