@@ -29,8 +29,7 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def popcount(bits: int) -> int:
-    return bin(bits).count("1")
+popcount = int.bit_count  # popcount(bits): the number of set bits
 
 
 class DimensionMismatch(ValueError):

@@ -84,13 +84,13 @@ def sample_size(n: int, alpha: float, eps: float, p_min: float) -> int:
 
 
 def count_span_stats_independent(
-    M: Matroid, P: Prior, S: SubsetMask, rho: float, m: int, rng: Random
+    M: Matroid, P: Prior, S: SubsetMask, rho, m: int, rng: Random
 ) -> tuple[list[int], list[int]]:
-    """`Prior.count` over m draws, each thinned by rho: per element, how often
-    it is active, and how often it is active in S and escapes the span of the
-    thinned active part of S."""
+    """`Prior.count` over m draws, each thinned by rho (read by `to_fraction`):
+    per element, how often it is active, and how often it is active in S and
+    escapes the span of the thinned active part of S."""
     s_bits = S.bits
-    rho = float(rho)
+    rho = to_fraction(rho)
 
     def unspanned(a: int, r: Random) -> int:
         b = t_rho_bits(a, rho, r) & s_bits
@@ -156,7 +156,7 @@ def _preselect(M, P, cfg, rng, prefix_mode: bool) -> Permutation:
         )
         slack = 1 - float(cfg.eps) / 4
         rate = slack * (float(cfg.alpha) if prefix_mode else float(cfg.alpha) / 2)
-        rho = float(cfg.alpha) / 2
+        rho = to_fraction(cfg.alpha) / 2
         if prefix_mode:
             stats_of = lambda S: count_span_stats_prefix(M, P, S, m, rng)
         else:

@@ -113,7 +113,8 @@ class Prior:
 
         For each atom a of probability p > 0, every (w, bits) that
         `outcomes(a)` yields credits p*w to each element of bits. Equal sets
-        are merged first and expanded once.
+        are merged first and expanded once. A weight w == 1 (activations,
+        exact LP columns) costs no product, and a new set no addition.
         """
         support = self.support()
         if support is None:
@@ -122,7 +123,9 @@ class Prior:
         for a, p in support:
             if p:
                 for w, bits in outcomes(a):
-                    mass[bits] = mass.get(bits, 0) + p * w
+                    q = p if w == 1 else p * w
+                    old = mass.get(bits)
+                    mass[bits] = q if old is None else old + q
         totals = [Fraction(0)] * self.n
         for bits, q in mass.items():
             for e in iter_bits(bits):

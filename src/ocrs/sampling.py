@@ -15,7 +15,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
-from .bitset import SubsetMask, iter_bits, mask_of, popcount
+from .bitset import SubsetMask, full_mask, mask_of, popcount
 from .priors import EnumerationTooLarge, to_fraction
 
 
@@ -85,38 +85,49 @@ def shuffled(elements: Iterable[int], rng: Random) -> list[int]:
     return items
 
 
-def t_rho_bits(bits: int, rho: float, rng: Random) -> int:
-    if not 0 <= rho <= 1:
+def t_rho_bits(bits: int, rho, rng: Random) -> int:
+    """Keep each element of `bits` independently with probability exactly rho.
+
+    Knuth-Yao comparison: each element reads fair bits u_1 u_2 ... against
+    rho's binary expansion r_1 r_2 ... and is kept if u < rho, that is if
+    u_i < r_i at the first level i where the two differ. Level i draws one
+    word holding u_i for every element still undecided, so rho = 1/4 costs
+    two words; the walk stops when nothing is undecided or the expansion
+    ends. rho is read by `to_fraction` (a float means its decimal digits);
+    hot callers pass a `Fraction` they converted once."""
+    num, den = to_fraction(rho).as_integer_ratio()
+    if not 0 <= num <= den:
         raise ValueError(f"keep probability {rho} outside [0,1]")
-    if rho == 1:
+    if num == den:
         return bits
     kept = 0
-    if rho > 0:
-        for e in iter_bits(bits):
-            if rng.random() < rho:
-                kept |= 1 << e
+    while bits and num:
+        u = rng.getrandbits(bits.bit_length())
+        num <<= 1
+        if num >= den:  # r_i = 1: u_i = 0 keeps, u_i = 1 stays undecided
+            num -= den
+            kept |= bits & ~u
+            bits &= u
+        else:  # r_i = 0: u_i = 1 drops, u_i = 0 stays undecided
+            bits &= ~u
     return kept
 
 
-def t_rho(S: SubsetMask, rho: float, rng: Random) -> SubsetMask:
+def t_rho(S: SubsetMask, rho, rng: Random) -> SubsetMask:
     """Keep each element of S independently with probability rho."""
-    return SubsetMask(S.n, t_rho_bits(S.bits, float(rho), rng))
+    return SubsetMask(S.n, t_rho_bits(S.bits, rho, rng))
 
 
 def prefix_subsample_bits(n: int, rng: Random) -> int:
-    """Correlated subsample of {0..n-1}: shuffle n+1 symbols (the extra
-    symbol n acts as sentinel) and keep the originals before the sentinel.
-    |T| is uniform on {0..n}."""
+    """Correlated subsample of {0..n-1} with the law of the elements before a
+    uniformly placed sentinel (`PrefixLaw`): |T| = s uniform on {0..n}, then a
+    uniform s-subset, drawn through the smaller of it and its complement."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    symbols = list(range(n + 1))
-    rng.shuffle(symbols)
-    bits = 0
-    for s in symbols:
-        if s == n:
-            break
-        bits |= 1 << s
-    return bits
+    s = rng.randrange(n + 1)
+    if 2 * s <= n:
+        return mask_of(rng.sample(range(n), s))
+    return full_mask(n) ^ mask_of(rng.sample(range(n), n - s))
 
 
 def prefix_subsample(n: int, rng: Random) -> SubsetMask:

@@ -114,11 +114,12 @@ class IndependentSubsampling(_Subsampling):
             raise ValueError(f"rho {rho} outside [0,1]")
         self.n = order.n
         self.law = IndependentLaw(self.rho)
-        self._rho_f = float(self.rho)
         self._full = full_mask(self.n)
 
     def run_bits(self, M, a_bits, rng):
-        t = t_rho_bits(self._full, self._rho_f, rng)
+        # T is drawn on the whole ground set, not on A, so the choices among
+        # the first arrivals do not depend on later ones.
+        t = t_rho_bits(self._full, self.rho, rng)
         return greedy_ordered_bits(M, self.order.order, a_bits & t)
 
     def to_spec(self):

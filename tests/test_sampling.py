@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from ocrs import Permutation, SubsetMask, prefix_subsample, random_permutation, t_rho
-from ocrs.bitset import iter_bits, popcount
+from ocrs.bitset import full_mask, iter_bits, popcount
 from ocrs.sampling import prefix_subsample_bits, t_rho_bits
 
 from conftest import sentinel_prefix_law
@@ -43,6 +43,86 @@ class TestTRho:
     def test_rho_out_of_range(self, rng):
         with pytest.raises(ValueError):
             t_rho(SubsetMask.full(2), 1.5, rng)
+
+    @pytest.mark.parametrize(
+        "rho, depth",
+        [(Fraction(0), 0), (Fraction(1, 4), 2), (Fraction(3, 8), 3), (Fraction(1), 0)],
+    )
+    def test_dyadic_law_exact_within_its_expansion(self, rho, depth):
+        # Every word sequence of the expansion's length ends the draw, and the
+        # joint law is the product law: marginals rho, pairs rho^2, tolerance 0.
+        n = 3
+        law, undecided = thinning_law(full_mask(n), rho, depth)
+        assert undecided == 0
+        for t in range(1 << n):
+            k = popcount(t)
+            assert law.get(t, 0) == rho**k * (1 - rho) ** (n - k)
+        for e in range(n):
+            assert kept_mass(law, 1 << e) == rho
+        assert kept_mass(law, 0b011) == kept_mass(law, 0b101) == rho**2
+
+    @pytest.mark.parametrize("rho", [Fraction(1, 3), Fraction(5, 36)])
+    def test_non_dyadic_law_within_two_to_minus_depth(self, rho):
+        # One element: within L words it is kept with rho's expansion cut to L
+        # bits, in [rho - 2^-L, rho], and undecided with mass exactly 2^-L.
+        depth = 8
+        law, undecided = thinning_law(0b1, rho, depth)
+        truncated = Fraction(math.floor(rho * 2**depth), 2**depth)
+        assert rho - Fraction(1, 2**depth) <= kept_mass(law, 0b1) == truncated <= rho
+        assert undecided == Fraction(1, 2**depth)
+        # Two elements share each word; a draw ends when both are decided.
+        law, undecided = thinning_law(0b11, rho, depth)
+        for e in range(2):
+            assert rho - Fraction(2, 2**depth) <= kept_mass(law, 1 << e) <= rho
+        assert rho**2 - Fraction(2, 2**depth) <= kept_mass(law, 0b11) <= rho**2
+        assert 0 < undecided <= Fraction(2, 2**depth)
+
+    def test_float_rho_means_its_decimal_digits(self):
+        assert thinning_law(0b11, 0.1, 5) == thinning_law(0b11, Fraction(1, 10), 5)
+
+
+class _OutOfWords(Exception):
+    def __init__(self, width):
+        self.width = width
+
+
+class _ScriptedWords:
+    """An rng whose getrandbits replays `words`; asking past the end raises
+    _OutOfWords carrying the width asked for."""
+
+    def __init__(self, words):
+        self.words = iter(words)
+
+    def getrandbits(self, width):
+        for u in self.words:
+            assert 0 <= u < 1 << width
+            return u
+        raise _OutOfWords(width)
+
+
+def thinning_law(bits, rho, depth):
+    """Exact law of t_rho_bits(bits, rho, .) over every sequence of at most
+    `depth` fair words: ({kept: mass} of the draws that end, undecided mass)."""
+    law, undecided = {}, Fraction(0)
+    stack = [((), Fraction(1))]
+    while stack:
+        words, mass = stack.pop()
+        try:
+            kept = t_rho_bits(bits, rho, _ScriptedWords(words))
+        except _OutOfWords as ask:
+            if len(words) == depth:
+                undecided += mass
+            else:
+                branch = mass / 2**ask.width
+                stack.extend((words + (u,), branch) for u in range(1 << ask.width))
+            continue
+        law[kept] = law.get(kept, 0) + mass
+    return law, undecided
+
+
+def kept_mass(law, mask):
+    """Mass of the draws that keep every element of mask."""
+    return sum((p for t, p in law.items() if t & mask == mask), Fraction(0))
 
 
 class TestPermutation:
@@ -132,16 +212,18 @@ class TestPrefixSubsample:
             assert lhs == rhs
 
     def test_sampler_matches_exact_law(self, rng):
-        n = 4
-        law = sentinel_prefix_law(n)
-        trials = 20000
-        counts = {}
-        for _ in range(trials):
-            t = prefix_subsample_bits(n, rng)
-            counts[t] = counts.get(t, 0) + 1
-        for t, p in law.items():
-            band = 4 * math.sqrt(float(p) * (1 - float(p)) / trials) + 0.01
-            assert abs(counts.get(t, 0) / trials - float(p)) < band
+        # n = 4 on the fresh seed as before; n = 1, 2 and 5 also reach both
+        # branches of the complement draw at small sizes.
+        for n in (4, 1, 2, 5):
+            law = sentinel_prefix_law(n)
+            trials = 20000
+            counts = {}
+            for _ in range(trials):
+                t = prefix_subsample_bits(n, rng)
+                counts[t] = counts.get(t, 0) + 1
+            for t, p in law.items():
+                band = 4 * math.sqrt(float(p) * (1 - float(p)) / trials) + 0.01
+                assert abs(counts.get(t, 0) / trials - float(p)) < band
 
     def test_needs_positive_n(self, rng):
         with pytest.raises(ValueError):
