@@ -14,14 +14,14 @@ import sys
 from fractions import Fraction
 from random import Random
 
-from .bitset import popcount
 from .harness import Instance, estimate_balancedness, parse_instance
-from .lp import _want_exact, build_lp_scheme, build_secretary_reduction
+from .lp import build_lp_scheme, build_secretary_reduction
 from .oracle import max_uncontentious_alpha
 from .preselect import NoQualifyingElement, PreselectConfig
-from .sampling import IndependentLaw, Permutation, PrefixLaw
+from .priors import MODES
 from .schemes import (
     OrderedGreedy,
+    Permutation,
     build_independent_subsampling_scheme,
     build_prefix_subsampling_scheme,
     scheme_from_spec,
@@ -41,18 +41,9 @@ def _alpha(args, inst: Instance) -> Fraction:
     return inst.declared_alpha if args.alpha is None else args.alpha
 
 
-def _preselect_cfg(args, inst: Instance, kind: str) -> PreselectConfig:
-    exact = args.mode == "exact"
-    if args.mode == "auto":
-        # Exact when lp's rule would enumerate the support and each positive atom
-        # fits the law; the prefix law is drawn on the atom minus the candidate.
-        limit = PrefixLaw.limit + 1 if kind == "prefix" else IndependentLaw.limit
-        exact = _want_exact(inst.prior, "auto") and all(
-            popcount(a) <= limit for a, p in inst.prior.support() if p
-        )
-    mode = "exact" if exact else "monte_carlo"
+def _preselect_cfg(args, inst: Instance) -> PreselectConfig:
     return PreselectConfig(
-        alpha=_alpha(args, inst), eps=args.eps, mode=mode, sample_override=args.samples
+        alpha=_alpha(args, inst), eps=args.eps, mode=args.mode, sample_override=args.samples
     )
 
 
@@ -67,7 +58,7 @@ def _build_scheme(args, inst: Instance, rng: Random):
             raise ValueError(f"instance {inst.name} has no canonical order")
         order = inst.canonical_order
     alpha = _alpha(args, inst)
-    cfg = _preselect_cfg(args, inst, "prefix" if name.startswith("prefix") else "indep")
+    cfg = _preselect_cfg(args, inst)
     if name in ("indep", "indep-subsample"):
         return build_independent_subsampling_scheme(
             inst.matroid, inst.prior, alpha, rng, cfg=cfg, order=order
@@ -91,7 +82,7 @@ def cmd_preselect(args) -> int:
     inst = parse_instance(args.instance)
     rng = Random(args.seed)
     kind = args.kind
-    cfg = _preselect_cfg(args, inst, kind)
+    cfg = _preselect_cfg(args, inst)
     build = (
         build_independent_subsampling_scheme
         if kind == "indep"
@@ -208,7 +199,7 @@ def _add_common(p: argparse.ArgumentParser, trials: bool = False) -> None:
     p.add_argument("--eps", type=Fraction, default=Fraction(1, 4))
     p.add_argument("--alpha", type=Fraction, default=None,
                    help="override the instance's declared level (exact, e.g. 5/7)")
-    p.add_argument("--mode", choices=["exact", "mc", "auto"], default="mc")
+    p.add_argument("--mode", choices=MODES, default="mc")
     p.add_argument("--samples", type=int, default=None, help="override per-step sample count")
     p.add_argument("--out", default=None, help="output path prefix (stdout if omitted)")
     if trials:

@@ -24,9 +24,8 @@ from random import Random
 from typing import Callable, Optional, Sequence
 
 from .matroid import Matroid
-from .priors import Prior, to_fraction
+from .priors import Prior, exact_or_sampled, to_fraction
 from .schemes import (
-    SECRETARY_KINDS,
     PermutationMixture,
     WeightMixture,
     greedy_ordered_bits,
@@ -190,20 +189,9 @@ class BuildReport:
         }
 
 
-def _want_exact(P: Prior, mode: str) -> bool:
-    if mode == "exact":
-        if P.support() is None:
-            raise ValueError("exact mode needs an explicit prior")
-        return True
-    if mode == "mc":
-        return False
-    sup = P.support()
-    return sup is not None and len(sup) <= 4096
-
-
 def _column_generation(
     M, P, eps, rng, mode, alpha_target, iteration_cap, estimation_override,
-    *, kind, stages, c, select, start, key_json, no_exact_columns=None,
+    *, kind, stages, c, select, start, key_json,
 ) -> tuple[list, BuildReport]:
     """The cutting-plane build both mixtures share; returns the mixture's
     (key, weight) items and the report.
@@ -211,77 +199,72 @@ def _column_generation(
     The column family is given by `select(key, atom, rng)`, the selection of
     one column on one active set; `start(x, p_min)`, the first key and the
     separation that maps a dual mu to the next key; and `key_json(key)`.
-    Columns are exact over the support when `_want_exact` says so and
-    `no_exact_columns` (the reason exact mode is refused) is None; else they
-    are estimated with relative accuracy eta = eps*c*alpha_target and
-    confidence delta, an eps/stages share of the failure budget
+    `priors.exact_or_sampled` reads `mode`. Exact columns are counted over
+    the support with gap 0; their selector gets no rng, so a family that
+    draws (a random-arrival secretary) raises `EnumerationTooLarge`. Sampled
+    columns are estimated with relative accuracy eta = eps*c*alpha_target
+    and confidence delta, an eps/stages share of the failure budget
     union-bounded over the columns the loop can visit.
     """
     n = M.n
-    exact = _want_exact(P, mode)
-    if exact and no_exact_columns is not None:
-        if mode == "exact":
-            raise ValueError(no_exact_columns)
-        exact = False
     per_stage = eps / stages
     cap = iteration_cap or 50 * n
     eta = eps * c * alpha_target
-    gap = 0 if exact else min(DEFAULT_GAP_FLOOR, eta / 10)
-    report = BuildReport(
-        kind=kind,
-        n=n,
-        eps=eps,
-        eps_split={"per_stage": float(per_stage), "stages": stages},
-        exact_columns=exact,
-    )
-    p_min = P.p_min(rng=rng)
-    if exact:
-        x = P.activation_probabilities()
-    else:
-        delta = per_stage / (n * (cap + 2))
-        x, _, report.estimation_samples["x"] = estimate_xq(
-            None, P, eta, delta, rng, p_min, estimation_override
-        )
+    delta = per_stage / (n * (cap + 2))
 
-    def price(key) -> LpColumn:
-        if exact:
-            q = exact_selection_column(P, lambda atom: select(key, atom, rng))
-        else:
-            _, q, m = estimate_xq(
-                lambda a, r: select(key, a, r), P, eta, delta, rng, p_min, estimation_override
-            )
-            report.estimation_samples[str(key_json(key))] = m
-        return LpColumn(key=key, q=q)
-
-    key, separate = start(x, p_min)
-    columns = [price(key)]
-    seen = {key}
-    sol = solve_restricted(columns, x)
-    report.beta_trajectory.append(sol.beta)
-    for _ in range(cap):
-        report.iterations += 1
-        key = separate(sol.mu)
-        if key in seen:
-            report.converged = True
-            break
-        col = price(key)
-        violation = sum(qi * mi for qi, mi in zip(col.q, sol.mu)) - sol.gamma
-        if violation <= gap:
-            report.converged = True
-            break
-        columns.append(col)
-        seen.add(key)
+    def generate(exact_columns, x, p_min, price, samples):
+        gap = 0 if exact_columns else min(DEFAULT_GAP_FLOOR, eta / 10)
+        split = {"per_stage": float(per_stage), "stages": stages}
+        report = BuildReport(kind, n, eps, split, exact_columns, estimation_samples=samples)
+        key, separate = start(x, p_min)
+        columns = [LpColumn(key, price(key))]
+        seen = {key}
         sol = solve_restricted(columns, x)
         report.beta_trajectory.append(sol.beta)
-    else:
-        report.notes.append(f"iteration cap {cap} reached; returning best mixture so far")
-    report.gamma = sol.gamma
+        for _ in range(cap):
+            report.iterations += 1
+            key = separate(sol.mu)
+            if key in seen:
+                report.converged = True
+                break
+            col = LpColumn(key, price(key))
+            violation = sum(qi * mi for qi, mi in zip(col.q, sol.mu)) - sol.gamma
+            if violation <= gap:
+                report.converged = True
+                break
+            columns.append(col)
+            seen.add(key)
+            sol = solve_restricted(columns, x)
+            report.beta_trajectory.append(sol.beta)
+        else:
+            report.notes.append(f"iteration cap {cap} reached; returning best mixture so far")
+        report.gamma = sol.gamma
 
-    items = [(col.key, l) for col, l in zip(columns, sol.lam) if l > 0]
-    total = to_fraction(sum(l for _, l in items))
-    items = [(k, to_fraction(l) / total) for k, l in items]
-    report.columns = [key_json(k) for k, _ in items]
-    return items, report
+        items = [(col.key, l) for col, l in zip(columns, sol.lam) if l > 0]
+        total = to_fraction(sum(l for _, l in items))
+        items = [(k, to_fraction(l) / total) for k, l in items]
+        report.columns = [key_json(k) for k, _ in items]
+        return items, report
+
+    def exact():
+        x = P.exact_count(lambda a: ((1, a),))  # before p_min: an opaque prior draws nothing
+        price = lambda key: exact_selection_column(P, lambda atom: select(key, atom, None))
+        return generate(True, x, P.p_min(rng=rng), price, {})
+
+    def sampled():
+        p_min = P.p_min(rng=rng)
+        samples = {}
+        x, _, samples["x"] = estimate_xq(None, P, eta, delta, rng, p_min, estimation_override)
+
+        def price(key):
+            _, q, samples[str(key_json(key))] = estimate_xq(
+                lambda a, r: select(key, a, r), P, eta, delta, rng, p_min, estimation_override
+            )
+            return q
+
+        return generate(False, x, p_min, price, samples)
+
+    return exact_or_sampled(P, mode, exact, sampled)
 
 
 def build_lp_scheme(
@@ -342,10 +325,5 @@ def build_secretary_reduction(
         select=lambda wv, a, r: secretary_wrap_bits(secretary_kind, wv, M, a, r),
         start=start,
         key_json=lambda wv: [str(v) for v in wv],
-        no_exact_columns=(
-            f"secretary {secretary_kind!r} is randomized; exact columns unavailable"
-            if SECRETARY_KINDS[secretary_kind].arrival_model == "random"
-            else None
-        ),
     )
     return WeightMixture(secretary_kind, items), report

@@ -82,14 +82,11 @@ def max_uncontentious_alpha(M: Matroid, P: Prior) -> AlphaCertificate:
     always carries the loop's convergence certificate; without it this
     raises rather than return an uncertified value.
     """
-    support = P.support()
-    if support is None:
-        raise EnumerationTooLarge("oracle needs an explicit prior support")
-    atoms = [(bits, p) for bits, p in support if p > 0]
-    probs = P.activation_probabilities()
+    probs = P.exact_count(lambda a: ((1, a),))  # raises on an opaque prior
+    atoms = [bits for bits, p in P.support() if p > 0]
     if not any(probs):
         # No element is ever active, so every rule is vacuously 1-balanced.
-        witness = {bits: [(0, Fraction(1))] for bits, _ in atoms}
+        witness = {bits: [(0, Fraction(1))] for bits in atoms}
         return AlphaCertificate(Fraction(1), witness, [None] * M.n)
     # Exact columns draw no randomness and give up no eps.
     mixture, report = build_lp_scheme(M, P, eps=0, rng=Random(0), mode="exact")
@@ -97,7 +94,7 @@ def max_uncontentious_alpha(M: Matroid, P: Prior) -> AlphaCertificate:
         raise RuntimeError(f"alpha* column generation ended uncertified: {report.notes}")
 
     witness = {}
-    for bits, _ in atoms:
+    for bits in atoms:
         dist: dict[int, Fraction] = {}
         for lam, y in mixture.outcomes(M, bits):
             dist[y] = dist.get(y, Fraction(0)) + lam

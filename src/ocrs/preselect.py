@@ -14,7 +14,7 @@ Each comes in a Monte-Carlo flavour (counters over m joint samples, with a
 (1 - eps/4) relaxation of the threshold) and an exact flavour over explicit
 supports, which marginalises the subsample onto each atom A: it enumerates
 subsets of A ∩ S, not of S (`sampling.SubsampleLaw`), so its limits bound
-the atom, not the ground set.
+the atom, not the ground set. `priors.exact_or_sampled` picks the flavour.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from fractions import Fraction
 from random import Random
 from typing import Optional
 
-from .bitset import SubsetMask, full_mask, iter_bits
+from .bitset import SubsetMask, full_mask, iter_bits, popcount
 from .matroid import Matroid, greedy_ordered_bits
-from .priors import Prior, to_fraction
+from .priors import MODES, EnumerationTooLarge, Prior, exact_or_sampled, to_fraction
 from .sampling import (
-    EnumerationTooLarge,
     IndependentLaw,
     Permutation,
     PrefixLaw,
@@ -64,17 +63,22 @@ class NoQualifyingElement(RuntimeError):
 
 @dataclass(frozen=True)
 class PreselectConfig:
+    """alpha and eps are read by `to_fraction` and checked exactly; `mode`,
+    "mc" (the default), "exact" or "auto", is read by `priors.exact_or_sampled`."""
+
     alpha: Fraction
     eps: Fraction = Fraction(1, 4)
-    mode: str = "monte_carlo"  # or "exact"
+    mode: str = "mc"
     sample_override: Optional[int] = None
 
     def __post_init__(self):
-        if not 0 < float(self.alpha) <= 1:
+        object.__setattr__(self, "alpha", to_fraction(self.alpha))
+        object.__setattr__(self, "eps", to_fraction(self.eps))
+        if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must lie in (0,1], got {self.alpha}")
-        if not 0 < float(self.eps) <= 1:
+        if not 0 < self.eps <= 1:
             raise ValueError(f"eps must lie in (0,1], got {self.eps}")
-        if self.mode not in ("monte_carlo", "exact"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -150,37 +154,41 @@ def exact_unspanned_prob_prefix(M: Matroid, P: Prior, S: SubsetMask, j: int) -> 
 
 def _preselect(M, P, cfg, rng, prefix_mode: bool) -> Permutation:
     n = M.n
-    if cfg.mode == "monte_carlo":
-        m = cfg.sample_override or sample_size(
-            n, float(cfg.alpha), float(cfg.eps), float(P.p_min(rng=rng))
-        )
-        slack = 1 - float(cfg.eps) / 4
-        rate = slack * (float(cfg.alpha) if prefix_mode else float(cfg.alpha) / 2)
-        rho = to_fraction(cfg.alpha) / 2
-        if prefix_mode:
-            stats_of = lambda S: count_span_stats_prefix(M, P, S, m, rng)
-        else:
-            stats_of = lambda S: count_span_stats_independent(M, P, S, rho, m, rng)
+    threshold = cfg.alpha if prefix_mode else cfg.alpha / 2
 
-        def qualifying(S: SubsetMask):
-            act, unspanned = stats_of(S)
-            # never-sampled elements cannot qualify; conservative choice
-            return (j for j in iter_bits(S.bits) if act[j] and unspanned[j] >= rate * act[j])
+    def exact():
+        law, drop = (PrefixLaw(), 1) if prefix_mode else (IndependentLaw(threshold), 0)
 
-    else:
-        probs = P.activation_probabilities()
-        if probs is None:
-            raise EnumerationTooLarge("exact mode needs an explicit prior support")
-        alpha = to_fraction(cfg.alpha)
-        threshold = alpha if prefix_mode else alpha / 2
+        def fits(atom: int):  # fail fast: every positive atom is checked before step 1
+            law.check(popcount(atom) - drop)  # the prefix law: on the atom less the candidate
+            return ((1, atom),)
+
+        probs = P.exact_count(fits)
         if prefix_mode:
             stat = lambda S, j: exact_unspanned_prob_prefix(M, P, S, j)
         else:
             stat = lambda S, j: exact_unspanned_prob_independent(M, P, S, j, threshold)
+        return lambda S: (j for j in iter_bits(S.bits) if probs[j] and stat(S, j) >= threshold)
+
+    def sampled():
+        m = cfg.sample_override or sample_size(
+            n, float(cfg.alpha), float(cfg.eps), float(P.p_min(rng=rng))
+        )
+        # the relaxed bar (1 - eps/4) * threshold, compared exactly in integers
+        num, den = ((1 - cfg.eps / 4) * threshold).as_integer_ratio()
+        if prefix_mode:
+            stats_of = lambda S: count_span_stats_prefix(M, P, S, m, rng)
+        else:
+            stats_of = lambda S: count_span_stats_independent(M, P, S, threshold, m, rng)
 
         def qualifying(S: SubsetMask):
-            return (j for j in iter_bits(S.bits) if probs[j] and stat(S, j) >= threshold)
+            act, unspanned = stats_of(S)
+            # never-sampled elements cannot qualify; conservative choice
+            return (j for j in iter_bits(S.bits) if act[j] and unspanned[j] * den >= num * act[j])
 
+        return qualifying
+
+    qualifying = exact_or_sampled(P, cfg.mode, exact, sampled)
     order = [0] * n
     remaining = full_mask(n)
     for i in range(n, 0, -1):

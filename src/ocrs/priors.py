@@ -22,6 +22,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .bitset import DimensionMismatch, SubsetMask, full_mask, iter_bits, mask_of
 
 PROB_SUM_TOL = Fraction(1, 10**12)
+MODES = ("exact", "mc", "auto")
+AUTO_EXACT_ATOMS = 4096  # auto enumerates an explicit support up to this many atoms
 
 
 class PriorError(ValueError):
@@ -30,6 +32,27 @@ class PriorError(ValueError):
 
 class EnumerationTooLarge(ValueError):
     """Exact enumeration was requested beyond the desk-scale limits."""
+
+
+def exact_or_sampled(P: Prior, mode: str, exact: Callable, sampled: Callable):
+    """The library's one choice between an exact and a Monte-Carlo route.
+
+    `mode` "exact" runs `exact()`, "mc" runs `sampled()`, and "auto" tries
+    `exact()` when P's support is explicit with at most AUTO_EXACT_ATOMS
+    atoms, falling back to `sampled()` whenever it raises
+    `EnumerationTooLarge`. An exact route must raise before it draws from
+    any rng, so a fallback sees the stream a Monte-Carlo run would."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
+    if mode == "auto":
+        support = P.support()
+        if support is not None and len(support) <= AUTO_EXACT_ATOMS:
+            try:
+                return exact()
+            except EnumerationTooLarge:
+                pass
+        return sampled()
+    return exact() if mode == "exact" else sampled()
 
 
 def to_fraction(x) -> Fraction:
@@ -137,8 +160,11 @@ class Prior:
         return None
 
     def activation_probabilities(self) -> Optional[list[Fraction]]:
-        if self.support() is None:
-            return None
+        """Exact activation probabilities, counted once; None without a support."""
+        return None if self.support() is None else list(self._activation)
+
+    @cached_property
+    def _activation(self) -> list[Fraction]:
         return self.exact_count(lambda a: ((1, a),))
 
     @property

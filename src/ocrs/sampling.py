@@ -144,12 +144,16 @@ class SubsampleLaw:
     subsets of an active atom, not of the ground set; `limit` bounds |a|.
     """
 
+    def check(self, r: int) -> None:
+        """Raise `EnumerationTooLarge` when |a| = r exceeds `limit`."""
+        if r > self.limit:
+            raise EnumerationTooLarge(f"{type(self).__name__} on {r} elements; limit {self.limit}")
+
     def outcomes(self, a_bits: int, avoid: int = 0) -> Iterator[tuple[int, Fraction]]:
         """Yield (B, Pr[T ∩ a = B]) for the subsets B of a that miss `avoid`,
         skipping outcomes of probability 0."""
         r = popcount(a_bits)
-        if r > self.limit:
-            raise EnumerationTooLarge(f"{type(self).__name__} on {r} elements; limit {self.limit}")
+        self.check(r)
         weights = self.weights(r)
         b = pool = a_bits & ~avoid
         while True:

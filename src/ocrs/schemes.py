@@ -275,6 +275,8 @@ def secretary_wrap_bits(alg_kind, w, M, a_bits, rng) -> int:
     alg = cls(M)
     if cls.arrival_model == "by_weight":
         order = order_by_weight(w).order
+    elif rng is None:  # exact enumeration passes no rng
+        raise EnumerationTooLarge(f"secretary {alg_kind!r} is randomized; no exact enumeration")
     else:
         order = random_permutation(M.n, rng).order
     out = 0
@@ -298,13 +300,6 @@ class WeightMixture(_Mixture):
 
     def _select(self, M, wv, a_bits, rng):
         return secretary_wrap_bits(self.secretary_kind, wv, M, a_bits, rng)
-
-    def outcomes(self, M, a_bits):
-        if SECRETARY_KINDS[self.secretary_kind].arrival_model == "random":
-            raise EnumerationTooLarge(
-                f"secretary {self.secretary_kind!r} is randomized; no exact enumeration"
-            )
-        return super().outcomes(M, a_bits)
 
     def to_spec(self):
         return {

@@ -18,7 +18,7 @@ from ocrs import (
     parse_instance,
     two_element_instance,
 )
-from ocrs import cli
+from ocrs import preselect
 from ocrs.cli import cli_run
 from ocrs.harness import hats_count, hoeffding_halfwidth
 from ocrs.priors import AllActivePrior, ExplicitPrior
@@ -287,14 +287,22 @@ class TestCli:
         ],
     )
     def test_auto_mode_is_exact_when_the_support_fits(self, monkeypatch, instance, kind, mode):
+        # Every statistic is stubbed to qualify each candidate; the test reads
+        # which family _preselect asks, exact or Monte-Carlo.
         seen = []
 
-        def build(M, P, alpha, rng, cfg, order=None):
-            seen.append(cfg.mode)
-            return OrderedGreedy(Permutation.identity(M.n))
+        def exact_stat(*args):
+            seen.append("exact")
+            return Fraction(1)
 
-        builder = "build_independent" if kind == "indep" else "build_prefix"
-        monkeypatch.setattr(cli, builder + "_subsampling_scheme", build)
-        assert cli_run(["preselect", "--instance", instance, "--kind", kind, "--mode", "auto"]) == 0
-        assert cli_run(["run", "--instance", instance, "--scheme", kind, "--mode", "auto"]) == 0
-        assert seen == [mode, mode]
+        def mc_stat(M, *args):
+            seen.append("monte_carlo")
+            return [1] * M.n, [1] * M.n
+
+        for law in ("independent", "prefix"):
+            monkeypatch.setattr(preselect, "exact_unspanned_prob_" + law, exact_stat)
+            monkeypatch.setattr(preselect, "count_span_stats_" + law, mc_stat)
+        for argv in (["preselect", "--kind", kind], ["run", "--scheme", kind]):
+            seen.clear()
+            assert cli_run(argv + ["--instance", instance, "--mode", "auto"]) == 0
+            assert seen and set(seen) == {mode}

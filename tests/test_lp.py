@@ -21,7 +21,7 @@ from ocrs import (
 )
 from ocrs.lp import GridRangeError, estimation_sample_size, exact_selection_column
 from ocrs.harness import estimate_balancedness
-from ocrs.priors import AllActivePrior
+from ocrs.priors import AllActivePrior, EnumerationTooLarge, SamplerPrior
 from ocrs.sampling import Permutation
 from ocrs.schemes import IndependentSubsampling, greedy_ordered_bits, order_by_weight
 
@@ -203,6 +203,21 @@ class TestBuildLpScheme:
         )
         assert report.beta_trajectory[-1] >= 0.4
 
+    def test_unknown_mode_rejected(self, rng):
+        inst = two_element_instance()
+        with pytest.raises(ValueError, match="unknown mode"):
+            build_lp_scheme(inst.matroid, inst.prior, eps=0.1, rng=rng, mode="monte_carlo")
+
+    def test_exact_on_an_opaque_prior_raises_before_drawing(self):
+        rng = Random(4)
+        state = rng.getstate()
+        with pytest.raises(EnumerationTooLarge):
+            build_lp_scheme(
+                UniformMatroid(2, 1), SamplerPrior(2, lambda r: 0b11), eps=0.1, rng=rng,
+                mode="exact",
+            )
+        assert rng.getstate() == state
+
     def test_report_is_json_ready(self, rng):
         inst = two_element_instance()
         _, report = build_lp_scheme(inst.matroid, inst.prior, eps=0.1, rng=rng, mode="exact")
@@ -241,6 +256,25 @@ class TestSecretaryReduction:
                 inst.matroid, inst.prior, "classic_1uniform", c=0.3, eps=0.2,
                 rng=rng, mode="exact",
             )
+
+    def test_auto_falls_back_to_mc_for_a_randomized_secretary(self):
+        inst = gen_kuniform_allactive(3, 1)
+        with pytest.raises(EnumerationTooLarge):
+            build_secretary_reduction(
+                inst.matroid, inst.prior, "classic_1uniform", c=0.3, eps=0.2,
+                rng=Random(1), mode="exact",
+            )
+        built = [
+            build_secretary_reduction(
+                inst.matroid, inst.prior, "classic_1uniform", c=0.35, eps=0.3,
+                rng=Random(10), mode=mode, alpha_target=float(1 / 3), estimation_override=500,
+            )
+            for mode in ("auto", "mc")
+        ]
+        (auto_mix, auto_report), (mc_mix, mc_report) = built
+        assert auto_mix.to_spec() == mc_mix.to_spec()
+        assert auto_report.to_json() == mc_report.to_json()
+        assert auto_report.exact_columns is False
 
     def test_classic_mc_smoke(self):
         inst = gen_kuniform_allactive(3, 1)

@@ -21,12 +21,14 @@ from ocrs import (
     sample_size,
     two_element_instance,
 )
+from ocrs import preselect
+from ocrs.harness import parse_instance
 from ocrs.preselect import (
     ExactModeTooLarge,
     exact_unspanned_prob_independent,
     exact_unspanned_prob_prefix,
 )
-from ocrs.priors import AllActivePrior, ProductPrior, SamplerPrior
+from ocrs.priors import AllActivePrior, EnumerationTooLarge, ProductPrior, SamplerPrior
 
 from conftest import random_explicit_prior, random_small_matroid
 from span_stats_reference import reference_span_stats_independent, reference_span_stats_prefix
@@ -182,6 +184,32 @@ class TestPreselectExact:
         assert exc.value.suffix == []
         assert str(exc.value) == "no qualifying element at step 2 (no position filled yet)"
 
+    @pytest.mark.parametrize("law, n", [("independent", 15), ("prefix", 11)])
+    def test_oversized_atom_fails_before_any_statistic(self, monkeypatch, law, n):
+        # {1..n-1} exceeds the law's limit (13, or 8 after the candidate); the
+        # exact route refuses before step 1, and auto goes to Monte-Carlo at once.
+        M = UniformMatroid(n, 1)
+        P = ExplicitPrior(n, [({0}, Fraction(1, 2)), (range(1, n), Fraction(1, 2))])
+        calls = []
+        stat = getattr(preselect, "exact_unspanned_prob_" + law)
+        monkeypatch.setattr(
+            preselect, "exact_unspanned_prob_" + law, lambda *a: calls.append(a) or stat(*a)
+        )
+        run = getattr(preselect, "preselect_" + law)
+        with pytest.raises(EnumerationTooLarge):
+            run(M, P, PreselectConfig(alpha=Fraction(1, 2), mode="exact"), Random(0))
+        assert calls == []
+
+        def outcome(mode):
+            cfg = PreselectConfig(alpha=Fraction(1, 2), mode=mode, sample_override=50)
+            try:
+                return run(M, P, cfg, Random(4)).order
+            except NoQualifyingElement as err:
+                return err.step, err.suffix
+
+        assert outcome("auto") == outcome("mc")
+        assert calls == []
+
     def test_never_active_element_is_skipped_then_fails(self, rng):
         # element 1 never active: conservative rule keeps it unqualified, so
         # the loop fills the other slot and then fails with a partial order
@@ -238,6 +266,26 @@ class TestPreselectMonteCarlo:
                     failures += 1
         assert failures / (2 * runs) <= eps / 4 + 0.05
 
+    def test_bar_is_compared_exactly(self, monkeypatch):
+        # (1 - eps/4) * alpha = 15/176 at alpha = 1/11, eps = 1/4, so 15 escapes in
+        # 176 activations sit exactly on the bar; in floats, 176 * rate > 15.
+        monkeypatch.setattr(preselect, "count_span_stats_prefix", lambda *a: ([176], [15]))
+        cfg = PreselectConfig(alpha=Fraction(1, 11), eps=Fraction(1, 4), sample_override=176)
+        assert preselect_prefix(UniformMatroid(1, 1), AllActivePrior(1), cfg, Random(0)).order == (0,)
+
+    def test_auto_matches_mc_when_an_atom_is_too_large(self):
+        # kuniform:10,5: the prefix law would be drawn on 9 > 8 elements
+        inst = parse_instance("kuniform:10,5")
+        orders = [
+            preselect_prefix(
+                inst.matroid, inst.prior,
+                PreselectConfig(alpha=inst.declared_alpha, mode=mode, sample_override=200),
+                Random(3),
+            )
+            for mode in ("auto", "mc")
+        ]
+        assert orders[0] == orders[1]
+
     def test_canonical_tight_order_qualifies(self):
         # On the parallel-edges-plus-hats instance, the canonical order's
         # hardest step is the base edge (u,u') with the hats still present:
@@ -262,6 +310,15 @@ class TestConfig:
             PreselectConfig(alpha=0.0)
         with pytest.raises(ValueError):
             PreselectConfig(alpha=1.5)
+
+    def test_alpha_and_eps_are_exact(self):
+        cfg = PreselectConfig(alpha=0.2, eps="1/3")
+        assert (cfg.alpha, cfg.eps) == (Fraction(1, 5), Fraction(1, 3))
+        for bad in ({"alpha": 1 + Fraction(1, 10**20)}, {"alpha": 0.5, "eps": 1 + Fraction(1, 10**20)}):
+            with pytest.raises(ValueError):
+                PreselectConfig(**bad)
+        with pytest.raises(ValueError):
+            PreselectConfig(alpha=0.5, mode="monte_carlo")
 
     def test_mode_checked(self):
         with pytest.raises(ValueError):

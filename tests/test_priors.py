@@ -16,6 +16,7 @@ from ocrs import (
     hidden_element_prior,
     prior_from_spec,
 )
+from ocrs.priors import exact_or_sampled
 from ocrs.sampling import EnumerationTooLarge
 
 from conftest import random_explicit_prior
@@ -203,6 +204,18 @@ class TestExactCount:
             SamplerPrior(2, lambda r: 0b11).exact_count(lambda a: [(1, a)])
         assert SamplerPrior(2, lambda r: 0b11).activation_probabilities() is None
 
+    def test_activation_probabilities_are_counted_once(self, rng):
+        P = random_explicit_prior(rng, 5)
+        P.atoms = [(a, _CountedFraction(p)) for a, p in P.atoms]
+        first = P.activation_probabilities()
+        done = _CountedFraction.ops
+        assert done > 0
+        first.clear()  # callers get a copy
+        for _ in range(3):
+            assert len(P.activation_probabilities()) == 5
+        P.p_min(), P.never_active_bits
+        assert _CountedFraction.ops == done
+
 
 def _counted(name):
     def op(self, other):
@@ -213,9 +226,10 @@ def _counted(name):
 
 
 class _CountedFraction(Fraction):
-    """A Fraction that counts the products and differences taken with it."""
+    """A Fraction that counts the products, differences and sums taken with it."""
 
     ops = 0
+    __add__, __radd__ = _counted("__add__"), _counted("__radd__")
     __mul__, __rmul__ = _counted("__mul__"), _counted("__rmul__")
     __sub__, __rsub__ = _counted("__sub__"), _counted("__rsub__")
 
@@ -241,6 +255,37 @@ class TestProductSupport:
             if pr:
                 want.append((bits, pr))
         assert ProductPrior(x).support() == want
+
+
+class TestExactOrSampled:
+    P = ExplicitPrior(2, [(0b01, Fraction(1, 2)), (0b10, Fraction(1, 2))])
+
+    def test_modes(self):
+        exact, sampled = (lambda: "exact"), (lambda: "mc")
+        got = [exact_or_sampled(self.P, mode, exact, sampled) for mode in ("exact", "mc", "auto")]
+        assert got == ["exact", "mc", "exact"]
+        with pytest.raises(ValueError, match="unknown mode"):
+            exact_or_sampled(self.P, "monte_carlo", exact, sampled)
+
+    def test_auto_samples_without_a_small_explicit_support(self):
+        def exact():
+            raise AssertionError("exact route tried")
+
+        for P in (SamplerPrior(2, lambda r: 0b11), ProductPrior([Fraction(1, 2)] * 13)):
+            assert exact_or_sampled(P, "auto", exact, lambda: "mc") == "mc"
+
+    def test_auto_falls_back_only_when_the_exact_route_refuses(self):
+        def refuse():
+            raise EnumerationTooLarge("too many outcomes")
+
+        def broken():
+            raise PriorError("not a refusal")
+
+        assert exact_or_sampled(self.P, "auto", refuse, lambda: "mc") == "mc"
+        with pytest.raises(EnumerationTooLarge):
+            exact_or_sampled(self.P, "exact", refuse, lambda: "mc")
+        with pytest.raises(PriorError):
+            exact_or_sampled(self.P, "auto", broken, lambda: "mc")
 
 
 class TestHiddenElementPrior:
