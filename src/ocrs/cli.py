@@ -193,18 +193,18 @@ def cmd_lp_build(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, trials: bool = False) -> None:
+def _add_io(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True, help="instance shorthand or JSON path")
+    p.add_argument("--out", default=None, help="output path prefix (stdout if omitted)")
+
+
+def _add_build(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=Fraction, default=Fraction(1, 4))
     p.add_argument("--alpha", type=Fraction, default=None,
                    help="override the instance's declared level (exact, e.g. 5/7)")
     p.add_argument("--mode", choices=MODES, default="mc")
     p.add_argument("--samples", type=int, default=None, help="override per-step sample count")
-    p.add_argument("--out", default=None, help="output path prefix (stdout if omitted)")
-    if trials:
-        p.add_argument("--trials", type=int, default=10000)
-        p.add_argument("--ci-level", type=float, default=0.99)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -212,32 +212,38 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-instance", help="emit an instance JSON")
-    _add_common(p)
+    _add_io(p)
     p.set_defaults(fn=cmd_gen_instance)
 
     p = sub.add_parser("preselect", help="preselect an arrival order")
-    _add_common(p)
+    _add_io(p)
+    _add_build(p)
     p.add_argument("--kind", choices=["indep", "prefix"], default="indep")
     p.set_defaults(fn=cmd_preselect)
 
     p = sub.add_parser("run", help="one online draw")
-    _add_common(p)
+    _add_io(p)
+    _add_build(p)
     p.add_argument("--scheme", required=True)
     p.add_argument("--order", choices=["preselect", "canonical"], default="preselect")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("evaluate", help="balancedness report over many trials")
-    _add_common(p, trials=True)
+    _add_io(p)
+    _add_build(p)
+    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--ci-level", type=float, default=0.99)
     p.add_argument("--scheme", required=True)
     p.add_argument("--order", choices=["preselect", "canonical"], default="preselect")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("oracle-alpha", help="exact best-achievable balancedness")
-    _add_common(p)
+    _add_io(p)
     p.set_defaults(fn=cmd_oracle_alpha)
 
     p = sub.add_parser("lp-build", help="column-generation scheme build")
-    _add_common(p)
+    _add_io(p)
+    _add_build(p)
     p.add_argument("--reduction", choices=["permutation", "secretary"], default="permutation")
     p.add_argument("--secretary", choices=["greedy_by_weight", "classic_1uniform"],
                    default="greedy_by_weight")

@@ -173,8 +173,9 @@ def parse_instance(text: str) -> Instance:
         m_override = None
         for p in parts[1:]:
             key, _, val = p.partition("=")
-            if key == "m":
-                m_override = int(val)
+            if key != "m":
+                raise ValueError(f"unknown parallel-hats option {p!r} (use m=M)")
+            m_override = int(val)
         return gen_parallel_hats(parts[0], m_override)
     if name == "hidden":
         n, alpha, delta, j = args.split(",")
@@ -260,6 +261,8 @@ def estimate_balancedness(
     Hoeffding interval. Elements never seen active get a no-data row."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 0 < ci_level < 1:
+        raise ValueError(f"ci_level must lie in (0, 1), got {ci_level}")
     act, sel = P.count(trials, rng, partial(scheme.run_bits, M))
     elements = []
     for e in range(M.n):

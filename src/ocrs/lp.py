@@ -7,12 +7,15 @@ dual (mu, gamma), and ask the separation step for the most violated column
 -- the greedy order sorted by decreasing mu, or its floor onto the weight
 grid in the secretary reduction. New columns have their per-element
 selection probabilities either computed exactly over an explicit support,
-or estimated by Monte-Carlo with the usual relative-error sample size
-m = ceil(2 ln(2/delta) / (eta^2 p_min^2)).
+or estimated by Monte-Carlo as count ratios Fraction(count, m), with the
+usual relative-error sample size m = ceil(2 ln(2/delta) / (eta^2 p_min^2)).
+Either way every LP entry is a Fraction, so the build's arithmetic is exact
+in both modes; the modes differ only in how a column is priced.
 
 Convergence certificate: at termination the best column the separation can
-produce is (numerically) not violated, so the restricted dual value gamma
-bounds the unrestricted one from above up to the gap tolerance.
+produce is not violated (violation <= 0, compared exactly), so the
+restricted dual value gamma bounds the unrestricted one from above; in
+Monte-Carlo mode, the unrestricted LP over the estimated columns.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from .schemes import (
     secretary_wrap_bits,
 )
 from .simplex import solve_lp
-
-DEFAULT_GAP_FLOOR = 1e-6
 
 
 class GridRangeError(ValueError):
@@ -66,7 +67,7 @@ class WeightGrid:
         if v < 0:
             if v < -Fraction(1, 10**9):
                 raise GridRangeError(f"negative coordinate {value}")
-            v = Fraction(0)  # float dual noise
+            v = Fraction(0)  # noise in a float input
         idx = v // self.step
         if idx > self.top_index:
             raise GridRangeError(f"coordinate {value} above grid max {self.max_value}")
@@ -137,9 +138,10 @@ def estimate_xq(
     rng: Random,
     p_min=None,
     m_override: Optional[int] = None,
-) -> tuple[list[float], list[float], int]:
+) -> tuple[list[Fraction], list[Fraction], int]:
     """Empirical activation and selection frequencies from m joint samples
-    (`Prior.count`); a `runner` of None counts activations only.
+    (`Prior.count`), as exact count ratios Fraction(count, m); a `runner`
+    of None counts activations only.
 
     Per element, each estimate misses its target by more than eta*x_i with
     probability at most delta. `m_override` trades the guarantee for speed.
@@ -148,7 +150,7 @@ def estimate_xq(
         p_min = P.p_min(rng=rng)
     m = m_override or estimation_sample_size(eta, delta, p_min)
     act, sel = P.count(m, rng, runner)
-    return [a / m for a in act], [s / m for s in sel], m
+    return [Fraction(a, m) for a in act], [Fraction(s, m) for s in sel], m
 
 
 def exact_selection_column(P: Prior, select: Callable[[int], int]) -> list[Fraction]:
@@ -200,12 +202,17 @@ def _column_generation(
     one column on one active set; `start(x, p_min)`, the first key and the
     separation that maps a dual mu to the next key; and `key_json(key)`.
     `priors.exact_or_sampled` reads `mode`. Exact columns are counted over
-    the support with gap 0; their selector gets no rng, so a family that
-    draws (a random-arrival secretary) raises `EnumerationTooLarge`. Sampled
-    columns are estimated with relative accuracy eta = eps*c*alpha_target
-    and confidence delta, an eps/stages share of the failure budget
-    union-bounded over the columns the loop can visit.
+    the support; their selector gets no rng, so a family that draws (a
+    random-arrival secretary) raises `EnumerationTooLarge`. Sampled columns
+    are count ratios with relative accuracy eta = eps*c*alpha_target and
+    confidence delta, an eps/stages share of the failure budget
+    union-bounded over the columns the loop can visit. Both kinds are
+    Fractions, so the loop stops at violation <= 0 in both modes, and the
+    LP's lam, which its equality row makes sum to exactly 1, are the
+    mixture weights as they are.
     """
+    if estimation_override is not None and estimation_override < 1:
+        raise ValueError(f"estimation_override must be None or >= 1, got {estimation_override}")
     n = M.n
     per_stage = eps / stages
     cap = iteration_cap or 50 * n
@@ -213,7 +220,6 @@ def _column_generation(
     delta = per_stage / (n * (cap + 2))
 
     def generate(exact_columns, x, p_min, price, samples):
-        gap = 0 if exact_columns else min(DEFAULT_GAP_FLOOR, eta / 10)
         split = {"per_stage": float(per_stage), "stages": stages}
         report = BuildReport(kind, n, eps, split, exact_columns, estimation_samples=samples)
         key, separate = start(x, p_min)
@@ -229,7 +235,7 @@ def _column_generation(
                 break
             col = LpColumn(key, price(key))
             violation = sum(qi * mi for qi, mi in zip(col.q, sol.mu)) - sol.gamma
-            if violation <= gap:
+            if violation <= 0:
                 report.converged = True
                 break
             columns.append(col)
@@ -241,8 +247,6 @@ def _column_generation(
         report.gamma = sol.gamma
 
         items = [(col.key, l) for col, l in zip(columns, sol.lam) if l > 0]
-        total = to_fraction(sum(l for _, l in items))
-        items = [(k, to_fraction(l) / total) for k, l in items]
         report.columns = [key_json(k) for k, _ in items]
         return items, report
 
@@ -311,12 +315,13 @@ def build_secretary_reduction(
     def start(x, p_min):
         # Grid built from the smallest activation probability actually seen,
         # so every dual mu (mu_i <= 1/x_i) stays on the grid even with noisy x.
-        grid_pmin = min([to_fraction(p_min)] + [to_fraction(xi) for xi in x if xi > 0])
+        # p_min is read by `to_fraction`: an opaque prior's is a float estimate.
+        grid_pmin = min([to_fraction(p_min)] + [xi for xi in x if xi > 0])
         grid = WeightGrid(n=n, eps=eps / 7, p_min=grid_pmin)
         pos = [i for i in range(n) if x[i] > 0]
         mu0 = [0] * n
         for i in pos:
-            mu0[i] = Fraction(1, len(pos)) / to_fraction(x[i])
+            mu0[i] = Fraction(1, len(pos)) / x[i]
         return round_to_grid(mu0, grid), lambda mu: round_to_grid(mu, grid)
 
     items, report = _column_generation(

@@ -75,7 +75,7 @@ def max_uncontentious_alpha(M: Matroid, P: Prior) -> AlphaCertificate:
     rule that achieves it.
 
     Solved as the LP mixture over greedy orders, by the column generation of
-    `build_lp_scheme` with exact columns and gap 0. This rests on M being a
+    `build_lp_scheme` with exact columns. This rests on M being a
     matroid: the LP over all selection rules prices each atom by its
     max-weight independent subset, which greedy along decreasing weight
     finds exactly (Edmonds), so both LPs have the same optimum. The result

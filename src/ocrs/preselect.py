@@ -80,6 +80,8 @@ class PreselectConfig:
             raise ValueError(f"eps must lie in (0,1], got {self.eps}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.sample_override is not None and self.sample_override < 1:
+            raise ValueError(f"sample_override must be None or >= 1, got {self.sample_override}")
 
 
 def sample_size(n: int, alpha: float, eps: float, p_min: float) -> int:

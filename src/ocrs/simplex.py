@@ -14,7 +14,7 @@ by (p*T[i] - T[i][j]*T[r]) // D, a division Sylvester's identity makes
 exact, and then sets D = p. Pricing, the ratio test and the phase-1 residual
 compare integers by cross-multiplication, so there is no tolerance and
 Bland's rule picks the same pivots as on exact rationals. Results are
-Fractions, or floats when some input was a float.
+always Fractions.
 
 Problem form (all variables nonnegative):
 
@@ -46,19 +46,10 @@ class LpUnbounded(RuntimeError):
 @dataclass
 class LpResult:
     x: list
-    objective: object
+    objective: Fraction
     dual_eq: list
     dual_ub: list
     iterations: int
-
-
-def _is_exact(*arrays) -> bool:
-    for arr in arrays:
-        for row in arr:
-            for v in row if isinstance(row, (list, tuple)) else [row]:
-                if not isinstance(v, (int, Fraction)):
-                    return False
-    return True
 
 
 def _rational(v):
@@ -87,7 +78,6 @@ def solve_lp(
     b_ub = list(b_ub or [])
     A_eq = [list(r) for r in (A_eq or [])]
     b_eq = list(b_eq or [])
-    exact = _is_exact([c], A_ub, [b_ub], A_eq, [b_eq])
     c = [_rational(ci) for ci in c]
     nv = len(c)
 
@@ -222,10 +212,6 @@ def solve_lp(
             continue
         val = sum(ci * tab[i][art0 + r] for i, ci in priced)
         y.append(Fraction(sense * flip[r] * scale[r] * val, den * cost_scale))
-    if not exact:
-        x = [float(v) for v in x]
-        objective = float(objective)
-        y = [float(v) for v in y]
     return LpResult(
         x=x,
         objective=objective,

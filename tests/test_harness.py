@@ -90,6 +90,11 @@ class TestParseInstance:
         with pytest.raises(ValueError):
             parse_instance("transversal:3")
 
+    @pytest.mark.parametrize("spec", ["parallel-hats:1/2,n=3", "parallel-hats:1/2,3"])
+    def test_unknown_parallel_hats_option_rejected(self, spec):
+        with pytest.raises(ValueError, match="parallel-hats option"):
+            parse_instance(spec)
+
     def test_json_file_round_trip(self, tmp_path):
         inst = two_element_instance()
         path = tmp_path / "inst.json"
@@ -144,6 +149,15 @@ class TestEstimateBalancedness:
         with pytest.raises(ValueError):
             estimate_balancedness(
                 inst.matroid, PrefixSubsampling(Permutation.identity(4)), inst.prior, 0, rng
+            )
+
+    @pytest.mark.parametrize("level", [0, 1, 1.5, -0.5, float("nan")])
+    def test_ci_level_must_lie_in_the_open_unit_interval(self, rng, level):
+        inst = gen_kuniform_allactive(4, 2)
+        with pytest.raises(ValueError, match="ci_level"):
+            estimate_balancedness(
+                inst.matroid, PrefixSubsampling(Permutation.identity(4)), inst.prior, 10, rng,
+                ci_level=level,
             )
 
     def test_estimates_agree_with_exact_values_across_seeds(self):
@@ -249,6 +263,38 @@ class TestCli:
         )
         assert rc == 0
         assert sorted(json.loads(capsys.readouterr().out)["order"]) == list(range(7))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-instance", "--instance", "twoelem", "--seed", "3"],
+            ["gen-instance", "--instance", "twoelem", "--eps", "9"],
+        ],
+    )
+    def test_gen_instance_takes_only_instance_and_out(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_run(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle-alpha", "--instance", "twoelem", "--mode", "mc"],
+            ["oracle-alpha", "--instance", "twoelem", "--samples", "5"],
+        ],
+    )
+    def test_oracle_alpha_takes_only_instance_and_out(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_run(argv)
+        assert exc.value.code == 2
+
+    def test_bad_counts_and_levels_exit_2(self, capsys):
+        assert cli_run(["preselect", "--instance", "kuniform:4,2", "--samples", "-5"]) == 2
+        assert cli_run(["lp-build", "--instance", "twoelem", "--samples", "0"]) == 2
+        for level in ("1", "1.5"):
+            assert cli_run(["evaluate", "--instance", "kuniform:4,2", "--scheme", "greedy",
+                            "--trials", "10", "--ci-level", level]) == 2
+        assert "ci_level" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, capsys):
         assert cli_run(["oracle-alpha", "--instance", "nonsense:1"]) == 2

@@ -20,10 +20,11 @@ from ocrs import (
     two_element_instance,
 )
 from ocrs.lp import GridRangeError, estimation_sample_size, exact_selection_column
-from ocrs.harness import estimate_balancedness
+from ocrs.harness import estimate_balancedness, parse_instance
 from ocrs.priors import AllActivePrior, EnumerationTooLarge, SamplerPrior
 from ocrs.sampling import Permutation
 from ocrs.schemes import IndependentSubsampling, greedy_ordered_bits, order_by_weight
+from ocrs.simplex import solve_lp
 
 from conftest import random_explicit_prior
 
@@ -89,8 +90,9 @@ class TestEstimation:
         )
         report = estimate_balancedness(M, scheme, P, 3000, Random(4))
         assert m == 3000
-        assert x == [e.active_count / m for e in report.elements]
-        assert q == [e.selected_count / m for e in report.elements]
+        assert x == [Fraction(e.active_count, m) for e in report.elements]
+        assert q == [Fraction(e.selected_count, m) for e in report.elements]
+        assert all(type(v) is Fraction for v in x + q)
         assert any(q)
 
 
@@ -318,3 +320,55 @@ class TestMonteCarloBuildContract:
         for stages, _, report in self.builds():
             assert report.eps_split == {"per_stage": float(self.EPS / stages), "stages": stages}
             assert report.to_json()["eps_split"] == report.eps_split
+
+
+class TestMonteCarloBuildIsExact:
+    """A Monte-Carlo column is a vector of count ratios, so the build's LPs,
+    its beta trajectory and its mixture weights are Fractions as well."""
+
+    @pytest.mark.parametrize("spec", ["twoelem", "kuniform:5,2"])
+    @pytest.mark.parametrize("reduction", ["permutation", "secretary"])
+    def test_beta_and_weights_are_fractions(self, spec, reduction):
+        inst = parse_instance(spec)
+        kwargs = dict(eps=Fraction(1, 10), rng=Random(1), mode="mc",
+                      alpha_target=inst.declared_alpha, estimation_override=400)
+        if reduction == "permutation":
+            mix, report = build_lp_scheme(inst.matroid, inst.prior, **kwargs)
+        else:
+            mix, report = build_secretary_reduction(
+                inst.matroid, inst.prior, "greedy_by_weight", c=1, **kwargs
+            )
+        assert report.exact_columns is False
+        assert all(type(b) is Fraction for b in report.beta_trajectory)
+        weights = [wt for _, wt in mix.components]
+        assert all(type(wt) is Fraction for wt in weights)
+        assert sum(weights) == 1
+
+    def test_solve_lp_reads_floats_exactly(self):
+        # The restricted-LP shape with float entries: the same Fractions as
+        # the LP over each float's exact binary value.
+        q = [[0.3, 0.7, 0.1], [0.6, 0.2, 0.45], [0.5, 0.5, 0.5]]
+        x = [0.9, 0.8, 0.55]
+        c = [1.0, 0.0, 0.0, 0.0]
+        A_ub = [[x[i]] + [-col[i] for col in q] for i in range(3)]
+        A_eq, b_eq, b_ub = [[0.0, 1.0, 1.0, 1.0]], [1.0], [0.0] * 3
+        got = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, maximize=True)
+        F = lambda rows: [[Fraction(v) for v in r] for r in rows]
+        ref = solve_lp(F([c])[0], A_ub=F(A_ub), b_ub=F([b_ub])[0], A_eq=F(A_eq),
+                       b_eq=F([b_eq])[0], maximize=True)
+        for field in ("x", "dual_eq", "dual_ub"):
+            assert all(type(v) is Fraction for v in getattr(got, field))
+            assert getattr(got, field) == getattr(ref, field)
+        assert type(got.objective) is Fraction and got.objective == ref.objective
+        assert sum(got.x[1:]) == 1
+
+    @pytest.mark.parametrize("override", [0, -5])
+    def test_estimation_override_must_be_positive(self, override):
+        inst = gen_kuniform_allactive(4, 2)
+        with pytest.raises(ValueError, match="estimation_override"):
+            build_lp_scheme(inst.matroid, inst.prior, eps=0.25, rng=Random(0), mode="mc",
+                            estimation_override=override)
+        with pytest.raises(ValueError, match="estimation_override"):
+            build_secretary_reduction(inst.matroid, inst.prior, "greedy_by_weight", c=1,
+                                      eps=0.25, rng=Random(0), mode="mc",
+                                      estimation_override=override)

@@ -324,6 +324,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             PreselectConfig(alpha=0.5, mode="guess")
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_override_must_be_positive(self, samples):
+        with pytest.raises(ValueError, match="sample_override"):
+            PreselectConfig(alpha=0.5, sample_override=samples)
+
 
 def test_prefix_counter_statistic_matches_exact(rng):
     inst = gen_kuniform_allactive(4, 2)
