@@ -41,15 +41,23 @@ def _alpha(args, inst: Instance) -> Fraction:
     return inst.declared_alpha if args.alpha is None else args.alpha
 
 
+def _eps(args) -> Fraction:
+    return Fraction(1, 4) if args.eps is None else args.eps
+
+
 def _preselect_cfg(args, inst: Instance) -> PreselectConfig:
     return PreselectConfig(
-        alpha=_alpha(args, inst), eps=args.eps, mode=args.mode, sample_override=args.samples
+        alpha=_alpha(args, inst), eps=_eps(args), mode=args.mode or "mc",
+        sample_override=args.samples,
     )
 
 
 def _build_scheme(args, inst: Instance, rng: Random):
     name = args.scheme
     if name.endswith(".json"):
+        for flag in ("mode", "samples", "eps", "alpha", "order"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} does not apply to a scheme JSON")
         with open(name) as f:
             return scheme_from_spec(json.load(f))
     order = None
@@ -169,18 +177,13 @@ def cmd_oracle_alpha(args) -> int:
 
 def cmd_lp_build(args) -> int:
     inst = parse_instance(args.instance)
-    rng = Random(args.seed)
-    alpha = _alpha(args, inst)
+    build = dict(eps=_eps(args), rng=Random(args.seed), mode=args.mode or "mc",
+                 alpha_target=_alpha(args, inst), estimation_override=args.samples)
     if args.reduction == "permutation":
-        scheme, report = build_lp_scheme(
-            inst.matroid, inst.prior, eps=args.eps, rng=rng,
-            mode=args.mode, alpha_target=alpha, estimation_override=args.samples,
-        )
+        scheme, report = build_lp_scheme(inst.matroid, inst.prior, **build)
     else:
         scheme, report = build_secretary_reduction(
-            inst.matroid, inst.prior, secretary_kind=args.secretary,
-            c=args.competitiveness, eps=args.eps, rng=rng,
-            mode=args.mode, alpha_target=alpha, estimation_override=args.samples,
+            inst.matroid, inst.prior, args.secretary, args.competitiveness, **build
         )
     payload = {
         "instance": inst.name,
@@ -200,10 +203,10 @@ def _add_io(p: argparse.ArgumentParser) -> None:
 
 def _add_build(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=Fraction, default=Fraction(1, 4))
+    p.add_argument("--eps", type=Fraction, default=None, help="default 1/4")
     p.add_argument("--alpha", type=Fraction, default=None,
                    help="override the instance's declared level (exact, e.g. 5/7)")
-    p.add_argument("--mode", choices=MODES, default="mc")
+    p.add_argument("--mode", choices=MODES, default=None, help="default mc")
     p.add_argument("--samples", type=int, default=None, help="override per-step sample count")
 
 
@@ -225,7 +228,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_io(p)
     _add_build(p)
     p.add_argument("--scheme", required=True)
-    p.add_argument("--order", choices=["preselect", "canonical"], default="preselect")
+    p.add_argument("--order", choices=["preselect", "canonical"], help="default preselect")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("evaluate", help="balancedness report over many trials")
@@ -234,7 +237,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--ci-level", type=float, default=0.99)
     p.add_argument("--scheme", required=True)
-    p.add_argument("--order", choices=["preselect", "canonical"], default="preselect")
+    p.add_argument("--order", choices=["preselect", "canonical"], help="default preselect")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("oracle-alpha", help="exact best-achievable balancedness")

@@ -144,11 +144,14 @@ def estimate_xq(
     of None counts activations only.
 
     Per element, each estimate misses its target by more than eta*x_i with
-    probability at most delta. `m_override` trades the guarantee for speed.
+    probability at most delta, unless `m_override` (an int >= 1) sets m.
     """
-    if p_min is None:
-        p_min = P.p_min(rng=rng)
-    m = m_override or estimation_sample_size(eta, delta, p_min)
+    if m_override is None:
+        m = estimation_sample_size(eta, delta, P.p_min(rng=rng) if p_min is None else p_min)
+    elif isinstance(m_override, int) and m_override >= 1:
+        m = m_override
+    else:
+        raise ValueError(f"m_override must be None or an int >= 1, got {m_override!r}")
     act, sel = P.count(m, rng, runner)
     return [Fraction(a, m) for a in act], [Fraction(s, m) for s in sel], m
 

@@ -5,21 +5,21 @@ structured (explicit list / product / all-active), how to report exact
 activation probabilities and an exact p_min. Opaque samplers fall back to
 a Hoeffding estimate of p_min.
 
-Exact probabilities are kept as Fractions so downstream enumeration
-(oracles, exact preselection) carries no rounding error. Float inputs are
-read as their decimal literal (0.2 means 1/5).
+Exact probabilities are kept as Fractions, so enumeration (oracles, exact
+preselection) and the exact draws of `sampling` carry no rounding error.
+Float inputs are read as their decimal literal (0.2 means 1/5).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bitset import DimensionMismatch, SubsetMask, full_mask, iter_bits, mask_of
+from .sampling import EnumerationTooLarge, draw_index, exact_cdf, t_rho_bits, to_fraction
 
 PROB_SUM_TOL = Fraction(1, 10**12)
 MODES = ("exact", "mc", "auto")
@@ -28,10 +28,6 @@ AUTO_EXACT_ATOMS = 4096  # auto enumerates an explicit support up to this many a
 
 class PriorError(ValueError):
     pass
-
-
-class EnumerationTooLarge(ValueError):
-    """Exact enumeration was requested beyond the desk-scale limits."""
 
 
 def exact_or_sampled(P: Prior, mode: str, exact: Callable, sampled: Callable):
@@ -53,34 +49,6 @@ def exact_or_sampled(P: Prior, mode: str, exact: Callable, sampled: Callable):
                 pass
         return sampled()
     return exact() if mode == "exact" else sampled()
-
-
-def to_fraction(x) -> Fraction:
-    """Exact Fraction from int/Fraction/str; floats via their repr digits."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
-
-
-def float_cdf(weights: Iterable) -> list[float]:
-    """Running float sums of `weights` for inverse-CDF draws. The last sum
-    is raised to at least 1, so every draw in [0, 1) lands on an index."""
-    cum = 0.0
-    cdf = []
-    for w in weights:
-        cum += float(w)
-        cdf.append(cum)
-    cdf[-1] = max(cdf[-1], 1.0)
-    return cdf
-
-
-def draw_index(cdf: list[float], rng: Random) -> int:
-    """One inverse-CDF draw: the first index whose running sum exceeds u."""
-    return bisect_right(cdf, rng.random())
 
 
 class Prior:
@@ -202,7 +170,7 @@ class Prior:
 class ExplicitPrior(Prior):
     """Finite support given as (subset, probability) atoms.
 
-    Atoms are stored sorted by mask value so inverse-CDF sampling is
+    Atoms are stored sorted by mask value, so the integer-CDF draw is
     deterministic for a fixed seed. Probabilities must be nonnegative and
     sum to 1 up to 1e-12, to admit float input; they are divided by their
     exact total, so the support's mass is exactly 1.
@@ -225,7 +193,7 @@ class ExplicitPrior(Prior):
         self.atoms: list[tuple[int, Fraction]] = sorted(
             (bits, p / total) for bits, p in merged.items()
         )
-        self._cdf = float_cdf(p for _, p in self.atoms)
+        self._cdf = exact_cdf([p for _, p in self.atoms])
 
     def sample_bits(self, rng: Random) -> int:
         return self.atoms[draw_index(self._cdf, rng)][0]
@@ -280,13 +248,14 @@ class ProductPrior(Prior):
         for xi in self.x:
             if not 0 <= xi <= 1:
                 raise PriorError(f"activation probability {xi} outside [0,1]")
-        self._xf = [float(xi) for xi in self.x]
+        self._groups: dict[Fraction, int] = {}  # x value -> mask of its elements
+        for i, xi in enumerate(self.x):
+            self._groups[xi] = self._groups.get(xi, 0) | 1 << i
 
     def sample_bits(self, rng: Random) -> int:
         bits = 0
-        for i, xi in enumerate(self._xf):
-            if rng.random() < xi:
-                bits |= 1 << i
+        for xi, group in self._groups.items():
+            bits |= t_rho_bits(group, xi, rng)
         return bits
 
     def activation_probabilities(self):

@@ -1,8 +1,9 @@
-"""Subsampling operators, their exact laws, and permutation utilities.
+"""Exact draws, subsampling operators and their exact laws, permutations.
 
-Two subsamplers are provided: independent per-element thinning, and the
-correlated prefix subsampler (everything before a uniformly placed sentinel
-in a random permutation). The conditional insertion law of the latter,
+Every draw compares fair bits. Per-element draws compare bit planes
+(`_below`): thinning with rho, the prefix subsample (the elements before a
+uniformly placed sentinel) with the sentinel's own uniform; categorical
+draws bisect an integer CDF. The prefix law's conditional insertion law,
 Pr[next element lands in T | current intersection has size s] = (s+1)/(i+1),
 is what the prefix-based scheme's guarantee rests on; the exact-enumeration
 tests reproduce it with zero error.
@@ -11,12 +12,28 @@ tests reproduce it with zero error.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
 from .bitset import SubsetMask, full_mask, mask_of, popcount
-from .priors import EnumerationTooLarge, to_fraction
+
+
+class EnumerationTooLarge(ValueError):
+    """Exact enumeration was requested beyond the desk-scale limits."""
+
+
+def to_fraction(x) -> Fraction:
+    """Exact Fraction from int/Fraction/str; floats via their repr digits."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, float):
+        return Fraction(str(x))
+    return Fraction(x)
 
 
 class Permutation:
@@ -74,9 +91,7 @@ class Permutation:
 
 
 def random_permutation(n: int, rng: Random) -> Permutation:
-    items = list(range(n))
-    rng.shuffle(items)
-    return Permutation(items)
+    return Permutation(shuffled(range(n), rng))
 
 
 def shuffled(elements: Iterable[int], rng: Random) -> list[int]:
@@ -85,32 +100,40 @@ def shuffled(elements: Iterable[int], rng: Random) -> list[int]:
     return items
 
 
-def t_rho_bits(bits: int, rho, rng: Random) -> int:
-    """Keep each element of `bits` independently with probability exactly rho.
+def _below(bits: int, num: int, den: int, rng: Random) -> int:
+    """The elements e of `bits` with U_e < r, for iid uniform U_e (Knuth-Yao).
+    Level i draws one word holding bit u_i of every undecided element; it is
+    kept if u_i < r_i, r's binary digit, dropped if u_i > r_i, and undecided
+    on a tie, until nothing is undecided or r's expansion ends. r is num/den,
+    or, with num 1 and den 0, a sentinel's uniform U_s: one more fair bit per word."""
+    kept = 0
+    while bits and num:
+        width = bits.bit_length()
+        if den:
+            u = rng.getrandbits(width)
+            num <<= 1
+            digit = num >= den
+            if digit:
+                num -= den
+        else:
+            u = rng.getrandbits(width + 1)
+            digit = u >> width
+        if digit:  # u_i = 0 keeps, u_i = 1 stays undecided
+            kept |= bits & ~u
+            bits &= u
+        else:  # u_i = 1 drops, u_i = 0 stays undecided
+            bits &= ~u
+    return kept
 
-    Knuth-Yao comparison: each element reads fair bits u_1 u_2 ... against
-    rho's binary expansion r_1 r_2 ... and is kept if u < rho, that is if
-    u_i < r_i at the first level i where the two differ. Level i draws one
-    word holding u_i for every element still undecided, so rho = 1/4 costs
-    two words; the walk stops when nothing is undecided or the expansion
-    ends. rho is read by `to_fraction` (a float means its decimal digits);
-    hot callers pass a `Fraction` they converted once."""
+
+def t_rho_bits(bits: int, rho, rng: Random) -> int:
+    """Keep each element of `bits` independently with probability exactly rho
+    (`_below` with rho's binary expansion: rho = 1/4 costs two words). rho is
+    read by `to_fraction`, so a float means its decimal digits."""
     num, den = to_fraction(rho).as_integer_ratio()
     if not 0 <= num <= den:
         raise ValueError(f"keep probability {rho} outside [0,1]")
-    if num == den:
-        return bits
-    kept = 0
-    while bits and num:
-        u = rng.getrandbits(bits.bit_length())
-        num <<= 1
-        if num >= den:  # r_i = 1: u_i = 0 keeps, u_i = 1 stays undecided
-            num -= den
-            kept |= bits & ~u
-            bits &= u
-        else:  # r_i = 0: u_i = 1 drops, u_i = 0 stays undecided
-            bits &= ~u
-    return kept
+    return bits if num == den else _below(bits, num, den, rng)
 
 
 def t_rho(S: SubsetMask, rho, rng: Random) -> SubsetMask:
@@ -120,18 +143,30 @@ def t_rho(S: SubsetMask, rho, rng: Random) -> SubsetMask:
 
 def prefix_subsample_bits(n: int, rng: Random) -> int:
     """Correlated subsample of {0..n-1} with the law of the elements before a
-    uniformly placed sentinel (`PrefixLaw`): |T| = s uniform on {0..n}, then a
-    uniform s-subset, drawn through the smaller of it and its complement."""
+    uniformly placed sentinel (`PrefixLaw`): T = {e : U_e < U_s} for iid
+    uniform U on the elements and a sentinel s (`_below`)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    s = rng.randrange(n + 1)
-    if 2 * s <= n:
-        return mask_of(rng.sample(range(n), s))
-    return full_mask(n) ^ mask_of(rng.sample(range(n), n - s))
+    return _below(full_mask(n), 1, 0, rng)
 
 
 def prefix_subsample(n: int, rng: Random) -> SubsetMask:
     return SubsetMask(n, prefix_subsample_bits(n, rng))
+
+
+def exact_cdf(weights: Sequence[Fraction]) -> list[int]:
+    """Running sums of `weights` as integers over their common denominator."""
+    den = math.lcm(*(w.denominator for w in weights))
+    return list(accumulate(w.numerator * (den // w.denominator) for w in weights))
+
+
+def draw_index(cdf: list[int], rng: Random) -> int:
+    """One exact draw from an `exact_cdf`: u uniform below the last sum, by
+    rejection on fair bits, then the first index whose running sum exceeds u."""
+    u = total = cdf[-1]
+    while u >= total:
+        u = rng.getrandbits((total - 1).bit_length())
+    return bisect_right(cdf, u)
 
 
 class SubsampleLaw:

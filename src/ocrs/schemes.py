@@ -31,12 +31,14 @@ from typing import Iterator, Optional, Sequence
 from .bitset import SubsetMask, full_mask
 from .matroid import Matroid, greedy_ordered_bits
 from .preselect import PreselectConfig, preselect_independent, preselect_prefix
-from .priors import Prior, draw_index, float_cdf, to_fraction
+from .priors import Prior, to_fraction
 from .sampling import (
     EnumerationTooLarge,
     IndependentLaw,
     Permutation,
     PrefixLaw,
+    draw_index,
+    exact_cdf,
     prefix_subsample_bits,
     random_permutation,
     t_rho_bits,
@@ -166,7 +168,7 @@ class _Mixture(Scheme):
         if any(wt < 0 for wt in weights) or abs(total - 1) > MIXTURE_WEIGHT_TOL:
             raise ValueError(f"mixture weights must be >= 0 and sum to 1, got sum {float(total)}")
         self.components = [(col, wt / total) for (col, _), wt in zip(components, weights)]
-        self._cdf = float_cdf(wt for _, wt in self.components)
+        self._cdf = exact_cdf([wt for _, wt in self.components])
 
     def run_bits(self, M, a_bits, rng):
         column = self.components[draw_index(self._cdf, rng)][0]
@@ -240,14 +242,14 @@ class Classic1Uniform(SecretaryAlgorithm):
         super().__init__(M)
         self._observe = math.floor(M.n / math.e)
         self._seen = 0
-        self._best = 0.0
+        self._best = 0
 
     def next(self, e, w):
         self._seen += 1
         if self._seen <= self._observe:
-            self._best = max(self._best, float(w))
+            self._best = max(self._best, w)
             return False
-        if w <= 0 or float(w) < self._best:
+        if w <= 0 or w < self._best:
             return False
         return self._grower.try_add(e)
 

@@ -6,16 +6,25 @@ from random import Random
 import pytest
 
 from ocrs import (
+    IndependentSubsampling,
     OrderedGreedy,
     Permutation,
+    PermutationMixture,
     PrefixSubsampling,
+    PreselectConfig,
+    ProductPrior,
     SubsetMask,
     UniformMatroid,
+    WeightMixture,
+    build_lp_scheme,
+    build_secretary_reduction,
     estimate_balancedness,
     gen_kuniform_allactive,
     gen_parallel_hats,
     max_uncontentious_alpha,
     parse_instance,
+    preselect_independent,
+    preselect_prefix,
     two_element_instance,
 )
 from ocrs import preselect
@@ -296,6 +305,29 @@ class TestCli:
                             "--trials", "10", "--ci-level", level]) == 2
         assert "ci_level" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "evaluate"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--mode", "exact"], ["--mode", "mc"], ["--samples", "5"], ["--eps", "0.9"],
+         ["--eps", "1/4"], ["--alpha", "1/7"], ["--order", "canonical"], ["--order", "preselect"]],
+    )
+    def test_scheme_json_rejects_build_flags(self, tmp_path, capsys, command, flag):
+        # A scheme JSON is already built, so a build flag would be ignored,
+        # even one that repeats its default.
+        path = tmp_path / "greedy.json"
+        path.write_text(json.dumps(OrderedGreedy(Permutation([1, 0])).to_spec()))
+        argv = [command, "--instance", "twoelem", "--scheme", str(path)] + flag
+        assert cli_run(argv) == 2
+        assert f"{flag[0]} does not apply to a scheme JSON" in capsys.readouterr().err
+
+    def test_scheme_json_takes_seed_trials_and_ci_level(self, tmp_path, capsys):
+        path = tmp_path / "greedy.json"
+        path.write_text(json.dumps(OrderedGreedy(Permutation([1, 0])).to_spec()))
+        argv = ["evaluate", "--instance", "twoelem", "--scheme", str(path),
+                "--seed", "3", "--trials", "50", "--ci-level", "0.9"]
+        assert cli_run(argv) == 0
+        assert cli_run(["run", "--instance", "twoelem", "--scheme", str(path), "--seed", "3"]) == 0
+
     def test_config_error_exit_code(self, capsys):
         assert cli_run(["oracle-alpha", "--instance", "nonsense:1"]) == 2
         assert cli_run(["evaluate", "--instance", "kuniform:4,2", "--scheme", "wat"]) == 2
@@ -352,3 +384,64 @@ class TestCli:
             seen.clear()
             assert cli_run(argv + ["--instance", instance, "--mode", "auto"]) == 0
             assert seen and set(seen) == {mode}
+
+
+class _ExactBitsOnly(Random):
+    """A Random that refuses every draw but fair bits and shuffles. It
+    overrides getrandbits, as bench/tracer.py's CountingRandom does, so
+    Random keeps drawing shuffle's indices from getrandbits, not random()."""
+
+    def random(self):
+        raise AssertionError("float draw: Random.random() was called")
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
+
+    def randrange(self, *args, **kwargs):
+        raise AssertionError("Random.randrange() was called")
+
+    def sample(self, *args, **kwargs):
+        raise AssertionError("Random.sample() was called")
+
+
+class TestEveryDrawIsFairBits:
+    def test_run_phase_of_every_scheme_on_every_prior(self):
+        m = UniformMatroid(3, 1)
+        third = Fraction(1, 3)
+        schemes = [
+            OrderedGreedy(Permutation([2, 0, 1])),
+            IndependentSubsampling(Permutation([0, 1, 2]), third),
+            PrefixSubsampling(Permutation([1, 2, 0])),
+            PermutationMixture(
+                [(Permutation([0, 1, 2]), third), (Permutation([2, 1, 0]), 2 * third)]
+            ),
+            WeightMixture("greedy_by_weight", [((1, 2, 3), third), ((3, 2, 1), 2 * third)]),
+            WeightMixture("classic_1uniform", [((1, 2, 3), third), ((3, 2, 1), 2 * third)]),
+        ]
+        priors = [
+            ExplicitPrior(3, [(0b011, third), (0b110, third), (0b111, third)]),
+            ProductPrior([third, Fraction(1, 2), third]),
+            AllActivePrior(3),
+        ]
+        for prior in priors:
+            for scheme in schemes:
+                report = estimate_balancedness(m, scheme, prior, 40, _ExactBitsOnly(1))
+                assert sum(e.active_count for e in report.elements) > 0
+
+    def test_monte_carlo_preselection_of_both_kinds(self):
+        inst = parse_instance("hidden:4,1/3,1/20,0")
+        cfg = PreselectConfig(alpha=Fraction(1, 6), mode="mc", sample_override=300)
+        for preselect_kind in (preselect_independent, preselect_prefix):
+            order = preselect_kind(inst.matroid, inst.prior, cfg, _ExactBitsOnly(2))
+            assert sorted(order.order) == list(range(4))
+
+    def test_monte_carlo_lp_builds(self):
+        inst = parse_instance("hidden:4,1/3,1/20,0")
+        common = dict(eps=Fraction(1, 4), rng=_ExactBitsOnly(3), mode="mc",
+                      alpha_target=Fraction(1, 3), estimation_override=200)
+        scheme, _ = build_lp_scheme(inst.matroid, inst.prior, **common)
+        estimate_balancedness(inst.matroid, scheme, inst.prior, 40, _ExactBitsOnly(4))
+        scheme, _ = build_secretary_reduction(
+            inst.matroid, inst.prior, secretary_kind="classic_1uniform", c=Fraction(1, 4), **common
+        )
+        estimate_balancedness(inst.matroid, scheme, inst.prior, 40, _ExactBitsOnly(5))

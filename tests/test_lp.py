@@ -72,6 +72,23 @@ class TestEstimation:
         assert x == [1.0, 1.0, 1.0]
         assert q == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("m_override", [0, -5, 2.5, "10"])
+    def test_bad_m_override_rejected(self, rng, m_override):
+        # 0 used to mean the paper's m, and -5 returned all-zero x and q.
+        with pytest.raises(ValueError, match="m_override"):
+            estimate_xq(None, AllActivePrior(3), 0.5, 0.5, rng, m_override=m_override)
+
+    def test_one_sample_override(self, rng):
+        x, q, m = estimate_xq(None, AllActivePrior(3), 0.5, 0.5, rng, m_override=1)
+        assert (x, q, m) == ([1, 1, 1], [0, 0, 0], 1)
+
+    def test_override_needs_no_p_min(self):
+        # p_min only sizes m, so an override skips its estimate, which an
+        # opaque prior with rare elements cannot give.
+        P = SamplerPrior(3, lambda r: 0b001 | (0b010 if r.getrandbits(6) == 0 else 0))
+        x, q, m = estimate_xq(None, P, 0.5, 0.5, Random(0), m_override=10)
+        assert m == 10 and x[0] == 1 and x[2] == 0
+
     def test_select_nothing_gives_zero_q(self, rng):
         p = random_explicit_prior(rng, 4)
         x, q, m = estimate_xq(lambda a, r: 0, p, 0.3, 0.3, rng, m_override=500)

@@ -5,9 +5,20 @@ from random import Random
 
 import pytest
 
-from ocrs import Permutation, SubsetMask, prefix_subsample, random_permutation, t_rho
+from ocrs import (
+    ExplicitPrior,
+    Permutation,
+    PermutationMixture,
+    ProductPrior,
+    SubsetMask,
+    UniformMatroid,
+    parse_instance,
+    prefix_subsample,
+    random_permutation,
+    t_rho,
+)
 from ocrs.bitset import full_mask, iter_bits, popcount
-from ocrs.sampling import prefix_subsample_bits, t_rho_bits
+from ocrs.sampling import PrefixLaw, draw_index, exact_cdf, prefix_subsample_bits, t_rho_bits
 
 from conftest import sentinel_prefix_law
 
@@ -100,15 +111,15 @@ class _ScriptedWords:
         raise _OutOfWords(width)
 
 
-def thinning_law(bits, rho, depth):
-    """Exact law of t_rho_bits(bits, rho, .) over every sequence of at most
-    `depth` fair words: ({kept: mass} of the draws that end, undecided mass)."""
+def word_law(draw, depth):
+    """Exact law of draw(rng) over every sequence of at most `depth` fair
+    words: ({outcome: mass} of the draws that end, undecided mass)."""
     law, undecided = {}, Fraction(0)
     stack = [((), Fraction(1))]
     while stack:
         words, mass = stack.pop()
         try:
-            kept = t_rho_bits(bits, rho, _ScriptedWords(words))
+            out = draw(_ScriptedWords(words))
         except _OutOfWords as ask:
             if len(words) == depth:
                 undecided += mass
@@ -116,8 +127,14 @@ def thinning_law(bits, rho, depth):
                 branch = mass / 2**ask.width
                 stack.extend((words + (u,), branch) for u in range(1 << ask.width))
             continue
-        law[kept] = law.get(kept, 0) + mass
+        law[out] = law.get(out, 0) + mass
     return law, undecided
+
+
+def thinning_law(bits, rho, depth):
+    """Exact law of t_rho_bits(bits, rho, .) over every sequence of at most
+    `depth` fair words: ({kept: mass} of the draws that end, undecided mass)."""
+    return word_law(lambda rng: t_rho_bits(bits, rho, rng), depth)
 
 
 def kept_mass(law, mask):
@@ -228,6 +245,70 @@ class TestPrefixSubsample:
     def test_needs_positive_n(self, rng):
         with pytest.raises(ValueError):
             prefix_subsample(0, rng)
+
+    @pytest.mark.parametrize("n, depth", [(1, 8), (2, 5), (3, 4), (4, 3), (5, 3)])
+    def test_sentinel_comparison_never_overshoots_the_exact_law(self, n, depth):
+        # Within `depth` words the draw gives no subset more than its
+        # PrefixLaw mass, and the shortfalls sum to exactly the mass still
+        # undecided: a tie with the sentinel on every level, at most n / 2^depth.
+        law, undecided = word_law(lambda rng: prefix_subsample_bits(n, rng), depth)
+        weights = PrefixLaw().weights(n)
+        shortfall = Fraction(0)
+        for t in range(1 << n):
+            assert law.get(t, 0) <= weights[popcount(t)]
+            shortfall += weights[popcount(t)] - law.get(t, 0)
+        assert shortfall == undecided
+        assert 0 < undecided <= Fraction(n, 2**depth)
+
+
+def _conditional_law(draw, depth):
+    """The law of draw(rng) given that it ends within `depth` words."""
+    law, undecided = word_law(draw, depth)
+    assert undecided < 1
+    return {out: mass / (1 - undecided) for out, mass in law.items()}
+
+
+class TestIntegerCdf:
+    def test_running_sums_over_the_common_denominator(self):
+        weights = [Fraction(1, 4), Fraction(1, 6), Fraction(0), Fraction(7, 12)]
+        assert exact_cdf(weights) == [3, 5, 5, 12]
+
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            ExplicitPrior(2, [(bits, Fraction(1, 3)) for bits in (0b00, 0b01, 0b11)]),
+            parse_instance("hidden:6,1/3,1/20,0").prior,
+        ],
+    )
+    def test_explicit_prior_draw_is_exact(self, prior):
+        # Conditional on the rejection loop ending, each atom is drawn with its
+        # probability exactly, tolerance 0.
+        assert _conditional_law(prior.sample_bits, 2) == dict(prior.atoms)
+
+    def test_mixture_draw_is_exact(self):
+        mix = PermutationMixture(
+            [(Permutation([0, 1]), Fraction(1, 3)), (Permutation([1, 0]), Fraction(2, 3))]
+        )
+        m = UniformMatroid(2, 1)
+        law = _conditional_law(lambda rng: mix.run_bits(m, 0b11, rng), 3)
+        assert law == {0b01: Fraction(1, 3), 0b10: Fraction(2, 3)}
+
+    def test_power_of_two_total_never_rejects(self):
+        cdf = exact_cdf([Fraction(1, 4), Fraction(3, 4)])
+        law, undecided = word_law(lambda rng: draw_index(cdf, rng), 1)
+        assert undecided == 0
+        assert law == {0: Fraction(1, 4), 1: Fraction(3, 4)}
+
+
+def test_product_prior_law_exact_within_its_expansions():
+    # Each group of equal x is one thinning: 1/4 takes at most two words,
+    # 3/8 at most three, 0 and 1 none, so five words decide every draw.
+    x = [Fraction(1, 4), Fraction(1, 4), Fraction(3, 8), Fraction(0), Fraction(1)]
+    law, undecided = word_law(ProductPrior(x).sample_bits, 5)
+    assert undecided == 0
+    for t in range(1 << len(x)):
+        p = math.prod(xi if (t >> i) & 1 else 1 - xi for i, xi in enumerate(x))
+        assert law.get(t, 0) == p
 
 
 def test_weighted_prefix_sum_bound(rng):

@@ -22,7 +22,7 @@ from ocrs import (
     scheme_from_spec,
     secretary_wrap,
 )
-from ocrs.schemes import greedy_ordered_bits, secretary_wrap_bits
+from ocrs.schemes import Classic1Uniform, greedy_ordered_bits, secretary_wrap_bits
 
 from conftest import random_explicit_prior, random_small_matroid, triangle
 
@@ -234,6 +234,14 @@ class TestClassicSecretary:
             m, "classic_1uniform", (0.9, 0.4, 1.3, 0.7, 1.1), 20000, Random(21)
         )
         assert c >= 1 / 2.718281828 - 0.03
+
+    def test_observed_best_is_compared_exactly(self):
+        # UniformMatroid(3, 1) observes one arrival. 1/3 + 10^-20 and 1/3 are
+        # the same float, so a float comparison took the second arrival.
+        alg = Classic1Uniform(UniformMatroid(3, 1))
+        assert not alg.next(0, Fraction(1, 3) + Fraction(1, 10**20))
+        assert not alg.next(1, Fraction(1, 3))
+        assert alg.next(2, Fraction(1, 2))
 
     def test_greedy_by_weight_is_one_competitive(self):
         m = UniformMatroid(4, 2)
