@@ -3,13 +3,14 @@
 Subcommands: gen-instance, preselect, run, evaluate, oracle-alpha, lp-build.
 Identical seed and flags give byte-identical outputs. Exit codes: 0 success,
 1 preselection found no qualifying element (partial artifacts are still
-written), 2 bad configuration.
+written), 2 bad configuration, 141 stdout closed early (nothing printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from random import Random
@@ -260,7 +261,12 @@ def cli_run(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here rather than at exit
+        return code
+    except BrokenPipeError:  # the reader left early; devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

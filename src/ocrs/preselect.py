@@ -99,8 +99,7 @@ def count_span_stats_independent(
     rho = to_fraction(rho)
 
     def unspanned(a: int, r: Random) -> int:
-        b = t_rho_bits(a, rho, r) & s_bits
-        return a & s_bits & ~M._span_of_independent(M._basis_bits(b))
+        return M._unspanned(t_rho_bits(a, rho, r) & s_bits, a & s_bits)
 
     return P.count(m, rng, unspanned)
 
@@ -132,7 +131,7 @@ def _exact_unspanned_prob(M: Matroid, P: Prior, j: int, law: SubsampleLaw, drawn
     def unspanned(atom: int):
         if atom & jbit:
             for b, w in law.outcomes(atom & drawn_on, avoid=jbit):
-                if not (M._span_of_independent(M._basis_bits(b)) >> j) & 1:
+                if M._unspanned(b, jbit):
                     yield w, jbit
 
     num = P.exact_count(unspanned)[j]

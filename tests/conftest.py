@@ -53,6 +53,21 @@ def random_small_matroid(rng: Random, max_n: int = 8):
     return ExplicitMatroid(base.n, [[e for e in range(base.n) if (b >> e) & 1] for b in members])
 
 
+def membership_span(M, bits: int) -> int:
+    """Span of `bits` within M's ground set from `M._independent` queries alone:
+    a greedy basis Y of `bits`, then Y and every ground element e with Y + e
+    dependent. A reference for the library's span query that shares none of it."""
+    basis = 0
+    for e in range(M.n):
+        if (bits >> e) & 1 and M._independent(basis | (1 << e)):
+            basis |= 1 << e
+    span = basis
+    for e in range(M.n):
+        if (M.ground_bits >> e) & 1 and not M._independent(basis | (1 << e)):
+            span |= 1 << e
+    return span
+
+
 def random_explicit_prior(rng: Random, n: int, max_atoms: int = 4) -> ExplicitPrior:
     """Random explicit prior with rational probabilities and full-coverage
     support (every element active somewhere)."""

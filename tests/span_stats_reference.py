@@ -19,6 +19,8 @@ from ocrs.matroid import Matroid
 from ocrs.priors import Prior
 from ocrs.sampling import shuffled, t_rho_bits
 
+from conftest import membership_span
+
 
 @dataclass
 class SpanStats:
@@ -45,7 +47,7 @@ def reference_span_stats_independent(
     for _ in range(m):
         a = P.sample_bits(rng)
         b = t_rho_bits(a, rho, rng) & s_bits
-        sp = M._span_of_independent(M._basis_bits(b))
+        sp = membership_span(M, b)
         act = a & s_bits
         for j in iter_bits(act):
             ms[j] += 1

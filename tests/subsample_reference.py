@@ -20,6 +20,8 @@ from ocrs.preselect import ExactModeTooLarge
 from ocrs.priors import Prior, to_fraction
 from ocrs.schemes import IndependentSubsampling, PrefixSubsampling, Scheme, greedy_ordered_bits
 
+from conftest import membership_span
+
 INDEPENDENT_EXACT_LIMIT = 12  # max |A ∩ S| for 2^|A∩S| subsample enumeration
 PREFIX_EXACT_LIMIT = 9  # max |S_i| for prefix enumeration
 INDEPENDENT_ENUM_LIMIT = 14  # 2^n thinning outcomes
@@ -60,7 +62,7 @@ def reference_unspanned_prob_independent(
                 if (sub >> idx) & 1:
                     b |= 1 << elems[idx]
             weight = rho ** popcount(b) * (1 - rho) ** (size - popcount(b))
-            sp = M._span_of_independent(M._basis_bits(b))
+            sp = membership_span(M, b)
             if not (sp >> j) & 1:
                 unspanned += weight
         num += p * (1 - rho) * unspanned
@@ -98,7 +100,7 @@ def reference_unspanned_prob_prefix(M: Matroid, P: Prior, S: SubsetMask, j: int)
             for idx in range(len(pool)):
                 if (sub >> idx) & 1:
                     pre |= 1 << pool[idx]
-            sp = M._span_of_independent(M._basis_bits(atom & pre))
+            sp = membership_span(M, atom & pre)
             if not (sp >> j) & 1:
                 unspanned += weights[popcount(pre)]
         num += p * unspanned

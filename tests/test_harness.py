@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -189,6 +193,31 @@ class TestEstimateBalancedness:
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # ~1 MB of JSON: the write is still pending when the reader leaves
+            ["gen-instance", "--instance", "kuniform:100000,1"],
+            ["evaluate", "--instance", "kuniform:4,2", "--scheme", "prefix", "--trials", "100"],
+        ],
+    )
+    def test_reader_closing_early_is_no_error(self, argv):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ocrs.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) != 2
+        assert stderr == ""
+        if argv[0] == "gen-instance":
+            assert proc.returncode == 141
+
     def test_gen_instance_writes_spec(self, tmp_path):
         out = str(tmp_path / "inst")
         assert cli_run(["gen-instance", "--instance", "kuniform:4,2", "--out", out]) == 0

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrs import (
     DimensionMismatch,
@@ -15,7 +18,7 @@ from ocrs import (
 from ocrs.bitset import popcount
 from ocrs.matroid import GroundSetTooLarge
 
-from conftest import random_small_matroid, triangle
+from conftest import membership_span, random_small_matroid, triangle
 
 
 def S(n, *elems):
@@ -163,6 +166,32 @@ class TestSpanBasis:
                     if not (basis >> i) & 1 and not m._independent(basis | (1 << i)):
                         derived |= 1 << i
                 assert derived == sp.bits
+
+
+class TestUnspanned:
+    """`_unspanned(bits, within)` is the one span query; on every family and
+    every restriction it equals the span built from membership queries alone."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_equals_the_membership_span(self, seed, restricted):
+        rng = Random(seed)
+        m = random_small_matroid(rng)  # graphic ones often hold loops and parallel edges
+        full = (1 << m.n) - 1
+        if restricted:
+            m = m.restrict(SubsetMask(m.n, rng.randrange(1 << m.n)))
+        ground = m.ground_bits
+        for _ in range(8):
+            bits, within = rng.randrange(full + 1), rng.randrange(full + 1)
+            sp = membership_span(m, bits)
+            assert m._unspanned(bits, within) == within & ground & ~sp
+            assert m.span(SubsetMask(m.n, bits)).bits == sp
+
+    def test_loops_and_parallel_edges(self):
+        m = GraphicMatroid(3, [(0, 0), (0, 1), (1, 0), (1, 2)])
+        assert m._unspanned(0, 0b1111) == 0b1110  # a loop is in the span of the empty set
+        assert m._unspanned(0b0010, 0b1111) == 0b1000  # its parallel twin is spanned
+        assert m.span(S(4, 1, 3)) == SubsetMask.full(4)
 
 
 class TestRestriction:
