@@ -28,6 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from .matroid import Matroid
 from .priors import Prior, exact_or_sampled, to_fraction
+from .sampling import EnumerationTooLarge
 from .schemes import (
     PermutationMixture,
     WeightMixture,
@@ -254,7 +255,9 @@ def _column_generation(
         return items, report
 
     def exact():
-        x = P.exact_count(lambda a: ((1, a),))  # before p_min: an opaque prior draws nothing
+        if P.support() is None:  # before p_min: an opaque prior draws nothing
+            raise EnumerationTooLarge("exact columns need an explicit prior support")
+        x = P.activation_probabilities()
         price = lambda key: exact_selection_column(P, lambda atom: select(key, atom, None))
         return generate(True, x, P.p_min(rng=rng), price, {})
 

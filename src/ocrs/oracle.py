@@ -82,8 +82,11 @@ def max_uncontentious_alpha(M: Matroid, P: Prior) -> AlphaCertificate:
     always carries the loop's convergence certificate; without it this
     raises rather than return an uncertified value.
     """
-    probs = P.exact_count(lambda a: ((1, a),))  # raises on an opaque prior
-    atoms = [bits for bits, p in P.support() if p > 0]
+    support = P.support()
+    if support is None:
+        raise EnumerationTooLarge("alpha* needs an explicit prior support")
+    probs = P.activation_probabilities()
+    atoms = [bits for bits, p in support if p > 0]
     if not any(probs):
         # No element is ever active, so every rule is vacuously 1-balanced.
         witness = {bits: [(0, Fraction(1))] for bits in atoms}

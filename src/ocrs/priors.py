@@ -103,20 +103,53 @@ class Prior:
         """Exact twin of `count`: per-element mass over the explicit support.
 
         For each atom a of probability p > 0, every (w, bits) that
-        `outcomes(a)` yields credits p*w to each element of bits. Equal sets
-        are merged first and expanded once. A weight w == 1 (activations,
-        exact LP columns) costs no product, and a new set no addition.
+        `outcomes(a)` yields credits p*w to each element of bits.
+
+        Outcomes are counted by weight class: each distinct value pair
+        (p, w) over the whole support keeps one bit-sliced counter, as in
+        `count`, and an outcome adds its bits to it through a carry chain,
+        with integer operations only. A subsampling law's weight depends on
+        |B| alone, so an atom of r elements fills at most r + 1 classes, and
+        atoms of equal p share theirs. Only at the end does a class of c
+        outcomes take Fractions: one product p*w (none for w == 1) and, for
+        each of its ~log2(c) levels, the mass p*w*2^i credited to the set
+        that level holds. Equal sets are merged and each is expanded once.
         """
         support = self.support()
         if support is None:
             raise EnumerationTooLarge("exact enumeration needs an explicit prior support")
-        mass: dict[int, Fraction] = {}
+        # Classes are keyed by exact value as (numerator, denominator), so equal
+        # weights share one however they were made; two ints hash much faster
+        # than a Fraction. p's key -> (p, w's key -> (w, levels)).
+        classes: dict[tuple[int, int], tuple[Fraction, dict]] = {}
         for a, p in support:
-            if p:
-                for w, bits in outcomes(a):
-                    q = p if w == 1 else p * w
-                    old = mass.get(bits)
-                    mass[bits] = q if old is None else old + q
+            if not p:
+                continue
+            by_w = classes.setdefault(p.as_integer_ratio(), (p, {}))[1]
+            for w, bits in outcomes(a):
+                key = w.as_integer_ratio()
+                cls = by_w.get(key)
+                if cls is None:
+                    cls = by_w[key] = (w, [])
+                levels = cls[1]
+                carry, i = bits, 0
+                while carry:
+                    if i == len(levels):
+                        levels.append(carry)
+                        break
+                    level = levels[i]
+                    levels[i] = level ^ carry
+                    carry &= level
+                    i += 1
+        mass: dict[int, Fraction] = {}
+        for p, by_w in classes.values():
+            for w, levels in by_w.values():
+                pw = p if w == 1 else p * w
+                for i, bits in enumerate(levels):
+                    if bits:
+                        q = pw * (1 << i) if i else pw
+                        old = mass.get(bits)
+                        mass[bits] = q if old is None else old + q
         totals = [Fraction(0)] * self.n
         for bits, q in mass.items():
             for e in iter_bits(bits):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
+from ocrs.bitset import iter_bits
 from ocrs.matroid import Matroid, greedy_ordered_bits
 from ocrs.priors import Prior
 from ocrs.sampling import EnumerationTooLarge
@@ -55,8 +56,20 @@ def _scheme_randomness(M: Matroid, scheme: Scheme, atom: int):
 
 
 def reference_exact_balancedness(M: Matroid, scheme: Scheme, P: Prior) -> list:
-    """Per-element conditional selection probability, by enumerating the support
-    and, per atom, the scheme randomness through the ladder above."""
-    selected = P.exact_count(lambda atom: _scheme_randomness(M, scheme, atom))
-    probs = P.activation_probabilities()
+    """Per-element conditional selection probability, by a plain nested loop
+    over the support and, per atom, the scheme randomness through the ladder
+    above. It shares no counting code with the library (`Prior.exact_count`)."""
+    support = P.support()
+    if support is None:
+        raise EnumerationTooLarge("exact balancedness needs an explicit prior support")
+    probs = [Fraction(0)] * M.n
+    selected = [Fraction(0)] * M.n
+    for atom, p in support:
+        if p == 0:
+            continue
+        for e in iter_bits(atom):
+            probs[e] += p
+        for w, bits in _scheme_randomness(M, scheme, atom):
+            for e in iter_bits(bits):
+                selected[e] += p * w
     return [s / x if x > 0 else None for s, x in zip(selected, probs)]

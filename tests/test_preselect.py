@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from ocrs import (
     ExplicitPrior,
+    IndependentSubsampling,
     NoQualifyingElement,
     PreselectConfig,
+    PrefixSubsampling,
     SubsetMask,
     UniformMatroid,
     count_span_stats_independent,
@@ -23,6 +25,7 @@ from ocrs import (
 )
 from ocrs import preselect
 from ocrs.harness import parse_instance
+from ocrs.oracle import exact_balancedness, max_uncontentious_alpha
 from ocrs.preselect import (
     ExactModeTooLarge,
     exact_unspanned_prob_independent,
@@ -221,6 +224,26 @@ class TestPreselectExact:
         assert exc.value.step == 1
         assert exc.value.suffix == [0]
         assert str(exc.value) == "no qualifying element at step 1 (positions 1..1 filled)"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_orders_at_alpha_star_meet_the_floors(self, seed):
+        # Preselected at alpha*, thinning at rho = alpha*/2 is alpha*^2/4-balanced
+        # and the random prefix alpha*^2/2-balanced, exactly.
+        rng = Random(seed)
+        M = random_small_matroid(rng, max_n=6)
+        P = random_explicit_prior(rng, M.n)
+        alpha = max_uncontentious_alpha(M, P).alpha_star
+        # Every element is active somewhere, so only a loop is never selected.
+        assert (alpha == 0) == any(not M._independent(1 << e) for e in range(M.n))
+        if alpha == 0:
+            return
+        cfg = PreselectConfig(alpha=alpha, mode="exact")
+        order = preselect_independent(M, P, cfg, rng)
+        bal = exact_balancedness(M, IndependentSubsampling(order, alpha / 2), P)
+        assert min(bal) >= alpha * alpha / 4
+        order = preselect_prefix(M, P, cfg, rng)
+        assert min(exact_balancedness(M, PrefixSubsampling(order), P)) >= alpha * alpha / 2
 
 
 class TestPreselectMonteCarlo:

@@ -5,21 +5,28 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrs import (
     AllActivePrior,
     ExplicitPrior,
+    IndependentSubsampling,
+    Permutation,
     PriorError,
     ProductPrior,
     SamplerPrior,
     SubsetMask,
+    UniformMatroid,
     hidden_element_prior,
     prior_from_spec,
 )
+from ocrs.oracle import exact_balancedness
 from ocrs.priors import exact_or_sampled
 from ocrs.sampling import EnumerationTooLarge
 
 from conftest import random_explicit_prior
+from exact_count_reference import reference_exact_count
 
 
 class TestSampling:
@@ -215,6 +222,57 @@ class TestExactCount:
             assert len(P.activation_probabilities()) == 5
         P.p_min(), P.never_active_bits
         assert _CountedFraction.ops == done
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_the_per_outcome_reference(self, seed, one_p):
+        rng = Random(seed)
+        n = rng.randint(1, 6)
+        k = rng.randint(1, 12)
+        # one_p: many atoms share one probability; else some atoms get p == 0
+        raw = [1 if one_p else rng.randint(0, 3) for _ in range(k - 1)] + [1]
+        atoms = [rng.randrange(1 << n) for _ in range(k)]
+        P = ExplicitPrior(n, [(a, Fraction(w, sum(raw))) for a, w in zip(atoms, raw)])
+        table = {}
+        for a, _ in P.atoms:
+            size = rng.choice(_NEAR_POWERS_OF_TWO)
+            pool = [rng.choice(_WEIGHTS) for _ in range(rng.randint(1, 3))]  # repeated weights
+            sets = [0] + [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]  # 0: empty bits
+            table[a] = [
+                (rng.choice(pool), rng.random() < 0.5, rng.choice(sets)) for _ in range(size)
+            ]
+
+        def outcomes(a):
+            for w, fresh, bits in table[a]:
+                # fresh: a weight equal in value to the others but a new object
+                yield (Fraction(w) if fresh else w), bits
+
+        assert P.exact_count(outcomes) == reference_exact_count(P, outcomes)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 1023, 1024, 1025])
+    def test_one_class_counts_past_powers_of_two(self, size):
+        P = ExplicitPrior(3, [(a, Fraction(1, 3)) for a in (0b011, 0b110, 0b111)])
+        outcomes = lambda a: ((Fraction(2, 7), b) for b in [a, a & 0b010, 0] * size)
+        got = P.exact_count(outcomes)
+        assert got == reference_exact_count(P, outcomes)
+        assert got == [Fraction(4 * size, 21), Fraction(12 * size, 21), Fraction(4 * size, 21)]
+
+    def test_arithmetic_grows_with_weight_classes_not_outcomes(self):
+        # 2^10 thinning outcomes on the one atom, in r + 1 = 11 classes by |B|
+        n = r = 10
+        M = UniformMatroid(n, 4)
+        P = AllActivePrior(n)
+        P.atoms = [(a, _CountedFraction(p)) for a, p in P.atoms]
+        scheme = IndependentSubsampling(Permutation(list(range(n))), Fraction(1, 3))
+        before = _CountedFraction.ops
+        bal = exact_balancedness(M, scheme, P)
+        assert _CountedFraction.ops - before <= (r + 1) * r + n
+        assert bal == reference_exact_count(P, lambda a: scheme.outcomes(M, a))  # p = 1
+
+
+# Outcome counts on either side of powers of two, where a counter grows a level.
+_NEAR_POWERS_OF_TWO = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
+_WEIGHTS = [0, 1, Fraction(1), Fraction(1, 2), Fraction(2, 4), Fraction(3, 7), Fraction(5, 6)]
 
 
 def _counted(name):
