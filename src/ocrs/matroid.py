@@ -23,12 +23,10 @@ from .bitset import (
     mask_of,
     popcount,
 )
+from .sampling import EnumerationTooLarge
 
 EXHAUSTIVE_LIMIT = 16
-
-
-class GroundSetTooLarge(ValueError):
-    """Exhaustive verification requested on a ground set beyond the limit."""
+GroundSetTooLarge = EnumerationTooLarge  # the name `verify_axioms` has always raised
 
 
 class Matroid:
@@ -64,10 +62,7 @@ class Matroid:
     # -- derived quantities --------------------------------------------------
 
     def _basis_bits(self, bits: int) -> int:
-        g = self.grower()
-        for e in iter_bits(bits):
-            g.try_add(e)
-        return g.bits
+        return greedy_ordered_bits(self, iter_bits(bits), bits)
 
     def basis_of(self, S: SubsetMask) -> SubsetMask:
         """A maximal independent subset of S, chosen by an ascending-index
@@ -89,12 +84,8 @@ class Matroid:
             if wi < 0:
                 raise ValueError(f"negative weight {wi}")
         order = sorted(iter_bits(S.bits), key=lambda e: (-w[e], e))
-        g = self.grower()
-        total = 0
-        for e in order:
-            if g.try_add(e):
-                total += w[e]
-        return total
+        chosen = greedy_ordered_bits(self, order, S.bits)
+        return sum(w[e] for e in order if chosen >> e & 1)
 
     def _unspanned(self, bits: int, within: int) -> int:
         """The elements of `within` (in the ground set) outside the span of
@@ -338,11 +329,11 @@ class _RestrictedGrower:
 def verify_axioms(M: Matroid, limit: int = EXHAUSTIVE_LIMIT) -> bool:
     """Exhaustively check non-emptiness, downward closure and exchange.
 
-    Only feasible for small ground sets; raises GroundSetTooLarge beyond
+    Only feasible for small ground sets; raises EnumerationTooLarge beyond
     `limit` elements.
     """
     if M.n > limit:
-        raise GroundSetTooLarge(f"n={M.n} exceeds exhaustive limit {limit}")
+        raise EnumerationTooLarge(f"n={M.n} exceeds exhaustive limit {limit}")
     universe = M.ground_bits
     members = [bits for bits in range(1 << M.n) if bits & ~universe == 0 and M._independent(bits)]
     member_set = set(members)

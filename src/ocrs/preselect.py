@@ -13,8 +13,8 @@ statistics are supported:
 Each comes in a Monte-Carlo flavour (counters over m joint samples, with a
 (1 - eps/4) relaxation of the threshold) and an exact flavour over explicit
 supports, which marginalises the subsample onto each atom A: it enumerates
-subsets of A ∩ S, not of S (`sampling.SubsampleLaw`), so its limits bound
-the atom, not the ground set. `priors.exact_or_sampled` picks the flavour.
+subsets of A ∩ S, not of S, and refuses before step 1 an atom past the
+limit of `sampling.SubsampleLaw`. `priors.exact_or_sampled` picks the flavour.
 """
 
 from __future__ import annotations
@@ -158,10 +158,10 @@ def _preselect(M, P, cfg, rng, prefix_mode: bool) -> Permutation:
     threshold = cfg.alpha if prefix_mode else cfg.alpha / 2
 
     def exact():
-        law, drop = (PrefixLaw(), 1) if prefix_mode else (IndependentLaw(threshold), 0)
+        law = PrefixLaw() if prefix_mode else IndependentLaw(threshold)
 
         def fits(atom: int):  # fail fast: every positive atom is checked before step 1
-            law.check(popcount(atom) - drop)  # the prefix law: on the atom less the candidate
+            law.check(popcount(atom))
             return ((1, atom),)
 
         probs = P.exact_count(fits)

@@ -161,7 +161,8 @@ class Prior:
         return None
 
     def activation_probabilities(self) -> Optional[list[Fraction]]:
-        """Exact activation probabilities, counted once; None without a support."""
+        """Exact activation probabilities, counted once; None only when unknown
+        (an opaque sampler), not when the support is too large to list."""
         return None if self.support() is None else list(self._activation)
 
     @cached_property
@@ -284,6 +285,7 @@ class ProductPrior(Prior):
         self._groups: dict[Fraction, int] = {}  # x value -> mask of its elements
         for i, xi in enumerate(self.x):
             self._groups[xi] = self._groups.get(xi, 0) | 1 << i
+        self._random = sum(0 < xi < 1 for xi in self.x)  # 2^_random atoms
 
     def sample_bits(self, rng: Random) -> int:
         bits = 0
@@ -295,7 +297,7 @@ class ProductPrior(Prior):
         return list(self.x)
 
     def support(self):
-        return None if self.n > 16 else list(self._atoms)
+        return None if self._random > 16 else list(self._atoms)
 
     @cached_property
     def _atoms(self) -> list[tuple[int, Fraction]]:

@@ -176,8 +176,11 @@ class SubsampleLaw:
     law on a (for the prefix law, because the relative order of a and the
     sentinel is uniform), and Pr[T ∩ a = B] depends only on |a| and |B|:
     `weights(r)` lists it by |B| for |a| = r. So exact consumers enumerate
-    subsets of an active atom, not of the ground set; `limit` bounds |a|.
+    subsets of an active atom, not of the ground set; `limit` bounds |a|,
+    the same for both laws, whose outcomes cost the same to count.
     """
+
+    limit = 13
 
     def check(self, r: int) -> None:
         """Raise `EnumerationTooLarge` when |a| = r exceeds `limit`."""
@@ -203,8 +206,6 @@ class SubsampleLaw:
 class IndependentLaw(SubsampleLaw):
     """Each element kept independently with probability rho (`t_rho_bits`)."""
 
-    limit = 13  # 2^13 thinning outcomes
-
     def __init__(self, rho):
         self.rho = to_fraction(rho)
 
@@ -215,8 +216,6 @@ class IndependentLaw(SubsampleLaw):
 class PrefixLaw(SubsampleLaw):
     """The elements before a uniformly placed sentinel (`prefix_subsample_bits`):
     |T ∩ a| is uniform on {0..r}, then T ∩ a is a uniform subset of that size."""
-
-    limit = 8  # 2^8 prefix outcomes
 
     def weights(self, r: int) -> list[Fraction]:
         return [Fraction(1, (r + 1) * math.comb(r, s)) for s in range(r + 1)]

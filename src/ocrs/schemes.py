@@ -324,6 +324,13 @@ def _num_str(x):
 # -- build helpers ---------------------------------------------------------
 
 
+def _same_alpha(alpha, cfg: Optional[PreselectConfig]) -> Fraction:
+    alpha = to_fraction(alpha)
+    if cfg is not None and cfg.alpha != alpha:
+        raise ValueError(f"alpha {alpha} differs from the preselection config's alpha {cfg.alpha}")
+    return alpha
+
+
 def build_independent_subsampling_scheme(
     M: Matroid,
     P: Prior,
@@ -335,13 +342,12 @@ def build_independent_subsampling_scheme(
     """Preselect an order with the independent-thinning statistic and pair
     it with rho = alpha/2 thinning. With alpha = 0 the subsample is a.s.
     empty, so no preselection is needed and the identity order is used."""
-    alpha = to_fraction(alpha)
+    alpha = _same_alpha(alpha, cfg)
     if order is None:
         if alpha == 0:
             order = Permutation.identity(M.n)
         else:
-            cfg = cfg or PreselectConfig(alpha=alpha)
-            order = preselect_independent(M, P, cfg, rng)
+            order = preselect_independent(M, P, cfg or PreselectConfig(alpha=alpha), rng)
     return IndependentSubsampling(order, alpha / 2)
 
 
@@ -353,10 +359,9 @@ def build_prefix_subsampling_scheme(
     cfg: Optional[PreselectConfig] = None,
     order: Optional[Permutation] = None,
 ) -> PrefixSubsampling:
-    alpha = to_fraction(alpha)
+    alpha = _same_alpha(alpha, cfg)
     if order is None:
-        cfg = cfg or PreselectConfig(alpha=alpha)
-        order = preselect_prefix(M, P, cfg, rng)
+        order = preselect_prefix(M, P, cfg or PreselectConfig(alpha=alpha), rng)
     return PrefixSubsampling(order)
 
 

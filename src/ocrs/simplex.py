@@ -6,14 +6,14 @@ terminates even on the heavily degenerate instances the column generation
 produces.
 
 Arithmetic is integer-preserving (Edmonds 1967, Bareiss 1968). Every input
-is read as an exact rational (a float through ``Fraction(float)``, which is
-its exact binary value) and each constraint row is scaled by the lcm of its
-denominators, so the tableau holds Python ints over one shared positive
-denominator D. A pivot on (r, j) with p = T[r][j] replaces every other row
-by (p*T[i] - T[i][j]*T[r]) // D, a division Sylvester's identity makes
-exact, and then sets D = p. Pricing, the ratio test and the phase-1 residual
-compare integers by cross-multiplication, so there is no tolerance and
-Bland's rule picks the same pivots as on exact rationals. Results are
+is read as an exact rational (a float by its decimal digits, `to_fraction`,
+as everywhere in the package) and each constraint row is scaled by the lcm
+of its denominators, so the tableau holds Python ints over one shared
+positive denominator D. A pivot on (r, j) with p = T[r][j] replaces every
+other row by (p*T[i] - T[i][j]*T[r]) // D, a division Sylvester's identity
+makes exact, and then sets D = p. Pricing, the ratio test and the phase-1
+residual compare integers by cross-multiplication, so there is no tolerance
+and Bland's rule picks the same pivots as on exact rationals. Results are
 always Fractions.
 
 Problem form (all variables nonnegative):
@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .sampling import to_fraction
+
 
 class LpInfeasible(RuntimeError):
     pass
@@ -53,8 +55,8 @@ class LpResult:
 
 
 def _rational(v):
-    """ints and Fractions as they are; a float as its exact binary value."""
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+    """ints and Fractions as they are; a float by its digits (`to_fraction`)."""
+    return v if isinstance(v, (int, Fraction)) else to_fraction(v)
 
 
 def _integer_multiple(values: Sequence) -> tuple[list[int], int]:

@@ -18,6 +18,18 @@ from ocrs import (
 )
 
 
+class NoDraws(Random):
+    """A Random that fails on any draw: an exact route handed it must finish,
+    or refuse, without touching it. Overriding getrandbits also routes
+    shuffle's indices through it."""
+
+    def random(self):
+        raise AssertionError("Random.random() was called")
+
+    def getrandbits(self, k):
+        raise AssertionError("Random.getrandbits() was called")
+
+
 def triangle():
     """Graphic matroid of a triangle; edges 0=(0,1), 1=(1,2), 2=(2,0)."""
     return GraphicMatroid(3, [(0, 1), (1, 2), (2, 0)])

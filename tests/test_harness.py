@@ -385,8 +385,9 @@ class TestCli:
         "instance, kind, mode",
         [
             ("kuniform:8,4", "prefix", "exact"),
-            ("kuniform:9,4", "prefix", "exact"),  # the prefix law is drawn on 8 of the 9
-            ("kuniform:10,5", "prefix", "monte_carlo"),
+            ("kuniform:9,4", "prefix", "exact"),
+            ("kuniform:13,6", "prefix", "exact"),
+            ("kuniform:14,7", "prefix", "monte_carlo"),
             ("kuniform:13,6", "indep", "exact"),
             ("kuniform:14,7", "indep", "monte_carlo"),
             ("kuniform:30,15", "prefix", "monte_carlo"),

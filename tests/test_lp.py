@@ -22,7 +22,7 @@ from ocrs import (
 from ocrs.lp import GridRangeError, estimation_sample_size, exact_selection_column
 from ocrs.harness import estimate_balancedness, parse_instance
 from ocrs.priors import AllActivePrior, EnumerationTooLarge, SamplerPrior
-from ocrs.sampling import Permutation
+from ocrs.sampling import Permutation, to_fraction
 from ocrs.schemes import IndependentSubsampling, greedy_ordered_bits, order_by_weight
 from ocrs.simplex import solve_lp
 
@@ -363,14 +363,14 @@ class TestMonteCarloBuildIsExact:
 
     def test_solve_lp_reads_floats_exactly(self):
         # The restricted-LP shape with float entries: the same Fractions as
-        # the LP over each float's exact binary value.
+        # the LP over each float's decimal digits, as every entry point reads it.
         q = [[0.3, 0.7, 0.1], [0.6, 0.2, 0.45], [0.5, 0.5, 0.5]]
         x = [0.9, 0.8, 0.55]
         c = [1.0, 0.0, 0.0, 0.0]
         A_ub = [[x[i]] + [-col[i] for col in q] for i in range(3)]
         A_eq, b_eq, b_ub = [[0.0, 1.0, 1.0, 1.0]], [1.0], [0.0] * 3
         got = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, maximize=True)
-        F = lambda rows: [[Fraction(v) for v in r] for r in rows]
+        F = lambda rows: [[to_fraction(v) for v in r] for r in rows]
         ref = solve_lp(F([c])[0], A_ub=F(A_ub), b_ub=F([b_ub])[0], A_eq=F(A_eq),
                        b_eq=F([b_eq])[0], maximize=True)
         for field in ("x", "dual_eq", "dual_ub"):
@@ -378,6 +378,7 @@ class TestMonteCarloBuildIsExact:
             assert getattr(got, field) == getattr(ref, field)
         assert type(got.objective) is Fraction and got.objective == ref.objective
         assert sum(got.x[1:]) == 1
+        assert solve_lp([0.1], A_ub=[[1]], b_ub=[1], maximize=True).objective == Fraction(1, 10)
 
     @pytest.mark.parametrize("override", [0, -5])
     def test_estimation_override_must_be_positive(self, override):

@@ -12,6 +12,7 @@ from ocrs import (
     Permutation,
     PermutationMixture,
     PrefixSubsampling,
+    ProductPrior,
     SubsetMask,
     UniformMatroid,
     WeightMixture,
@@ -66,6 +67,11 @@ class TestAlphaStar:
     def test_opaque_prior_rejected(self):
         with pytest.raises(EnumerationTooLarge):
             max_uncontentious_alpha(UniformMatroid(2, 1), SamplerPrior(2, lambda r: 0b11))
+
+    def test_product_prior_enumerates_its_random_coordinates(self):
+        # 17 elements, none of them random: one atom, so the support is listed.
+        cert = max_uncontentious_alpha(UniformMatroid(17, 3), ProductPrior([1] * 17))
+        assert cert.alpha_star == Fraction(3, 17)
 
 
 def assert_valid_certificate(m, p, cert):
@@ -194,9 +200,9 @@ class TestExactBalancedness:
             exact_balancedness(
                 big.matroid, IndependentSubsampling(Permutation.identity(15), Fraction(1, 2)), big.prior
             )
-        big9 = gen_kuniform_allactive(9, 2)
+        big14 = gen_kuniform_allactive(14, 2)
         with pytest.raises(EnumerationTooLarge):
-            exact_balancedness(big9.matroid, PrefixSubsampling(Permutation.identity(9)), big9.prior)
+            exact_balancedness(big14.matroid, PrefixSubsampling(Permutation.identity(14)), big14.prior)
 
     def test_float_spec_weights_read_exactly(self):
         # JSON floats 0.1 and 0.9 mean 1/10 and 9/10, not their binary values.

@@ -33,7 +33,7 @@ from ocrs.preselect import (
 )
 from ocrs.priors import AllActivePrior, EnumerationTooLarge, ProductPrior, SamplerPrior
 
-from conftest import random_explicit_prior, random_small_matroid
+from conftest import NoDraws, random_explicit_prior, random_small_matroid
 from span_stats_reference import reference_span_stats_independent, reference_span_stats_prefix
 
 
@@ -147,9 +147,9 @@ class TestExactProbabilities:
             )
 
     def test_prefix_enumeration_guard(self):
-        inst = gen_kuniform_allactive(10, 2)
+        inst = gen_kuniform_allactive(15, 2)  # the law is drawn on the 14 others
         with pytest.raises(ExactModeTooLarge):
-            exact_unspanned_prob_prefix(inst.matroid, inst.prior, SubsetMask.full(10), 0)
+            exact_unspanned_prob_prefix(inst.matroid, inst.prior, SubsetMask.full(15), 0)
 
     def test_opaque_prior_rejected(self):
         p = SamplerPrior(3, lambda r: 0b111)
@@ -187,10 +187,10 @@ class TestPreselectExact:
         assert exc.value.suffix == []
         assert str(exc.value) == "no qualifying element at step 2 (no position filled yet)"
 
-    @pytest.mark.parametrize("law, n", [("independent", 15), ("prefix", 11)])
+    @pytest.mark.parametrize("law, n", [("independent", 15), ("prefix", 15)])
     def test_oversized_atom_fails_before_any_statistic(self, monkeypatch, law, n):
-        # {1..n-1} exceeds the law's limit (13, or 8 after the candidate); the
-        # exact route refuses before step 1, and auto goes to Monte-Carlo at once.
+        # {1..n-1} exceeds the limit of 13 elements; the exact route refuses
+        # before step 1, and auto goes to Monte-Carlo at once.
         M = UniformMatroid(n, 1)
         P = ExplicitPrior(n, [({0}, Fraction(1, 2)), (range(1, n), Fraction(1, 2))])
         calls = []
@@ -224,6 +224,32 @@ class TestPreselectExact:
         assert exc.value.step == 1
         assert exc.value.suffix == [0]
         assert str(exc.value) == "no qualifying element at step 1 (positions 1..1 filled)"
+
+    @pytest.mark.parametrize("law", ["independent", "prefix"])
+    @pytest.mark.parametrize("n", [9, 13, 14])
+    def test_takes_the_atoms_exact_balancedness_takes(self, law, n):
+        # One limit: exact preselection succeeds exactly when the exact
+        # evaluation of the scheme it builds does; both refuse 14 elements
+        # before any draw, though the prefix statistic enumerates the atom
+        # less its candidate.
+        inst = gen_kuniform_allactive(n, n // 2)
+        M, P, alpha = inst.matroid, inst.prior, inst.declared_alpha
+        run = getattr(preselect, "preselect_" + law)
+        try:
+            order = run(M, P, PreselectConfig(alpha=alpha, mode="exact"), NoDraws())
+        except EnumerationTooLarge:
+            order = None
+        if law == "independent":
+            scheme, floor = IndependentSubsampling(order or inst.canonical_order, alpha / 2), 4
+        else:
+            scheme, floor = PrefixSubsampling(order or inst.canonical_order), 2
+        try:
+            bal = exact_balancedness(M, scheme, P)
+        except EnumerationTooLarge:
+            bal = None
+        assert (order is None) == (bal is None) == (n > 13)
+        if bal is not None:
+            assert min(bal) >= alpha * alpha / floor
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1))

@@ -12,20 +12,26 @@ from ocrs import (
     AllActivePrior,
     ExplicitPrior,
     IndependentSubsampling,
+    NoQualifyingElement,
     Permutation,
+    PrefixSubsampling,
+    PreselectConfig,
     PriorError,
     ProductPrior,
     SamplerPrior,
     SubsetMask,
     UniformMatroid,
+    build_lp_scheme,
     hidden_element_prior,
+    max_uncontentious_alpha,
     prior_from_spec,
 )
+from ocrs import preselect
 from ocrs.oracle import exact_balancedness
 from ocrs.priors import exact_or_sampled
 from ocrs.sampling import EnumerationTooLarge
 
-from conftest import random_explicit_prior
+from conftest import NoDraws, random_explicit_prior
 from exact_count_reference import reference_exact_count
 
 
@@ -313,6 +319,41 @@ class TestProductSupport:
             if pr:
                 want.append((bits, pr))
         assert ProductPrior(x).support() == want
+
+
+class TestProductPriorPastItsSupport:
+    """17 random coordinates: the activation probabilities are known, but the
+    2^17 atoms are not listed, so every exact route refuses before it draws
+    and auto samples as mc does."""
+
+    M = UniformMatroid(17, 4)
+    P = ProductPrior([Fraction(1, 2)] * 17)
+
+    def route(self, name, mode, rng):
+        M, P = self.M, self.P
+        if name == "alpha":
+            return max_uncontentious_alpha(M, P).alpha_star
+        if name == "balancedness":
+            return exact_balancedness(M, PrefixSubsampling(Permutation.identity(17)), P)
+        if name == "lp":
+            mixture, _ = build_lp_scheme(
+                M, P, Fraction(1, 10), rng, mode=mode, iteration_cap=2, estimation_override=50
+            )
+            return mixture.to_spec()
+        cfg = PreselectConfig(alpha=Fraction(1, 4), mode=mode, sample_override=50)
+        try:
+            return getattr(preselect, "preselect_" + name)(M, P, cfg, rng).order
+        except NoQualifyingElement as err:
+            return err.step, err.suffix
+
+    @pytest.mark.parametrize("name", ["alpha", "lp", "independent", "prefix", "balancedness"])
+    def test_exact_routes_refuse_before_any_draw(self, name):
+        assert self.P.activation_probabilities() == [Fraction(1, 2)] * 17
+        assert self.P.support() is None
+        with pytest.raises(EnumerationTooLarge):
+            self.route(name, "exact", NoDraws())
+        if name in ("lp", "independent", "prefix"):  # the routes that take a mode
+            assert self.route(name, "auto", Random(5)) == self.route(name, "mc", Random(5))
 
 
 class TestExactOrSampled:

@@ -10,6 +10,7 @@ from ocrs import (
     Permutation,
     PermutationMixture,
     PrefixSubsampling,
+    PreselectConfig,
     SubsetMask,
     UniformMatroid,
     WeightMixture,
@@ -24,7 +25,7 @@ from ocrs import (
 )
 from ocrs.schemes import Classic1Uniform, greedy_ordered_bits, secretary_wrap_bits
 
-from conftest import random_explicit_prior, random_small_matroid, triangle
+from conftest import NoDraws, random_explicit_prior, random_small_matroid, triangle
 
 
 def S(n, *elems):
@@ -99,8 +100,6 @@ class TestSubsamplingSchemes:
 
     def test_round_returns_order_and_feasible_set(self, rng):
         inst = gen_kuniform_allactive(4, 2)
-        from ocrs import PreselectConfig
-
         cfg = PreselectConfig(alpha=0.5, mode="exact")
         scheme = build_prefix_subsampling_scheme(
             inst.matroid, inst.prior, Fraction(1, 2), rng, cfg=cfg
@@ -118,6 +117,17 @@ class TestSubsamplingSchemes:
         )
         assert scheme.order == pi
         assert scheme.rho == Fraction(1, 4)
+
+    @pytest.mark.parametrize(
+        "build", [build_independent_subsampling_scheme, build_prefix_subsampling_scheme]
+    )
+    @pytest.mark.parametrize("order", [None, Permutation([2, 1, 0])])
+    def test_alpha_must_be_the_configs(self, build, order):
+        # Otherwise the order would be preselected at one alpha and run at another.
+        inst = gen_kuniform_allactive(3, 1)
+        cfg = PreselectConfig(alpha=Fraction(1, 6), mode="exact")
+        with pytest.raises(ValueError, match="alpha 1/2 .* alpha 1/6"):
+            build(inst.matroid, inst.prior, 0.5, NoDraws(), cfg=cfg, order=order)
 
 
 class TestPermutationMixture:

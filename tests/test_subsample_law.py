@@ -66,8 +66,8 @@ class TestRestriction:
         with pytest.raises(EnumerationTooLarge):
             next(IndependentLaw(Fraction(1, 2)).outcomes((1 << 14) - 1))
         with pytest.raises(EnumerationTooLarge):
-            next(PrefixLaw().outcomes((1 << 9) - 1))
-        assert sum(w for _, w in PrefixLaw().outcomes((1 << 8) - 1)) == 1
+            next(PrefixLaw().outcomes((1 << 14) - 1))
+        assert sum(w for _, w in PrefixLaw().outcomes((1 << 13) - 1)) == 1
         far = 1 << 200
         assert dict(PrefixLaw().outcomes(far)) == {far: Fraction(1, 2), 0: Fraction(1, 2)}
 
