@@ -74,8 +74,6 @@ from .schemes import (
     PrefixSubsampling,
     Scheme,
     WeightMixture,
-    build_independent_subsampling_scheme,
-    build_prefix_subsampling_scheme,
     greedy_ordered,
     order_by_weight,
     scheme_from_spec,

@@ -18,15 +18,22 @@ from random import Random
 from .harness import Instance, estimate_balancedness, parse_instance
 from .lp import build_lp_scheme, build_secretary_reduction
 from .oracle import max_uncontentious_alpha
-from .preselect import NoQualifyingElement, PreselectConfig
+from .preselect import (
+    NoQualifyingElement,
+    PreselectConfig,
+    preselect_independent,
+    preselect_prefix,
+)
 from .priors import MODES
 from .schemes import (
+    IndependentSubsampling,
     OrderedGreedy,
     Permutation,
-    build_independent_subsampling_scheme,
-    build_prefix_subsampling_scheme,
+    PrefixSubsampling,
     scheme_from_spec,
 )
+
+_PRESELECT = {"indep": preselect_independent, "prefix": preselect_prefix}
 
 
 def _write_json(payload: dict, out: str | None, suffix: str = ".json") -> None:
@@ -66,19 +73,19 @@ def _build_scheme(args, inst: Instance, rng: Random):
         if inst.canonical_order is None:
             raise ValueError(f"instance {inst.name} has no canonical order")
         order = inst.canonical_order
-    alpha = _alpha(args, inst)
     cfg = _preselect_cfg(args, inst)
-    if name in ("indep", "indep-subsample"):
-        return build_independent_subsampling_scheme(
-            inst.matroid, inst.prior, alpha, rng, cfg=cfg, order=order
-        )
-    if name in ("prefix", "prefix-subsample"):
-        return build_prefix_subsampling_scheme(
-            inst.matroid, inst.prior, alpha, rng, cfg=cfg, order=order
-        )
     if name == "greedy":
         return OrderedGreedy(order or Permutation.identity(inst.matroid.n))
-    raise ValueError(f"unknown scheme {name!r} (use indep, prefix, greedy, or a scheme JSON path)")
+    if name not in _PRESELECT:
+        raise ValueError(
+            f"unknown scheme {name!r} (use indep, prefix, greedy, or a scheme JSON path)"
+        )
+    if order is None:
+        order = _PRESELECT[name](inst.matroid, inst.prior, cfg, rng)
+    if name == "prefix":
+        return PrefixSubsampling(order)
+    # An order preselected at alpha is run with thinning at rho = alpha/2.
+    return IndependentSubsampling(order, cfg.alpha / 2)
 
 
 def cmd_gen_instance(args) -> int:
@@ -89,17 +96,9 @@ def cmd_gen_instance(args) -> int:
 
 def cmd_preselect(args) -> int:
     inst = parse_instance(args.instance)
-    rng = Random(args.seed)
-    kind = args.kind
     cfg = _preselect_cfg(args, inst)
-    build = (
-        build_independent_subsampling_scheme
-        if kind == "indep"
-        else build_prefix_subsampling_scheme
-    )
-    alpha = _alpha(args, inst)
     try:
-        scheme = build(inst.matroid, inst.prior, alpha, rng, cfg=cfg)
+        order = _PRESELECT[args.kind](inst.matroid, inst.prior, cfg, Random(args.seed))
     except NoQualifyingElement as err:
         print(f"warning: {err}; emitting empty selection behaviour", file=sys.stderr)
         _write_json(
@@ -108,7 +107,7 @@ def cmd_preselect(args) -> int:
         )
         return 1
     _write_json(
-        {"instance": inst.name, "kind": kind, "order": list(scheme.order.order)}, args.out
+        {"instance": inst.name, "kind": args.kind, "order": list(order.order)}, args.out
     )
     return 0
 
@@ -222,7 +221,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preselect", help="preselect an arrival order")
     _add_io(p)
     _add_build(p)
-    p.add_argument("--kind", choices=["indep", "prefix"], default="indep")
+    p.add_argument("--kind", choices=list(_PRESELECT), default="indep")
     p.set_defaults(fn=cmd_preselect)
 
     p = sub.add_parser("run", help="one online draw")

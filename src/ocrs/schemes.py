@@ -2,9 +2,11 @@
 
 Every scheme is split into a build phase (fix the arrival order or the
 mixture; expensive, done once per instance) and a run phase (one online
-pass over a fresh active set; cheap, repeated across trials). Run phases
-only ever look at the revealed prefix, so decisions are online by
-construction.
+pass over a fresh active set; cheap, repeated across trials). A scheme
+here is the run phase only: it takes its order from the caller, who
+preselects it with `preselect.py` or supplies it, and its mixture from
+`lp.py`. Run phases only ever look at the revealed prefix, so decisions
+are online by construction.
 
 Each scheme states its own randomness once, in two twins side by side:
 `run_bits` draws it for one pass (Monte-Carlo), and `outcomes` enumerates
@@ -26,12 +28,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .bitset import SubsetMask, full_mask
 from .matroid import Matroid, greedy_ordered_bits
-from .preselect import PreselectConfig, preselect_independent, preselect_prefix
-from .priors import Prior, to_fraction
+from .priors import to_fraction
 from .sampling import (
     EnumerationTooLarge,
     IndependentLaw,
@@ -319,50 +320,6 @@ class WeightMixture(_Mixture):
 
 def _num_str(x):
     return str(x) if isinstance(x, Fraction) else x
-
-
-# -- build helpers ---------------------------------------------------------
-
-
-def _same_alpha(alpha, cfg: Optional[PreselectConfig]) -> Fraction:
-    alpha = to_fraction(alpha)
-    if cfg is not None and cfg.alpha != alpha:
-        raise ValueError(f"alpha {alpha} differs from the preselection config's alpha {cfg.alpha}")
-    return alpha
-
-
-def build_independent_subsampling_scheme(
-    M: Matroid,
-    P: Prior,
-    alpha,
-    rng: Random,
-    cfg: Optional[PreselectConfig] = None,
-    order: Optional[Permutation] = None,
-) -> IndependentSubsampling:
-    """Preselect an order with the independent-thinning statistic and pair
-    it with rho = alpha/2 thinning. With alpha = 0 the subsample is a.s.
-    empty, so no preselection is needed and the identity order is used."""
-    alpha = _same_alpha(alpha, cfg)
-    if order is None:
-        if alpha == 0:
-            order = Permutation.identity(M.n)
-        else:
-            order = preselect_independent(M, P, cfg or PreselectConfig(alpha=alpha), rng)
-    return IndependentSubsampling(order, alpha / 2)
-
-
-def build_prefix_subsampling_scheme(
-    M: Matroid,
-    P: Prior,
-    alpha,
-    rng: Random,
-    cfg: Optional[PreselectConfig] = None,
-    order: Optional[Permutation] = None,
-) -> PrefixSubsampling:
-    alpha = _same_alpha(alpha, cfg)
-    if order is None:
-        order = preselect_prefix(M, P, cfg or PreselectConfig(alpha=alpha), rng)
-    return PrefixSubsampling(order)
 
 
 def scheme_from_spec(spec: dict) -> Scheme:

@@ -369,6 +369,25 @@ class TestCli:
         assert rc == 0
         payload = json.loads((tmp_path / "d.json").read_text())
         assert payload["scheme"]["order"] == list(range(7))
+        # The supplied order is run with the thinning of the instance's alpha, 1/2.
+        assert payload["scheme"]["rho"] == "1/4"
+
+    @pytest.mark.parametrize(
+        "command, partial",
+        [
+            ("run", {"active": None, "instance": "kuniform:4,2", "selected": []}),
+            ("evaluate", {"failed_at_step": 4, "instance": "kuniform:4,2"}),
+        ],
+    )
+    def test_failed_preselection_writes_partial_payload(self, capsys, command, partial):
+        rc = cli_run(
+            [command, "--instance", "kuniform:4,2", "--scheme", "prefix", "--mode", "exact",
+             "--alpha", "99/100"]
+        )
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out) == partial
+        assert err.startswith("warning: no qualifying element at step 4")
 
     @pytest.mark.parametrize("reduction", ["permutation", "secretary"])
     def test_lp_build_samples_flag_sets_every_estimate(self, capsys, reduction):

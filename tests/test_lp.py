@@ -165,6 +165,11 @@ class TestSolveRestricted:
         with pytest.raises(ValueError):
             solve_restricted([], [Fraction(1)])
 
+    def test_needs_an_element_that_can_be_active(self):
+        col = LpColumn(key="c", q=[Fraction(0), Fraction(0)])
+        with pytest.raises(ValueError, match="no element has positive activation probability"):
+            solve_restricted([col], [Fraction(0), Fraction(0)])
+
 
 class TestSeparation:
     def test_weight_order_maximizes_dual_value(self, rng):

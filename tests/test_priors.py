@@ -216,6 +216,8 @@ class TestExactCount:
         with pytest.raises(EnumerationTooLarge):
             SamplerPrior(2, lambda r: 0b11).exact_count(lambda a: [(1, a)])
         assert SamplerPrior(2, lambda r: 0b11).activation_probabilities() is None
+        # Unknown probabilities name no element as never active.
+        assert SamplerPrior(2, lambda r: 0b01).never_active_bits == 0
 
     def test_activation_probabilities_are_counted_once(self, rng):
         P = random_explicit_prior(rng, 5)
@@ -407,6 +409,16 @@ class TestHiddenElementPrior:
             hidden_element_prior(3, Fraction(1, 2), Fraction(1, 2), 0)
         with pytest.raises(PriorError):
             hidden_element_prior(3, Fraction(1, 2), 0, 0)
+
+    @pytest.mark.parametrize("alpha", [0, 1, Fraction(3, 2), Fraction(-1, 2)])
+    def test_alpha_range_enforced(self, alpha):
+        with pytest.raises(PriorError, match="alpha must lie in"):
+            hidden_element_prior(3, alpha, Fraction(1, 100), 0)
+
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_hidden_element_must_be_in_the_ground_set(self, j):
+        with pytest.raises(PriorError, match=f"element j={j} outside ground set of size 3"):
+            hidden_element_prior(3, Fraction(1, 2), Fraction(1, 100), j)
 
 
 def test_json_round_trips(rng):

@@ -14,12 +14,11 @@ from ocrs import (
     SubsetMask,
     UniformMatroid,
     WeightMixture,
-    build_independent_subsampling_scheme,
-    build_prefix_subsampling_scheme,
     gen_kuniform_allactive,
     greedy_ordered,
     measure_competitiveness,
     order_by_weight,
+    preselect_prefix,
     scheme_from_spec,
     secretary_wrap,
 )
@@ -93,41 +92,20 @@ class TestOnlineConsistency:
 
 class TestSubsamplingSchemes:
     def test_alpha_zero_selects_nothing(self, rng):
+        # rho = 0 keeps no element, so any order will do: no preselection.
         inst = gen_kuniform_allactive(3, 1)
-        scheme = build_independent_subsampling_scheme(inst.matroid, inst.prior, 0, rng)
+        scheme = IndependentSubsampling(Permutation.identity(3), 0)
         chosen = SubsetMask(3, scheme.run_bits(inst.matroid, inst.prior.sample_bits(rng), rng))
         assert chosen == SubsetMask.empty(3)
 
     def test_round_returns_order_and_feasible_set(self, rng):
         inst = gen_kuniform_allactive(4, 2)
-        cfg = PreselectConfig(alpha=0.5, mode="exact")
-        scheme = build_prefix_subsampling_scheme(
-            inst.matroid, inst.prior, Fraction(1, 2), rng, cfg=cfg
-        )
+        cfg = PreselectConfig(alpha=Fraction(1, 2), mode="exact")
+        scheme = PrefixSubsampling(preselect_prefix(inst.matroid, inst.prior, cfg, rng))
         order = scheme.order
         chosen = SubsetMask(4, scheme.run_bits(inst.matroid, inst.prior.sample_bits(rng), rng))
         assert sorted(order.order) == [0, 1, 2, 3]
         assert chosen.cardinality() <= 2
-
-    def test_supplied_order_is_used(self, rng):
-        inst = gen_kuniform_allactive(3, 1)
-        pi = Permutation([2, 1, 0])
-        scheme = build_independent_subsampling_scheme(
-            inst.matroid, inst.prior, Fraction(1, 2), rng, order=pi
-        )
-        assert scheme.order == pi
-        assert scheme.rho == Fraction(1, 4)
-
-    @pytest.mark.parametrize(
-        "build", [build_independent_subsampling_scheme, build_prefix_subsampling_scheme]
-    )
-    @pytest.mark.parametrize("order", [None, Permutation([2, 1, 0])])
-    def test_alpha_must_be_the_configs(self, build, order):
-        # Otherwise the order would be preselected at one alpha and run at another.
-        inst = gen_kuniform_allactive(3, 1)
-        cfg = PreselectConfig(alpha=Fraction(1, 6), mode="exact")
-        with pytest.raises(ValueError, match="alpha 1/2 .* alpha 1/6"):
-            build(inst.matroid, inst.prior, 0.5, NoDraws(), cfg=cfg, order=order)
 
 
 class TestPermutationMixture:
@@ -257,6 +235,13 @@ class TestClassicSecretary:
         m = UniformMatroid(4, 2)
         c = measure_competitiveness(m, "greedy_by_weight", (1, 3, 2, 5), 50, Random(2))
         assert c == 1.0
+
+    def test_competitiveness_refusals(self):
+        m = UniformMatroid(3, 1)
+        with pytest.raises(ValueError, match="unknown secretary kind 'nope'"):
+            measure_competitiveness(m, "nope", (1, 2, 3), 10, NoDraws())
+        with pytest.raises(ValueError, match="offline optimum is zero"):
+            measure_competitiveness(m, "greedy_by_weight", (0, 0, 0), 10, NoDraws())
 
 
 class TestWeightMixture:
