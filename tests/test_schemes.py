@@ -22,6 +22,7 @@ from ocrs import (
     scheme_from_spec,
     secretary_wrap,
 )
+from ocrs.sampling import t_rho_bits
 from ocrs.schemes import Classic1Uniform, greedy_ordered_bits, secretary_wrap_bits
 
 from conftest import NoDraws, random_explicit_prior, random_small_matroid, triangle
@@ -106,6 +107,20 @@ class TestSubsamplingSchemes:
         chosen = SubsetMask(4, scheme.run_bits(inst.matroid, inst.prior.sample_bits(rng), rng))
         assert sorted(order.order) == [0, 1, 2, 3]
         assert chosen.cardinality() <= 2
+
+    def test_supplied_order_is_used(self, rng):
+        # A supplied order skips preselection and runs with the config's alpha/2 thinning.
+        inst = gen_kuniform_allactive(3, 1)
+        pi = Permutation([2, 1, 0])
+        cfg = PreselectConfig(alpha=Fraction(1, 2), mode="exact")
+        scheme = IndependentSubsampling(pi, cfg.alpha / 2)
+        assert scheme.order == pi
+        assert scheme.rho == Fraction(1, 4)
+        a = inst.prior.sample_bits(rng)
+        for seed in range(30):
+            t = t_rho_bits(0b111, scheme.rho, Random(seed))
+            expected = greedy_ordered_bits(inst.matroid, pi.order, a & t)
+            assert scheme.run_bits(inst.matroid, a, Random(seed)) == expected
 
 
 class TestPermutationMixture:
