@@ -60,12 +60,17 @@ def _preselect_cfg(args, inst: Instance) -> PreselectConfig:
     )
 
 
+def _reject_unread(args, flags, what: str) -> None:
+    """A build flag that `what` would ignore is a configuration error."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} does not apply to {what}")
+
+
 def _build_scheme(args, inst: Instance, rng: Random):
     name = args.scheme
     if name.endswith(".json"):
-        for flag in ("mode", "samples", "eps", "alpha", "order"):
-            if getattr(args, flag) is not None:
-                raise ValueError(f"--{flag} does not apply to a scheme JSON")
+        _reject_unread(args, ("mode", "samples", "eps", "alpha", "order"), "a scheme JSON")
         with open(name) as f:
             return scheme_from_spec(json.load(f))
     order = None
@@ -73,9 +78,10 @@ def _build_scheme(args, inst: Instance, rng: Random):
         if inst.canonical_order is None:
             raise ValueError(f"instance {inst.name} has no canonical order")
         order = inst.canonical_order
-    cfg = _preselect_cfg(args, inst)
-    if name == "greedy":
+    if name == "greedy":  # preselects nothing, so it reads only --order
+        _reject_unread(args, ("mode", "samples", "eps", "alpha"), "--scheme greedy")
         return OrderedGreedy(order or Permutation.identity(inst.matroid.n))
+    cfg = _preselect_cfg(args, inst)
     if name not in _PRESELECT:
         raise ValueError(
             f"unknown scheme {name!r} (use indep, prefix, greedy, or a scheme JSON path)"

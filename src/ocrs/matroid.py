@@ -4,8 +4,12 @@ Every matroid here answers independence queries over a ground set
 {0, ..., n-1}; rank and bases are derived from membership queries alone (one
 greedy pass, justified by the exchange property). `_unspanned(bits, within)`
 is the one span query; each family answers it once, a graphic matroid in one
-union-find pass. Built-in families: uniform, graphic (multi-edges allowed),
-explicit set lists, and restrictions of any of these.
+union-find pass. `span_start` and `span_step` walk a set's span one element
+at a time, as a small state (the closure by default, the size capped at k
+for a uniform matroid, the component labels for a graphic one), for the
+exact scan in `sampling.unspanned_counts`. Built-in families: uniform,
+graphic (multi-edges allowed), explicit set lists, and restrictions of any
+of these.
 
 All oracles are immutable after construction and safe for concurrent
 read-only use.
@@ -97,6 +101,27 @@ class Matroid:
                 out |= 1 << e
         return out
 
+    # -- span states ----------------------------------------------------------
+
+    def span_start(self):
+        """The span state of the empty set; see `span_step`."""
+        return self._closure(0)
+
+    def span_step(self, state, e: int):
+        """(whether `state` spans e, the state once e is added to it).
+
+        A span state stands for a set R by what the rest of a scan needs of
+        it: which elements R spans. Here it is R's closure over the full
+        mask, so an element outside a restriction's ground reads as spanned;
+        families override both hooks with a smaller key."""
+        if state >> e & 1:
+            return True, state
+        return False, self._closure(state | 1 << e)
+
+    def _closure(self, bits: int) -> int:
+        full = full_mask(self.n)
+        return full & ~self._unspanned(bits, full)
+
     def span(self, S: SubsetMask) -> SubsetMask:
         ground = self.ground_bits
         return SubsetMask(self.n, ground & ~self._unspanned(self._bits(S), ground))
@@ -152,6 +177,12 @@ class UniformMatroid(Matroid):
 
     def _unspanned(self, bits: int, within: int) -> int:
         return 0 if popcount(bits) >= self.k else within & ~bits
+
+    def span_start(self):
+        return 0  # min(|R|, k): R spans everything once it holds k elements
+
+    def span_step(self, state, e):
+        return (True, state) if state >= self.k else (False, state + 1)
 
     def to_spec(self) -> dict:
         return {"type": "uniform", "n": self.n, "k": self.k}
@@ -217,6 +248,17 @@ class GraphicMatroid(Matroid):
             if _find(parent, u) != _find(parent, v):
                 out |= 1 << e
         return out
+
+    def span_start(self):
+        return tuple(range(self.vertices))  # each vertex's component, by its smallest vertex
+
+    def span_step(self, state, e):
+        u, v = self.edges[e]
+        cu, cv = state[u], state[v]
+        if cu == cv:  # a loop, a parallel edge or a cycle: spanned
+            return True, state
+        lo, hi = (cu, cv) if cu < cv else (cv, cu)
+        return False, tuple([lo if c == hi else c for c in state])
 
     def to_spec(self) -> dict:
         return {

@@ -3,7 +3,7 @@
 The best achievable balancedness of any offline selection rule (by exact
 column generation over greedy orders, over an enumerated support), the
 exact per-element balancedness of any scheme from its `outcomes` (each
-scheme enumerates its own randomness, in `schemes.py`), and exhaustive
+scheme states its own randomness exactly, in `schemes.py`), and exhaustive
 weighted-rank maximization. Probabilities are Fractions end to end, so
 equality assertions in tests are legitimate.
 """

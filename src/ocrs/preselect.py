@@ -12,8 +12,10 @@ statistics are supported:
 
 Each comes in a Monte-Carlo flavour (counters over m joint samples, with a
 (1 - eps/4) relaxation of the threshold) and an exact flavour over explicit
-supports, which marginalises the subsample onto each atom A: it enumerates
-subsets of A ∩ S, not of S, and refuses before step 1 an atom past the
+supports, which marginalises the subsample onto each atom A: one span-state
+scan over A ∩ S (`sampling.unspanned_counts`) counts the keep/drop patterns
+that leave the candidate unspanned, by how many they keep, and the law
+weighs them by that number alone. It refuses before step 1 an atom past the
 limit of `sampling.SubsampleLaw`. `priors.exact_or_sampled` picks the flavour.
 """
 
@@ -35,6 +37,7 @@ from .sampling import (
     SubsampleLaw,
     shuffled,
     t_rho_bits,
+    unspanned_counts,
 )
 
 ExactModeTooLarge = EnumerationTooLarge  # the name exact preselection has always raised
@@ -124,15 +127,21 @@ def count_span_stats_prefix(
 
 def _exact_unspanned_prob(M: Matroid, P: Prior, j: int, law: SubsampleLaw, drawn_on: int):
     """Exact Pr[j not spanned by T ∩ A | j active], T drawn by `law` on A ∩ drawn_on,
-    by `Prior.exact_count` over the support atoms A that hold j. Outcomes that
-    contain j contribute nothing (j spans itself), so they are not enumerated."""
+    by `Prior.exact_count` over the support atoms A that hold j. Patterns
+    that keep j contribute nothing (j spans itself), so the scan runs over
+    A ∩ drawn_on less j and probes its final states with j."""
     jbit = 1 << j
 
     def unspanned(atom: int):
         if atom & jbit:
-            for b, w in law.outcomes(atom & drawn_on, avoid=jbit):
-                if M._unspanned(b, jbit):
-                    yield w, jbit
+            pool = atom & drawn_on
+            r = popcount(pool)
+            law.check(r)
+            w = law.weights(r)
+            free = unspanned_counts(M, [*iter_bits(pool & ~jbit), j])[-1]
+            prob = sum(c * w[s] for s, c in enumerate(free) if c)
+            if prob:
+                yield prob, jbit
 
     num = P.exact_count(unspanned)[j]
     den = P.activation_probabilities()[j]
@@ -142,7 +151,7 @@ def _exact_unspanned_prob(M: Matroid, P: Prior, j: int, law: SubsampleLaw, drawn
 def exact_unspanned_prob_independent(M: Matroid, P: Prior, S: SubsetMask, j: int, rho) -> Fraction:
     """Exact Pr[j not spanned by the rho-thinned active part of S | j active],
     for an explicit prior. The law is drawn on A ∩ S, j included, so each
-    outcome carries the factor 1 - rho of j being thinned away."""
+    pattern's weight carries the factor 1 - rho of j being thinned away."""
     return _exact_unspanned_prob(M, P, j, IndependentLaw(rho), S.bits)
 
 

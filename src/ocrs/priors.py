@@ -108,9 +108,8 @@ class Prior:
         Outcomes are counted by weight class: each distinct value pair
         (p, w) over the whole support keeps one bit-sliced counter, as in
         `count`, and an outcome adds its bits to it through a carry chain,
-        with integer operations only. A subsampling law's weight depends on
-        |B| alone, so an atom of r elements fills at most r + 1 classes, and
-        atoms of equal p share theirs. Only at the end does a class of c
+        with integer operations only. Outcomes of equal weight on atoms of
+        equal p share a class. Only at the end does a class of c
         outcomes take Fractions: one product p*w (none for w == 1) and, for
         each of its ~log2(c) levels, the mass p*w*2^i credited to the set
         that level holds. Equal sets are merged and each is expanded once.

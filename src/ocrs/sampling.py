@@ -7,6 +7,12 @@ draws bisect an integer CDF. The prefix law's conditional insertion law,
 Pr[next element lands in T | current intersection has size s] = (s+1)/(i+1),
 is what the prefix-based scheme's guarantee rests on; the exact-enumeration
 tests reproduce it with zero error.
+
+Exact consumers do not enumerate subsamples. Greedy selects e exactly when
+e is kept and stays outside the span of the kept active elements before it,
+so every exact quantity is a sum over span states: `unspanned_counts` scans
+an order once, counting keep/drop patterns by (span state, number kept), and
+each law weighs a pattern by its size alone (`SubsampleLaw.weights`).
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .bitset import SubsetMask, full_mask, mask_of, popcount
+from .bitset import SubsetMask, full_mask, mask_of
 
 
 class EnumerationTooLarge(ValueError):
@@ -169,15 +175,41 @@ def draw_index(cdf: list[int], rng: Random) -> int:
     return bisect_right(cdf, u)
 
 
+def unspanned_counts(M, elements: Sequence[int]) -> list[list[int]]:
+    """For each e = elements[t], by s: how many of the 2^t keep/drop patterns
+    over elements[:t] keep s elements and leave e outside the span of those
+    kept. One forward scan: the patterns are grouped by their span state
+    (`Matroid.span_step`), so the work grows with the number of states, not
+    with 2^t. A state's counts by s are packed into one int, count s in bits
+    s*width and up (no count exceeds 2^t < 2^width), so keeping an element
+    is one shift and merging two states one addition."""
+    width = len(elements) + 1
+    states = {M.span_start(): 1}
+    free_by_t = []
+    for e in elements:
+        free = 0
+        after: dict = {}
+        for state, counts in states.items():
+            spanned, kept = M.span_step(state, e)
+            if not spanned:
+                free += counts
+            after[state] = after.get(state, 0) + counts
+            after[kept] = after.get(kept, 0) + (counts << width)
+        free_by_t.append(free)
+        states = after
+    mask = (1 << width) - 1
+    return [[free >> s * width & mask for s in range(t + 1)] for t, free in enumerate(free_by_t)]
+
+
 class SubsampleLaw:
     """The exact law of T ∩ a, for a subsample T of the ground set and a set a.
 
     Both subsamplers keep their form under restriction: T ∩ a is the same
     law on a (for the prefix law, because the relative order of a and the
     sentinel is uniform), and Pr[T ∩ a = B] depends only on |a| and |B|:
-    `weights(r)` lists it by |B| for |a| = r. So exact consumers enumerate
-    subsets of an active atom, not of the ground set; `limit` bounds |a|,
-    the same for both laws, whose outcomes cost the same to count.
+    `weights(r)` lists it by |B| for |a| = r. So exact consumers weigh the
+    keep/drop patterns of `unspanned_counts` over an active atom, not over
+    the ground set; `limit` bounds |a|, the same for both laws.
     """
 
     limit = 13
@@ -186,21 +218,6 @@ class SubsampleLaw:
         """Raise `EnumerationTooLarge` when |a| = r exceeds `limit`."""
         if r > self.limit:
             raise EnumerationTooLarge(f"{type(self).__name__} on {r} elements; limit {self.limit}")
-
-    def outcomes(self, a_bits: int, avoid: int = 0) -> Iterator[tuple[int, Fraction]]:
-        """Yield (B, Pr[T ∩ a = B]) for the subsets B of a that miss `avoid`,
-        skipping outcomes of probability 0."""
-        r = popcount(a_bits)
-        self.check(r)
-        weights = self.weights(r)
-        b = pool = a_bits & ~avoid
-        while True:
-            w = weights[popcount(b)]
-            if w:
-                yield b, w
-            if not b:
-                return
-            b = (b - 1) & pool
 
 
 class IndependentLaw(SubsampleLaw):

@@ -9,8 +9,9 @@ preselects it with `preselect.py` or supplies it, and its mixture from
 are online by construction.
 
 Each scheme states its own randomness once, in two twins side by side:
-`run_bits` draws it for one pass (Monte-Carlo), and `outcomes` enumerates
-it exactly on one active set (exact balancedness).
+`run_bits` draws it for one pass (Monte-Carlo), and `outcomes` credits
+each element its exact selection probability on one active set (exact
+balancedness).
 
 Schemes:
 
@@ -43,6 +44,7 @@ from .sampling import (
     prefix_subsample_bits,
     random_permutation,
     t_rho_bits,
+    unspanned_counts,
 )
 
 MIXTURE_WEIGHT_TOL = 1e-9
@@ -60,8 +62,12 @@ def order_by_weight(w: Sequence) -> Permutation:
 
 class Scheme:
     """Base run-phase interface. `outcomes` is the exact twin of `run_bits`:
-    it yields (probability, selected bits) over the scheme's own randomness
-    on a_bits, summing to exactly 1, or raises `EnumerationTooLarge`."""
+    it yields credits (weight, bits) on a_bits whose per-element sums are
+    each element's exact selection probability over the scheme's own
+    randomness, or raises `EnumerationTooLarge`. Greedy and the mixtures
+    yield their joint law, (probability, selected bits) summing to exactly
+    1, which the alpha* witness reads; the subsampling schemes yield one
+    marginal credit per element."""
 
     n: int
 
@@ -101,10 +107,17 @@ class _Subsampling(Scheme):
     fresh per run, independent of A; `law` states exactly what it draws."""
 
     def outcomes(self, M, a_bits):
-        # greedy(A ∩ T) depends on T only through T ∩ A: enumerate the law on A.
-        order = self.order.order
-        for b, w in self.law.outcomes(a_bits):
-            yield w, greedy_ordered_bits(M, order, b)
+        # Greedy selects the active arrival e after t others exactly when e
+        # is kept and the kept ones of those t leave e unspanned; such a
+        # pattern with s of them kept has probability weights(t + 1)[s + 1],
+        # the law on A restricted to those t + 1 elements.
+        active = [e for e in self.order.order if a_bits >> e & 1]
+        self.law.check(len(active))
+        for t, (e, free) in enumerate(zip(active, unspanned_counts(M, active))):
+            w = self.law.weights(t + 1)
+            prob = sum(c * w[s + 1] for s, c in enumerate(free) if c)
+            if prob:
+                yield prob, 1 << e
 
 
 class IndependentSubsampling(_Subsampling):

@@ -4,8 +4,9 @@ before every scheme stated its own exact twin, `Scheme.outcomes`.
 
 The ladder reads the schemes' fields (`order`, `components`, `law`,
 `secretary_kind`) from outside, so it checks each scheme's `outcomes`
-against an independent statement of the same randomness. Values must agree
-with tolerance 0.
+against an independent statement of the same randomness: for a subsampling
+scheme, greedy on every subset of the atom, weighted by `law.weights`
+(`subsample_reference.law_outcomes`). Values must agree with tolerance 0.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ from ocrs.schemes import (
     secretary_wrap_bits,
 )
 
+from subsample_reference import law_outcomes
+
 # The secretaries that draw no randomness of their own.
 DETERMINISTIC_SECRETARIES = {"greedy_by_weight"}
 
 
-def _scheme_randomness(M: Matroid, scheme: Scheme, atom: int):
+def ladder_outcomes(M: Matroid, scheme: Scheme, atom: int):
     """Yield (weight, selected bits) pairs covering the scheme's internal
-    randomness exactly, on the active set `atom`."""
+    randomness exactly, on the active set `atom`: its joint law."""
     if isinstance(scheme, OrderedGreedy):
         yield Fraction(1), greedy_ordered_bits(M, scheme.order.order, atom)
     elif isinstance(scheme, PermutationMixture):
@@ -41,7 +44,7 @@ def _scheme_randomness(M: Matroid, scheme: Scheme, atom: int):
             yield wt, greedy_ordered_bits(M, pi.order, atom)
     elif isinstance(scheme, (IndependentSubsampling, PrefixSubsampling)):
         order = scheme.order.order
-        for b, w in scheme.law.outcomes(atom):
+        for b, w in law_outcomes(scheme.law, atom):
             yield w, greedy_ordered_bits(M, order, b)
     elif isinstance(scheme, WeightMixture):
         if scheme.secretary_kind not in DETERMINISTIC_SECRETARIES:
@@ -69,7 +72,7 @@ def reference_exact_balancedness(M: Matroid, scheme: Scheme, P: Prior) -> list:
             continue
         for e in iter_bits(atom):
             probs[e] += p
-        for w, bits in _scheme_randomness(M, scheme, atom):
+        for w, bits in ladder_outcomes(M, scheme, atom):
             for e in iter_bits(bits):
                 selected[e] += p * w
     return [s / x if x > 0 else None for s, x in zip(selected, probs)]

@@ -1,11 +1,12 @@
 """Test-only reference for the exact subsample laws: the whole-ground-set
 enumerations that `ocrs.preselect` and `ocrs.oracle` ran before they
-marginalised the subsample onto each support atom.
+marginalised the subsample onto each support atom, and the per-atom
+enumerator `law_outcomes` they ran before the span-state scan replaced it.
 
 The preselection statistics enumerate every subset of S \\ {j}; the
 balancedness reference enumerates all 2^n subsamples T of the ground set and
-runs greedy on A ∩ T for every atom A. The library's per-atom enumeration
-must agree with both with tolerance 0.
+runs greedy on A ∩ T for every atom A. The library's span-state scan must
+agree with both with tolerance 0.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from ocrs.matroid import Matroid
 from ocrs.oracle import EnumerationTooLarge
 from ocrs.preselect import ExactModeTooLarge
 from ocrs.priors import Prior, to_fraction
+from ocrs.sampling import SubsampleLaw
 from ocrs.schemes import IndependentSubsampling, PrefixSubsampling, Scheme, greedy_ordered_bits
 
 from conftest import membership_span
@@ -26,6 +28,22 @@ INDEPENDENT_EXACT_LIMIT = 12  # max |A ∩ S| for 2^|A∩S| subsample enumeratio
 PREFIX_EXACT_LIMIT = 9  # max |S_i| for prefix enumeration
 INDEPENDENT_ENUM_LIMIT = 14  # 2^n thinning outcomes
 PREFIX_ENUM_LIMIT = 8  # (n+1)! sentinel permutations, enumerated by subset weight
+
+
+def law_outcomes(law: SubsampleLaw, a_bits: int, avoid: int = 0):
+    """Yield (B, Pr[T ∩ a = B]) for the subsets B of a that miss `avoid`,
+    skipping outcomes of probability 0; refuses as `law.check` does."""
+    r = popcount(a_bits)
+    law.check(r)
+    weights = law.weights(r)
+    b = pool = a_bits & ~avoid
+    while True:
+        w = weights[popcount(b)]
+        if w:
+            yield b, w
+        if not b:
+            return
+        b = (b - 1) & pool
 
 
 def reference_unspanned_prob_independent(

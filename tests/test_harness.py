@@ -349,6 +349,26 @@ class TestCli:
         assert cli_run(argv) == 2
         assert f"{flag[0]} does not apply to a scheme JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "evaluate"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--mode", "exact"], ["--samples", "300"], ["--eps", "1/4"], ["--alpha", "0"],
+         ["--alpha", "1/2"]],
+    )
+    def test_greedy_rejects_build_flags(self, capsys, command, flag):
+        # Greedy preselects nothing, so a build flag would be ignored; --alpha 0
+        # is named as unread, not as an out-of-range level.
+        argv = [command, "--instance", "kuniform:6,3", "--scheme", "greedy"] + flag
+        assert cli_run(argv) == 2
+        assert capsys.readouterr().err == f"error: {flag[0]} does not apply to --scheme greedy\n"
+
+    def test_greedy_takes_the_order_flag(self, capsys):
+        argv = ["run", "--instance", "hidden:4,1/3,1/20,0", "--scheme", "greedy", "--seed", "2"]
+        assert cli_run(argv + ["--order", "preselect"]) == 0
+        assert json.loads(capsys.readouterr().out)["scheme"]["order"] == [0, 1, 2, 3]
+        assert cli_run(argv + ["--order", "canonical"]) == 2  # read, and this instance has none
+        assert "has no canonical order" in capsys.readouterr().err
+
     def test_scheme_json_takes_seed_trials_and_ci_level(self, tmp_path, capsys):
         path = tmp_path / "greedy.json"
         path.write_text(json.dumps(OrderedGreedy(Permutation([1, 0])).to_spec()))

@@ -34,7 +34,7 @@ from ocrs.priors import AllActivePrior, SamplerPrior
 
 from conftest import explicit_battery, random_explicit_prior, random_small_matroid
 from oracle_reference import reference_max_uncontentious_alpha
-from scheme_reference import reference_exact_balancedness
+from scheme_reference import ladder_outcomes, reference_exact_balancedness
 
 
 class TestAlphaStar:
@@ -291,11 +291,27 @@ class TestAgainstSchemeLadder:
         ]
         for scheme in schemes:
             assert exact_balancedness(m, scheme, p) == reference_exact_balancedness(m, scheme, p)
+            subsampling = isinstance(scheme, (IndependentSubsampling, PrefixSubsampling))
             for atom, _ in p.support():
-                outcomes = list(scheme.outcomes(m, atom))
-                assert sum(w for w, _ in outcomes) == 1
-                for _, y in outcomes:
-                    assert y & ~atom == 0 and m._independent(y)
+                joint = list(ladder_outcomes(m, scheme, atom))
+                credits = list(scheme.outcomes(m, atom))
+                assert _per_element(credits, m.n) == _per_element(joint, m.n)
+                # Greedy and the mixtures yield their joint law (the alpha* witness
+                # reads a PermutationMixture's); the subsampling schemes yield
+                # one marginal credit per element.
+                for law in [joint] if subsampling else [joint, credits]:
+                    assert sum(w for w, _ in law) == 1
+                    for _, y in law:
+                        assert y & ~atom == 0 and m._independent(y)
+
+
+def _per_element(credits, n: int) -> list:
+    """Each element's summed credit weight."""
+    totals = [Fraction(0)] * n
+    for w, bits in credits:
+        for e in iter_bits(bits):
+            totals[e] += w
+    return totals
 
 
 class TestBruteForce:

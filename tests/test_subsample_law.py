@@ -1,6 +1,6 @@
 """The exact subsample laws: the restriction property they rest on, the
-per-atom enumeration against the whole-ground-set references, and the reach
-that marginalising onto the atom buys."""
+span-state scan against the whole-ground-set references, the work the scan
+does, and the reach that marginalising onto the atom buys."""
 
 from fractions import Fraction
 from random import Random
@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocrs import (
+    ExplicitMatroid,
     ExplicitPrior,
+    GraphicMatroid,
     IndependentSubsampling,
     Permutation,
     PrefixSubsampling,
@@ -23,10 +25,12 @@ from ocrs import (
 )
 from ocrs.bitset import popcount
 from ocrs.preselect import exact_unspanned_prob_independent, exact_unspanned_prob_prefix
+from ocrs.priors import AllActivePrior
 from ocrs.sampling import EnumerationTooLarge, IndependentLaw, PrefixLaw
 
 from conftest import random_explicit_prior, random_small_matroid, sentinel_prefix_law
 from subsample_reference import (
+    law_outcomes,
     reference_exact_balancedness,
     reference_unspanned_prob_independent,
     reference_unspanned_prob_prefix,
@@ -46,7 +50,7 @@ class TestRestriction:
         n = 5
         whole = sentinel_prefix_law(n)  # all (n+1)! permutations
         for a in range(1 << n):
-            assert dict(PrefixLaw().outcomes(a)) == _restricted(whole, a)
+            assert dict(law_outcomes(PrefixLaw(), a)) == _restricted(whole, a)
 
     @pytest.mark.parametrize("rho", [Fraction(0), Fraction(1, 3), Fraction(1)])
     def test_independent_law_is_the_thinning_law_on_the_atom(self, rho):
@@ -55,21 +59,21 @@ class TestRestriction:
             t: rho ** popcount(t) * (1 - rho) ** (n - popcount(t)) for t in range(1 << n)
         }
         for a in range(1 << n):
-            assert dict(IndependentLaw(rho).outcomes(a)) == _restricted(whole, a)
+            assert dict(law_outcomes(IndependentLaw(rho), a)) == _restricted(whole, a)
 
     def test_avoided_outcomes_keep_their_weights(self):
-        got = dict(IndependentLaw(Fraction(1, 4)).outcomes(0b111, avoid=0b001))
+        got = dict(law_outcomes(IndependentLaw(Fraction(1, 4)), 0b111, avoid=0b001))
         assert set(got) == {0b000, 0b010, 0b100, 0b110}
         assert sum(got.values()) == Fraction(3, 4)  # element 0 dropped
 
     def test_limits_bound_the_atom_not_the_ground_set(self):
         with pytest.raises(EnumerationTooLarge):
-            next(IndependentLaw(Fraction(1, 2)).outcomes((1 << 14) - 1))
+            next(law_outcomes(IndependentLaw(Fraction(1, 2)), (1 << 14) - 1))
         with pytest.raises(EnumerationTooLarge):
-            next(PrefixLaw().outcomes((1 << 14) - 1))
-        assert sum(w for _, w in PrefixLaw().outcomes((1 << 13) - 1)) == 1
+            next(law_outcomes(PrefixLaw(), (1 << 14) - 1))
+        assert sum(w for _, w in law_outcomes(PrefixLaw(), (1 << 13) - 1)) == 1
         far = 1 << 200
-        assert dict(PrefixLaw().outcomes(far)) == {far: Fraction(1, 2), 0: Fraction(1, 2)}
+        assert dict(law_outcomes(PrefixLaw(), far)) == {far: Fraction(1, 2), 0: Fraction(1, 2)}
 
 
 class TestAgainstWholeGroundSet:
@@ -93,6 +97,83 @@ class TestAgainstWholeGroundSet:
         order = Permutation(rng.sample(range(n), n))
         for scheme in (IndependentSubsampling(order, rho), PrefixSubsampling(order)):
             assert exact_balancedness(m, scheme, p) == reference_exact_balancedness(m, scheme, p)
+
+
+def _family(rng: Random, kind: str):
+    """A matroid of the named family, on at most 7 elements."""
+    if kind == "uniform":
+        n = rng.randint(1, 7)
+        return UniformMatroid(n, rng.randint(0, n))
+    if kind == "graphic":  # with a loop and a parallel pair, at random places
+        v = rng.randint(2, 4)
+        edges = [(rng.randrange(v), rng.randrange(v)) for _ in range(rng.randint(0, 4))]
+        edges.append((rng.randrange(v),) * 2)
+        edges.append(rng.choice(edges))
+        rng.shuffle(edges)
+        return GraphicMatroid(v, edges)
+    if kind == "explicit":
+        base = _family(rng, rng.choice(["uniform", "graphic"]))
+        members = [b for b in range(1 << base.n) if base._independent(b)]
+        return ExplicitMatroid(base.n, [[e for e in range(base.n) if b >> e & 1] for b in members])
+    base = _family(rng, rng.choice(["uniform", "graphic", "explicit"]))
+    return base.restrict(SubsetMask(base.n, rng.randrange(1 << base.n)))
+
+
+class TestSpanScan:
+    """The span-state scan (`sampling.unspanned_counts`), through both of its
+    consumers, against the whole-ground-set enumerations."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["uniform", "graphic", "explicit", "restricted"]),
+        st.sampled_from(["0", "1", "between"]),
+    )
+    def test_equals_the_whole_ground_set(self, seed, kind, rho_kind):
+        rng = Random(seed)
+        m = _family(rng, kind)
+        n = m.n
+        p = random_explicit_prior(rng, n)
+        if rng.random() < 0.3:  # some elements never active
+            p = p.marginal(SubsetMask(n, rng.randrange(1 << n)))
+        rho = {"0": Fraction(0), "1": Fraction(1)}.get(rho_kind)
+        if rho is None:
+            q = rng.randint(2, 9)
+            rho = Fraction(rng.randint(1, q - 1), q)
+        s = SubsetMask(n, rng.randrange(1, 1 << n))  # may hold elements outside a restriction
+        j = rng.choice(list(s))
+        indep = exact_unspanned_prob_independent(m, p, s, j, rho)
+        prefix = exact_unspanned_prob_prefix(m, p, s, j)
+        if m.ground_bits >> j & 1:
+            assert indep == reference_unspanned_prob_independent(m, p, s, j, rho)
+            assert prefix == reference_unspanned_prob_prefix(m, p, s, j)
+        else:  # outside the ground: never selectable, so always spanned
+            assert indep == prefix == 0
+        order = Permutation(rng.sample(range(n), n))
+        for scheme in (IndependentSubsampling(order, rho), PrefixSubsampling(order)):
+            assert exact_balancedness(m, scheme, p) == reference_exact_balancedness(m, scheme, p)
+
+    @pytest.mark.parametrize("prefix", [False, True])
+    def test_work_grows_with_states_not_subsets(self, prefix):
+        # min(|R|, k) takes k + 1 values and |R| takes r + 1, over r steps;
+        # enumerating the 2^13 subsets would take 2^13 steps and more.
+        r, k = 13, 6
+        m = _CountingUniform(r, k)
+        order = Permutation.identity(r)
+        scheme = PrefixSubsampling(order) if prefix else IndependentSubsampling(order, Fraction(1, 2))
+        bal = exact_balancedness(m, scheme, AllActivePrior(r))
+        assert 0 < m.steps <= (k + 1) * (r + 1) * r
+        assert bal[0] == Fraction(1, 2)  # the first arrival is selected whenever it is kept
+
+
+class _CountingUniform(UniformMatroid):
+    """A uniform matroid that counts its span steps."""
+
+    steps = 0
+
+    def span_step(self, state, e):
+        self.steps += 1
+        return super().span_step(state, e)
 
 
 class TestReach:
