@@ -1,15 +1,17 @@
 """Matroid membership oracles with derived rank / span / basis / restriction.
 
 Every matroid here answers independence queries over a ground set
-{0, ..., n-1}; rank and bases are derived from membership queries alone (one
-greedy pass, justified by the exchange property). `_unspanned(bits, within)`
-is the one span query; each family answers it once, a graphic matroid in one
-union-find pass. `span_start` and `span_step` walk a set's span one element
-at a time, as a small state (the closure by default, the size capped at k
-for a uniform matroid, the component labels for a graphic one), for the
-exact scan in `sampling.unspanned_counts`. Built-in families: uniform,
-graphic (multi-edges allowed), explicit set lists, and restrictions of any
-of these.
+{0, ..., n-1}. `span_start` and `span_step` are each family's one statement
+of incremental span: they walk a set's span one element at a time, as a
+small state. By default the state is the basis of the set grown along the
+walk (one `_independent` query per step); a uniform matroid keeps the size
+capped at k, a graphic one a string of component labels, and a restriction
+delegates to its parent. Greedy (`greedy_ordered_bits`, and through it rank
+and bases), the secretaries' `IndependentSetGrower` and the exact scan in
+`sampling.unspanned_counts` all walk these hooks. `_unspanned(bits,
+within)` is the one batch span query; a graphic matroid answers it in one
+union-find pass. Built-in families: uniform, graphic (multi-edges allowed),
+explicit set lists, and restrictions of any of these.
 
 All oracles are immutable after construction and safe for concurrent
 read-only use.
@@ -30,7 +32,6 @@ from .bitset import (
 from .sampling import EnumerationTooLarge
 
 EXHAUSTIVE_LIMIT = 16
-GroundSetTooLarge = EnumerationTooLarge  # the name `verify_axioms` has always raised
 
 
 class Matroid:
@@ -60,7 +61,7 @@ class Matroid:
 
     def grower(self) -> "IndependentSetGrower":
         """Stateful helper that adds elements one at a time, keeping the
-        current set independent. Used by every greedy pass in the package."""
+        current set independent, for callers that decide as elements arrive."""
         return IndependentSetGrower(self)
 
     # -- derived quantities --------------------------------------------------
@@ -105,22 +106,21 @@ class Matroid:
 
     def span_start(self):
         """The span state of the empty set; see `span_step`."""
-        return self._closure(0)
+        return 0
 
     def span_step(self, state, e: int):
         """(whether `state` spans e, the state once e is added to it).
 
         A span state stands for a set R by what the rest of a scan needs of
-        it: which elements R spans. Here it is R's closure over the full
-        mask, so an element outside a restriction's ground reads as spanned;
-        families override both hooks with a smaller key."""
-        if state >> e & 1:
+        it: which elements R spans. Here it is the basis of R grown along
+        the scan, so R spans e exactly when that basis plus e is dependent.
+        It asks `_independent` alone: `_unspanned` and `_basis_bits` run
+        greedy, which walks these hooks. Families override both hooks with
+        a smaller key."""
+        grown = state | 1 << e
+        if grown == state or not self._independent(grown):
             return True, state
-        return False, self._closure(state | 1 << e)
-
-    def _closure(self, bits: int) -> int:
-        full = full_mask(self.n)
-        return full & ~self._unspanned(bits, full)
+        return False, grown
 
     def span(self, S: SubsetMask) -> SubsetMask:
         ground = self.ground_bits
@@ -136,28 +136,37 @@ class Matroid:
 
 
 class IndependentSetGrower:
-    """Incrementally grown independent set; generic fallback re-queries the
-    oracle on each candidate, subclasses keep cheaper state."""
+    """An independent set grown one offered element at a time, on the
+    matroid's span state: e is taken when the set so far leaves it unspanned.
+    An element already held is refused (a size-capped state cannot tell)."""
 
     def __init__(self, matroid: Matroid):
-        self._m = matroid
+        self._step = matroid.span_step
+        self._state = matroid.span_start()
         self.bits = 0
 
     def try_add(self, e: int) -> bool:
-        cand = self.bits | (1 << e)
-        if cand != self.bits and self._m._independent(cand):
-            self.bits = cand
-            return True
-        return False
+        if self.bits >> e & 1:
+            return False
+        spanned, self._state = self._step(self._state, e)
+        if spanned:
+            return False
+        self.bits |= 1 << e
+        return True
 
 
 def greedy_ordered_bits(M: Matroid, order: Iterable[int], a_bits: int) -> int:
-    """Scan `order`; take every element of a_bits that keeps the set independent."""
-    g = M.grower()
+    """Scan `order`; take every element of a_bits that the ones taken before
+    it leave unspanned, one `span_step` per element of a_bits."""
+    step = M.span_step
+    state = M.span_start()
+    taken = 0
     for e in order:
-        if (a_bits >> e) & 1:
-            g.try_add(e)
-    return g.bits
+        if a_bits >> e & 1:
+            spanned, state = step(state, e)
+            if not spanned:
+                taken |= 1 << e
+    return taken
 
 
 class UniformMatroid(Matroid):
@@ -171,9 +180,6 @@ class UniformMatroid(Matroid):
 
     def _independent(self, bits: int) -> bool:
         return popcount(bits) <= self.k
-
-    def grower(self):
-        return _UniformGrower(self)
 
     def _unspanned(self, bits: int, within: int) -> int:
         return 0 if popcount(bits) >= self.k else within & ~bits
@@ -191,26 +197,13 @@ class UniformMatroid(Matroid):
         return f"UniformMatroid(n={self.n}, k={self.k})"
 
 
-class _UniformGrower:
-    def __init__(self, matroid: UniformMatroid):
-        self._k = matroid.k
-        self._size = 0
-        self.bits = 0
-
-    def try_add(self, e: int) -> bool:
-        b = 1 << e
-        if self._size < self._k and not (self.bits & b):
-            self.bits |= b
-            self._size += 1
-            return True
-        return False
-
-
 class GraphicMatroid(Matroid):
     """Forests of a multigraph; ground-set elements are edge indices.
 
     Parallel edges are supported: a second copy of any edge always closes a
-    cycle. Independence is checked with a fresh union-find per query.
+    cycle. Independence is checked with a fresh union-find per query. A span
+    state is a string with one character `chr(label)` per vertex, the label
+    being the smallest vertex of its component, so a merge is one `replace`.
     """
 
     def __init__(self, vertices: int, edges: Sequence[tuple[int, int]]):
@@ -220,6 +213,7 @@ class GraphicMatroid(Matroid):
         for u, v in self.edges:
             if not (0 <= u < vertices and 0 <= v < vertices):
                 raise ValueError(f"edge ({u},{v}) outside vertex range {vertices}")
+        self._start = "".join(map(chr, range(vertices)))
 
     def _independent(self, bits: int) -> bool:
         parent = list(range(self.vertices))
@@ -232,9 +226,6 @@ class GraphicMatroid(Matroid):
                 return False
             parent[ru] = rv
         return True
-
-    def grower(self):
-        return _ForestGrower(self)
 
     def _unspanned(self, bits: int, within: int) -> int:
         parent = list(range(self.vertices))  # no basis: an edge on a cycle merges nothing
@@ -250,15 +241,14 @@ class GraphicMatroid(Matroid):
         return out
 
     def span_start(self):
-        return tuple(range(self.vertices))  # each vertex's component, by its smallest vertex
+        return self._start  # every vertex its own component
 
     def span_step(self, state, e):
         u, v = self.edges[e]
         cu, cv = state[u], state[v]
         if cu == cv:  # a loop, a parallel edge or a cycle: spanned
             return True, state
-        lo, hi = (cu, cv) if cu < cv else (cv, cu)
-        return False, tuple([lo if c == hi else c for c in state])
+        return False, state.replace(cv, cu) if cu < cv else state.replace(cu, cv)
 
     def to_spec(self) -> dict:
         return {
@@ -278,24 +268,6 @@ def _find(parent: list, x: int) -> int:
     while parent[x] != root:
         parent[x], x = root, parent[x]
     return root
-
-
-class _ForestGrower:
-    def __init__(self, matroid: GraphicMatroid):
-        self._edges = matroid.edges
-        self._parent = list(range(matroid.vertices))
-        self.bits = 0
-
-    def try_add(self, e: int) -> bool:
-        u, v = self._edges[e]
-        parent = self._parent
-        ru = _find(parent, u)
-        rv = _find(parent, v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-        self.bits |= 1 << e
-        return True
 
 
 class ExplicitMatroid(Matroid):
@@ -330,7 +302,8 @@ class RestrictionMatroid(Matroid):
     """Members are subsets of X independent in the parent; same ground size.
 
     Span is reported within the restricted ground set, so it agrees with the
-    parent's span intersected with X.
+    parent's span intersected with X. The span state is the parent's: an
+    element outside X reads as spanned, any other goes to the parent's step.
     """
 
     def __init__(self, parent: Matroid, X: SubsetMask):
@@ -343,29 +316,19 @@ class RestrictionMatroid(Matroid):
     def _independent(self, bits: int) -> bool:
         return bits & ~self.ground_bits == 0 and self.parent._independent(bits)
 
-    def grower(self):
-        return _RestrictedGrower(self)
-
     def _unspanned(self, bits: int, within: int) -> int:
         return self.parent._unspanned(bits & self.ground_bits, within & self.ground_bits)
 
+    def span_start(self):
+        return self.parent.span_start()
+
+    def span_step(self, state, e):
+        if self.ground_bits >> e & 1:
+            return self.parent.span_step(state, e)
+        return True, state
+
     def __repr__(self):
         return f"RestrictionMatroid({self.parent!r}, ground={self.ground_bits:#x})"
-
-
-class _RestrictedGrower:
-    def __init__(self, matroid: RestrictionMatroid):
-        self._ground = matroid.ground_bits
-        self._inner = matroid.parent.grower()
-
-    @property
-    def bits(self):
-        return self._inner.bits
-
-    def try_add(self, e: int) -> bool:
-        if not (self._ground >> e) & 1:
-            return False
-        return self._inner.try_add(e)
 
 
 def verify_axioms(M: Matroid, limit: int = EXHAUSTIVE_LIMIT) -> bool:

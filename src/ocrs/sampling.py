@@ -17,6 +17,7 @@ each law weighs a pattern by its size alone (`SubsampleLaw.weights`).
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from fractions import Fraction
@@ -226,13 +227,26 @@ class IndependentLaw(SubsampleLaw):
     def __init__(self, rho):
         self.rho = to_fraction(rho)
 
-    def weights(self, r: int) -> list[Fraction]:
-        return [self.rho**s * (1 - self.rho) ** (r - s) for s in range(r + 1)]
+    def weights(self, r: int) -> tuple[Fraction, ...]:
+        return _independent_weights(self.rho, r)
 
 
 class PrefixLaw(SubsampleLaw):
     """The elements before a uniformly placed sentinel (`prefix_subsample_bits`):
     |T ∩ a| is uniform on {0..r}, then T ∩ a is a uniform subset of that size."""
 
-    def weights(self, r: int) -> list[Fraction]:
-        return [Fraction(1, (r + 1) * math.comb(r, s)) for s in range(r + 1)]
+    def weights(self, r: int) -> tuple[Fraction, ...]:
+        return _prefix_weights(r)
+
+
+# Each law's weights are built once per (rho, r): the exact routes ask for
+# them once per atom, candidate and arrival. The keys stay few: r is checked
+# against `limit` first, and a run uses a handful of rho values.
+@functools.cache
+def _independent_weights(rho: Fraction, r: int) -> tuple[Fraction, ...]:
+    return tuple(rho**s * (1 - rho) ** (r - s) for s in range(r + 1))
+
+
+@functools.cache
+def _prefix_weights(r: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(1, (r + 1) * math.comb(r, s)) for s in range(r + 1))

@@ -455,6 +455,50 @@ class TestCli:
             assert seen and set(seen) == {mode}
 
 
+class TestGoldenOutputs:
+    """Seeded CLI outputs pinned to literals: greedy, the grower and the
+    exact scan walk each family's span state, and none of them may move."""
+
+    def test_evaluate_graphic_greedy(self, tmp_path):
+        rc = cli_run(
+            ["evaluate", "--instance", "parallel-hats:1/2", "--scheme", "indep",
+             "--order", "canonical", "--trials", "2000", "--seed", "7",
+             "--out", str(tmp_path / "ev")]
+        )
+        assert rc == 0
+        lines = (tmp_path / "ev.csv").read_text().splitlines()
+        assert lines[:2] == [
+            "element,active_count,selected_count,estimate,ci_lo,ci_hi",
+            "0,2000,519,0.2595,0.22310522919927908,0.2958947708007209",
+        ]
+        assert [line.split(",")[1:3] for line in lines[1:]] == [
+            ["2000", str(c)]
+            for c in [
+                519, 479, 523, 540, 477, 515, 506, 505, 526, 528, 488, 496, 485,
+                499, 491, 523, 531, 485, 498, 491, 503, 441, 468, 480, 455, 422,
+                449, 471, 432, 455, 458, 458, 440, 439, 152, 513, 351,
+            ]
+        ]
+
+    def test_lp_build_secretary_reduction(self, tmp_path):
+        rc = cli_run(
+            ["lp-build", "--instance", "kuniform:6,3", "--reduction", "secretary",
+             "--mode", "exact", "--out", str(tmp_path / "lp")]
+        )
+        assert rc == 0
+        third, quarter, sixth = "1/3", "1/4", "1/6"
+        assert json.loads((tmp_path / "lp.scheme.json").read_text()) == {
+            "components": [
+                {"w": [sixth] * 6, "weight": quarter},
+                {"w": [quarter, "0", "0", quarter, quarter, quarter], "weight": quarter},
+                {"w": ["0", third, "0", "0", third, third], "weight": quarter},
+                {"w": ["0", "0", third, third, "0", third], "weight": quarter},
+            ],
+            "kind": "weight_mixture",
+            "secretary": "greedy_by_weight",
+        }
+
+
 class _ExactBitsOnly(Random):
     """A Random that refuses every draw but fair bits and shuffles. It
     overrides getrandbits, as bench/tracer.py's CountingRandom does, so

@@ -16,7 +16,8 @@ from ocrs import (
     verify_axioms,
 )
 from ocrs.bitset import popcount
-from ocrs.matroid import GroundSetTooLarge
+from ocrs.matroid import greedy_ordered_bits
+from ocrs.sampling import EnumerationTooLarge
 
 from conftest import membership_span, random_small_matroid, triangle
 
@@ -246,7 +247,7 @@ class TestAxioms:
         assert not verify_axioms(ExplicitMatroid(2, [[0]]))
 
     def test_too_large_guard(self):
-        with pytest.raises(GroundSetTooLarge):
+        with pytest.raises(EnumerationTooLarge):
             verify_axioms(UniformMatroid(17, 2))
 
 
@@ -262,16 +263,34 @@ class TestJson:
             matroid_from_spec({"type": "laminar"})
 
 
+def _membership_greedy(m, order, a_bits):
+    taken = 0
+    for e in order:
+        if a_bits >> e & 1 and m._independent(taken | 1 << e):
+            taken |= 1 << e
+    return taken
+
+
 def test_grower_matches_oracle_greedy(rng):
+    # Every family, a random restriction of each, and a graph whose component
+    # labels pass one byte; each element is offered twice, in a shuffled stream.
+    v = 300
+    big = GraphicMatroid(v, [(rng.randrange(v), rng.randrange(v)) for _ in range(60)])
+    matroids = [big, big.restrict(SubsetMask(big.n, rng.getrandbits(big.n)))]
     for _ in range(40):
         m = random_small_matroid(rng)
-        order = list(range(m.n))
-        rng.shuffle(order)
+        matroids += [m, m.restrict(SubsetMask(m.n, rng.randrange(1 << m.n)))]
+    for m in matroids:
+        offers = [*range(m.n)] * 2
+        rng.shuffle(offers)
         g = m.grower()
         cur = 0
-        for e in order:
-            expect = m._independent(cur | (1 << e)) and not (cur >> e) & 1
+        for e in offers:
+            expect = not (cur >> e) & 1 and m._independent(cur | (1 << e))
             assert g.try_add(e) == expect
             if expect:
                 cur |= 1 << e
         assert g.bits == cur
+        order = rng.sample(range(m.n), m.n)
+        a_bits = rng.getrandbits(m.n)
+        assert greedy_ordered_bits(m, order, a_bits) == _membership_greedy(m, order, a_bits)

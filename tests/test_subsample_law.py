@@ -153,17 +153,25 @@ class TestSpanScan:
         for scheme in (IndependentSubsampling(order, rho), PrefixSubsampling(order)):
             assert exact_balancedness(m, scheme, p) == reference_exact_balancedness(m, scheme, p)
 
-    @pytest.mark.parametrize("prefix", [False, True])
-    def test_work_grows_with_states_not_subsets(self, prefix):
+    @pytest.mark.parametrize(
+        "prefix, restricted",
+        [(False, False), (True, False), (False, True), (True, True)],
+        ids=["False", "True", "False-restricted", "True-restricted"],
+    )
+    def test_work_grows_with_states_not_subsets(self, prefix, restricted):
         # min(|R|, k) takes k + 1 values and |R| takes r + 1, over r steps;
-        # enumerating the 2^13 subsets would take 2^13 steps and more.
+        # enumerating the 2^13 subsets would take 2^13 steps and more. A
+        # restriction walks its parent's state, so the parent counts the steps.
         r, k = 13, 6
-        m = _CountingUniform(r, k)
+        counting = _CountingUniform(r, k)
+        m = counting.restrict(SubsetMask(r, (1 << r - 1) - 1)) if restricted else counting
         order = Permutation.identity(r)
         scheme = PrefixSubsampling(order) if prefix else IndependentSubsampling(order, Fraction(1, 2))
         bal = exact_balancedness(m, scheme, AllActivePrior(r))
-        assert 0 < m.steps <= (k + 1) * (r + 1) * r
+        assert 0 < counting.steps <= (k + 1) * (r + 1) * r
         assert bal[0] == Fraction(1, 2)  # the first arrival is selected whenever it is kept
+        if restricted:
+            assert bal[r - 1] == 0  # outside the ground: never selected
 
 
 class _CountingUniform(UniformMatroid):
