@@ -16,6 +16,18 @@ Convergence certificate: at termination the best column the separation can
 produce is not violated (violation <= 0, compared exactly), so the
 restricted dual value gamma bounds the unrestricted one from above; in
 Monte-Carlo mode, the unrestricted LP over the estimated columns.
+
+Each build keeps one restricted master (`RestrictedMaster`): a single
+`simplex.Tableau`, solved by both phases once, to which every later column
+is added and re-optimised by phase 2 from the basis the last solve ended
+on. A new column enters the tableau as integers because every inequality
+row is scaled once, up front, by one multiplier L per build that every
+column's denominators divide: in exact mode the lcm of the support
+probabilities' denominators (each entry is a sum of atom probabilities),
+in Monte-Carlo mode the lcm of m and x's denominators (each entry is a
+count over m). A column that does not fit L is refused with
+`simplex.NonIntegralColumn`. `solve_restricted` is the cold solve of the
+same LP, kept as the cross-check.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from .schemes import (
     order_by_weight,
     secretary_wrap_bits,
 )
-from .simplex import solve_lp
+from .simplex import LpResult, Tableau, solve_lp
 
 
 class GridRangeError(ValueError):
@@ -97,34 +109,71 @@ class LpSolution:
     gamma: object
 
 
-def solve_restricted(columns: Sequence[LpColumn], x: Sequence) -> LpSolution:
+def _restricted_lp(columns: Sequence[LpColumn], x: Sequence, multiplier: int = 1) -> dict:
     """Max beta s.t. sum_c q_c lam_c >= beta * x (elementwise over active
-    elements), lam a probability vector. Returns primal and dual."""
+    elements, each row times `multiplier`), lam a probability vector, as
+    `solve_lp` keywords."""
     if not columns:
         raise ValueError("need at least one column")
-    n = len(x)
-    active = [i for i in range(n) if x[i] > 0]
+    active = [i for i in range(len(x)) if x[i] > 0]
     if not active:
         raise ValueError("no element has positive activation probability")
     nc = len(columns)
     # vars: beta, lam_1..lam_nc
-    c = [1] + [0] * nc
-    A_ub = []
-    for i in active:
-        A_ub.append([x[i]] + [-col.q[i] for col in columns])
-    b_ub = [0] * len(active)
-    A_eq = [[0] + [1] * nc]
-    b_eq = [1]
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, maximize=True)
-    mu = [0] * n
-    for row, i in enumerate(active):
-        mu[i] = res.dual_ub[row]
-    return LpSolution(
-        beta=res.objective,
-        lam=res.x[1:],
-        mu=mu,
-        gamma=res.dual_eq[0],
+    return dict(
+        c=[1] + [0] * nc,
+        A_ub=[[multiplier * x[i]] + [-multiplier * col.q[i] for col in columns] for i in active],
+        b_ub=[0] * len(active),
+        A_eq=[[0] + [1] * nc],
+        b_eq=[1],
+        maximize=True,
     )
+
+
+def _restricted_solution(res: LpResult, x: Sequence, multiplier: int = 1) -> LpSolution:
+    mu = [0] * len(x)
+    active = (i for i in range(len(x)) if x[i] > 0)
+    for i, dual in zip(active, res.dual_ub):
+        mu[i] = multiplier * dual  # the dual of the row before its scaling
+    return LpSolution(beta=res.objective, lam=res.x[1:], mu=mu, gamma=res.dual_eq[0])
+
+
+def solve_restricted(columns: Sequence[LpColumn], x: Sequence) -> LpSolution:
+    """Max beta s.t. sum_c q_c lam_c >= beta * x (elementwise over active
+    elements), lam a probability vector. Returns primal and dual, solved
+    cold: the cross-check of `RestrictedMaster`."""
+    return _restricted_solution(solve_lp(**_restricted_lp(columns, x)), x)
+
+
+class RestrictedMaster:
+    """The restricted primal of one build, kept as one simplex tableau.
+
+    Every inequality row is scaled by `multiplier`, which must be a multiple
+    of the denominators of x and of every column's q; `add` raises
+    `simplex.NonIntegralColumn` for a column that is not. `solve` returns
+    the same optimum as `solve_restricted` over the columns added so far,
+    re-optimised from the previous basis, and counts its solves and pivots.
+    """
+
+    def __init__(self, column: LpColumn, x: Sequence, multiplier: int):
+        self.x = x
+        self.multiplier = multiplier
+        self.columns = [column]
+        self.tableau = Tableau(**_restricted_lp(self.columns, x, multiplier))
+        self.lp_solves = 0
+        self.pivots = 0
+
+    def add(self, column: LpColumn) -> None:
+        L = self.multiplier
+        a_ub = [-L * qi for qi, xi in zip(column.q, self.x) if xi > 0]
+        self.tableau.add_column(a_ub=a_ub, a_eq=[1])
+        self.columns.append(column)
+
+    def solve(self) -> LpSolution:
+        res = self.tableau.solve()
+        self.lp_solves += 1
+        self.pivots += res.iterations
+        return _restricted_solution(res, self.x, self.multiplier)
 
 
 def estimation_sample_size(eta: float, delta: float, p_min: float) -> int:
@@ -177,6 +226,8 @@ class BuildReport:
     columns: list = field(default_factory=list)
     estimation_samples: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
+    lp_solves: int = 0  # restricted-master solves: one per column accepted
+    pivots: int = 0  # simplex pivots over all of them
 
     def to_json(self) -> dict:
         return {
@@ -192,6 +243,8 @@ class BuildReport:
             "columns": self.columns,
             "estimation_samples": self.estimation_samples,
             "notes": self.notes,
+            "lp_solves": self.lp_solves,
+            "pivots": self.pivots,
         }
 
 
@@ -213,7 +266,9 @@ def _column_generation(
     union-bounded over the columns the loop can visit. Both kinds are
     Fractions, so the loop stops at violation <= 0 in both modes, and the
     LP's lam, which its equality row makes sum to exactly 1, are the
-    mixture weights as they are.
+    mixture weights as they are. The restricted LPs are one
+    `RestrictedMaster`, its rows scaled by the build's multiplier L (see
+    the module docstring), re-optimised from its last basis per column.
     """
     if estimation_override is not None and estimation_override < 1:
         raise ValueError(f"estimation_override must be None or >= 1, got {estimation_override}")
@@ -223,13 +278,13 @@ def _column_generation(
     eta = eps * c * alpha_target
     delta = per_stage / (n * (cap + 2))
 
-    def generate(exact_columns, x, p_min, price, samples):
+    def generate(exact_columns, x, p_min, price, samples, multiplier):
         split = {"per_stage": float(per_stage), "stages": stages}
         report = BuildReport(kind, n, eps, split, exact_columns, estimation_samples=samples)
         key, separate = start(x, p_min)
-        columns = [LpColumn(key, price(key))]
+        master = RestrictedMaster(LpColumn(key, price(key)), x, multiplier)
         seen = {key}
-        sol = solve_restricted(columns, x)
+        sol = master.solve()
         report.beta_trajectory.append(sol.beta)
         for _ in range(cap):
             report.iterations += 1
@@ -242,15 +297,16 @@ def _column_generation(
             if violation <= 0:
                 report.converged = True
                 break
-            columns.append(col)
+            master.add(col)
             seen.add(key)
-            sol = solve_restricted(columns, x)
+            sol = master.solve()
             report.beta_trajectory.append(sol.beta)
         else:
             report.notes.append(f"iteration cap {cap} reached; returning best mixture so far")
         report.gamma = sol.gamma
+        report.lp_solves, report.pivots = master.lp_solves, master.pivots
 
-        items = [(col.key, l) for col, l in zip(columns, sol.lam) if l > 0]
+        items = [(col.key, l) for col, l in zip(master.columns, sol.lam) if l > 0]
         report.columns = [key_json(k) for k, _ in items]
         return items, report
 
@@ -259,7 +315,8 @@ def _column_generation(
             raise EnumerationTooLarge("exact columns need an explicit prior support")
         x = P.activation_probabilities()
         price = lambda key: exact_selection_column(P, lambda atom: select(key, atom, None))
-        return generate(True, x, P.p_min(rng=rng), price, {})
+        multiplier = math.lcm(*[p.denominator for _, p in P.support()])
+        return generate(True, x, P.p_min(rng=rng), price, {}, multiplier)
 
     def sampled():
         p_min = P.p_min(rng=rng)
@@ -272,7 +329,8 @@ def _column_generation(
             )
             return q
 
-        return generate(False, x, p_min, price, samples)
+        multiplier = math.lcm(samples["x"], *[xi.denominator for xi in x])
+        return generate(False, x, p_min, price, samples, multiplier)
 
     return exact_or_sampled(P, mode, exact, sampled)
 

@@ -16,6 +16,20 @@ residual compare integers by cross-multiplication, so there is no tolerance
 and Bland's rule picks the same pivots as on exact rationals. Results are
 always Fractions.
 
+The tableau is an object, `Tableau`, so an LP can grow by columns and be
+re-optimised where it stopped, as column generation needs (Gilmore and
+Gomory 1961; Dantzig and Wolfe 1960). Adding a column leaves the current
+basis primal feasible, so the next `solve` runs phase 2 only, from that
+basis. The new column enters as B^-1 a: the artificial block of the
+tableau holds D * B^-1 of the scaled rows, so its tableau column is
+sum_r T[i][art0 + r] * a_r over the column's scaled entries a_r. That is
+an integer, and the Bareiss divisions of later pivots stay exact, whenever
+each a_r is: the entry times its row's scale must be an integer, and a
+column that is not is refused with `NonIntegralColumn`, never rounded. A
+caller that adds columns therefore scales each row up front by a multiple
+of every denominator its columns can have. `solve_lp` is the one-shot use
+of the same object.
+
 Problem form (all variables nonnegative):
 
     min / max   c . x
@@ -45,6 +59,10 @@ class LpUnbounded(RuntimeError):
     pass
 
 
+class NonIntegralColumn(ValueError):
+    """An added column's entry is not an integer once its row is scaled."""
+
+
 @dataclass
 class LpResult:
     x: list
@@ -68,58 +86,70 @@ def _integer_multiple(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (s // v.denominator) for v in values], s
 
 
-def solve_lp(
-    c: Sequence,
-    A_ub: Optional[Sequence[Sequence]] = None,
-    b_ub: Optional[Sequence] = None,
-    A_eq: Optional[Sequence[Sequence]] = None,
-    b_eq: Optional[Sequence] = None,
-    maximize: bool = False,
-) -> LpResult:
-    A_ub = [list(r) for r in (A_ub or [])]
-    b_ub = list(b_ub or [])
-    A_eq = [list(r) for r in (A_eq or [])]
-    b_eq = list(b_eq or [])
-    c = [_rational(ci) for ci in c]
-    nv = len(c)
+class Tableau:
+    """One LP's integer tableau, its basis and its row scaling, kept across
+    solves so that columns can be added and the LP re-optimised.
 
-    # Row layout: equalities first, then inequalities (each with one slack).
-    rows = list(zip(A_eq, b_eq)) + list(zip(A_ub, b_ub))
-    m = len(rows)
-    n_eq = len(A_eq)
-    ns = len(A_ub)
-    width = nv + ns + m  # vars | slacks | artificials
-    art0 = nv + ns
+    The first `solve` runs both phases; after `add_column`, `solve` runs
+    phase 2 from the basis the last solve ended on. Each solve returns the
+    current optimum over every column added so far.
+    """
 
-    # Row r is multiplied by flip[r] * scale[r] (scale > 0) to make it integral
-    # with a nonnegative right-hand side. Its artificial keeps a unit entry, so
-    # it stands for scale[r] times the artificial of the unscaled row.
-    tab = []
-    flip = []
-    scale = []
-    for r, (coeffs, b) in enumerate(rows):
-        if len(coeffs) != nv:
-            raise ValueError(f"constraint row {r} has {len(coeffs)} entries, expected {nv}")
-        ints, s = _integer_multiple([_rational(v) for v in coeffs] + [_rational(b)])
-        row = ints[:nv] + [0] * (width - nv) + ints[nv:]
-        if r >= n_eq:
-            row[nv + (r - n_eq)] = s
-        sign = -1 if b < 0 else 1
-        if sign < 0:
-            row = [-v for v in row]
-        row[art0 + r] = 1
-        tab.append(row)
-        flip.append(sign)
-        scale.append(s)
+    def __init__(
+        self,
+        c: Sequence,
+        A_ub: Optional[Sequence[Sequence]] = None,
+        b_ub: Optional[Sequence] = None,
+        A_eq: Optional[Sequence[Sequence]] = None,
+        b_eq: Optional[Sequence] = None,
+        maximize: bool = False,
+    ):
+        A_ub = [list(r) for r in (A_ub or [])]
+        b_ub = list(b_ub or [])
+        A_eq = [list(r) for r in (A_eq or [])]
+        b_eq = list(b_eq or [])
+        self.c = [_rational(ci) for ci in c]
+        self.maximize = maximize
+        nv = len(self.c)
 
-    basis = [art0 + r for r in range(m)]
-    den = 1  # shared denominator: the tableau's values are tab[i][j] / den
+        # Row layout: equalities first, then inequalities (each with one slack).
+        rows = list(zip(A_eq, b_eq)) + list(zip(A_ub, b_ub))
+        m = len(rows)
+        self.n_eq = n_eq = len(A_eq)
+        self.ns = ns = len(A_ub)
+        width = nv + ns + m  # vars | slacks | artificials
+        art0 = nv + ns
 
-    def pivot(r, j):
-        nonlocal den
+        # Row r is multiplied by flip[r] * scale[r] (scale > 0) to make it integral
+        # with a nonnegative right-hand side. Its artificial keeps a unit entry, so
+        # it stands for scale[r] times the artificial of the unscaled row.
+        self.tab = []
+        self.flip = []
+        self.scale = []
+        for r, (coeffs, b) in enumerate(rows):
+            if len(coeffs) != nv:
+                raise ValueError(f"constraint row {r} has {len(coeffs)} entries, expected {nv}")
+            ints, s = _integer_multiple([_rational(v) for v in coeffs] + [_rational(b)])
+            row = ints[:nv] + [0] * (width - nv) + ints[nv:]
+            if r >= n_eq:
+                row[nv + (r - n_eq)] = s
+            sign = -1 if b < 0 else 1
+            if sign < 0:
+                row = [-v for v in row]
+            row[art0 + r] = 1
+            self.tab.append(row)
+            self.flip.append(sign)
+            self.scale.append(s)
+
+        self.basis = [art0 + r for r in range(m)]
+        self.den = 1  # shared denominator: the tableau's values are tab[i][j] / den
+        self.dropped = None  # rows found redundant by phase 1; None until it has run
+
+    def _pivot(self, r: int, j: int) -> None:
+        tab, den = self.tab, self.den
         prow = tab[r]
         p = prow[j]
-        if p < 0:  # only when driving out an artificial; keeps den positive
+        if p < 0:  # only on a zero right-hand side; keeps den positive
             prow = tab[r] = [-v for v in prow]
             p = -p
         for i, row in enumerate(tab):
@@ -129,18 +159,22 @@ def solve_lp(
                     tab[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
                 else:
                     tab[i] = [p * a // den for a in row]
-        den = p
-        basis[r] = j
+        self.den = p
+        self.basis[r] = j
 
-    def run(cost, banned) -> int:
-        """Bland's-rule iterations for min cost; returns iteration count."""
+    def _run(self, cost: list, priced_columns: int) -> int:
+        """Bland's-rule pivots for min cost over columns 0..priced_columns-1
+        (the rest may not enter); returns the pivot count."""
+        tab, basis = self.tab, self.basis
+        rhs = len(self.c) + self.ns + len(tab)  # the right-hand side's index
         iters = 0
         while True:
             basic = set(basis)
+            den = self.den
             priced = [(i, cost[b]) for i, b in enumerate(basis) if cost[b]]
             entering = -1
-            for j in range(width):
-                if j in banned or j in basic:
+            for j in range(priced_columns):
+                if j in basic:
                     continue
                 # den * reduced cost; den > 0, so the signs agree.
                 red = cost[j] * den
@@ -158,66 +192,126 @@ def solve_lp(
                     if leaving < 0:
                         leaving = i
                         continue
-                    # row[width] / a against the best ratio, cross-multiplied
+                    # row[rhs] / a against the best ratio, cross-multiplied
                     best = tab[leaving]
-                    lhs = row[width] * best[entering]
-                    rhs = best[width] * a
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    lhs = row[rhs] * best[entering]
+                    ratio = best[rhs] * a
+                    if lhs < ratio or (lhs == ratio and basis[i] < basis[leaving]):
                         leaving = i
             if leaving < 0:
                 raise LpUnbounded(f"column {entering} unbounded")
-            pivot(leaving, entering)
+            self._pivot(leaving, entering)
             iters += 1
 
-    # Phase 1: drive artificials to zero. Artificial r costs 1/scale[r], so the
-    # phase-1 objective is the unscaled artificials' sum; scaled to integers.
-    lcm_scale = math.lcm(*scale)
-    cost1 = [0] * art0 + [lcm_scale // s for s in scale]
-    iters = run(cost1, banned=frozenset())
-    residual = sum(
-        Fraction(tab[i][width], den * scale[b - art0])
-        for i, b in enumerate(basis)
-        if b >= art0
-    )
-    if residual:
-        raise LpInfeasible(f"phase-1 residual {residual}")
+    def add_column(self, a_ub: Sequence = (), a_eq: Sequence = (), cost=0) -> None:
+        """Append a structural variable with entries `a_eq` in the equality
+        rows and `a_ub` in the inequality rows; it enters nonbasic at 0.
 
-    # Pivot out any artificial still basic (at value 0); drop redundant rows.
-    dropped = set()
-    for i in range(m):
-        if basis[i] >= art0:
-            target = next((j for j in range(art0) if tab[i][j]), -1)
-            if target >= 0:
-                pivot(i, target)
-            else:
-                dropped.add(i)
+        Raises `NonIntegralColumn`, leaving the tableau as it was, when an
+        entry times its row's scale is not an integer."""
+        nv = len(self.c)
+        column = list(a_eq) + list(a_ub)
+        if len(a_eq) != self.n_eq or len(a_ub) != self.ns:
+            raise ValueError(
+                f"column has {len(a_eq)} equality and {len(a_ub)} inequality entries, "
+                f"expected {self.n_eq} and {self.ns}"
+            )
+        scaled = []
+        for r, v in enumerate(column):
+            v = _rational(v)
+            num = v.numerator * self.flip[r] * self.scale[r]
+            if num % v.denominator:
+                raise NonIntegralColumn(
+                    f"entry {v} of row {r} times the row's scale {self.scale[r]} "
+                    f"is not an integer; scale the row by a multiple of its denominator"
+                )
+            scaled.append(num // v.denominator)
+        art0 = nv + self.ns
+        tab = self.tab
+        for row in tab:
+            row.insert(nv, sum(row[art0 + r] * v for r, v in enumerate(scaled) if v))
+        self.basis = [b + (b >= nv) for b in self.basis]
+        self.c.append(_rational(cost))
+        # A row phase 1 found redundant holds a basic artificial at 0. If the new
+        # column reaches it, pivot the column in there: the row's right-hand side
+        # is 0, so the basis stays feasible, and the row is no longer redundant.
+        for i in sorted(self.dropped or ()):
+            if tab[i][nv]:
+                self._pivot(i, nv)
+                self.dropped.discard(i)
 
-    # Phase 2, on the costs scaled to integers.
-    cost_ints, cost_scale = _integer_multiple([-ci if maximize else ci for ci in c])
-    cost2 = cost_ints + [0] * (width - nv)
-    iters += run(cost2, banned=frozenset(range(art0, width)))
+    def solve(self) -> LpResult:
+        """Optimise over the columns so far: both phases until phase 1 has
+        once succeeded, phase 2 alone from the current basis after that."""
+        tab, basis = self.tab, self.basis
+        m, nv = len(tab), len(self.c)
+        art0 = nv + self.ns
+        width = art0 + m
+        iters = 0
+        if self.dropped is None:
+            # Phase 1: drive artificials to zero. Artificial r costs 1/scale[r], so
+            # the phase-1 objective is the unscaled artificials' sum; scaled to
+            # integers.
+            lcm_scale = math.lcm(*self.scale)
+            cost1 = [0] * art0 + [lcm_scale // s for s in self.scale]
+            iters = self._run(cost1, width)
+            residual = sum(
+                Fraction(tab[i][width], self.den * self.scale[b - art0])
+                for i, b in enumerate(basis)
+                if b >= art0
+            )
+            if residual:
+                raise LpInfeasible(f"phase-1 residual {residual}")
 
-    x = [Fraction(0)] * nv
-    for i, b in enumerate(basis):
-        if b < nv:
-            x[b] = Fraction(tab[i][width], den)
-    objective = sum(ci * xi for ci, xi in zip(c, x))
+            # Pivot out any artificial still basic (at value 0); drop redundant rows.
+            self.dropped = set()
+            for i in range(m):
+                if basis[i] >= art0:
+                    target = next((j for j in range(art0) if tab[i][j]), -1)
+                    if target >= 0:
+                        self._pivot(i, target)
+                    else:
+                        self.dropped.add(i)
 
-    # Duals: artificial columns of the final tableau hold B^-1 of the scaled
-    # rows; undo the row scaling, the flip, the cost scaling and the max sign.
-    sense = -1 if maximize else 1
-    priced = [(i, cost2[b]) for i, b in enumerate(basis) if cost2[b]]
-    y = []
-    for r in range(m):
-        if r in dropped:
-            y.append(Fraction(0))
-            continue
-        val = sum(ci * tab[i][art0 + r] for i, ci in priced)
-        y.append(Fraction(sense * flip[r] * scale[r] * val, den * cost_scale))
-    return LpResult(
-        x=x,
-        objective=objective,
-        dual_eq=y[:n_eq],
-        dual_ub=y[n_eq:],
-        iterations=iters,
-    )
+        # Phase 2, on the costs scaled to integers; artificials may not enter.
+        cost_ints, cost_scale = _integer_multiple([-ci if self.maximize else ci for ci in self.c])
+        cost2 = cost_ints + [0] * (width - nv)
+        iters += self._run(cost2, art0)
+
+        den = self.den
+        x = [Fraction(0)] * nv
+        for i, b in enumerate(basis):
+            if b < nv:
+                x[b] = Fraction(tab[i][width], den)
+        objective = sum((self.c[b] * x[b] for b in basis if b < nv), Fraction(0))
+
+        # Duals: artificial columns of the final tableau hold B^-1 of the scaled
+        # rows; undo the row scaling, the flip, the cost scaling and the max sign.
+        sense = -1 if self.maximize else 1
+        priced = [(i, cost2[b]) for i, b in enumerate(basis) if cost2[b]]
+        y = []
+        for r in range(m):
+            if r in self.dropped:
+                y.append(Fraction(0))
+                continue
+            val = sum(ci * tab[i][art0 + r] for i, ci in priced)
+            y.append(Fraction(sense * self.flip[r] * self.scale[r] * val, den * cost_scale))
+        return LpResult(
+            x=x,
+            objective=objective,
+            dual_eq=y[: self.n_eq],
+            dual_ub=y[self.n_eq :],
+            iterations=iters,
+        )
+
+
+def solve_lp(
+    c: Sequence,
+    A_ub: Optional[Sequence[Sequence]] = None,
+    b_ub: Optional[Sequence] = None,
+    A_eq: Optional[Sequence[Sequence]] = None,
+    b_eq: Optional[Sequence] = None,
+    maximize: bool = False,
+) -> LpResult:
+    """Solve the LP once, by both phases from an all-artificial basis."""
+    return Tableau(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, maximize=maximize).solve()

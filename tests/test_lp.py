@@ -4,6 +4,8 @@ from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrs import (
     LpColumn,
@@ -19,14 +21,20 @@ from ocrs import (
     solve_restricted,
     two_element_instance,
 )
-from ocrs.lp import GridRangeError, estimation_sample_size, exact_selection_column
+from ocrs import lp
+from ocrs.lp import GridRangeError, RestrictedMaster, estimation_sample_size, exact_selection_column
 from ocrs.harness import estimate_balancedness, parse_instance
-from ocrs.priors import AllActivePrior, EnumerationTooLarge, SamplerPrior
+from ocrs.priors import AllActivePrior, EnumerationTooLarge, ProductPrior, SamplerPrior
 from ocrs.sampling import Permutation, to_fraction
-from ocrs.schemes import IndependentSubsampling, greedy_ordered_bits, order_by_weight
-from ocrs.simplex import solve_lp
+from ocrs.schemes import (
+    IndependentSubsampling,
+    greedy_ordered_bits,
+    order_by_weight,
+    secretary_wrap_bits,
+)
+from ocrs.simplex import NonIntegralColumn, solve_lp
 
-from conftest import random_explicit_prior
+from conftest import random_explicit_prior, random_small_matroid
 
 
 class TestWeightGrid:
@@ -395,3 +403,113 @@ class TestMonteCarloBuildIsExact:
             build_secretary_reduction(inst.matroid, inst.prior, "greedy_by_weight", c=1,
                                       eps=0.25, rng=Random(0), mode="mc",
                                       estimation_override=override)
+
+
+def _assert_warm_equals_cold(columns, x, sol):
+    """A warm solve has the cold solve's optimum, and its duals certify it:
+    mu >= 0, x.mu = 1 when beta > 0, q_c.mu <= gamma for every column held;
+    its lam is a probability vector that reaches beta on every element."""
+    cold = solve_restricted(columns, x)
+    assert sol.beta == cold.beta and sol.gamma == cold.gamma == sol.beta
+    assert all(m >= 0 for m in sol.mu)
+    x_mu = sum(xi * mi for xi, mi in zip(x, sol.mu))
+    assert x_mu == 1 if sol.beta > 0 else x_mu >= 1
+    for col in columns:
+        assert sum(qi * mi for qi, mi in zip(col.q, sol.mu)) <= sol.gamma
+    assert all(l >= 0 for l in sol.lam) and sum(sol.lam) == 1
+    for i, xi in enumerate(x):
+        assert sum(l * col.q[i] for l, col in zip(sol.lam, columns)) >= sol.beta * xi
+
+
+class _CheckedMaster(RestrictedMaster):
+    """The build's master, each of its solves checked against a cold one."""
+
+    def solve(self):
+        sol = super().solve()
+        _assert_warm_equals_cold(self.columns, self.x, sol)
+        return sol
+
+
+class TestRestrictedMaster:
+    """One tableau per build, re-optimised per column: every solve equals a
+    cold `solve_restricted` of the same columns at tolerance 0."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_warm_solves_equal_cold_ones(self, seed):
+        rng = Random(seed)
+        M = random_small_matroid(rng, max_n=6)
+        P = random_explicit_prior(rng, M.n)
+        x = P.activation_probabilities()
+        L = math.lcm(*[p.denominator for _, p in P.support()])
+
+        # A random column sequence from both builders' families: greedy along
+        # an order, and greedy by a weight vector (the secretary reduction's).
+        def column():
+            if rng.random() < 0.5:
+                order = rng.sample(range(M.n), M.n)
+                return LpColumn(order, exact_selection_column(
+                    P, lambda a: greedy_ordered_bits(M, order, a)))
+            w = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(M.n)]
+            return LpColumn(w, exact_selection_column(
+                P, lambda a: secretary_wrap_bits("greedy_by_weight", w, M, a, None)))
+
+        master = RestrictedMaster(column(), x, L)
+        _assert_warm_equals_cold(master.columns, x, master.solve())
+        for _ in range(rng.randint(1, 8)):
+            master.add(column())
+            _assert_warm_equals_cold(master.columns, x, master.solve())
+        assert master.lp_solves == len(master.columns)
+
+        # Both builders, every solve of their own column sequences checked.
+        lp.RestrictedMaster = _CheckedMaster
+        try:
+            _, report = build_lp_scheme(M, P, eps=0, rng=Random(0), mode="exact")
+            assert report.converged
+            _, report = build_secretary_reduction(
+                M, P, "greedy_by_weight", c=1, eps=Fraction(1, 10), rng=Random(0), mode="exact"
+            )
+        finally:
+            lp.RestrictedMaster = RestrictedMaster
+        assert report.lp_solves == len(report.beta_trajectory)
+
+    def test_column_off_the_multiplier_is_refused(self):
+        x = [Fraction(1, 2), Fraction(1, 2)]
+        master = RestrictedMaster(LpColumn("a", [Fraction(1, 2), Fraction(0)]), x, 2)
+        assert master.solve().beta == 0
+        # 2 * 1/3 is no integer: refused, not truncated to 0 by floor division.
+        with pytest.raises(NonIntegralColumn, match="not an integer"):
+            master.add(LpColumn("b", [Fraction(0), Fraction(1, 3)]))
+        assert [c.key for c in master.columns] == ["a"]
+        master.add(LpColumn("c", [Fraction(0), Fraction(1, 2)]))
+        sol = master.solve()
+        assert sol.beta == Fraction(1, 2) and sol.lam == [Fraction(1, 2), Fraction(1, 2)]
+        _assert_warm_equals_cold(master.columns, x, sol)
+
+    def test_monte_carlo_build_runs_warm(self, monkeypatch):
+        def cold(*args, **kwargs):
+            raise AssertionError("the build called the cold solver")
+
+        monkeypatch.setattr(lp, "solve_lp", cold)
+        x = [Fraction(1, 5) if i % 3 == 0 else Fraction(1, 2) for i in range(8)]
+        mix, report = build_lp_scheme(
+            UniformMatroid(8, 2), ProductPrior(x), eps=Fraction(1, 10), rng=Random(1),
+            mode="mc", estimation_override=1000,
+        )
+        assert report.converged and not report.exact_columns
+        assert report.lp_solves == len(report.beta_trajectory) > 1
+        weights = [wt for _, wt in mix.components]
+        assert all(type(wt) is Fraction for wt in weights) and sum(weights) == 1
+
+    def test_report_counts_solves_and_pivots(self):
+        inst = gen_kuniform_allactive(10, 5)
+        runs = [
+            build_lp_scheme(inst.matroid, inst.prior, eps=Fraction(1, 10), rng=Random(1),
+                            mode="exact")[1]
+            for _ in range(2)
+        ]
+        first = runs[0].to_json()
+        assert first == runs[1].to_json()
+        assert first["lp_solves"] == len(runs[0].beta_trajectory)
+        # Each solve pivots at least once: a new column enters only when violated.
+        assert first["pivots"] >= first["lp_solves"] >= 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrs.simplex import LpInfeasible, LpUnbounded, solve_lp
+from ocrs.simplex import LpInfeasible, LpUnbounded, NonIntegralColumn, Tableau, solve_lp
 from simplex_reference import reference_solve_lp
 
 
@@ -177,3 +177,78 @@ class TestAgainstReference:
                 assert abs(sense * ref.fun - float(got[1])) <= 1e-7 * (1 + abs(ref.fun))
 
         check()
+
+
+def _assert_optimal(lp, res):
+    """x is feasible, c.x is the objective, and the duals are feasible with
+    the same value: an exact optimality certificate for `lp`."""
+    c, x = lp["c"], res.x
+    assert all(v >= 0 for v in x)
+    for row, b in zip(lp["A_eq"], lp["b_eq"]):
+        assert sum(a * v for a, v in zip(row, x)) == b
+    for row, b in zip(lp["A_ub"], lp["b_ub"]):
+        assert sum(a * v for a, v in zip(row, x)) <= b
+    assert res.objective == sum(ci * v for ci, v in zip(c, x))
+    y = res.dual_eq + res.dual_ub
+    rows = lp["A_eq"] + lp["A_ub"]
+    assert res.objective == sum(yi * b for yi, b in zip(y, lp["b_eq"] + lp["b_ub"]))
+    sense = -1 if lp["maximize"] else 1
+    assert all(sense * v <= 0 for v in res.dual_ub)
+    for j, cj in enumerate(c):
+        assert sense * (cj - sum(yi * row[j] for yi, row in zip(y, rows))) >= 0
+
+
+class TestWarmTableau:
+    """`Tableau.add_column` then `solve` re-optimises from the basis the last
+    solve ended on; every solve must agree with a cold `solve_lp` of the
+    same columns."""
+
+    # A multiple of every denominator `exact_lps` and `small` draw, so each
+    # added column is integral once its row is scaled by it.
+    ROW_SCALE = 18
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(exact_lps(), st.data())
+    def test_added_columns_match_a_cold_solve(self, lp, data):
+        L = self.ROW_SCALE
+        lp = dict(
+            lp,
+            A_ub=[[L * v for v in r] for r in lp["A_ub"]], b_ub=[L * b for b in lp["b_ub"]],
+            A_eq=[[L * v for v in r] for r in lp["A_eq"]], b_eq=[L * b for b in lp["b_eq"]],
+        )
+        tableau = Tableau(**lp)
+        for step in range(data.draw(st.integers(1, 4))):
+            if step:
+                cost = data.draw(small)
+                a_ub = [L * data.draw(small) for _ in lp["A_ub"]]
+                a_eq = [L * data.draw(small) for _ in lp["A_eq"]]
+                tableau.add_column(a_ub=a_ub, a_eq=a_eq, cost=cost)
+                lp = dict(
+                    lp, c=lp["c"] + [cost],
+                    A_ub=[r + [v] for r, v in zip(lp["A_ub"], a_ub)],
+                    A_eq=[r + [v] for r, v in zip(lp["A_eq"], a_eq)],
+                )
+            want = outcome(solve_lp, lp)
+            try:
+                res = tableau.solve()
+            except (LpInfeasible, LpUnbounded) as err:
+                assert want is type(err)
+                continue
+            assert want not in (LpInfeasible, LpUnbounded)
+            assert res.objective == want[1]
+            _assert_optimal(lp, res)
+
+    def test_non_integral_column_is_refused_not_truncated(self):
+        # max x1 s.t. x1 <= 1: the row's scale is 1, so an entry 1/2 is refused.
+        tableau = Tableau([1], A_ub=[[1]], b_ub=[1], maximize=True)
+        assert tableau.solve().x == [1]
+        with pytest.raises(NonIntegralColumn, match="not an integer"):
+            tableau.add_column(a_ub=[F(1, 2)], cost=3)
+        with pytest.raises(ValueError, match="expected 0 and 1"):
+            tableau.add_column(a_ub=[F(1), F(1)])
+        assert tableau.solve().x == [1]  # refused whole: still the one column
+        # max x1 + 3 x2 s.t. x1 + 2 x2 <= 1, re-optimised from x1's basis
+        tableau.add_column(a_ub=[F(2)], cost=3)
+        res = tableau.solve()
+        assert res.x == [0, F(1, 2)] and res.objective == F(3, 2)
+        assert res.iterations == 1 and res.dual_ub == [F(3, 2)]
