@@ -20,20 +20,17 @@ Monte-Carlo mode, the unrestricted LP over the estimated columns.
 Each build keeps one restricted master (`RestrictedMaster`): a single
 `simplex.Tableau`, solved by both phases once, to which every later column
 is added and re-optimised by phase 2 from the basis the last solve ended
-on. A new column enters the tableau as integers because every inequality
-row is scaled once, up front, by one multiplier L per build that every
-column's denominators divide: in exact mode the lcm of the support
-probabilities' denominators (each entry is a sum of atom probabilities),
-in Monte-Carlo mode the lcm of m and x's denominators (each entry is a
-count over m). A column that does not fit L is refused with
-`simplex.NonIntegralColumn`. `solve_restricted` is the cold solve of the
-same LP, kept as the cross-check.
+on. Columns enter as they are: the tableau rescales a row when an entry
+needs it (`simplex` module docstring), so neither mode states its
+denominators. `solve_restricted` is the cold solve of the same LP, kept
+as the cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from random import Random
 from typing import Callable, Optional, Sequence
@@ -57,17 +54,18 @@ class GridRangeError(ValueError):
 
 @dataclass(frozen=True)
 class WeightGrid:
-    """The grid {eps*i/n : i = 0..ceil(n/(eps*p_min))}; spans [0, >=1/p_min]."""
+    """The grid {eps*i/n : i = 0..ceil(n/(eps*p_min))}; spans [0, >=1/p_min].
+    Its step and top index are computed once, on first use."""
 
     n: int
     eps: Fraction
     p_min: Fraction
 
-    @property
+    @cached_property
     def step(self) -> Fraction:
-        return self.eps / self.n
+        return to_fraction(self.eps) / self.n
 
-    @property
+    @cached_property
     def top_index(self) -> int:
         return math.ceil(self.n / (self.eps * self.p_min))
 
@@ -81,10 +79,11 @@ class WeightGrid:
             if v < -Fraction(1, 10**9):
                 raise GridRangeError(f"negative coordinate {value}")
             v = Fraction(0)  # noise in a float input
-        idx = v // self.step
+        step = self.step
+        idx = v.numerator * step.denominator // (v.denominator * step.numerator)
         if idx > self.top_index:
             raise GridRangeError(f"coordinate {value} above grid max {self.max_value}")
-        return self.step * idx
+        return step * idx
 
     def values(self) -> list[Fraction]:
         return [self.step * i for i in range(self.top_index + 1)]
@@ -109,10 +108,9 @@ class LpSolution:
     gamma: object
 
 
-def _restricted_lp(columns: Sequence[LpColumn], x: Sequence, multiplier: int = 1) -> dict:
+def _restricted_lp(columns: Sequence[LpColumn], x: Sequence) -> dict:
     """Max beta s.t. sum_c q_c lam_c >= beta * x (elementwise over active
-    elements, each row times `multiplier`), lam a probability vector, as
-    `solve_lp` keywords."""
+    elements), lam a probability vector, as `solve_lp` keywords."""
     if not columns:
         raise ValueError("need at least one column")
     active = [i for i in range(len(x)) if x[i] > 0]
@@ -122,7 +120,7 @@ def _restricted_lp(columns: Sequence[LpColumn], x: Sequence, multiplier: int = 1
     # vars: beta, lam_1..lam_nc
     return dict(
         c=[1] + [0] * nc,
-        A_ub=[[multiplier * x[i]] + [-multiplier * col.q[i] for col in columns] for i in active],
+        A_ub=[[x[i]] + [-col.q[i] for col in columns] for i in active],
         b_ub=[0] * len(active),
         A_eq=[[0] + [1] * nc],
         b_eq=[1],
@@ -130,11 +128,11 @@ def _restricted_lp(columns: Sequence[LpColumn], x: Sequence, multiplier: int = 1
     )
 
 
-def _restricted_solution(res: LpResult, x: Sequence, multiplier: int = 1) -> LpSolution:
+def _restricted_solution(res: LpResult, x: Sequence) -> LpSolution:
     mu = [0] * len(x)
     active = (i for i in range(len(x)) if x[i] > 0)
     for i, dual in zip(active, res.dual_ub):
-        mu[i] = multiplier * dual  # the dual of the row before its scaling
+        mu[i] = dual
     return LpSolution(beta=res.objective, lam=res.x[1:], mu=mu, gamma=res.dual_eq[0])
 
 
@@ -148,24 +146,20 @@ def solve_restricted(columns: Sequence[LpColumn], x: Sequence) -> LpSolution:
 class RestrictedMaster:
     """The restricted primal of one build, kept as one simplex tableau.
 
-    Every inequality row is scaled by `multiplier`, which must be a multiple
-    of the denominators of x and of every column's q; `add` raises
-    `simplex.NonIntegralColumn` for a column that is not. `solve` returns
-    the same optimum as `solve_restricted` over the columns added so far,
-    re-optimised from the previous basis, and counts its solves and pivots.
+    `solve` returns the same optimum as `solve_restricted` over the columns
+    added so far, re-optimised from the previous basis, and counts its
+    solves and pivots.
     """
 
-    def __init__(self, column: LpColumn, x: Sequence, multiplier: int):
+    def __init__(self, column: LpColumn, x: Sequence):
         self.x = x
-        self.multiplier = multiplier
         self.columns = [column]
-        self.tableau = Tableau(**_restricted_lp(self.columns, x, multiplier))
+        self.tableau = Tableau(**_restricted_lp(self.columns, x))
         self.lp_solves = 0
         self.pivots = 0
 
     def add(self, column: LpColumn) -> None:
-        L = self.multiplier
-        a_ub = [-L * qi for qi, xi in zip(column.q, self.x) if xi > 0]
+        a_ub = [-qi for qi, xi in zip(column.q, self.x) if xi > 0]
         self.tableau.add_column(a_ub=a_ub, a_eq=[1])
         self.columns.append(column)
 
@@ -173,7 +167,7 @@ class RestrictedMaster:
         res = self.tableau.solve()
         self.lp_solves += 1
         self.pivots += res.iterations
-        return _restricted_solution(res, self.x, self.multiplier)
+        return _restricted_solution(res, self.x)
 
 
 def estimation_sample_size(eta: float, delta: float, p_min: float) -> int:
@@ -267,8 +261,7 @@ def _column_generation(
     Fractions, so the loop stops at violation <= 0 in both modes, and the
     LP's lam, which its equality row makes sum to exactly 1, are the
     mixture weights as they are. The restricted LPs are one
-    `RestrictedMaster`, its rows scaled by the build's multiplier L (see
-    the module docstring), re-optimised from its last basis per column.
+    `RestrictedMaster`, re-optimised from its last basis per column.
     """
     if estimation_override is not None and estimation_override < 1:
         raise ValueError(f"estimation_override must be None or >= 1, got {estimation_override}")
@@ -278,11 +271,11 @@ def _column_generation(
     eta = eps * c * alpha_target
     delta = per_stage / (n * (cap + 2))
 
-    def generate(exact_columns, x, p_min, price, samples, multiplier):
+    def generate(exact_columns, x, p_min, price, samples):
         split = {"per_stage": float(per_stage), "stages": stages}
         report = BuildReport(kind, n, eps, split, exact_columns, estimation_samples=samples)
         key, separate = start(x, p_min)
-        master = RestrictedMaster(LpColumn(key, price(key)), x, multiplier)
+        master = RestrictedMaster(LpColumn(key, price(key)), x)
         seen = {key}
         sol = master.solve()
         report.beta_trajectory.append(sol.beta)
@@ -315,8 +308,7 @@ def _column_generation(
             raise EnumerationTooLarge("exact columns need an explicit prior support")
         x = P.activation_probabilities()
         price = lambda key: exact_selection_column(P, lambda atom: select(key, atom, None))
-        multiplier = math.lcm(*[p.denominator for _, p in P.support()])
-        return generate(True, x, P.p_min(rng=rng), price, {}, multiplier)
+        return generate(True, x, P.p_min(rng=rng), price, {})
 
     def sampled():
         p_min = P.p_min(rng=rng)
@@ -329,8 +321,7 @@ def _column_generation(
             )
             return q
 
-        multiplier = math.lcm(samples["x"], *[xi.denominator for xi in x])
-        return generate(False, x, p_min, price, samples, multiplier)
+        return generate(False, x, p_min, price, samples)
 
     return exact_or_sampled(P, mode, exact, sampled)
 

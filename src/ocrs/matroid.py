@@ -9,9 +9,10 @@ capped at k, a graphic one a string of component labels, and a restriction
 delegates to its parent. Greedy (`greedy_ordered_bits`, and through it rank
 and bases), the secretaries' `IndependentSetGrower` and the exact scan in
 `sampling.unspanned_counts` all walk these hooks. `_unspanned(bits,
-within)` is the one batch span query; a graphic matroid answers it in one
-union-find pass. Built-in families: uniform, graphic (multi-edges allowed),
-explicit set lists, and restrictions of any of these.
+within)` is the one batch span query; a graphic matroid answers it by
+merging its span state's component labels along `bits`. Built-in
+families: uniform, graphic (multi-edges allowed), explicit set lists, and
+restrictions of any of these.
 
 All oracles are immutable after construction and safe for concurrent
 read-only use.
@@ -201,9 +202,10 @@ class GraphicMatroid(Matroid):
     """Forests of a multigraph; ground-set elements are edge indices.
 
     Parallel edges are supported: a second copy of any edge always closes a
-    cycle. Independence is checked with a fresh union-find per query. A span
-    state is a string with one character `chr(label)` per vertex, the label
-    being the smallest vertex of its component, so a merge is one `replace`.
+    cycle. Every query walks one representation: a string with one character
+    `chr(label)` per vertex, naming its component, so a merge is one
+    `replace`. In a span state the label is the smallest vertex of the
+    component.
     """
 
     def __init__(self, vertices: int, edges: Sequence[tuple[int, int]]):
@@ -216,27 +218,26 @@ class GraphicMatroid(Matroid):
         self._start = "".join(map(chr, range(vertices)))
 
     def _independent(self, bits: int) -> bool:
-        parent = list(range(self.vertices))
-        edges = self.edges
+        state, edges = self._start, self.edges
         for e in iter_bits(bits):
             u, v = edges[e]
-            ru = _find(parent, u)
-            rv = _find(parent, v)
-            if ru == rv:
+            cu, cv = state[u], state[v]
+            if cu == cv:
                 return False
-            parent[ru] = rv
+            state = state.replace(cv, cu)
         return True
 
     def _unspanned(self, bits: int, within: int) -> int:
-        parent = list(range(self.vertices))  # no basis: an edge on a cycle merges nothing
-        edges = self.edges
+        state, edges = self._start, self.edges  # no basis: an edge on a cycle merges nothing
         for e in iter_bits(bits):
             u, v = edges[e]
-            parent[_find(parent, u)] = _find(parent, v)
+            cu, cv = state[u], state[v]
+            if cu != cv:
+                state = state.replace(cv, cu)
         out = 0
         for e in iter_bits(within & ~bits):  # unspanned iff its ends stay apart; a loop never is
             u, v = edges[e]
-            if _find(parent, u) != _find(parent, v):
+            if state[u] != state[v]:
                 out |= 1 << e
         return out
 
@@ -259,15 +260,6 @@ class GraphicMatroid(Matroid):
 
     def __repr__(self):
         return f"GraphicMatroid(vertices={self.vertices}, edges={self.edges})"
-
-
-def _find(parent: list, x: int) -> int:
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
 
 
 class ExplicitMatroid(Matroid):

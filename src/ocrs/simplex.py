@@ -22,13 +22,20 @@ Gomory 1961; Dantzig and Wolfe 1960). Adding a column leaves the current
 basis primal feasible, so the next `solve` runs phase 2 only, from that
 basis. The new column enters as B^-1 a: the artificial block of the
 tableau holds D * B^-1 of the scaled rows, so its tableau column is
-sum_r T[i][art0 + r] * a_r over the column's scaled entries a_r. That is
-an integer, and the Bareiss divisions of later pivots stay exact, whenever
-each a_r is: the entry times its row's scale must be an integer, and a
-column that is not is refused with `NonIntegralColumn`, never rounded. A
-caller that adds columns therefore scales each row up front by a multiple
-of every denominator its columns can have. `solve_lp` is the one-shot use
-of the same object.
+sum_r T[i][art0 + r] * a_r over the column's scaled entries a_r, an
+integer when every a_r is. An entry whose a_r is not first has its row
+rescaled by the factor f it misses. T = D * B^-1 M with D = |det B| and
+M = [A | slacks | artificials | b], row r's slack and artificial unit
+columns. Row r times f, those two kept, is M' = S M E (S scales row r, E
+divides the two columns by f). If neither is basic, B' = S B: D' = f D and
+T' = f T E, every entry outside the two columns times f. If one is basic
+in row i (a slack, or an artificial before phase 1 or in a row phase 1
+dropped as redundant), B' = S B E_B: D' = D and T' = E_B^-1 T E, row i
+times f outside the two columns, which are 0 in every other row. Either
+way T' is the Bareiss tableau of the rescaled system, so later pivots
+divide exactly, and scale[r] *= f keeps the duals (scale[r] * val / D)
+and the phase-1 costs reading the unscaled row; no caller scales a row.
+`solve_lp` is the one-shot use of the same object.
 
 Problem form (all variables nonnegative):
 
@@ -57,10 +64,6 @@ class LpInfeasible(RuntimeError):
 
 class LpUnbounded(RuntimeError):
     pass
-
-
-class NonIntegralColumn(ValueError):
-    """An added column's entry is not an integer once its row is scaled."""
 
 
 @dataclass
@@ -121,8 +124,8 @@ class Tableau:
         art0 = nv + ns
 
         # Row r is multiplied by flip[r] * scale[r] (scale > 0) to make it integral
-        # with a nonnegative right-hand side. Its artificial keeps a unit entry, so
-        # it stands for scale[r] times the artificial of the unscaled row.
+        # with a nonnegative right-hand side. Its slack and its artificial keep unit
+        # entries, so each stands for scale[r] times that of the unscaled row.
         self.tab = []
         self.flip = []
         self.scale = []
@@ -132,7 +135,7 @@ class Tableau:
             ints, s = _integer_multiple([_rational(v) for v in coeffs] + [_rational(b)])
             row = ints[:nv] + [0] * (width - nv) + ints[nv:]
             if r >= n_eq:
-                row[nv + (r - n_eq)] = s
+                row[nv + (r - n_eq)] = 1
             sign = -1 if b < 0 else 1
             if sign < 0:
                 row = [-v for v in row]
@@ -203,12 +206,22 @@ class Tableau:
             self._pivot(leaving, entering)
             iters += 1
 
+    def _rescale(self, r: int, f: int) -> None:
+        """Multiply row r of the system by f > 1, keeping the unit entries of
+        its slack and artificial (the two cases of the module docstring)."""
+        nv = len(self.c)
+        units = {nv + self.ns + r} | ({nv + r - self.n_eq} if r >= self.n_eq else set())
+        basic = [row for row, b in zip(self.tab, self.basis) if b in units]
+        if not basic:
+            self.den *= f
+        for row in basic or self.tab:
+            row[:] = [v if j in units else f * v for j, v in enumerate(row)]
+        self.scale[r] *= f
+
     def add_column(self, a_ub: Sequence = (), a_eq: Sequence = (), cost=0) -> None:
         """Append a structural variable with entries `a_eq` in the equality
-        rows and `a_ub` in the inequality rows; it enters nonbasic at 0.
-
-        Raises `NonIntegralColumn`, leaving the tableau as it was, when an
-        entry times its row's scale is not an integer."""
+        rows and `a_ub` in the inequality rows; it enters nonbasic at 0. A row
+        where an entry is not an integer once scaled is rescaled first."""
         nv = len(self.c)
         column = list(a_eq) + list(a_ub)
         if len(a_eq) != self.n_eq or len(a_ub) != self.ns:
@@ -218,14 +231,10 @@ class Tableau:
             )
         scaled = []
         for r, v in enumerate(column):
-            v = _rational(v)
-            num = v.numerator * self.flip[r] * self.scale[r]
-            if num % v.denominator:
-                raise NonIntegralColumn(
-                    f"entry {v} of row {r} times the row's scale {self.scale[r]} "
-                    f"is not an integer; scale the row by a multiple of its denominator"
-                )
-            scaled.append(num // v.denominator)
+            v = _rational(v) * self.scale[r]
+            if v.denominator > 1:
+                self._rescale(r, v.denominator)
+            scaled.append(self.flip[r] * v.numerator)
         art0 = nv + self.ns
         tab = self.tab
         for row in tab:
@@ -285,15 +294,13 @@ class Tableau:
                 x[b] = Fraction(tab[i][width], den)
         objective = sum((self.c[b] * x[b] for b in basis if b < nv), Fraction(0))
 
-        # Duals: artificial columns of the final tableau hold B^-1 of the scaled
-        # rows; undo the row scaling, the flip, the cost scaling and the max sign.
+        # Duals y = c_B B^-1: artificial columns of the final tableau hold B^-1 of
+        # the scaled rows; undo the row scaling, the flip, the cost scaling and
+        # the max sign. A still-basic artificial's row gets y_r = c_B e_i = 0.
         sense = -1 if self.maximize else 1
         priced = [(i, cost2[b]) for i, b in enumerate(basis) if cost2[b]]
         y = []
         for r in range(m):
-            if r in self.dropped:
-                y.append(Fraction(0))
-                continue
             val = sum(ci * tab[i][art0 + r] for i, ci in priced)
             y.append(Fraction(sense * self.flip[r] * self.scale[r] * val, den * cost_scale))
         return LpResult(

@@ -130,9 +130,6 @@ def reference_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, maximize=F
     # Duals: artificial columns of the final tableau hold B^-1.
     y = []
     for r in range(m):
-        if r in dropped:
-            y.append(zero)
-            continue
         val = zero
         for i in range(len(tab)):
             cb = cost2[basis[i]]

@@ -499,6 +499,76 @@ class TestGoldenOutputs:
         }
 
 
+    # `lp-build --instance hidden:9,1/3,1/20,0 --mode exact`, per reduction: the
+    # mixture's keys and weights, then the report's iterations, exact beta
+    # trajectory and eps split. Pivot counts are the simplex's own business.
+    HIDDEN_9 = {
+        "permutation": (
+            "permutation_mixture", "order",
+            [[1, 2, 3, 4, 5, 6, 7, 8, 0], [0, 1, 2, 3, 4, 5, 6, 7, 8],
+             [2, 0, 1, 3, 4, 5, 6, 7, 8], [3, 0, 1, 2, 4, 5, 6, 7, 8],
+             [4, 0, 1, 2, 3, 5, 6, 7, 8], [5, 0, 1, 2, 3, 4, 6, 7, 8],
+             [6, 0, 1, 2, 3, 4, 5, 7, 8], [7, 0, 1, 2, 3, 4, 5, 6, 8],
+             [8, 0, 1, 2, 3, 4, 5, 6, 7]],
+            ["1/13", "5/13"] + ["1/13"] * 7,
+            9, ["0"] + ["1/3"] * 7 + ["5/13"], 0.041666666666666664, 6,
+        ),
+        "secretary": (
+            "weight_mixture", "w",
+            [["10/9"] + ["31/42"] * 8,
+             ["0", "1/14", "115/84", "17/18", "179/126", "3/28", "107/126", "110/63", "1/7"],
+             ["85/252", "149/252", "26/21", "16/21", "8/7", "8/9", "20/21", "85/252", "32/63"],
+             ["7/18", "173/252", "7/18", "37/42", "37/28", "37/36", "139/126", "7/18", "37/63"],
+             ["115/252", "67/84", "115/252", "43/42", "115/252", "43/36", "323/252", "115/252",
+              "43/63"],
+             ["131/252", "229/252", "131/252", "295/252", "131/252", "86/63", "131/252",
+              "131/252", "197/252"],
+             ["25/42", "263/252", "25/42", "169/126"] + ["25/42"] * 4 + ["25/28"],
+             ["169/252", "74/63"] + ["169/252"] * 6 + ["127/126"],
+             ["61/84"] * 8 + ["137/126"]],
+            ["5/13"] + ["1/13"] * 8,
+            26, ["1/3"] * 18 + ["671/1885", "293/815", "255/701", "113/307", "25/67", "45/119",
+                               "21/55", "5/13"],
+            0.03571428571428571, 7,
+        ),
+    }
+
+    @pytest.mark.parametrize("reduction", sorted(HIDDEN_9))
+    def test_lp_build_hidden_exact(self, tmp_path, reduction):
+        rc = cli_run(
+            ["lp-build", "--instance", "hidden:9,1/3,1/20,0", "--reduction", reduction,
+             "--mode", "exact", "--out", str(tmp_path / "lp")]
+        )
+        assert rc == 0
+        kind, key, columns, weights, iterations, betas, per_stage, stages = self.HIDDEN_9[reduction]
+        scheme = {
+            "components": [{key: col, "weight": wt} for col, wt in zip(columns, weights)],
+            "kind": kind,
+        }
+        if reduction == "secretary":
+            scheme["secretary"] = "greedy_by_weight"
+        assert json.loads((tmp_path / "lp.scheme.json").read_text()) == scheme
+        payload = json.loads((tmp_path / "lp.json").read_text())
+        assert payload["scheme"] == scheme
+        report = payload["report"]
+        del report["pivots"]
+        assert report == {
+            "beta_trajectory": [float(Fraction(b)) for b in betas],
+            "columns": columns,
+            "converged": True,
+            "eps": 0.25,
+            "eps_split": {"per_stage": per_stage, "stages": stages},
+            "estimation_samples": {},
+            "exact_columns": True,
+            "gamma": float(Fraction(5, 13)),
+            "iterations": iterations,
+            "kind": kind,
+            "lp_solves": iterations,
+            "n": 9,
+            "notes": [],
+        }
+
+
 class _ExactBitsOnly(Random):
     """A Random that refuses every draw but fair bits and shuffles. It
     overrides getrandbits, as bench/tracer.py's CountingRandom does, so

@@ -32,7 +32,7 @@ from ocrs.schemes import (
     order_by_weight,
     secretary_wrap_bits,
 )
-from ocrs.simplex import NonIntegralColumn, solve_lp
+from ocrs.simplex import solve_lp
 
 from conftest import random_explicit_prior, random_small_matroid
 
@@ -441,7 +441,6 @@ class TestRestrictedMaster:
         M = random_small_matroid(rng, max_n=6)
         P = random_explicit_prior(rng, M.n)
         x = P.activation_probabilities()
-        L = math.lcm(*[p.denominator for _, p in P.support()])
 
         # A random column sequence from both builders' families: greedy along
         # an order, and greedy by a weight vector (the secretary reduction's).
@@ -454,7 +453,7 @@ class TestRestrictedMaster:
             return LpColumn(w, exact_selection_column(
                 P, lambda a: secretary_wrap_bits("greedy_by_weight", w, M, a, None)))
 
-        master = RestrictedMaster(column(), x, L)
+        master = RestrictedMaster(column(), x)
         _assert_warm_equals_cold(master.columns, x, master.solve())
         for _ in range(rng.randint(1, 8)):
             master.add(column())
@@ -473,18 +472,30 @@ class TestRestrictedMaster:
             lp.RestrictedMaster = RestrictedMaster
         assert report.lp_solves == len(report.beta_trajectory)
 
-    def test_column_off_the_multiplier_is_refused(self):
+    def test_column_of_any_denominator_enters(self):
         x = [Fraction(1, 2), Fraction(1, 2)]
-        master = RestrictedMaster(LpColumn("a", [Fraction(1, 2), Fraction(0)]), x, 2)
+        master = RestrictedMaster(LpColumn("a", [Fraction(1, 2), Fraction(0)]), x)
         assert master.solve().beta == 0
-        # 2 * 1/3 is no integer: refused, not truncated to 0 by floor division.
-        with pytest.raises(NonIntegralColumn, match="not an integer"):
-            master.add(LpColumn("b", [Fraction(0), Fraction(1, 3)]))
-        assert [c.key for c in master.columns] == ["a"]
-        master.add(LpColumn("c", [Fraction(0), Fraction(1, 2)]))
+        # A third is no multiple of x's halves: the row is rescaled, the column
+        # enters whole, and lam = (2/5, 3/5) reaches beta = 2/5 on both rows.
+        master.add(LpColumn("b", [Fraction(0), Fraction(1, 3)]))
         sol = master.solve()
-        assert sol.beta == Fraction(1, 2) and sol.lam == [Fraction(1, 2), Fraction(1, 2)]
+        assert sol.beta == Fraction(2, 5) and sol.lam == [Fraction(2, 5), Fraction(3, 5)]
         _assert_warm_equals_cold(master.columns, x, sol)
+
+        # Columns counted over 1,000 and over 3,000 draws, in one master.
+        rng = Random(3)
+        x = [Fraction(rng.randint(1, 1000), 1000) for _ in range(5)]
+
+        def column(key, m):
+            return LpColumn(key, [Fraction(rng.randint(0, m), m) for _ in x])
+
+        master = RestrictedMaster(column(0, 1000), x)
+        _assert_warm_equals_cold(master.columns, x, master.solve())
+        for key in range(1, 9):
+            master.add(column(key, (1000, 3000)[key % 2]))
+            _assert_warm_equals_cold(master.columns, x, master.solve())
+        assert any(q.denominator == 3000 for col in master.columns for q in col.q)
 
     def test_monte_carlo_build_runs_warm(self, monkeypatch):
         def cold(*args, **kwargs):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrs.simplex import LpInfeasible, LpUnbounded, NonIntegralColumn, Tableau, solve_lp
+from ocrs.simplex import LpInfeasible, LpUnbounded, Tableau, solve_lp
 from simplex_reference import reference_solve_lp
 
 
@@ -39,6 +39,17 @@ class TestBasics:
             maximize=True,
         )
         assert res.objective == 1
+
+    def test_redundant_rows_keep_their_duals(self):
+        # max x + y s.t. -x = -1, x - y = 0, x = 1, -2x + 3y = 1. Phase 1 drops
+        # two rows; one of them holds another row's artificial, so the dual
+        # that is 0 is that artificial's row's, and y . b is the objective.
+        b_eq = [F(-1), F(0), F(1), F(1)]
+        res = solve_lp([F(1), F(1)], A_eq=[[F(-1), F(0)], [F(1), F(-1)], [F(1), F(0)], [F(-2), F(3)]],
+                       b_eq=b_eq, maximize=True)
+        assert res.x == [1, 1] and res.objective == 2
+        assert res.dual_eq == [F(-5, 3), F(0), F(0), F(1, 3)]
+        assert sum(y * b for y, b in zip(res.dual_eq, b_eq)) == 2
 
     def test_infeasible_detected(self):
         with pytest.raises(LpInfeasible):
@@ -201,33 +212,30 @@ def _assert_optimal(lp, res):
 class TestWarmTableau:
     """`Tableau.add_column` then `solve` re-optimises from the basis the last
     solve ended on; every solve must agree with a cold `solve_lp` of the
-    same columns."""
-
-    # A multiple of every denominator `exact_lps` and `small` draw, so each
-    # added column is integral once its row is scaled by it.
-    ROW_SCALE = 18
+    same columns. Added entries have denominators the rows need not have,
+    so rows are rescaled, with their slack and artificial nonbasic or basic:
+    before phase 1, after it, and in rows phase 1 dropped as redundant."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(exact_lps(), st.data())
     def test_added_columns_match_a_cold_solve(self, lp, data):
-        L = self.ROW_SCALE
-        lp = dict(
-            lp,
-            A_ub=[[L * v for v in r] for r in lp["A_ub"]], b_ub=[L * b for b in lp["b_ub"]],
-            A_eq=[[L * v for v in r] for r in lp["A_eq"]], b_eq=[L * b for b in lp["b_eq"]],
-        )
+        # `small` and fifths, which no row of `exact_lps` holds
+        entry = st.one_of(small, st.builds(Fraction, st.integers(-4, 4), st.just(5)))
         tableau = Tableau(**lp)
-        for step in range(data.draw(st.integers(1, 4))):
+        steps = data.draw(st.integers(1, 4))
+        for step in range(steps):
             if step:
                 cost = data.draw(small)
-                a_ub = [L * data.draw(small) for _ in lp["A_ub"]]
-                a_eq = [L * data.draw(small) for _ in lp["A_eq"]]
+                a_ub = [data.draw(entry) for _ in lp["A_ub"]]
+                a_eq = [data.draw(entry) for _ in lp["A_eq"]]
                 tableau.add_column(a_ub=a_ub, a_eq=a_eq, cost=cost)
                 lp = dict(
                     lp, c=lp["c"] + [cost],
                     A_ub=[r + [v] for r, v in zip(lp["A_ub"], a_ub)],
                     A_eq=[r + [v] for r, v in zip(lp["A_eq"], a_eq)],
                 )
+            if step < steps - 1 and data.draw(st.booleans()):
+                continue  # the next column is added before this one is solved
             want = outcome(solve_lp, lp)
             try:
                 res = tableau.solve()
@@ -238,12 +246,24 @@ class TestWarmTableau:
             assert res.objective == want[1]
             _assert_optimal(lp, res)
 
-    def test_non_integral_column_is_refused_not_truncated(self):
-        # max x1 s.t. x1 <= 1: the row's scale is 1, so an entry 1/2 is refused.
+    def test_a_dropped_row_is_rescaled(self):
+        # x1 + x2 = 1 twice over: phase 1 drops the second row, its artificial
+        # left basic at 0. A fifth in that row rescales it, and the column
+        # then pivots in there, since it makes the row independent.
+        lp = dict(c=[F(1), F(2)], A_ub=[], b_ub=[], A_eq=[[F(1), F(1)], [F(2), F(2)]],
+                  b_eq=[F(1), F(2)], maximize=False)
+        tableau = Tableau(**lp)
+        assert tableau.solve().objective == 1 and tableau.dropped == {1}
+        tableau.add_column(a_eq=[F(1), F(1, 5)], cost=F(-1))
+        assert not tableau.dropped
+        lp = dict(lp, c=lp["c"] + [F(-1)], A_eq=[[F(1), F(1), F(1)], [F(2), F(2), F(1, 5)]])
+        res = tableau.solve()
+        assert res.objective == solve_lp(**lp).objective
+        _assert_optimal(lp, res)
+
+    def test_wrong_length_is_refused_then_reoptimised(self):
         tableau = Tableau([1], A_ub=[[1]], b_ub=[1], maximize=True)
         assert tableau.solve().x == [1]
-        with pytest.raises(NonIntegralColumn, match="not an integer"):
-            tableau.add_column(a_ub=[F(1, 2)], cost=3)
         with pytest.raises(ValueError, match="expected 0 and 1"):
             tableau.add_column(a_ub=[F(1), F(1)])
         assert tableau.solve().x == [1]  # refused whole: still the one column
