@@ -7,6 +7,7 @@ boundary; Python ints make the width-64 cutoff irrelevant.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -36,21 +37,18 @@ class DimensionMismatch(ValueError):
     """Two objects over different ground-set sizes were combined."""
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class SubsetMask:
     """An immutable subset of {0, ..., n-1}."""
 
-    __slots__ = ("n", "bits")
+    n: int
+    bits: int = 0
 
-    def __init__(self, n: int, bits: int = 0):
-        if n < 0:
-            raise ValueError(f"ground-set size must be >= 0, got {n}")
-        if bits < 0 or bits >> n:
-            raise ValueError(f"bits {bits:#x} not contained in ground set of size {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SubsetMask is immutable")
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"ground-set size must be >= 0, got {self.n}")
+        if self.bits < 0 or self.bits >> self.n:
+            raise ValueError(f"bits {self.bits:#x} not contained in ground set of size {self.n}")
 
     @classmethod
     def from_elements(cls, n: int, elements: Iterable[int]) -> "SubsetMask":
@@ -81,16 +79,6 @@ class SubsetMask:
 
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubsetMask)
-            and self.n == other.n
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bits))
 
     def _check(self, other: "SubsetMask") -> None:
         if self.n != other.n:

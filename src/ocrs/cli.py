@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 from random import Random
 
+from .bitset import DimensionMismatch
 from .harness import Instance, estimate_balancedness, parse_instance
 from .lp import build_lp_scheme, build_secretary_reduction
 from .oracle import max_uncontentious_alpha
@@ -72,7 +73,11 @@ def _build_scheme(args, inst: Instance, rng: Random):
     if name.endswith(".json"):
         _reject_unread(args, ("mode", "samples", "eps", "alpha", "order"), "a scheme JSON")
         with open(name) as f:
-            return scheme_from_spec(json.load(f))
+            scheme = scheme_from_spec(json.load(f))
+        if scheme.n != inst.matroid.n:
+            raise DimensionMismatch(f"the scheme is over {scheme.n} elements, "
+                                    f"instance {inst.name} over {inst.matroid.n}")
+        return scheme
     order = None
     if args.order == "canonical":
         if inst.canonical_order is None:

@@ -6,13 +6,13 @@ measurement for secretary algorithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 from random import Random
 from typing import Optional
 
-from .bitset import SubsetMask, iter_bits
+from .bitset import DimensionMismatch, SubsetMask, iter_bits
 from .matroid import GraphicMatroid, ExplicitMatroid, Matroid, UniformMatroid, matroid_from_spec
 from .priors import (
     AllActivePrior,
@@ -40,6 +40,13 @@ class Instance:
     declared_alpha: Fraction
     canonical_order: Optional[Permutation] = None
     provenance: str = ""
+
+    def __post_init__(self):
+        n = self.matroid.n
+        for what, part in (("prior", self.prior), ("canonical order", self.canonical_order)):
+            if part is not None and part.n != n:
+                raise DimensionMismatch(f"instance {self.name}: the matroid is over {n} "
+                                        f"elements, the {what} over {part.n}")
 
     def to_spec(self) -> dict:
         spec = {
@@ -208,39 +215,19 @@ class BalancednessReport:
         return min(vals) if vals else None
 
     def csv_lines(self) -> list[str]:
-        lines = ["element,active_count,selected_count,estimate,ci_lo,ci_hi"]
-        for e in self.elements:
-            if e.estimate is None:
-                lines.append(f"{e.element},{e.active_count},{e.selected_count},,,")
-            else:
-                lines.append(
-                    f"{e.element},{e.active_count},{e.selected_count},"
-                    f"{e.estimate!r},{e.ci_lo!r},{e.ci_hi!r}"
-                )
-        return lines
+        """A header of ElementEstimate's field names, then one row per
+        element; a missing value is an empty cell."""
+        header = ",".join(f.name for f in fields(ElementEstimate))
+        return [header] + [
+            ",".join("" if v is None else repr(v) for v in astuple(e)) for e in self.elements
+        ]
 
     def write_csv(self, path) -> None:
         with open(path, "w") as f:
             f.write("\n".join(self.csv_lines()) + "\n")
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "ci_level": self.ci_level,
-            "min_estimate": self.min_estimate(),
-            "metadata": self.metadata,
-            "elements": [
-                {
-                    "element": e.element,
-                    "active_count": e.active_count,
-                    "selected_count": e.selected_count,
-                    "estimate": e.estimate,
-                    "ci_lo": e.ci_lo,
-                    "ci_hi": e.ci_hi,
-                }
-                for e in self.elements
-            ],
-        }
+        return {**asdict(self), "min_estimate": self.min_estimate()}
 
 
 def hoeffding_halfwidth(level: float, count: int) -> float:

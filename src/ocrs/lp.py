@@ -29,7 +29,7 @@ as the cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from random import Random
@@ -225,20 +225,10 @@ class BuildReport:
 
     def to_json(self) -> dict:
         return {
-            "kind": self.kind,
-            "n": self.n,
+            **asdict(self),
             "eps": float(self.eps),
-            "eps_split": self.eps_split,
-            "exact_columns": self.exact_columns,
             "beta_trajectory": [float(b) for b in self.beta_trajectory],
             "gamma": None if self.gamma is None else float(self.gamma),
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "columns": self.columns,
-            "estimation_samples": self.estimation_samples,
-            "notes": self.notes,
-            "lp_solves": self.lp_solves,
-            "pivots": self.pivots,
         }
 
 

@@ -89,7 +89,7 @@ class Matroid:
         for wi in w:
             if wi < 0:
                 raise ValueError(f"negative weight {wi}")
-        order = sorted(iter_bits(S.bits), key=lambda e: (-w[e], e))
+        order = by_decreasing_weight(w, iter_bits(S.bits))
         chosen = greedy_ordered_bits(self, order, S.bits)
         return sum(w[e] for e in order if chosen >> e & 1)
 
@@ -168,6 +168,12 @@ def greedy_ordered_bits(M: Matroid, order: Iterable[int], a_bits: int) -> int:
             if not spanned:
                 taken |= 1 << e
     return taken
+
+
+def by_decreasing_weight(w: Sequence, elements: Iterable[int]) -> list[int]:
+    """`elements`, given ascending, in decreasing weight with ties kept
+    ascending: a reverse sort is still stable."""
+    return sorted(elements, key=w.__getitem__, reverse=True)
 
 
 class UniformMatroid(Matroid):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from random import Random
@@ -43,13 +44,16 @@ def to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Permutation:
-    """A bijection on {0, ..., n-1}; order[p] is the element at position p."""
+    """A bijection on {0, ..., n-1}; order[p] is the element at position p.
+    Any sequence is accepted and stored as a tuple."""
 
-    __slots__ = ("order", "_pos")
+    order: Sequence[int]
+    _pos: tuple = field(init=False, compare=False)
 
-    def __init__(self, order: Sequence[int]):
-        order = tuple(order)
+    def __post_init__(self):
+        order = tuple(self.order)
         n = len(order)
         pos = [-1] * n
         for p, e in enumerate(order):
@@ -58,9 +62,6 @@ class Permutation:
             pos[e] = p
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_pos", tuple(pos))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Permutation is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -86,12 +87,6 @@ class Permutation:
     def first_bits(self, k: int) -> int:
         """The first k elements, as a bitmask."""
         return mask_of(self.order[:k])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.order == other.order
-
-    def __hash__(self) -> int:
-        return hash(self.order)
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.order)})"

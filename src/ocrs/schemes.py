@@ -32,7 +32,7 @@ from random import Random
 from typing import Iterator, Sequence
 
 from .bitset import SubsetMask, full_mask
-from .matroid import Matroid, greedy_ordered_bits
+from .matroid import Matroid, by_decreasing_weight, greedy_ordered_bits
 from .priors import to_fraction
 from .sampling import (
     EnumerationTooLarge,
@@ -57,7 +57,7 @@ def greedy_ordered(M: Matroid, pi: Permutation, A: SubsetMask) -> SubsetMask:
 
 def order_by_weight(w: Sequence) -> Permutation:
     """Decreasing-weight order, ties broken by ascending element index."""
-    return Permutation(sorted(range(len(w)), key=lambda e: (-w[e], e)))
+    return Permutation(by_decreasing_weight(w, range(len(w))))
 
 
 class Scheme:
@@ -290,7 +290,7 @@ def secretary_wrap_bits(alg_kind, w, M, a_bits, rng) -> int:
     cls = SECRETARY_KINDS[alg_kind]
     alg = cls(M)
     if cls.arrival_model == "by_weight":
-        order = order_by_weight(w).order
+        order = by_decreasing_weight(w, range(len(w)))
     elif rng is None:  # exact enumeration passes no rng
         raise EnumerationTooLarge(f"secretary {alg_kind!r} is randomized; no exact enumeration")
     else:

@@ -10,7 +10,9 @@ from random import Random
 import pytest
 
 from ocrs import (
+    DimensionMismatch,
     IndependentSubsampling,
+    Instance,
     OrderedGreedy,
     Permutation,
     PermutationMixture,
@@ -117,6 +119,23 @@ class TestParseInstance:
         assert again.declared_alpha == inst.declared_alpha
         assert sorted(again.prior.support()) == sorted(inst.prior.support())
         assert again.canonical_order == inst.canonical_order
+
+    def test_parts_over_other_ground_sets_rejected(self):
+        half = Fraction(1, 2)
+        with pytest.raises(DimensionMismatch, match="over 4 elements, the prior over 6"):
+            Instance("bad", UniformMatroid(4, 2), AllActivePrior(6), half)
+        with pytest.raises(DimensionMismatch, match="over 4 elements, the canonical order over 3"):
+            Instance("bad", UniformMatroid(4, 2), AllActivePrior(4), half, Permutation.identity(3))
+
+    def test_json_file_with_mismatched_prior_exits_2(self, tmp_path, capsys):
+        spec = gen_kuniform_allactive(4, 2).to_spec()
+        spec["prior"] = AllActivePrior(6).to_spec()
+        del spec["canonical_order"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        for argv in (["evaluate", "--scheme", "greedy", "--trials", "10"], ["oracle-alpha"]):
+            assert cli_run(argv + ["--instance", str(path)]) == 2
+            assert "over 4 elements, the prior over 6" in capsys.readouterr().err
 
 
 class TestEstimateBalancedness:
@@ -377,6 +396,15 @@ class TestCli:
         assert cli_run(argv) == 0
         assert cli_run(["run", "--instance", "twoelem", "--scheme", str(path), "--seed", "3"]) == 0
 
+    def test_scheme_json_over_another_ground_set_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "s4")
+        argv = ["lp-build", "--instance", "kuniform:4,2", "--mode", "exact", "--out", out]
+        assert cli_run(argv) == 0
+        argv = ["evaluate", "--instance", "kuniform:6,3", "--scheme", out + ".scheme.json"]
+        assert cli_run(argv) == 2
+        err = capsys.readouterr().err
+        assert "scheme is over 4 elements, instance kuniform:6,3 over 6" in err
+
     def test_config_error_exit_code(self, capsys):
         assert cli_run(["oracle-alpha", "--instance", "nonsense:1"]) == 2
         assert cli_run(["evaluate", "--instance", "kuniform:4,2", "--scheme", "wat"]) == 2
@@ -479,6 +507,77 @@ class TestGoldenOutputs:
                 449, 471, 432, 455, 458, 458, 440, 439, 152, 513, 351,
             ]
         ]
+
+    # `evaluate --instance parallel-hats:1/2 --scheme indep --order canonical
+    # --trials 2000 --seed 7 --out P`: P.csv in full.
+    HATS_CSV = """\
+element,active_count,selected_count,estimate,ci_lo,ci_hi
+0,2000,519,0.2595,0.22310522919927908,0.2958947708007209
+1,2000,479,0.2395,0.20310522919927906,0.2758947708007209
+2,2000,523,0.2615,0.22510522919927908,0.2978947708007209
+3,2000,540,0.27,0.2336052291992791,0.306394770800721
+4,2000,477,0.2385,0.20210522919927906,0.2748947708007209
+5,2000,515,0.2575,0.22110522919927908,0.2938947708007209
+6,2000,506,0.253,0.21660522919927908,0.28939477080072096
+7,2000,505,0.2525,0.21610522919927908,0.2888947708007209
+8,2000,526,0.263,0.22660522919927908,0.29939477080072097
+9,2000,528,0.264,0.22760522919927909,0.30039477080072097
+10,2000,488,0.244,0.20760522919927907,0.28039477080072095
+11,2000,496,0.248,0.21160522919927907,0.28439477080072095
+12,2000,485,0.2425,0.20610522919927907,0.2788947708007209
+13,2000,499,0.2495,0.21310522919927907,0.2858947708007209
+14,2000,491,0.2455,0.20910522919927907,0.2818947708007209
+15,2000,523,0.2615,0.22510522919927908,0.2978947708007209
+16,2000,531,0.2655,0.2291052291992791,0.3018947708007209
+17,2000,485,0.2425,0.20610522919927907,0.2788947708007209
+18,2000,498,0.249,0.21260522919927907,0.28539477080072095
+19,2000,491,0.2455,0.20910522919927907,0.2818947708007209
+20,2000,503,0.2515,0.21510522919927907,0.2878947708007209
+21,2000,441,0.2205,0.18410522919927907,0.25689477080072093
+22,2000,468,0.234,0.1976052291992791,0.27039477080072094
+23,2000,480,0.24,0.20360522919927906,0.27639477080072095
+24,2000,455,0.2275,0.19110522919927908,0.26389477080072093
+25,2000,422,0.211,0.17460522919927907,0.24739477080072092
+26,2000,449,0.2245,0.18810522919927908,0.26089477080072093
+27,2000,471,0.2355,0.19910522919927906,0.2718947708007209
+28,2000,432,0.216,0.17960522919927907,0.2523947708007209
+29,2000,455,0.2275,0.19110522919927908,0.26389477080072093
+30,2000,458,0.229,0.19260522919927908,0.26539477080072094
+31,2000,458,0.229,0.19260522919927908,0.26539477080072094
+32,2000,440,0.22,0.18360522919927907,0.25639477080072093
+33,2000,439,0.2195,0.18310522919927907,0.2558947708007209
+34,2000,152,0.076,0.03960522919927907,0.11239477080072093
+35,2000,513,0.2565,0.22010522919927908,0.2928947708007209
+36,2000,351,0.1755,0.13910522919927906,0.21189477080072092
+"""
+
+    def test_evaluate_files_byte_for_byte(self, tmp_path):
+        rc = cli_run(
+            ["evaluate", "--instance", "parallel-hats:1/2", "--scheme", "indep",
+             "--order", "canonical", "--trials", "2000", "--seed", "7",
+             "--out", str(tmp_path / "P")]
+        )
+        assert rc == 0
+        assert (tmp_path / "P.csv").read_bytes() == self.HATS_CSV.encode()
+        # P.json holds the same rows, as numbers keyed by the CSV header
+        # (a float's repr reads back to the same float), and the run's context.
+        header, *rows = (line.split(",") for line in self.HATS_CSV.splitlines())
+        payload = {
+            "ci_level": 0.99,
+            "elements": [
+                dict(zip(header, [*map(int, row[:3]), *map(float, row[3:])])) for row in rows
+            ],
+            "metadata": {
+                "instance": "parallel-hats:1/2",
+                "scheme": {"kind": "independent_subsampling", "order": list(range(37)),
+                           "rho": "1/4"},
+                "seed": 7,
+            },
+            "min_estimate": 0.076,
+            "trials": 2000,
+        }
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "P.json").read_bytes() == want.encode()
 
     def test_lp_build_secretary_reduction(self, tmp_path):
         rc = cli_run(

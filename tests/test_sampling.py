@@ -167,6 +167,17 @@ class TestPermutation:
     def test_random_permutation_reproducible(self):
         assert random_permutation(6, Random(5)) == random_permutation(6, Random(5))
 
+    def test_immutability_equality_and_hash(self):
+        sigma = Permutation([2, 0, 1])
+        with pytest.raises(AttributeError):
+            sigma.order = (0, 1, 2)
+        assert sigma.order == (2, 0, 1)  # any sequence is stored as a tuple
+        assert sigma == Permutation((2, 0, 1)) == Permutation(iter([2, 0, 1]))
+        assert hash(sigma) == hash(Permutation((2, 0, 1)))
+        assert sigma != Permutation([0, 1, 2]) and sigma != (2, 0, 1)
+        assert len({sigma, Permutation([2, 0, 1]), Permutation([0, 1, 2])}) == 2
+        assert repr(sigma) == "Permutation([2, 0, 1])"
+
 
 class TestPrefixSubsample:
     def test_size_uniform_exact(self):
