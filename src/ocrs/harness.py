@@ -42,11 +42,10 @@ class Instance:
     provenance: str = ""
 
     def __post_init__(self):
-        n = self.matroid.n
-        for what, part in (("prior", self.prior), ("canonical order", self.canonical_order)):
-            if part is not None and part.n != n:
-                raise DimensionMismatch(f"instance {self.name}: the matroid is over {n} "
-                                        f"elements, the {what} over {part.n}")
+        try:
+            self.matroid.check_over(prior=self.prior, canonical_order=self.canonical_order)
+        except DimensionMismatch as err:
+            raise DimensionMismatch(f"instance {self.name}: {err}") from None
 
     def to_spec(self) -> dict:
         spec = {
@@ -246,6 +245,7 @@ def estimate_balancedness(
     """Run the scheme's run phase on fresh active sets and report, per
     element, the conditional selection frequency with a two-sided
     Hoeffding interval. Elements never seen active get a no-data row."""
+    M.check_over(scheme=scheme, prior=P)
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0 < ci_level < 1:

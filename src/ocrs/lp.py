@@ -41,6 +41,7 @@ from .sampling import EnumerationTooLarge
 from .schemes import (
     PermutationMixture,
     WeightMixture,
+    by_weight_arrivals,
     greedy_ordered_bits,
     order_by_weight,
     secretary_wrap_bits,
@@ -239,9 +240,11 @@ def _column_generation(
     """The cutting-plane build both mixtures share; returns the mixture's
     (key, weight) items and the report.
 
-    The column family is given by `select(key, atom, rng)`, the selection of
-    one column on one active set; `start(x, p_min)`, the first key and the
-    separation that maps a dual mu to the next key; and `key_json(key)`.
+    The column family is given by `select(key)`, which makes one column's
+    selection `(atom, rng) -> bits` once per priced column, so what depends
+    on the key alone is computed once and not per atom; `start(x, p_min)`,
+    the first key and the separation that maps a dual mu to the next key;
+    and `key_json(key)`.
     `priors.exact_or_sampled` reads `mode`. Exact columns are counted over
     the support; their selector gets no rng, so a family that draws (a
     random-arrival secretary) raises `EnumerationTooLarge`. Sampled columns
@@ -297,7 +300,10 @@ def _column_generation(
         if P.support() is None:  # before p_min: an opaque prior draws nothing
             raise EnumerationTooLarge("exact columns need an explicit prior support")
         x = P.activation_probabilities()
-        price = lambda key: exact_selection_column(P, lambda atom: select(key, atom, None))
+        def price(key):
+            sel = select(key)
+            return exact_selection_column(P, lambda atom: sel(atom, None))
+
         return generate(True, x, P.p_min(rng=rng), price, {})
 
     def sampled():
@@ -307,7 +313,7 @@ def _column_generation(
 
         def price(key):
             _, q, samples[str(key_json(key))] = estimate_xq(
-                lambda a, r: select(key, a, r), P, eta, delta, rng, p_min, estimation_override
+                select(key), P, eta, delta, rng, p_min, estimation_override
             )
             return q
 
@@ -331,7 +337,7 @@ def build_lp_scheme(
     items, report = _column_generation(
         M, P, eps, rng, mode, alpha_target, iteration_cap, estimation_override,
         kind="permutation_mixture", stages=6, c=1,
-        select=lambda pi, a, r: greedy_ordered_bits(M, pi.order, a),
+        select=lambda pi: lambda a, r: greedy_ordered_bits(M, pi.order, a),
         start=lambda x, p_min: (order_by_weight(x), order_by_weight),
         key_json=lambda pi: list(pi.order),
     )
@@ -369,10 +375,14 @@ def build_secretary_reduction(
             mu0[i] = Fraction(1, len(pos)) / x[i]
         return round_to_grid(mu0, grid), lambda mu: round_to_grid(mu, grid)
 
+    def select(wv):
+        arrivals = by_weight_arrivals(wv)  # read by greedy_by_weight only
+        return lambda a, r: secretary_wrap_bits(secretary_kind, wv, M, a, r, arrivals)
+
     items, report = _column_generation(
         M, P, eps, rng, mode, alpha_target, iteration_cap, estimation_override,
         kind="weight_mixture", stages=7, c=c,
-        select=lambda wv, a, r: secretary_wrap_bits(secretary_kind, wv, M, a, r),
+        select=select,
         start=start,
         key_json=lambda wv: [str(v) for v in wv],
     )

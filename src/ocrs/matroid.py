@@ -6,13 +6,17 @@ of incremental span: they walk a set's span one element at a time, as a
 small state. By default the state is the basis of the set grown along the
 walk (one `_independent` query per step); a uniform matroid keeps the size
 capped at k, a graphic one a string of component labels, and a restriction
-delegates to its parent. Greedy (`greedy_ordered_bits`, and through it rank
-and bases), the secretaries' `IndependentSetGrower` and the exact scan in
-`sampling.unspanned_counts` all walk these hooks. `_unspanned(bits,
-within)` is the one batch span query; a graphic matroid answers it by
-merging its span state's component labels along `bits`. Built-in
-families: uniform, graphic (multi-edges allowed), explicit set lists, and
-restrictions of any of these.
+delegates to its parent. `IndependentSetGrower` (fed by `Classic1Uniform`)
+and the exact scan in `sampling.unspanned_counts` walk these hooks. Greedy
+(`greedy_ordered_bits`, and through it rank and bases) dispatches to
+`Matroid.greedy_bits`, one fold per family: by default one `span_step` per
+active arrival; the first k active arrivals for a uniform matroid; an
+inline label merge for a graphic one, whose `_independent` is the same
+fold; the parent's fold over the masked active set for a restriction.
+`_unspanned(bits, within)` is the one batch span query; a graphic matroid
+answers it by merging its span state's component labels along `bits`.
+Built-in families: uniform, graphic (multi-edges allowed), explicit set
+lists, and restrictions of any of these.
 
 All oracles are immutable after construction and safe for concurrent
 read-only use.
@@ -58,6 +62,14 @@ class Matroid:
     def is_independent(self, S: SubsetMask) -> bool:
         return self._independent(self._bits(S))
 
+    def check_over(self, **parts) -> None:
+        """Raise `DimensionMismatch` unless each named part (a scheme, a
+        prior, an order; None is skipped) is over this ground set."""
+        for what, part in parts.items():
+            if part is not None and part.n != self.n:
+                raise DimensionMismatch(f"the matroid is over {self.n} elements, "
+                                        f"the {what.replace('_', ' ')} over {part.n}")
+
     # -- incremental greedy support -----------------------------------------
 
     def grower(self) -> "IndependentSetGrower":
@@ -66,6 +78,21 @@ class Matroid:
         return IndependentSetGrower(self)
 
     # -- derived quantities --------------------------------------------------
+
+    def greedy_bits(self, order: Iterable[int], a_bits: int) -> int:
+        """Scan `order`; take every element of a_bits that the ones taken
+        before it leave unspanned, one `span_step` per element of a_bits.
+        Families override this fold with a kernel that draws nothing and
+        returns the same set."""
+        step = self.span_step
+        state = self.span_start()
+        taken = 0
+        for e in order:
+            if a_bits >> e & 1:
+                spanned, state = step(state, e)
+                if not spanned:
+                    taken |= 1 << e
+        return taken
 
     def _basis_bits(self, bits: int) -> int:
         return greedy_ordered_bits(self, iter_bits(bits), bits)
@@ -116,8 +143,8 @@ class Matroid:
         it: which elements R spans. Here it is the basis of R grown along
         the scan, so R spans e exactly when that basis plus e is dependent.
         It asks `_independent` alone: `_unspanned` and `_basis_bits` run
-        greedy, which walks these hooks. Families override both hooks with
-        a smaller key."""
+        greedy, whose default fold walks these hooks. Families override
+        both hooks with a smaller key."""
         grown = state | 1 << e
         if grown == state or not self._independent(grown):
             return True, state
@@ -157,17 +184,8 @@ class IndependentSetGrower:
 
 
 def greedy_ordered_bits(M: Matroid, order: Iterable[int], a_bits: int) -> int:
-    """Scan `order`; take every element of a_bits that the ones taken before
-    it leave unspanned, one `span_step` per element of a_bits."""
-    step = M.span_step
-    state = M.span_start()
-    taken = 0
-    for e in order:
-        if a_bits >> e & 1:
-            spanned, state = step(state, e)
-            if not spanned:
-                taken |= 1 << e
-    return taken
+    """Greedy along `order` over a_bits: `M.greedy_bits`, the family's fold."""
+    return M.greedy_bits(order, a_bits)
 
 
 def by_decreasing_weight(w: Sequence, elements: Iterable[int]) -> list[int]:
@@ -190,6 +208,17 @@ class UniformMatroid(Matroid):
 
     def _unspanned(self, bits: int, within: int) -> int:
         return 0 if popcount(bits) >= self.k else within & ~bits
+
+    def greedy_bits(self, order, a_bits):
+        left, taken = self.k, 0  # the first k active arrivals
+        if left:
+            for e in order:
+                if a_bits >> e & 1:
+                    taken |= 1 << e
+                    left -= 1
+                    if not left:
+                        break
+        return taken
 
     def span_start(self):
         return 0  # min(|R|, k): R spans everything once it holds k elements
@@ -224,14 +253,18 @@ class GraphicMatroid(Matroid):
         self._start = "".join(map(chr, range(vertices)))
 
     def _independent(self, bits: int) -> bool:
-        state, edges = self._start, self.edges
-        for e in iter_bits(bits):
-            u, v = edges[e]
-            cu, cv = state[u], state[v]
-            if cu == cv:
-                return False
-            state = state.replace(cv, cu)
-        return True
+        return self.greedy_bits(iter_bits(bits), bits) == bits
+
+    def greedy_bits(self, order, a_bits):
+        state, edges, taken = self._start, self.edges, 0  # labels need only be consistent
+        for e in order:
+            if a_bits >> e & 1:
+                u, v = edges[e]
+                cu, cv = state[u], state[v]
+                if cu != cv:
+                    state = state.replace(cv, cu)
+                    taken |= 1 << e
+        return taken
 
     def _unspanned(self, bits: int, within: int) -> int:
         state, edges = self._start, self.edges  # no basis: an edge on a cycle merges nothing
@@ -316,6 +349,9 @@ class RestrictionMatroid(Matroid):
 
     def _unspanned(self, bits: int, within: int) -> int:
         return self.parent._unspanned(bits & self.ground_bits, within & self.ground_bits)
+
+    def greedy_bits(self, order, a_bits):
+        return self.parent.greedy_bits(order, a_bits & self.ground_bits)
 
     def span_start(self):
         return self.parent.span_start()

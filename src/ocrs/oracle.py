@@ -116,6 +116,7 @@ def exact_balancedness(M: Matroid, scheme, P: Prior) -> list:
     """Per-element conditional selection probability of a `schemes.Scheme`:
     an exact count over the support of the scheme's `outcomes` on each atom.
     None for never-active elements."""
+    M.check_over(scheme=scheme, prior=P)
     selected = P.exact_count(lambda atom: _scheme_randomness(M, scheme, atom))
     probs = P.activation_probabilities()
     return [s / x if x > 0 else None for s, x in zip(selected, probs)]

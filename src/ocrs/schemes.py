@@ -221,10 +221,9 @@ class PermutationMixture(_Mixture):
 class SecretaryAlgorithm:
     """Streaming interface: one instance per run, elements pushed in arrival
     order via next(element, weight) -> accept. The arrival order itself is
-    generated outside, according to `arrival_model`; a "random" arrival
-    order is the only randomness a secretary run draws."""
-
-    arrival_model = "random"  # or "by_weight"
+    generated outside, by `secretary_wrap_bits`: decreasing weight for
+    `GreedyByWeight`, uniformly random for the rest, whose only randomness
+    it is."""
 
     def __init__(self, M: Matroid):
         self._grower = M.grower()
@@ -235,9 +234,9 @@ class SecretaryAlgorithm:
 
 class GreedyByWeight(SecretaryAlgorithm):
     """Accepts any positive-weight element that keeps independence; run with
-    decreasing-weight arrivals this selects a maximum-weight independent set."""
-
-    arrival_model = "by_weight"
+    decreasing-weight arrivals this selects a maximum-weight independent set.
+    `secretary_wrap_bits` runs it as that greedy: the fold along
+    `by_weight_arrivals(w)` over the active set."""
 
     def next(self, e, w):
         if w <= 0:
@@ -249,8 +248,6 @@ class Classic1Uniform(SecretaryAlgorithm):
     """Observe floor(n/e) arrivals, then take the first that matches or
     beats the best weight seen. Intended for 1-uniform instances under
     random arrival order; never accepts weight 0."""
-
-    arrival_model = "random"
 
     def __init__(self, M: Matroid):
         super().__init__(M)
@@ -280,23 +277,32 @@ def secretary_wrap(
     """Run a secretary algorithm against weights masked by the active set.
 
     Inactive elements are presented with weight 0 (and positive-weight
-    acceptance then keeps the output inside A). Elements arrive by the
-    algorithm's own `arrival_model`.
+    acceptance then keeps the output inside A).
     """
     return SubsetMask(M.n, secretary_wrap_bits(alg_kind, w, M, A.bits, rng))
 
 
-def secretary_wrap_bits(alg_kind, w, M, a_bits, rng) -> int:
+def by_weight_arrivals(w: Sequence) -> list[int]:
+    """The elements of positive weight, in decreasing weight with ties
+    ascending: all that `GreedyByWeight` can accept, in its arrival order."""
+    return [e for e in by_decreasing_weight(w, range(len(w))) if w[e] > 0]
+
+
+def secretary_wrap_bits(alg_kind, w, M, a_bits, rng, arrivals=None) -> int:
+    """`secretary_wrap` on bits. `GreedyByWeight` draws nothing: it selects
+    what greedy along `by_weight_arrivals(w)` selects of a_bits, which a
+    caller running one w on many active sets passes in as `arrivals`,
+    sorted once. Any other secretary arrives in a random order."""
     cls = SECRETARY_KINDS[alg_kind]
-    alg = cls(M)
-    if cls.arrival_model == "by_weight":
-        order = by_decreasing_weight(w, range(len(w)))
-    elif rng is None:  # exact enumeration passes no rng
+    if cls is GreedyByWeight:
+        if arrivals is None:
+            arrivals = by_weight_arrivals(w)
+        return greedy_ordered_bits(M, arrivals, a_bits)
+    if rng is None:  # exact enumeration passes no rng
         raise EnumerationTooLarge(f"secretary {alg_kind!r} is randomized; no exact enumeration")
-    else:
-        order = random_permutation(M.n, rng).order
+    alg = cls(M)
     out = 0
-    for e in order:
+    for e in random_permutation(M.n, rng).order:
         we = w[e] if (a_bits >> e) & 1 else 0
         if alg.next(e, we):
             out |= 1 << e

@@ -47,9 +47,13 @@ def explicit_battery():
     ]
 
 
-def random_small_matroid(rng: Random, max_n: int = 8):
-    """A genuine matroid of a random family/size, for property tests."""
-    kind = rng.randrange(3)
+FAMILIES = ("uniform", "graphic", "explicit")
+
+
+def random_small_matroid(rng: Random, max_n: int = 8, family=None):
+    """A genuine matroid of a random size, of `family` (one of FAMILIES) or
+    a random one, for property tests."""
+    kind = rng.randrange(3) if family is None else FAMILIES.index(family)
     if kind == 0:
         n = rng.randint(1, max_n)
         return UniformMatroid(n, rng.randint(0, n))

@@ -183,6 +183,15 @@ class TestEstimateBalancedness:
                 inst.matroid, PrefixSubsampling(Permutation.identity(4)), inst.prior, 0, rng
             )
 
+    def test_parts_over_other_ground_sets_rejected(self, rng):
+        # Before the check, elements 3-5 were reported as selected 0 times.
+        m, prior = UniformMatroid(6, 3), AllActivePrior(6)
+        greedy = OrderedGreedy(Permutation.identity(6))
+        with pytest.raises(DimensionMismatch, match="over 6 elements, the scheme over 4"):
+            estimate_balancedness(m, OrderedGreedy(Permutation.identity(4)), prior, 9, rng)
+        with pytest.raises(DimensionMismatch, match="over 6 elements, the prior over 5"):
+            estimate_balancedness(m, greedy, AllActivePrior(5), 9, rng)
+
     @pytest.mark.parametrize("level", [0, 1, 1.5, -0.5, float("nan")])
     def test_ci_level_must_lie_in_the_open_unit_interval(self, rng, level):
         inst = gen_kuniform_allactive(4, 2)
@@ -551,6 +560,43 @@ element,active_count,selected_count,estimate,ci_lo,ci_hi
 36,2000,351,0.1755,0.13910522919927906,0.21189477080072092
 """
 
+    # `evaluate --instance kuniform:30,15 --scheme prefix --order canonical
+    # --trials 2000 --seed 7 --out K`: K.csv in full. Greedy on a uniform
+    # matroid stops at its k-th active arrival; this pins that exit.
+    KUNIFORM_CSV = """\
+element,active_count,selected_count,estimate,ci_lo,ci_hi
+0,2000,974,0.487,0.45060522919927903,0.5233947708007209
+1,2000,999,0.4995,0.4631052291992791,0.5358947708007209
+2,2000,980,0.49,0.45360522919927904,0.526394770800721
+3,2000,1010,0.505,0.46860522919927905,0.541394770800721
+4,2000,976,0.488,0.45160522919927903,0.5243947708007209
+5,2000,983,0.4915,0.4551052291992791,0.5278947708007209
+6,2000,996,0.498,0.46160522919927904,0.534394770800721
+7,2000,1009,0.5045,0.468105229199279,0.5408947708007209
+8,2000,1022,0.511,0.47460522919927906,0.547394770800721
+9,2000,1001,0.5005,0.464105229199279,0.5368947708007209
+10,2000,990,0.495,0.45860522919927904,0.531394770800721
+11,2000,985,0.4925,0.4561052291992791,0.5288947708007209
+12,2000,980,0.49,0.45360522919927904,0.526394770800721
+13,2000,1003,0.5015,0.465105229199279,0.5378947708007209
+14,2000,999,0.4995,0.4631052291992791,0.5358947708007209
+15,2000,883,0.4415,0.40510522919927905,0.47789477080072096
+16,2000,763,0.3815,0.3451052291992791,0.4178947708007209
+17,2000,723,0.3615,0.3251052291992791,0.3978947708007209
+18,2000,625,0.3125,0.27610522919927905,0.34889477080072095
+19,2000,570,0.285,0.24860522919927905,0.3213947708007209
+20,2000,513,0.2565,0.22010522919927908,0.2928947708007209
+21,2000,431,0.2155,0.17910522919927907,0.2518947708007209
+22,2000,467,0.2335,0.1971052291992791,0.26989477080072094
+23,2000,382,0.191,0.15460522919927908,0.22739477080072093
+24,2000,381,0.1905,0.15410522919927908,0.22689477080072093
+25,2000,333,0.1665,0.13010522919927908,0.20289477080072094
+26,2000,311,0.1555,0.11910522919927907,0.19189477080072093
+27,2000,296,0.148,0.11160522919927907,0.18439477080072092
+28,2000,265,0.1325,0.09610522919927908,0.16889477080072093
+29,2000,268,0.134,0.09760522919927908,0.17039477080072093
+"""
+
     def test_evaluate_files_byte_for_byte(self, tmp_path):
         rc = cli_run(
             ["evaluate", "--instance", "parallel-hats:1/2", "--scheme", "indep",
@@ -578,6 +624,15 @@ element,active_count,selected_count,estimate,ci_lo,ci_hi
         }
         want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "P.json").read_bytes() == want.encode()
+
+    def test_evaluate_uniform_prefix_byte_for_byte(self, tmp_path):
+        rc = cli_run(
+            ["evaluate", "--instance", "kuniform:30,15", "--scheme", "prefix",
+             "--order", "canonical", "--trials", "2000", "--seed", "7",
+             "--out", str(tmp_path / "K")]
+        )
+        assert rc == 0
+        assert (tmp_path / "K.csv").read_bytes() == self.KUNIFORM_CSV.encode()
 
     def test_lp_build_secretary_reduction(self, tmp_path):
         rc = cli_run(

@@ -16,10 +16,10 @@ from ocrs import (
     verify_axioms,
 )
 from ocrs.bitset import popcount
-from ocrs.matroid import greedy_ordered_bits
+from ocrs.matroid import Matroid, greedy_ordered_bits
 from ocrs.sampling import EnumerationTooLarge
 
-from conftest import membership_span, random_small_matroid, triangle
+from conftest import FAMILIES, membership_span, random_small_matroid, triangle
 
 
 def S(n, *elems):
@@ -193,6 +193,34 @@ class TestUnspanned:
         assert m._unspanned(0, 0b1111) == 0b1110  # a loop is in the span of the empty set
         assert m._unspanned(0b0010, 0b1111) == 0b1000  # its parallel twin is spanned
         assert m.span(S(4, 1, 3)) == SubsetMask.full(4)
+
+
+class TestGreedyFolds:
+    """Each family's `greedy_bits` kernel selects what the base class's fold,
+    one `span_step` per active arrival, selects."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(FAMILIES), st.booleans(), st.booleans())
+    def test_equals_the_span_step_fold(self, seed, family, restricted, partial):
+        rng = Random(seed)
+        m = random_small_matroid(rng, family=family)  # graphic: loops and parallel edges
+        if restricted:
+            m = m.restrict(SubsetMask(m.n, rng.randrange(1 << m.n)))
+        for _ in range(8):
+            order = rng.sample(range(m.n), rng.randint(0, m.n) if partial else m.n)
+            a_bits = rng.getrandbits(m.n)  # a partial order leaves some of it out
+            assert m.greedy_bits(order, a_bits) == Matroid.greedy_bits(m, order, a_bits)
+
+    def test_edge_cases(self):
+        loops = GraphicMatroid(3, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2)])
+        for m in (UniformMatroid(5, 0), UniformMatroid(5, 2), loops, loops.restrict(S(5, 1, 2))):
+            for order in ([4, 3, 2, 1, 0], [3, 1], []):
+                for a_bits in (0, 0b11111, 0b01010):
+                    want = Matroid.greedy_bits(m, order, a_bits)
+                    assert m.greedy_bits(order, a_bits) == want
+        assert UniformMatroid(5, 0).greedy_bits(range(5), 0b11111) == 0
+        assert UniformMatroid(5, 2).greedy_bits([4, 0, 3], 0b11111) == 0b10001
+        assert loops.greedy_bits(range(5), 0b11111) == 0b01010
 
 
 class TestRestriction:

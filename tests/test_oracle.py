@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocrs import (
+    DimensionMismatch,
     ExplicitPrior,
     IndependentSubsampling,
     OrderedGreedy,
@@ -166,6 +167,14 @@ class TestExactBalancedness:
             [(Permutation([0, 1]), Fraction(1, 2)), (Permutation([1, 0]), Fraction(1, 2))]
         )
         assert exact_balancedness(m, mix, AllActivePrior(2)) == [Fraction(1, 2), Fraction(1, 2)]
+
+    def test_parts_over_other_ground_sets_rejected(self):
+        # Before the check, this returned [1, 1, 1, 0, 0, 0].
+        m = UniformMatroid(6, 3)
+        with pytest.raises(DimensionMismatch, match="over 6 elements, the scheme over 4"):
+            exact_balancedness(m, OrderedGreedy(Permutation.identity(4)), AllActivePrior(6))
+        with pytest.raises(DimensionMismatch, match="over 6 elements, the prior over 5"):
+            exact_balancedness(m, OrderedGreedy(Permutation.identity(6)), AllActivePrior(5))
 
     def test_never_active_element_reports_none(self):
         m = UniformMatroid(2, 1)

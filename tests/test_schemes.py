@@ -23,7 +23,13 @@ from ocrs import (
     secretary_wrap,
 )
 from ocrs.sampling import t_rho_bits
-from ocrs.schemes import Classic1Uniform, greedy_ordered_bits, secretary_wrap_bits
+from ocrs.schemes import (
+    Classic1Uniform,
+    GreedyByWeight,
+    by_weight_arrivals,
+    greedy_ordered_bits,
+    secretary_wrap_bits,
+)
 
 from conftest import NoDraws, random_explicit_prior, random_small_matroid, triangle
 
@@ -186,6 +192,22 @@ class TestSecretaryWrap:
             a = p.sample(rng)
             out = secretary_wrap("greedy_by_weight", w, m, a, rng)
             assert sum(w[e] for e in out) == m.weighted_rank(w, a)
+
+    def test_greedy_by_weight_fold_equals_its_stream(self, rng):
+        # The fold along the positive weights selects what the streaming
+        # algorithm selects when every element arrives by decreasing weight
+        # with inactive ones at weight 0; zeros and ties included.
+        for _ in range(200):
+            m = random_small_matroid(rng)
+            w = [Fraction(rng.randint(0, 4), rng.randint(1, 2)) for _ in range(m.n)]
+            a_bits = rng.getrandbits(m.n)
+            alg, streamed = GreedyByWeight(m), 0
+            for e in sorted(range(m.n), key=lambda e: (-w[e], e)):
+                if alg.next(e, w[e] if a_bits >> e & 1 else 0):
+                    streamed |= 1 << e
+            arrivals = by_weight_arrivals(w)
+            assert secretary_wrap_bits("greedy_by_weight", w, m, a_bits, None) == streamed
+            assert secretary_wrap_bits("greedy_by_weight", w, m, a_bits, None, arrivals) == streamed
 
     def test_zero_weights_never_selected(self, rng):
         m = UniformMatroid(3, 2)
