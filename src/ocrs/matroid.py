@@ -267,17 +267,23 @@ class GraphicMatroid(Matroid):
         return taken
 
     def _unspanned(self, bits: int, within: int) -> int:
+        # Both loops peel the lowest set bit in place: no generator per query.
         state, edges = self._start, self.edges  # no basis: an edge on a cycle merges nothing
-        for e in iter_bits(bits):
-            u, v = edges[e]
+        rest = within & ~bits
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            u, v = edges[low.bit_length() - 1]
             cu, cv = state[u], state[v]
             if cu != cv:
                 state = state.replace(cv, cu)
         out = 0
-        for e in iter_bits(within & ~bits):  # unspanned iff its ends stay apart; a loop never is
-            u, v = edges[e]
+        while rest:  # unspanned iff its ends stay apart; a loop never is
+            low = rest & -rest
+            rest ^= low
+            u, v = edges[low.bit_length() - 1]
             if state[u] != state[v]:
-                out |= 1 << e
+                out |= low
         return out
 
     def span_start(self):

@@ -28,7 +28,7 @@ from random import Random
 from typing import Optional
 
 from .bitset import SubsetMask, full_mask, iter_bits, popcount
-from .matroid import Matroid, greedy_ordered_bits
+from .matroid import Matroid
 from .priors import MODES, EnumerationTooLarge, Prior, exact_or_sampled, to_fraction
 from .sampling import (
     IndependentLaw,
@@ -115,12 +115,13 @@ def count_span_stats_prefix(
     escapes the span of the active elements of S before it."""
     s_bits = S.bits
     base = list(iter_bits(s_bits))
+    greedy = M.greedy_bits
 
     def unspanned(a: int, r: Random) -> int:
         order = shuffled(base, r)  # drawn even when a misses S, to keep the stream
         if not a & s_bits:
             return 0
-        return greedy_ordered_bits(M, order, a)
+        return greedy(order, a)
 
     return P.count(m, rng, unspanned)
 

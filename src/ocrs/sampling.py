@@ -3,7 +3,10 @@
 Every draw compares fair bits. Per-element draws compare bit planes
 (`_below`): thinning with rho, the prefix subsample (the elements before a
 uniformly placed sentinel) with the sentinel's own uniform; categorical
-draws bisect an integer CDF. The prefix law's conditional insertion law,
+draws bisect an integer CDF, with one rejection width per draw. A
+permutation is drawn by fair-bit Fisher-Yates (`shuffled`), stream-equal to
+`Random.shuffle`: the same `getrandbits` calls, so a seeded order does not
+depend on the stdlib. The prefix law's conditional insertion law,
 Pr[next element lands in T | current intersection has size s] = (s+1)/(i+1),
 is what the prefix-based scheme's guarantee rests on; the exact-enumeration
 tests reproduce it with zero error.
@@ -97,8 +100,19 @@ def random_permutation(n: int, rng: Random) -> Permutation:
 
 
 def shuffled(elements: Iterable[int], rng: Random) -> list[int]:
+    """The elements in uniformly random order: Fisher-Yates (Knuth's
+    Algorithm P). Positions i = len-1 down to 1 each swap with a j <= i,
+    drawn from (i+1).bit_length() fair bits and redrawn while j > i. Those
+    are the draws of `Random.shuffle` through `getrandbits`, call for call,
+    without its per-index method call."""
     items = list(elements)
-    rng.shuffle(items)
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        width = (i + 1).bit_length()
+        j = getrandbits(width)
+        while j > i:
+            j = getrandbits(width)
+        items[i], items[j] = items[j], items[i]
     return items
 
 
@@ -165,9 +179,11 @@ def exact_cdf(weights: Sequence[Fraction]) -> list[int]:
 def draw_index(cdf: list[int], rng: Random) -> int:
     """One exact draw from an `exact_cdf`: u uniform below the last sum, by
     rejection on fair bits, then the first index whose running sum exceeds u."""
-    u = total = cdf[-1]
+    total = cdf[-1]
+    width = (total - 1).bit_length()
+    u = rng.getrandbits(width)
     while u >= total:
-        u = rng.getrandbits((total - 1).bit_length())
+        u = rng.getrandbits(width)
     return bisect_right(cdf, u)
 
 

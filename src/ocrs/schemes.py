@@ -169,9 +169,9 @@ class PrefixSubsampling(_Subsampling):
 
 
 class _Mixture(Scheme):
-    """A finite mixture of columns; each subclass states one column's
-    selection, `_select`. Weights must be >= 0 and sum to 1 within
-    MIXTURE_WEIGHT_TOL; they are divided by their exact total, as in
+    """A finite mixture of columns; each subclass states column i's
+    selection, `_select(M, i, a_bits, rng)`. Weights must be >= 0 and sum
+    to 1 within MIXTURE_WEIGHT_TOL; they are divided by their exact total, as in
     `ExplicitPrior`, so the outcome weights sum to exactly 1."""
 
     def __init__(self, components: Sequence[tuple[object, object]]):
@@ -185,12 +185,11 @@ class _Mixture(Scheme):
         self._cdf = exact_cdf([wt for _, wt in self.components])
 
     def run_bits(self, M, a_bits, rng):
-        column = self.components[draw_index(self._cdf, rng)][0]
-        return self._select(M, column, a_bits, rng)
+        return self._select(M, draw_index(self._cdf, rng), a_bits, rng)
 
     def outcomes(self, M, a_bits):
-        for column, wt in self.components:
-            yield wt, self._select(M, column, a_bits, None)
+        for i, (_, wt) in enumerate(self.components):
+            yield wt, self._select(M, i, a_bits, None)
 
 
 class PermutationMixture(_Mixture):
@@ -200,8 +199,8 @@ class PermutationMixture(_Mixture):
         super().__init__(components)
         self.n = self.components[0][0].n
 
-    def _select(self, M, pi, a_bits, rng):
-        return greedy_ordered_bits(M, pi.order, a_bits)
+    def _select(self, M, i, a_bits, rng):
+        return greedy_ordered_bits(M, self.components[i][0].order, a_bits)
 
     def to_spec(self):
         return {
@@ -319,9 +318,15 @@ class WeightMixture(_Mixture):
         super().__init__([(tuple(wv), wt) for wv, wt in components])
         self.secretary_kind = secretary_kind
         self.n = len(self.components[0][0])
+        # Column i's `by_weight_arrivals` (read by greedy_by_weight only), sorted
+        # on its first run or atom; not at construction, which ends every LP build.
+        self._arrivals = [None] * len(self.components)
 
-    def _select(self, M, wv, a_bits, rng):
-        return secretary_wrap_bits(self.secretary_kind, wv, M, a_bits, rng)
+    def _select(self, M, i, a_bits, rng):
+        wv, arrivals = self.components[i][0], self._arrivals[i]
+        if arrivals is None:
+            arrivals = self._arrivals[i] = by_weight_arrivals(wv)
+        return secretary_wrap_bits(self.secretary_kind, wv, M, a_bits, rng, arrivals)
 
     def to_spec(self):
         return {

@@ -634,6 +634,21 @@ element,active_count,selected_count,estimate,ci_lo,ci_hi
         assert rc == 0
         assert (tmp_path / "K.csv").read_bytes() == self.KUNIFORM_CSV.encode()
 
+    @pytest.mark.parametrize(
+        "kind, order", [("indep", [5, 4, 3, 2, 1, 0]), ("prefix", [5, 4, 3, 2, 0, 1])]
+    )
+    def test_preselect_correlated_prior_seeded(self, capsys, kind, order):
+        # Every sample draws a categorical atom of the hidden-element prior
+        # (`draw_index`), then thins it or shuffles S (`shuffled`); both draws
+        # and their order on the one rng fix the preselected order.
+        rc = cli_run(
+            ["preselect", "--instance", "hidden:6,1/3,1/20,0", "--kind", kind,
+             "--samples", "500", "--seed", "3"]
+        )
+        assert rc == 0
+        payload = {"instance": "hidden:6,1/3,1/20,0", "kind": kind, "order": order}
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
     def test_lp_build_secretary_reduction(self, tmp_path):
         rc = cli_run(
             ["lp-build", "--instance", "kuniform:6,3", "--reduction", "secretary",
@@ -724,9 +739,10 @@ element,active_count,selected_count,estimate,ci_lo,ci_hi
 
 
 class _ExactBitsOnly(Random):
-    """A Random that refuses every draw but fair bits and shuffles. It
-    overrides getrandbits, as bench/tracer.py's CountingRandom does, so
-    Random keeps drawing shuffle's indices from getrandbits, not random()."""
+    """A Random that refuses every draw but fair bits. It overrides
+    getrandbits, as bench/tracer.py's CountingRandom does. The library
+    shuffles by its own Fisher-Yates on getrandbits (`sampling.shuffled`),
+    so `Random.shuffle` is refused too."""
 
     def random(self):
         raise AssertionError("float draw: Random.random() was called")
@@ -739,6 +755,9 @@ class _ExactBitsOnly(Random):
 
     def sample(self, *args, **kwargs):
         raise AssertionError("Random.sample() was called")
+
+    def shuffle(self, *args, **kwargs):
+        raise AssertionError("Random.shuffle() was called")
 
 
 class TestEveryDrawIsFairBits:

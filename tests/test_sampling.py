@@ -18,7 +18,14 @@ from ocrs import (
     t_rho,
 )
 from ocrs.bitset import full_mask, iter_bits, popcount
-from ocrs.sampling import PrefixLaw, draw_index, exact_cdf, prefix_subsample_bits, t_rho_bits
+from ocrs.sampling import (
+    PrefixLaw,
+    draw_index,
+    exact_cdf,
+    prefix_subsample_bits,
+    shuffled,
+    t_rho_bits,
+)
 
 from conftest import sentinel_prefix_law
 
@@ -179,6 +186,53 @@ class TestPermutation:
         assert repr(sigma) == "Permutation([2, 0, 1])"
 
 
+class _RecordingRandom(Random):
+    """Overrides getrandbits, as a counting Random does, and records each
+    width asked for, so two draws can be compared call for call."""
+
+    def __init__(self, seed):
+        self.widths = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+class TestShuffled:
+    """`shuffled` is the library's own Fisher-Yates; it must make the draws
+    of `Random.shuffle`, so seeded orders do not depend on the stdlib's."""
+
+    SEEDS = [0, 1, 2, 3, 7, 42, 2**31 - 1, 2**32 + 5, 123456789]
+
+    @pytest.mark.parametrize("rng_cls", [Random, _RecordingRandom])
+    def test_stream_equals_random_shuffle(self, rng_cls):
+        for seed in self.SEEDS:
+            for n in range(41):
+                ours, ref = rng_cls(seed), rng_cls(seed)
+                want = list(range(n))
+                ref.shuffle(want)
+                assert shuffled(range(n), ours) == want, (seed, n)
+                assert ours.getstate() == ref.getstate(), (seed, n)
+                if rng_cls is _RecordingRandom:
+                    assert ours.widths == ref.widths, (seed, n)
+
+    def test_any_elements_and_input_untouched(self):
+        items = [10, 3, 7, 7, 0, 99]
+        copy = list(items)
+        ref = list(items)
+        Random(11).shuffle(ref)
+        assert shuffled(items, Random(11)) == ref
+        assert items == copy  # a new list; the input is not shuffled in place
+        assert shuffled(iter(items), Random(11)) == ref
+
+    def test_random_permutation_is_the_same_draw(self):
+        for seed in self.SEEDS:
+            ref = list(range(9))
+            Random(seed).shuffle(ref)
+            assert random_permutation(9, Random(seed)) == Permutation(ref)
+
+
 class TestPrefixSubsample:
     def test_size_uniform_exact(self):
         for n in range(1, 7):
@@ -309,6 +363,20 @@ class TestIntegerCdf:
         law, undecided = word_law(lambda rng: draw_index(cdf, rng), 1)
         assert undecided == 0
         assert law == {0: Fraction(1, 4), 1: Fraction(3, 4)}
+
+    @pytest.mark.parametrize("cdf", [[1], [1, 3], [2, 5, 5, 12], [3, 4, 17], [1 << 40, 3 << 40]])
+    def test_every_retry_draws_one_width(self, cdf):
+        # u < total by rejection on (total - 1).bit_length() fair bits, the
+        # same width on every retry; the draw is the first index past u.
+        total, width = cdf[-1], (cdf[-1] - 1).bit_length()
+        for seed in range(50):
+            rng, ref = _RecordingRandom(seed), Random(seed)
+            u = ref.getrandbits(width)
+            while u >= total:
+                u = ref.getrandbits(width)
+            assert draw_index(cdf, rng) == min(i for i, c in enumerate(cdf) if c > u)
+            assert set(rng.widths) <= {width}
+            assert rng.getstate() == ref.getstate()
 
 
 def test_product_prior_law_exact_within_its_expansions():

@@ -22,7 +22,7 @@ from ocrs import (
     scheme_from_spec,
     secretary_wrap,
 )
-from ocrs.sampling import t_rho_bits
+from ocrs.sampling import draw_index, t_rho_bits
 from ocrs.schemes import (
     Classic1Uniform,
     GreedyByWeight,
@@ -305,6 +305,42 @@ class TestWeightMixture:
     def test_unknown_secretary_rejected(self):
         with pytest.raises(ValueError):
             WeightMixture("dynkin", [((1,), 1)])
+
+    def test_columns_sorted_once_select_as_a_per_call_sort(self, rng, monkeypatch):
+        # Each column's arrivals are sorted once, on its first use: runs and
+        # outcomes then select what `secretary_wrap_bits` selects sorting per
+        # call, on the same stream, and no later run or atom sorts again.
+        sorts = []
+
+        def counted(w):
+            sorts.append(w)
+            return by_weight_arrivals(w)
+
+        monkeypatch.setattr("ocrs.schemes.by_weight_arrivals", counted)
+        for _ in range(60):
+            m = random_small_matroid(rng, max_n=6)
+            columns = [
+                tuple(Fraction(rng.randint(0, 4), rng.randint(1, 2)) for _ in range(m.n))
+                for _ in range(rng.randint(1, 4))
+            ]
+            weights = [Fraction(rng.randint(1, 3)) for _ in columns]
+            mix = WeightMixture(
+                "greedy_by_weight", [(c, wt / sum(weights)) for c, wt in zip(columns, weights)]
+            )
+            assert sorts == []  # nothing is sorted at construction
+            for a_bits in range(1 << m.n):
+                seed = rng.getrandbits(32)
+                ours, ref = Random(seed), Random(seed)
+                got = list(mix.outcomes(m, a_bits)), mix.run_bits(m, a_bits, ours)
+                assert sorts == (columns if a_bits == 0 else [])
+                want = [
+                    (wt, secretary_wrap_bits("greedy_by_weight", wv, m, a_bits, None))
+                    for wv, wt in mix.components
+                ]
+                wv = mix.components[draw_index(mix._cdf, ref)][0]
+                assert got == (want, secretary_wrap_bits("greedy_by_weight", wv, m, a_bits, ref))
+                assert ours.getstate() == ref.getstate()
+                del sorts[:]
 
 
 def test_scheme_json_round_trips(rng):
