@@ -66,8 +66,6 @@ from .priors import (
 )
 from .sampling import Permutation, prefix_subsample, random_permutation, t_rho
 from .schemes import (
-    Classic1Uniform,
-    GreedyByWeight,
     IndependentSubsampling,
     OrderedGreedy,
     PermutationMixture,

@@ -31,6 +31,7 @@ from .schemes import (
     OrderedGreedy,
     Permutation,
     PrefixSubsampling,
+    SECRETARY_KINDS,
     scheme_from_spec,
 )
 
@@ -259,8 +260,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_io(p)
     _add_build(p)
     p.add_argument("--reduction", choices=["permutation", "secretary"], default="permutation")
-    p.add_argument("--secretary", choices=["greedy_by_weight", "classic_1uniform"],
-                   default="greedy_by_weight")
+    p.add_argument("--secretary", choices=list(SECRETARY_KINDS), default="greedy_by_weight")
     p.add_argument("--competitiveness", type=float, default=1.0,
                    help="claimed competitiveness of the secretary algorithm")
     p.set_defaults(fn=cmd_lp_build)

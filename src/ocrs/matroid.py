@@ -6,7 +6,7 @@ of incremental span: they walk a set's span one element at a time, as a
 small state. By default the state is the basis of the set grown along the
 walk (one `_independent` query per step); a uniform matroid keeps the size
 capped at k, a graphic one a string of component labels, and a restriction
-delegates to its parent. `IndependentSetGrower` (fed by `Classic1Uniform`)
+delegates to its parent. `IndependentSetGrower` (fed by `classic_1uniform`)
 and the exact scan in `sampling.unspanned_counts` walk these hooks. Greedy
 (`greedy_ordered_bits`, and through it rank and bases) dispatches to
 `Matroid.greedy_bits`, one fold per family: by default one `span_step` per

@@ -51,17 +51,14 @@ class NoQualifyingElement(RuntimeError):
     and select nothing.
     """
 
-    def __init__(self, step: int, suffix: list[int], detail: str = ""):
+    def __init__(self, step: int, suffix: list[int]):
         self.step = step
         self.suffix = suffix
         if suffix:
             filled = f"positions {step}..{step + len(suffix) - 1} filled"
         else:
             filled = "no position filled yet"
-        msg = f"no qualifying element at step {step} ({filled})"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"no qualifying element at step {step} ({filled})")
 
 
 @dataclass(frozen=True)

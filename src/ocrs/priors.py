@@ -331,18 +331,23 @@ class SamplerPrior(Prior):
         return self._fn(rng) & full_mask(self.n)
 
     def p_min(self, rng: Optional[Random] = None, eps: float = 0.05) -> float:
-        """Lower-confidence estimate: empirical frequency minus eps, from
-        ceil(3 ln(2n/0.01) / eps^2) samples. It resolves frequencies above
-        eps only: if an element is active in at most an eps share of the
-        samples, this raises, since every downstream guarantee divides by
-        p_min. A smaller eps resolves rarer elements, at 1/eps^2 the samples."""
+        """Lower-confidence estimate over the k elements not known never
+        active: empirical frequency minus eps, from ceil(3 ln(2k/0.01) / eps^2)
+        samples. It resolves frequencies above eps only: if an element is
+        active in at most an eps share of the samples, this raises, since
+        every downstream guarantee divides by p_min. A smaller eps resolves
+        rarer elements, at 1/eps^2 the samples."""
         if rng is None:
             raise PriorError("p_min estimation needs an rng")
-        m = math.ceil(3 * math.log(2 * self.n / 0.01) / eps**2)
+        never = self.never_active_bits
+        kept = [e for e in range(self.n) if not never >> e & 1]
+        if not kept:
+            raise PriorError("no element is ever active")
+        m = math.ceil(3 * math.log(2 * len(kept) / 0.01) / eps**2)
         counts, _ = self.count(m, rng)
-        floor = min(max(c / m - eps, 0.0) for c in counts)
+        floor = min(max(counts[e] / m - eps, 0.0) for e in kept)
         if floor <= 0:
-            rare = [e for e, c in enumerate(counts) if c / m <= eps]
+            rare = [e for e in kept if counts[e] / m <= eps]
             raise PriorError(
                 f"p_min estimate hit 0: elements {rare} were active in at most eps={eps} "
                 f"of {m} samples; this estimate resolves frequencies above eps only, "
@@ -351,14 +356,20 @@ class SamplerPrior(Prior):
         return floor
 
 
-class _MarginalSamplerPrior(Prior):
+class _MarginalSamplerPrior(SamplerPrior):
+    """A ∩ S of a prior with no marginal of its own, drawn through it. What
+    lies outside S or the parent never activates is known never active."""
+
     def __init__(self, parent: Prior, keep_bits: int):
-        super().__init__(parent.n)
-        self._parent = parent
-        self._keep = keep_bits
+        super().__init__(parent.n, parent.sample_bits)
+        self._keep = keep_bits & ~parent.never_active_bits
 
     def sample_bits(self, rng: Random) -> int:
-        return self._parent.sample_bits(rng) & self._keep
+        return self._fn(rng) & self._keep
+
+    @property
+    def never_active_bits(self) -> int:
+        return full_mask(self.n) & ~self._keep
 
 
 def hidden_element_prior(n: int, alpha, delta, j: int) -> ExplicitPrior:

@@ -21,7 +21,8 @@ Schemes:
 * PrefixSubsampling    -- same, with the correlated sentinel-prefix subsample.
 * PermutationMixture   -- sample an order from a finite mixture, then greedy.
 * WeightMixture        -- sample a weight vector from a finite mixture and
-  replay a matroid secretary algorithm against masked weights.
+  replay a matroid secretary algorithm against masked weights; each kind
+  is one function in `SECRETARY_KINDS`, its arrival order and its rule.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .sampling import (
     draw_index,
     exact_cdf,
     prefix_subsample_bits,
-    random_permutation,
+    shuffled,
     t_rho_bits,
     unspanned_counts,
 )
@@ -215,97 +216,61 @@ class PermutationMixture(_Mixture):
 
 
 # -- matroid secretary algorithms ------------------------------------------
+#
+# Each kind is one function (M, w, a_bits, rng, arrivals) -> bits, stating its
+# arrival order and its acceptance rule against w masked by the active set:
+# an inactive element weighs 0, and only positive weight is accepted.
 
 
-class SecretaryAlgorithm:
-    """Streaming interface: one instance per run, elements pushed in arrival
-    order via next(element, weight) -> accept. The arrival order itself is
-    generated outside, by `secretary_wrap_bits`: decreasing weight for
-    `GreedyByWeight`, uniformly random for the rest, whose only randomness
-    it is."""
-
-    def __init__(self, M: Matroid):
-        self._grower = M.grower()
-
-    def next(self, e: int, w) -> bool:
-        raise NotImplementedError
+def by_weight_arrivals(w: Sequence) -> list[int]:
+    """The elements of positive weight, in decreasing weight with ties
+    ascending: all that `greedy_by_weight` can accept, in its arrival order."""
+    return [e for e in by_decreasing_weight(w, range(len(w))) if w[e] > 0]
 
 
-class GreedyByWeight(SecretaryAlgorithm):
-    """Accepts any positive-weight element that keeps independence; run with
-    decreasing-weight arrivals this selects a maximum-weight independent set.
-    `secretary_wrap_bits` runs it as that greedy: the fold along
-    `by_weight_arrivals(w)` over the active set."""
-
-    def next(self, e, w):
-        if w <= 0:
-            return False
-        return self._grower.try_add(e)
+def greedy_by_weight(M, w, a_bits, rng, arrivals=None) -> int:
+    """Arrivals by decreasing weight (`arrivals`, if a caller sorted them
+    once); take each active one that keeps the set independent, which
+    selects a maximum-weight independent subset of a_bits. Draws nothing."""
+    if arrivals is None:
+        arrivals = by_weight_arrivals(w)
+    return greedy_ordered_bits(M, arrivals, a_bits)
 
 
-class Classic1Uniform(SecretaryAlgorithm):
-    """Observe floor(n/e) arrivals, then take the first that matches or
-    beats the best weight seen. Intended for 1-uniform instances under
-    random arrival order; never accepts weight 0."""
-
-    def __init__(self, M: Matroid):
-        super().__init__(M)
-        self._observe = math.floor(M.n / math.e)
-        self._seen = 0
-        self._best = 0
-
-    def next(self, e, w):
-        self._seen += 1
-        if self._seen <= self._observe:
-            self._best = max(self._best, w)
-            return False
-        if w <= 0 or w < self._best:
-            return False
-        return self._grower.try_add(e)
+def classic_1uniform(M, w, a_bits, rng, arrivals=None) -> int:
+    """Arrivals in uniformly random order: observe floor(n/e), then take each
+    later one of positive masked weight at least the best seen, while it keeps
+    the set independent. Intended for 1-uniform instances; reads no `arrivals`."""
+    if rng is None:  # exact enumeration passes no rng
+        raise EnumerationTooLarge(
+            "secretary 'classic_1uniform' is randomized; no exact enumeration"
+        )
+    order = shuffled(range(M.n), rng)
+    observe = math.floor(M.n / math.e)
+    best = max((w[e] for e in order[:observe] if a_bits >> e & 1), default=0)
+    grower = M.grower()
+    for e in order[observe:]:
+        if a_bits >> e & 1 and w[e] > 0 and w[e] >= best:
+            grower.try_add(e)
+    return grower.bits
 
 
 SECRETARY_KINDS = {
-    "greedy_by_weight": GreedyByWeight,
-    "classic_1uniform": Classic1Uniform,
+    "greedy_by_weight": greedy_by_weight,
+    "classic_1uniform": classic_1uniform,
 }
 
 
 def secretary_wrap(
     alg_kind: str, w: Sequence, M: Matroid, A: SubsetMask, rng: Random
 ) -> SubsetMask:
-    """Run a secretary algorithm against weights masked by the active set.
-
-    Inactive elements are presented with weight 0 (and positive-weight
-    acceptance then keeps the output inside A).
-    """
+    """Run a secretary algorithm against weights masked by the active set."""
     return SubsetMask(M.n, secretary_wrap_bits(alg_kind, w, M, A.bits, rng))
 
 
-def by_weight_arrivals(w: Sequence) -> list[int]:
-    """The elements of positive weight, in decreasing weight with ties
-    ascending: all that `GreedyByWeight` can accept, in its arrival order."""
-    return [e for e in by_decreasing_weight(w, range(len(w))) if w[e] > 0]
-
-
 def secretary_wrap_bits(alg_kind, w, M, a_bits, rng, arrivals=None) -> int:
-    """`secretary_wrap` on bits. `GreedyByWeight` draws nothing: it selects
-    what greedy along `by_weight_arrivals(w)` selects of a_bits, which a
-    caller running one w on many active sets passes in as `arrivals`,
-    sorted once. Any other secretary arrives in a random order."""
-    cls = SECRETARY_KINDS[alg_kind]
-    if cls is GreedyByWeight:
-        if arrivals is None:
-            arrivals = by_weight_arrivals(w)
-        return greedy_ordered_bits(M, arrivals, a_bits)
-    if rng is None:  # exact enumeration passes no rng
-        raise EnumerationTooLarge(f"secretary {alg_kind!r} is randomized; no exact enumeration")
-    alg = cls(M)
-    out = 0
-    for e in random_permutation(M.n, rng).order:
-        we = w[e] if (a_bits >> e) & 1 else 0
-        if alg.next(e, we):
-            out |= 1 << e
-    return out
+    """`secretary_wrap` on bits, with a by-weight caller's `arrivals`."""
+    return SECRETARY_KINDS[alg_kind](M, w, a_bits, rng, arrivals)
 
 
 class WeightMixture(_Mixture):

@@ -737,6 +737,81 @@ element,active_count,selected_count,estimate,ci_lo,ci_hi
             "notes": [],
         }
 
+    # `lp-build --instance hidden:6,1/3,1/20,0 --reduction secretary --secretary
+    # classic_1uniform --mode mc --samples 300 --seed 1`: the 20 weight vectors
+    # the build priced, each on 300 samples, and the 6 its mixture keeps, in
+    # order, with their weights; then the beta trajectory. Every sample runs
+    # the classic secretary on its own shuffle of the same rng.
+    CLASSIC_PRICED = [
+        ["0", "0", "0", "20/3", "0", "0"],
+        ["0", "0", "0", "27/14", "43/21", "7/3"],
+        ["0", "0", "0", "53/42", "425/84", "0"],
+        ["0", "3/8", "143/56", "293/168", "29/14", "0"],
+        ["0", "6/7", "101/56", "2/21", "43/24", "55/28"],
+        ["0", "65/21", "0", "11/7", "157/84", "0"],
+        ["103/84", "23/21", "2/7", "19/28", "433/168", "83/84"],
+        ["107/56", "0", "5/4", "109/84", "167/84", "19/24"],
+        ["181/168", "1/28", "379/168", "19/14", "33/28", "8/7"],
+        ["187/168", "25/56", "43/28", "253/168", "75/56", "59/56"],
+        ["211/168", "57/56", "0", "349/168", "121/84", "187/168"],
+        ["221/168", "0", "319/168", "0", "467/168", "43/42"],
+        ["23/12", "19/84", "209/168", "19/14", "149/84", "31/42"],
+        ["289/168", "31/28", "17/14", "31/28", "25/24", "57/56"],
+        ["31/24", "15/56", "75/56", "241/168", "35/24", "69/56"],
+        ["43/42", "43/168", "247/168", "251/168", "311/168", "71/84"],
+        ["5/42", "23/14", "43/84", "25/12", "19/56", "13/7"],
+        ["55/42", "41/168", "115/84", "239/168", "17/12", "107/84"],
+        ["75/56", "0", "7/4", "17/14", "17/12", "227/168"],
+        ["83/84", "11/28", "55/56", "265/168", "127/56", "37/56"],
+    ]
+    CLASSIC_KEPT = [
+        (16, "293842/41759129"), (4, "9704973/41759129"), (12, "22779413/41759129"),
+        (18, "4173272/41759129"), (9, "255818/41759129"), (14, "4551811/41759129"),
+    ]
+    CLASSIC_BETAS = [
+        0.1111111111111111, 0.13924050632911392, 0.17314313821938024, 0.1923135293296344,
+        0.21253522127246466, 0.22863726166198026, 0.2295473484960167, 0.23722749995917788,
+        0.25613211365660166, 0.25906753644108477, 0.2596894585386203, 0.2752562225475842,
+        0.2872232216657753, 0.287459612612775, 0.2878410863732208, 0.2898164265429714,
+        0.29317575131156454, 0.29324108879710153, 0.2934288212764208,
+    ]
+
+    def test_lp_build_classic_secretary_mc_seeded(self, capsys):
+        rc = cli_run(
+            ["lp-build", "--instance", "hidden:6,1/3,1/20,0", "--reduction", "secretary",
+             "--secretary", "classic_1uniform", "--mode", "mc", "--samples", "300",
+             "--seed", "1"]
+        )
+        assert rc == 0
+        columns = [self.CLASSIC_PRICED[i] for i, _ in self.CLASSIC_KEPT]
+        scheme = {
+            "components": [
+                {"w": self.CLASSIC_PRICED[i], "weight": wt} for i, wt in self.CLASSIC_KEPT
+            ],
+            "kind": "weight_mixture",
+            "secretary": "classic_1uniform",
+        }
+        samples = {str(w): 300 for w in self.CLASSIC_PRICED}
+        samples["x"] = 300
+        report = {
+            "beta_trajectory": self.CLASSIC_BETAS,
+            "columns": columns,
+            "converged": True,
+            "eps": 0.25,
+            "eps_split": {"per_stage": 0.03571428571428571, "stages": 7},
+            "estimation_samples": samples,
+            "exact_columns": False,
+            "gamma": self.CLASSIC_BETAS[-1],
+            "iterations": 19,
+            "kind": "weight_mixture",
+            "lp_solves": 19,
+            "n": 6,
+            "notes": [],
+            "pivots": 35,
+        }
+        payload = {"instance": "hidden:6,1/3,1/20,0", "report": report, "scheme": scheme}
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
 
 class _ExactBitsOnly(Random):
     """A Random that refuses every draw but fair bits. It overrides

@@ -138,6 +138,21 @@ class TestPMin:
             p.p_min()
         assert p.p_min(rng=Random(0), eps=0.1) >= 0.8
 
+    def test_opaque_marginal_estimates_over_the_kept_elements(self):
+        # Elements 1 and 2 are drawn through the parent; the rest are masked
+        # out, known never active and skipped. The estimate equals that of a
+        # sampler over the two kept elements alone: same draws, same sample size.
+        p = SamplerPrior(4, lambda r: r.getrandbits(4))
+        kept = SamplerPrior(2, lambda r: r.getrandbits(4) >> 1 & 0b11)
+        s1, s2 = SubsetMask.from_elements(4, [0, 1, 2]), SubsetMask.from_elements(4, [1, 2, 3])
+        for m in (p.marginal(s1 & s2), p.marginal(s1).marginal(s2)):
+            assert m.never_active_bits == 0b1001
+            assert m.p_min(rng=Random(0)) == kept.p_min(rng=Random(0)) == 0.4527816411682893
+        # A plain sampler estimates over all its elements, as it always has.
+        assert p.p_min(rng=Random(0)) == 0.4425205684367988
+        with pytest.raises(PriorError, match="no element is ever active"):
+            p.marginal(SubsetMask.empty(4)).p_min(rng=Random(0))
+
     def test_opaque_estimator_aborts_on_dead_element(self):
         p = SamplerPrior(2, lambda r: 0b01)
         with pytest.raises(PriorError):

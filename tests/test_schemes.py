@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import permutations
 from random import Random
@@ -22,10 +23,8 @@ from ocrs import (
     scheme_from_spec,
     secretary_wrap,
 )
-from ocrs.sampling import draw_index, t_rho_bits
+from ocrs.sampling import draw_index, random_permutation, t_rho_bits
 from ocrs.schemes import (
-    Classic1Uniform,
-    GreedyByWeight,
     by_weight_arrivals,
     greedy_ordered_bits,
     secretary_wrap_bits,
@@ -194,16 +193,17 @@ class TestSecretaryWrap:
             assert sum(w[e] for e in out) == m.weighted_rank(w, a)
 
     def test_greedy_by_weight_fold_equals_its_stream(self, rng):
-        # The fold along the positive weights selects what the streaming
-        # algorithm selects when every element arrives by decreasing weight
-        # with inactive ones at weight 0; zeros and ties included.
+        # The fold along the positive weights selects what a streaming greedy
+        # selects when every element arrives by decreasing weight with
+        # inactive ones at weight 0; zeros and ties included.
         for _ in range(200):
             m = random_small_matroid(rng)
             w = [Fraction(rng.randint(0, 4), rng.randint(1, 2)) for _ in range(m.n)]
             a_bits = rng.getrandbits(m.n)
-            alg, streamed = GreedyByWeight(m), 0
+            streamed = 0
             for e in sorted(range(m.n), key=lambda e: (-w[e], e)):
-                if alg.next(e, w[e] if a_bits >> e & 1 else 0):
+                we = w[e] if a_bits >> e & 1 else 0
+                if we > 0 and m.is_independent(SubsetMask(m.n, streamed | 1 << e)):
                     streamed |= 1 << e
             arrivals = by_weight_arrivals(w)
             assert secretary_wrap_bits("greedy_by_weight", w, m, a_bits, None) == streamed
@@ -244,6 +244,13 @@ class TestGreedyOrderDominance:
                 assert expected_weight(order) <= best
 
 
+class _BitsOnlyRandom(Random):
+    """Draws through an overridden getrandbits, as a counting rng does."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
+
+
 class TestClassicSecretary:
     def test_accepts_at_most_one_on_one_uniform(self, rng):
         m = UniformMatroid(6, 1)
@@ -263,10 +270,32 @@ class TestClassicSecretary:
     def test_observed_best_is_compared_exactly(self):
         # UniformMatroid(3, 1) observes one arrival. 1/3 + 10^-20 and 1/3 are
         # the same float, so a float comparison took the second arrival.
-        alg = Classic1Uniform(UniformMatroid(3, 1))
-        assert not alg.next(0, Fraction(1, 3) + Fraction(1, 10**20))
-        assert not alg.next(1, Fraction(1, 3))
-        assert alg.next(2, Fraction(1, 2))
+        # Random(5) shuffles range(3) to the identity, so 0 is the one observed.
+        w = (Fraction(1, 3) + Fraction(1, 10**20), Fraction(1, 3), Fraction(1, 2))
+        out = secretary_wrap_bits("classic_1uniform", w, UniformMatroid(3, 1), 0b111, Random(5))
+        assert out == 0b100
+
+    @pytest.mark.parametrize("rng_cls", [Random, _BitsOnlyRandom])
+    def test_same_selection_and_stream_as_the_streaming_rule(self, rng_cls):
+        # Reference: arrivals in `random_permutation` order, inactive ones at
+        # weight 0; observe floor(n/e), then take each that is positive, at
+        # least the best seen and keeps the set independent.
+        for seed in range(300):
+            gen = Random(seed)
+            m = random_small_matroid(gen)
+            w = [Fraction(gen.randint(0, 3), gen.randint(1, 2)) for _ in range(m.n)]
+            a_bits = gen.getrandbits(m.n)
+            ours, ref = rng_cls(seed), rng_cls(seed)
+            got = secretary_wrap_bits("classic_1uniform", w, m, a_bits, ours)
+            observe, best, want = math.floor(m.n / math.e), 0, 0
+            for seen, e in enumerate(random_permutation(m.n, ref).order):
+                we = w[e] if a_bits >> e & 1 else 0
+                if seen < observe:
+                    best = max(best, we)
+                elif we > 0 and we >= best and m.is_independent(SubsetMask(m.n, want | 1 << e)):
+                    want |= 1 << e
+            assert got == want
+            assert ours.getstate() == ref.getstate()
 
     def test_greedy_by_weight_is_one_competitive(self):
         m = UniformMatroid(4, 2)
