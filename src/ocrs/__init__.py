@@ -24,7 +24,6 @@ from .lp import (
     WeightGrid,
     build_lp_scheme,
     build_secretary_reduction,
-    estimate_xq,
     round_to_grid,
     solve_restricted,
 )

@@ -25,7 +25,7 @@ from .preselect import (
     preselect_independent,
     preselect_prefix,
 )
-from .priors import MODES
+from .priors import MODES, to_fraction
 from .schemes import (
     IndependentSubsampling,
     OrderedGreedy,
@@ -215,8 +215,8 @@ def _add_io(p: argparse.ArgumentParser) -> None:
 
 def _add_build(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=Fraction, default=None, help="default 1/4")
-    p.add_argument("--alpha", type=Fraction, default=None,
+    p.add_argument("--eps", type=to_fraction, default=None, help="default 1/4")
+    p.add_argument("--alpha", type=to_fraction, default=None,
                    help="override the instance's declared level (exact, e.g. 5/7)")
     p.add_argument("--mode", choices=MODES, default=None, help="default mc")
     p.add_argument("--samples", type=int, default=None, help="override per-step sample count")

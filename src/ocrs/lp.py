@@ -175,32 +175,6 @@ def estimation_sample_size(eta: float, delta: float, p_min: float) -> int:
     return math.ceil(2 * math.log(2 / delta) / (eta**2 * float(p_min) ** 2))
 
 
-def estimate_xq(
-    runner: Optional[Callable[[int, Random], int]],
-    P: Prior,
-    eta: float,
-    delta: float,
-    rng: Random,
-    p_min=None,
-    m_override: Optional[int] = None,
-) -> tuple[list[Fraction], list[Fraction], int]:
-    """Empirical activation and selection frequencies from m joint samples
-    (`Prior.count`), as exact count ratios Fraction(count, m); a `runner`
-    of None counts activations only.
-
-    Per element, each estimate misses its target by more than eta*x_i with
-    probability at most delta, unless `m_override` (an int >= 1) sets m.
-    """
-    if m_override is None:
-        m = estimation_sample_size(eta, delta, P.p_min(rng=rng) if p_min is None else p_min)
-    elif isinstance(m_override, int) and m_override >= 1:
-        m = m_override
-    else:
-        raise ValueError(f"m_override must be None or an int >= 1, got {m_override!r}")
-    act, sel = P.count(m, rng, runner)
-    return [Fraction(a, m) for a in act], [Fraction(s, m) for s in sel], m
-
-
 def exact_selection_column(P: Prior, select: Callable[[int], int]) -> list[Fraction]:
     """Exact per-element selection probabilities of a deterministic selector
     over an explicit support."""
@@ -247,17 +221,20 @@ def _column_generation(
     and `key_json(key)`.
     `priors.exact_or_sampled` reads `mode`. Exact columns are counted over
     the support; their selector gets no rng, so a family that draws (a
-    random-arrival secretary) raises `EnumerationTooLarge`. Sampled columns
-    are count ratios with relative accuracy eta = eps*c*alpha_target and
-    confidence delta, an eps/stages share of the failure budget
-    union-bounded over the columns the loop can visit. Both kinds are
+    random-arrival secretary) raises `EnumerationTooLarge`. Sampled x and
+    columns are count ratios over m draws of `Prior.count` each, after
+    p_min's: one m per build, `estimation_override` or the size for relative
+    accuracy eta = eps*c*alpha_target with confidence delta, an eps/stages
+    share of the failure budget union-bounded over the columns the loop can
+    visit. Both kinds are
     Fractions, so the loop stops at violation <= 0 in both modes, and the
     LP's lam, which its equality row makes sum to exactly 1, are the
     mixture weights as they are. The restricted LPs are one
     `RestrictedMaster`, re-optimised from its last basis per column.
     """
-    if estimation_override is not None and estimation_override < 1:
-        raise ValueError(f"estimation_override must be None or >= 1, got {estimation_override}")
+    override = estimation_override
+    if override is not None and (not isinstance(override, int) or override < 1):
+        raise ValueError(f"estimation_override must be None or an int >= 1, got {override!r}")
     n = M.n
     per_stage = eps / stages
     cap = iteration_cap or 50 * n
@@ -307,15 +284,17 @@ def _column_generation(
         return generate(True, x, P.p_min(rng=rng), price, {})
 
     def sampled():
+        for name, v in (("eps", eps), ("alpha_target", alpha_target)):
+            if not v > 0:  # eta and delta divide by them
+                raise ValueError(f"a Monte-Carlo build needs {name} > 0, got {v}")
         p_min = P.p_min(rng=rng)
-        samples = {}
-        x, _, samples["x"] = estimate_xq(None, P, eta, delta, rng, p_min, estimation_override)
+        m = override or estimation_sample_size(eta, delta, p_min)
+        samples = {"x": m}
+        x = [Fraction(a, m) for a in P.count(m, rng)[0]]
 
         def price(key):
-            _, q, samples[str(key_json(key))] = estimate_xq(
-                select(key), P, eta, delta, rng, p_min, estimation_override
-            )
-            return q
+            samples[str(key_json(key))] = m
+            return [Fraction(s, m) for s in P.count(m, rng, select(key))[1]]
 
         return generate(False, x, p_min, price, samples)
 
@@ -361,6 +340,8 @@ def build_secretary_reduction(
     separation floors the current dual onto the grid. eps is split over 7
     stages; exact columns need a deterministic secretary."""
     eps = to_fraction(eps)  # the grid step eps/7 is exact
+    if not (c > 0 and eps > 0):  # eta divides by c, the grid by eps
+        raise ValueError(f"the secretary reduction needs c > 0 and eps > 0, got c={c}, eps={eps}")
     n = M.n
 
     def start(x, p_min):

@@ -1,9 +1,10 @@
 """Prior distributions over active sets.
 
-A prior knows how to sample an active set and, when the support is
-structured (explicit list / product / all-active), how to report exact
-activation probabilities and an exact p_min. Opaque samplers fall back to
-a Hoeffding estimate of p_min.
+A prior needs only `sample_bits` (`SamplerPrior` adapts a function); the
+explicit, product and all-active priors also report exact activation
+probabilities. `Prior` states p_min and marginal once for every prior:
+p_min is exact when those are known, else estimated from the prior's own
+draws (`Prior.count`), which is all the Monte-Carlo routes read.
 
 Exact probabilities are kept as Fractions, so enumeration (oracles, exact
 preselection) and the exact draws of `sampling` carry no rounding error.
@@ -177,24 +178,42 @@ class Prior:
         return mask_of(e for e, p in enumerate(probs) if p == 0)
 
     def p_min(self, rng: Optional[Random] = None, eps: float = 0.05):
-        """Smallest positive activation probability.
-
-        Exact for structured priors; opaque samplers need an rng and return
-        a lower-confidence estimate (see SamplerPrior).
-        """
+        """Smallest positive activation probability: exact when
+        `activation_probabilities()` is known, else a lower-confidence
+        estimate over the k elements not known never active, the least
+        frequency minus eps over ceil(3 ln(2k/0.01) / eps^2) draws of `count`
+        on `rng`. It raises when an element is active in at most an eps share
+        of the draws, since every downstream guarantee divides by p_min; a
+        smaller eps resolves rarer elements, at 1/eps^2 the draws."""
         probs = self.activation_probabilities()
-        if probs is None:
-            raise PriorError("p_min unknown for opaque sampler; pass an rng")
-        positive = [p for p in probs if p > 0]
-        if not positive:
+        if probs is None and rng is None:
+            raise PriorError("p_min estimation needs an rng")
+        never = self.never_active_bits
+        kept = [e for e in range(self.n) if not never >> e & 1]
+        if not kept:
             raise PriorError("no element is ever active")
-        return min(positive)
+        if probs is not None:
+            return min(probs[e] for e in kept)
+        m = math.ceil(3 * math.log(2 * len(kept) / 0.01) / eps**2)
+        counts, _ = self.count(m, rng)
+        floor = min(max(counts[e] / m - eps, 0.0) for e in kept)
+        if floor <= 0:
+            rare = [e for e in kept if counts[e] / m <= eps]
+            raise PriorError(
+                f"p_min estimate hit 0: elements {rare} were active in at most eps={eps} "
+                f"of {m} samples; this estimate resolves frequencies above eps only, "
+                f"so pass a smaller eps"
+            )
+        return floor
 
     def marginal(self, S: SubsetMask) -> "Prior":
         """Distribution of A ∩ S. Elements outside S become never-active."""
         if S.n != self.n:
             raise DimensionMismatch(f"marginal set over {S.n}, prior over {self.n}")
-        return _MarginalSamplerPrior(self, S.bits)
+        return self._marginal(S.bits)
+
+    def _marginal(self, keep_bits: int) -> "Prior":
+        return _MarginalPrior(self, keep_bits)
 
     def to_spec(self) -> dict:
         raise NotImplementedError(f"{type(self).__name__} has no JSON form")
@@ -234,12 +253,8 @@ class ExplicitPrior(Prior):
     def support(self):
         return list(self.atoms)
 
-    def marginal(self, S: SubsetMask) -> "ExplicitPrior":
-        if S.n != self.n:
-            raise DimensionMismatch(f"marginal set over {S.n}, prior over {self.n}")
-        return ExplicitPrior(
-            self.n, [(bits & S.bits, p) for bits, p in self.atoms]
-        )
+    def _marginal(self, keep_bits: int) -> "ExplicitPrior":
+        return ExplicitPrior(self.n, [(bits & keep_bits, p) for bits, p in self.atoms])
 
     def to_spec(self) -> dict:
         return {
@@ -306,12 +321,9 @@ class ProductPrior(Prior):
             sup = [(b | c, p * q) for b, p in sup for c, q in ((0, 1 - xi), (1 << i, xi)) if q]
         return sorted(sup)
 
-    def marginal(self, S: SubsetMask) -> "ProductPrior":
-        if S.n != self.n:
-            raise DimensionMismatch(f"marginal set over {S.n}, prior over {self.n}")
-        return ProductPrior(
-            [xi if (S.bits >> i) & 1 else Fraction(0) for i, xi in enumerate(self.x)]
-        )
+    def _marginal(self, keep_bits: int) -> "ProductPrior":
+        kept = [xi if keep_bits >> i & 1 else Fraction(0) for i, xi in enumerate(self.x)]
+        return ProductPrior(kept)
 
     def to_spec(self) -> dict:
         return {"type": "product", "x": [str(xi) for xi in self.x]}
@@ -321,7 +333,7 @@ class ProductPrior(Prior):
 
 
 class SamplerPrior(Prior):
-    """Opaque sampler; only p_min estimation is available beyond sampling."""
+    """A prior drawn by a function rng -> bitmask, masked to the ground set."""
 
     def __init__(self, n: int, fn: Callable[[Random], int]):
         super().__init__(n)
@@ -330,42 +342,18 @@ class SamplerPrior(Prior):
     def sample_bits(self, rng: Random) -> int:
         return self._fn(rng) & full_mask(self.n)
 
-    def p_min(self, rng: Optional[Random] = None, eps: float = 0.05) -> float:
-        """Lower-confidence estimate over the k elements not known never
-        active: empirical frequency minus eps, from ceil(3 ln(2k/0.01) / eps^2)
-        samples. It resolves frequencies above eps only: if an element is
-        active in at most an eps share of the samples, this raises, since
-        every downstream guarantee divides by p_min. A smaller eps resolves
-        rarer elements, at 1/eps^2 the samples."""
-        if rng is None:
-            raise PriorError("p_min estimation needs an rng")
-        never = self.never_active_bits
-        kept = [e for e in range(self.n) if not never >> e & 1]
-        if not kept:
-            raise PriorError("no element is ever active")
-        m = math.ceil(3 * math.log(2 * len(kept) / 0.01) / eps**2)
-        counts, _ = self.count(m, rng)
-        floor = min(max(counts[e] / m - eps, 0.0) for e in kept)
-        if floor <= 0:
-            rare = [e for e in kept if counts[e] / m <= eps]
-            raise PriorError(
-                f"p_min estimate hit 0: elements {rare} were active in at most eps={eps} "
-                f"of {m} samples; this estimate resolves frequencies above eps only, "
-                f"so pass a smaller eps"
-            )
-        return floor
 
-
-class _MarginalSamplerPrior(SamplerPrior):
+class _MarginalPrior(Prior):
     """A ∩ S of a prior with no marginal of its own, drawn through it. What
     lies outside S or the parent never activates is known never active."""
 
     def __init__(self, parent: Prior, keep_bits: int):
-        super().__init__(parent.n, parent.sample_bits)
+        super().__init__(parent.n)
+        self._sample = parent.sample_bits
         self._keep = keep_bits & ~parent.never_active_bits
 
     def sample_bits(self, rng: Random) -> int:
-        return self._fn(rng) & self._keep
+        return self._sample(rng) & self._keep
 
     @property
     def never_active_bits(self) -> int:

@@ -37,20 +37,24 @@ class EnumerationTooLarge(ValueError):
 
 
 def to_fraction(x) -> Fraction:
-    """Exact Fraction from int/Fraction/str; floats via their repr digits."""
+    """Exact Fraction from int/Fraction/str; floats via their repr digits.
+    Anything else, or a zero denominator, raises ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(str(x))
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ZeroDivisionError):
+        raise ValueError(f"not a rational number: {x!r}") from None
 
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Permutation:
     """A bijection on {0, ..., n-1}; order[p] is the element at position p.
-    Any sequence is accepted and stored as a tuple."""
+    Any sequence of ints is accepted and stored as a tuple."""
 
     order: Sequence[int]
     _pos: tuple = field(init=False, compare=False)
@@ -60,7 +64,7 @@ class Permutation:
         n = len(order)
         pos = [-1] * n
         for p, e in enumerate(order):
-            if not 0 <= e < n or pos[e] != -1:
+            if type(e) is not int or not 0 <= e < n or pos[e] != -1:
                 raise ValueError(f"not a permutation of 0..{n - 1}: {order}")
             pos[e] = p
         object.__setattr__(self, "order", order)

@@ -362,6 +362,39 @@ class TestCli:
                             "--trials", "10", "--ci-level", level]) == 2
         assert "ci_level" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            {"kind": "ordered_greedy", "order": [0.0, 1]},
+            {"kind": "ordered_greedy", "order": "01"},
+            {"kind": "independent_subsampling", "order": [0, 1], "rho": "1/0"},
+            {"kind": "permutation_mixture", "components": [{"order": [0, 1], "weight": None}]},
+            ["lp-build", "--instance", "twoelem", "--eps", "1/0"],
+            ["lp-build", "--instance", "kuniform:4,2", "--eps", "0", "--mode", "mc"],
+            ["lp-build", "--instance", "kuniform:4,2", "--reduction", "secretary",
+             "--competitiveness", "0"],
+            ["gen-instance", "--instance", "parallel-hats:1/0"],
+        ],
+        ids=["float-order", "string-order", "rho-1/0", "null-weight", "eps-1/0",
+             "mc-eps-0", "competitiveness-0", "hats-1/0"],
+    )
+    def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, case):
+        # A scheme JSON (a dict here) or a flag read badly is a configuration
+        # error, not a crash: exit 1 means that no element qualified.
+        argv = case
+        if isinstance(case, dict):
+            path = tmp_path / "scheme.json"
+            path.write_text(json.dumps(case))
+            argv = ["evaluate", "--instance", "twoelem", "--scheme", str(path), "--trials", "10"]
+        try:
+            code = cli_run(argv)
+        except SystemExit as exc:  # argparse refuses a flag's value itself
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["run", "evaluate"])
     @pytest.mark.parametrize(
         "flag",

@@ -13,7 +13,6 @@ from ocrs import (
     WeightGrid,
     build_lp_scheme,
     build_secretary_reduction,
-    estimate_xq,
     exact_balancedness,
     gen_kuniform_allactive,
     max_uncontentious_alpha,
@@ -23,15 +22,10 @@ from ocrs import (
 )
 from ocrs import lp
 from ocrs.lp import GridRangeError, RestrictedMaster, estimation_sample_size, exact_selection_column
-from ocrs.harness import estimate_balancedness, parse_instance
+from ocrs.harness import parse_instance
 from ocrs.priors import AllActivePrior, EnumerationTooLarge, ProductPrior, SamplerPrior
-from ocrs.sampling import Permutation, to_fraction
-from ocrs.schemes import (
-    IndependentSubsampling,
-    greedy_ordered_bits,
-    order_by_weight,
-    secretary_wrap_bits,
-)
+from ocrs.sampling import to_fraction
+from ocrs.schemes import greedy_ordered_bits, order_by_weight, secretary_wrap_bits
 from ocrs.simplex import solve_lp
 
 from conftest import random_explicit_prior, random_small_matroid
@@ -74,51 +68,6 @@ class TestEstimation:
     def test_sample_size_formula(self):
         expected = math.ceil(2 * math.log(2 / 0.01) / (0.1**2 * 0.5**2))
         assert estimation_sample_size(0.1, 0.01, 0.5) == expected == 4239
-
-    def test_all_active_x_is_exactly_one(self, rng):
-        x, q, m = estimate_xq(lambda a, r: 0, AllActivePrior(3), 0.5, 0.5, rng)
-        assert x == [1.0, 1.0, 1.0]
-        assert q == [0.0, 0.0, 0.0]
-
-    @pytest.mark.parametrize("m_override", [0, -5, 2.5, "10"])
-    def test_bad_m_override_rejected(self, rng, m_override):
-        # 0 used to mean the paper's m, and -5 returned all-zero x and q.
-        with pytest.raises(ValueError, match="m_override"):
-            estimate_xq(None, AllActivePrior(3), 0.5, 0.5, rng, m_override=m_override)
-
-    def test_one_sample_override(self, rng):
-        x, q, m = estimate_xq(None, AllActivePrior(3), 0.5, 0.5, rng, m_override=1)
-        assert (x, q, m) == ([1, 1, 1], [0, 0, 0], 1)
-
-    def test_override_needs_no_p_min(self):
-        # p_min only sizes m, so an override skips its estimate, which an
-        # opaque prior with rare elements cannot give.
-        P = SamplerPrior(3, lambda r: 0b001 | (0b010 if r.getrandbits(6) == 0 else 0))
-        x, q, m = estimate_xq(None, P, 0.5, 0.5, Random(0), m_override=10)
-        assert m == 10 and x[0] == 1 and x[2] == 0
-
-    def test_select_nothing_gives_zero_q(self, rng):
-        p = random_explicit_prior(rng, 4)
-        x, q, m = estimate_xq(lambda a, r: 0, p, 0.3, 0.3, rng, m_override=500)
-        assert q == [0.0] * 4
-        assert m == 500
-
-
-    def test_counts_match_estimate_balancedness(self):
-        # Both count through Prior.count: same seed, same draws, same counts.
-        rng = Random(21)
-        M = UniformMatroid(5, 2)
-        P = random_explicit_prior(rng, 5)
-        scheme = IndependentSubsampling(Permutation([3, 1, 4, 0, 2]), Fraction(1, 3))
-        x, q, m = estimate_xq(
-            lambda a, r: scheme.run_bits(M, a, r), P, 0.1, 0.1, Random(4), m_override=3000
-        )
-        report = estimate_balancedness(M, scheme, P, 3000, Random(4))
-        assert m == 3000
-        assert x == [Fraction(e.active_count, m) for e in report.elements]
-        assert q == [Fraction(e.selected_count, m) for e in report.elements]
-        assert all(type(v) is Fraction for v in x + q)
-        assert any(q)
 
 
 class TestSolveRestricted:
@@ -326,15 +275,16 @@ class TestMonteCarloBuildContract:
     EPS = Fraction(1, 4)
     ALPHA = Fraction(1, 2)
 
-    def builds(self):
+    def builds(self, override=None):
         inst = gen_kuniform_allactive(4, 2)
         M, P = inst.matroid, inst.prior
         yield 6, 1, build_lp_scheme(
-            M, P, eps=self.EPS, rng=Random(3), mode="mc", alpha_target=self.ALPHA
+            M, P, eps=self.EPS, rng=Random(3), mode="mc", alpha_target=self.ALPHA,
+            estimation_override=override,
         )[1]
         yield 7, 1.0, build_secretary_reduction(
             M, P, "greedy_by_weight", c=1.0, eps=self.EPS, rng=Random(2), mode="mc",
-            alpha_target=self.ALPHA,
+            alpha_target=self.ALPHA, estimation_override=override,
         )[1]
 
     def test_sample_sizes_follow_the_eps_split(self):
@@ -345,6 +295,9 @@ class TestMonteCarloBuildContract:
             )
             assert "x" in report.estimation_samples and len(report.estimation_samples) > 1
             assert set(report.estimation_samples.values()) == {m}
+        # An override sets every m, down to one draw per estimate.
+        for _, _, report in self.builds(override=1):
+            assert report.converged and set(report.estimation_samples.values()) == {1}
 
     def test_eps_split(self):
         for stages, _, report in self.builds():
@@ -393,7 +346,7 @@ class TestMonteCarloBuildIsExact:
         assert sum(got.x[1:]) == 1
         assert solve_lp([0.1], A_ub=[[1]], b_ub=[1], maximize=True).objective == Fraction(1, 10)
 
-    @pytest.mark.parametrize("override", [0, -5])
+    @pytest.mark.parametrize("override", [0, -5, 2.5, "10"])
     def test_estimation_override_must_be_positive(self, override):
         inst = gen_kuniform_allactive(4, 2)
         with pytest.raises(ValueError, match="estimation_override"):

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from ocrs import (
     AllActivePrior,
+    DimensionMismatch,
     ExplicitPrior,
     IndependentSubsampling,
     NoQualifyingElement,
     Permutation,
     PrefixSubsampling,
     PreselectConfig,
+    Prior,
     PriorError,
     ProductPrior,
     SamplerPrior,
@@ -119,6 +121,16 @@ class TestMarginal:
         m = p.marginal(SubsetMask.from_elements(3, [0]))
         assert m.sample_bits(rng) == 0b001
 
+    @pytest.mark.parametrize(
+        "prior",
+        [ExplicitPrior(2, [(0b11, 1)]), ProductPrior([Fraction(1, 2)] * 2),
+         SamplerPrior(2, lambda r: 0b11)],
+        ids=["explicit", "product", "sampler"],
+    )
+    def test_set_of_another_size_rejected(self, prior):
+        with pytest.raises(DimensionMismatch, match="marginal set over 3, prior over 2"):
+            prior.marginal(SubsetMask.full(3))
+
 
 class TestPMin:
     def test_all_active(self):
@@ -165,6 +177,37 @@ class TestPMin:
         with pytest.raises(PriorError, match=r"elements \[1\] .*pass a smaller eps"):
             p.p_min(rng=Random(0))
         assert 0 < p.p_min(rng=Random(0), eps=0.01) < 0.03
+
+
+class _DrawsOnly(Prior):
+    """A prior that states its draws and nothing else."""
+
+    def __init__(self, n, fn):
+        super().__init__(n)
+        self.fn = fn
+
+    def sample_bits(self, rng):
+        return self.fn(rng)
+
+
+class TestPriorThatOnlyDraws:
+    """`Prior` needs only `sample_bits`: its p_min is estimated from its own
+    draws, as a `SamplerPrior`'s is, so the Monte-Carlo routes take it."""
+
+    FN = staticmethod(lambda r: 0b01 | (0b10 if r.getrandbits(1) else 0))
+
+    def test_p_min_is_the_sampler_estimate(self):
+        P = _DrawsOnly(2, self.FN)
+        assert P.p_min(rng=Random(0)) == SamplerPrior(2, self.FN).p_min(rng=Random(0))
+        assert P.marginal(SubsetMask.from_elements(2, [1])).p_min(rng=Random(0)) > 0.4
+
+    def test_monte_carlo_build_and_preselection(self):
+        P, M = _DrawsOnly(2, self.FN), UniformMatroid(2, 1)
+        _, report = build_lp_scheme(M, P, eps=Fraction(1, 4), rng=Random(0), mode="mc",
+                                    estimation_override=200)
+        assert report.converged and report.estimation_samples["x"] == 200
+        cfg = PreselectConfig(alpha=Fraction(1, 2), eps=Fraction(1, 2))
+        assert preselect.preselect_prefix(M, P, cfg, Random(0)).order == (1, 0)
 
 
 def _naive_count(P, m, rng, select):
