@@ -69,6 +69,32 @@ class TestEstimation:
         expected = math.ceil(2 * math.log(2 / 0.01) / (0.1**2 * 0.5**2))
         assert estimation_sample_size(0.1, 0.01, 0.5) == expected == 4239
 
+    @staticmethod
+    def builders(rng, override):
+        M, P = UniformMatroid(3, 1), AllActivePrior(3)
+        kw = dict(eps=0.5, rng=rng, mode="mc", estimation_override=override)
+        return [
+            lambda: build_lp_scheme(M, P, **kw),
+            lambda: build_secretary_reduction(M, P, "greedy_by_weight", c=1, **kw),
+        ]
+
+    @pytest.mark.parametrize("m_override", [0, -5])
+    def test_bad_m_override_rejected(self, m_override):
+        # 0 once meant the paper's m and -5 gave all-zero x and q; both are
+        # refused before the build draws anything.
+        rng = Random(0)
+        state = rng.getstate()
+        for build in self.builders(rng, m_override):
+            with pytest.raises(ValueError, match="estimation_override"):
+                build()
+            assert rng.getstate() == state
+
+    def test_one_sample_override(self):
+        # An override sets every m, down to one draw per estimate.
+        for build in self.builders(Random(0), 1):
+            _, report = build()
+            assert report.converged and set(report.estimation_samples.values()) == {1}
+
 
 class TestSolveRestricted:
     def test_single_matching_column(self):
@@ -275,16 +301,15 @@ class TestMonteCarloBuildContract:
     EPS = Fraction(1, 4)
     ALPHA = Fraction(1, 2)
 
-    def builds(self, override=None):
+    def builds(self):
         inst = gen_kuniform_allactive(4, 2)
         M, P = inst.matroid, inst.prior
         yield 6, 1, build_lp_scheme(
-            M, P, eps=self.EPS, rng=Random(3), mode="mc", alpha_target=self.ALPHA,
-            estimation_override=override,
+            M, P, eps=self.EPS, rng=Random(3), mode="mc", alpha_target=self.ALPHA
         )[1]
         yield 7, 1.0, build_secretary_reduction(
             M, P, "greedy_by_weight", c=1.0, eps=self.EPS, rng=Random(2), mode="mc",
-            alpha_target=self.ALPHA, estimation_override=override,
+            alpha_target=self.ALPHA,
         )[1]
 
     def test_sample_sizes_follow_the_eps_split(self):
@@ -295,9 +320,6 @@ class TestMonteCarloBuildContract:
             )
             assert "x" in report.estimation_samples and len(report.estimation_samples) > 1
             assert set(report.estimation_samples.values()) == {m}
-        # An override sets every m, down to one draw per estimate.
-        for _, _, report in self.builds(override=1):
-            assert report.converged and set(report.estimation_samples.values()) == {1}
 
     def test_eps_split(self):
         for stages, _, report in self.builds():
