@@ -44,7 +44,6 @@ from .oracle import (
     max_uncontentious_alpha,
 )
 from .preselect import (
-    ExactModeTooLarge,
     NoQualifyingElement,
     PreselectConfig,
     count_span_stats_independent,

@@ -208,6 +208,13 @@ def cmd_lp_build(args) -> int:
     return 0
 
 
+def _competitiveness(text: str) -> float:
+    """A number in (0, 1]: no online algorithm beats the offline optimum."""
+    if not 0 < (c := float(text)) <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return c
+
+
 def _add_io(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True, help="instance shorthand or JSON path")
     p.add_argument("--out", default=None, help="output path prefix (stdout if omitted)")
@@ -261,7 +268,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_build(p)
     p.add_argument("--reduction", choices=["permutation", "secretary"], default="permutation")
     p.add_argument("--secretary", choices=list(SECRETARY_KINDS), default="greedy_by_weight")
-    p.add_argument("--competitiveness", type=float, default=1.0,
+    p.add_argument("--competitiveness", type=_competitiveness, default=1.0,
                    help="claimed competitiveness of the secretary algorithm")
     p.set_defaults(fn=cmd_lp_build)
     return parser

@@ -39,6 +39,7 @@ from .matroid import Matroid
 from .priors import Prior, exact_or_sampled, to_fraction
 from .sampling import EnumerationTooLarge
 from .schemes import (
+    SECRETARY_KINDS,
     PermutationMixture,
     WeightMixture,
     by_weight_arrivals,
@@ -85,9 +86,6 @@ class WeightGrid:
         if idx > self.top_index:
             raise GridRangeError(f"coordinate {value} above grid max {self.max_value}")
         return step * idx
-
-    def values(self) -> list[Fraction]:
-        return [self.step * i for i in range(self.top_index + 1)]
 
 
 def round_to_grid(mu: Sequence, grid: WeightGrid) -> tuple[Fraction, ...]:
@@ -342,6 +340,8 @@ def build_secretary_reduction(
     eps = to_fraction(eps)  # the grid step eps/7 is exact
     if not (c > 0 and eps > 0):  # eta divides by c, the grid by eps
         raise ValueError(f"the secretary reduction needs c > 0 and eps > 0, got c={c}, eps={eps}")
+    if secretary_kind not in SECRETARY_KINDS:
+        raise ValueError(f"unknown secretary kind {secretary_kind!r}")
     n = M.n
 
     def start(x, p_min):

@@ -6,8 +6,8 @@ of incremental span: they walk a set's span one element at a time, as a
 small state. By default the state is the basis of the set grown along the
 walk (one `_independent` query per step); a uniform matroid keeps the size
 capped at k, a graphic one a string of component labels, and a restriction
-delegates to its parent. `IndependentSetGrower` (fed by `classic_1uniform`)
-and the exact scan in `sampling.unspanned_counts` walk these hooks. Greedy
+delegates to its parent. `IndependentSetGrower` (no library caller) and
+the exact scan in `sampling.unspanned_counts` walk these hooks. Greedy
 (`greedy_ordered_bits`, and through it rank and bases) dispatches to
 `Matroid.greedy_bits`, one fold per family: by default one `span_step` per
 active arrival; the first k active arrivals for a uniform matroid; an
@@ -69,13 +69,6 @@ class Matroid:
             if part is not None and part.n != self.n:
                 raise DimensionMismatch(f"the matroid is over {self.n} elements, "
                                         f"the {what.replace('_', ' ')} over {part.n}")
-
-    # -- incremental greedy support -----------------------------------------
-
-    def grower(self) -> "IndependentSetGrower":
-        """Stateful helper that adds elements one at a time, keeping the
-        current set independent, for callers that decide as elements arrive."""
-        return IndependentSetGrower(self)
 
     # -- derived quantities --------------------------------------------------
 
@@ -166,7 +159,9 @@ class Matroid:
 class IndependentSetGrower:
     """An independent set grown one offered element at a time, on the
     matroid's span state: e is taken when the set so far leaves it unspanned.
-    An element already held is refused (a size-capped state cannot tell)."""
+    An element already held is refused (a size-capped state cannot tell).
+    No library code calls it; it stays because `bench/tracer.py` patches its
+    `try_add`, whose count `bench/run.py` reads, and a test reference uses it."""
 
     def __init__(self, matroid: Matroid):
         self._step = matroid.span_step

@@ -52,10 +52,6 @@ class AlphaCertificate:
     witness: dict  # atom bits -> list of (subset bits, probability)
     per_element: list  # conditional selection probability under the witness
 
-    def min_balancedness(self) -> Fraction:
-        vals = [v for v in self.per_element if v is not None]
-        return min(vals) if vals else Fraction(1)
-
     def to_json(self) -> dict:
         return {
             "alpha_star": str(self.alpha_star),

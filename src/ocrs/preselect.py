@@ -29,7 +29,7 @@ from typing import Optional
 
 from .bitset import SubsetMask, full_mask, iter_bits, popcount
 from .matroid import Matroid
-from .priors import MODES, EnumerationTooLarge, Prior, exact_or_sampled, to_fraction
+from .priors import MODES, Prior, exact_or_sampled, to_fraction
 from .sampling import (
     IndependentLaw,
     Permutation,
@@ -39,8 +39,6 @@ from .sampling import (
     t_rho_bits,
     unspanned_counts,
 )
-
-ExactModeTooLarge = EnumerationTooLarge  # the name exact preselection has always raised
 
 
 class NoQualifyingElement(RuntimeError):
@@ -80,8 +78,9 @@ class PreselectConfig:
             raise ValueError(f"eps must lie in (0,1], got {self.eps}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.sample_override is not None and self.sample_override < 1:
-            raise ValueError(f"sample_override must be None or >= 1, got {self.sample_override}")
+        m = self.sample_override
+        if m is not None and (not isinstance(m, int) or m < 1):
+            raise ValueError(f"sample_override must be None or an int >= 1, got {m!r}")
 
 
 def sample_size(n: int, alpha: float, eps: float, p_min: float) -> int:

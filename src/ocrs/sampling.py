@@ -23,13 +23,13 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from random import Random
 from typing import Iterable, Sequence
 
-from .bitset import SubsetMask, full_mask, mask_of
+from .bitset import SubsetMask, full_mask
 
 
 class EnumerationTooLarge(ValueError):
@@ -54,21 +54,20 @@ def to_fraction(x) -> Fraction:
 @dataclass(frozen=True, slots=True, repr=False)
 class Permutation:
     """A bijection on {0, ..., n-1}; order[p] is the element at position p.
-    Any sequence of ints is accepted and stored as a tuple."""
+    Any iterable of ints is accepted and stored as a tuple; anything else
+    raises ValueError."""
 
     order: Sequence[int]
-    _pos: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
-        order = tuple(self.order)
+        try:
+            order = tuple(self.order)
+        except TypeError:
+            raise ValueError(f"an order must be an iterable of ints, got {self.order!r}") from None
         n = len(order)
-        pos = [-1] * n
-        for p, e in enumerate(order):
-            if type(e) is not int or not 0 <= e < n or pos[e] != -1:
-                raise ValueError(f"not a permutation of 0..{n - 1}: {order}")
-            pos[e] = p
+        if any(type(e) is not int for e in order) or sorted(order) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {order}")
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_pos", tuple(pos))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -77,23 +76,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    def position(self, e: int) -> int:
-        if not 0 <= e < self.n:
-            raise ValueError(f"element {e} outside ground set of size {self.n}")
-        return self._pos[e]
-
-    def prefix_bits(self, e: int) -> int:
-        """Elements strictly before e, as a bitmask."""
-        p = self.position(e)
-        return mask_of(self.order[:p])
-
-    def prefix_of(self, e: int) -> SubsetMask:
-        return SubsetMask(self.n, self.prefix_bits(e))
-
-    def first_bits(self, k: int) -> int:
-        """The first k elements, as a bitmask."""
-        return mask_of(self.order[:k])
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.order)})"

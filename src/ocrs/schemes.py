@@ -32,7 +32,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator, Sequence
 
-from .bitset import SubsetMask, full_mask
+from .bitset import SubsetMask, full_mask, mask_of
 from .matroid import Matroid, by_decreasing_weight, greedy_ordered_bits
 from .priors import to_fraction
 from .sampling import (
@@ -240,7 +240,8 @@ def greedy_by_weight(M, w, a_bits, rng, arrivals=None) -> int:
 def classic_1uniform(M, w, a_bits, rng, arrivals=None) -> int:
     """Arrivals in uniformly random order: observe floor(n/e), then take each
     later one of positive masked weight at least the best seen, while it keeps
-    the set independent. Intended for 1-uniform instances; reads no `arrivals`."""
+    the set independent: greedy over those, as the threshold is then fixed.
+    Intended for 1-uniform instances; reads no `arrivals`."""
     if rng is None:  # exact enumeration passes no rng
         raise EnumerationTooLarge(
             "secretary 'classic_1uniform' is randomized; no exact enumeration"
@@ -248,11 +249,9 @@ def classic_1uniform(M, w, a_bits, rng, arrivals=None) -> int:
     order = shuffled(range(M.n), rng)
     observe = math.floor(M.n / math.e)
     best = max((w[e] for e in order[:observe] if a_bits >> e & 1), default=0)
-    grower = M.grower()
-    for e in order[observe:]:
-        if a_bits >> e & 1 and w[e] > 0 and w[e] >= best:
-            grower.try_add(e)
-    return grower.bits
+    later = order[observe:]
+    eligible = mask_of(e for e in later if w[e] > 0 and w[e] >= best)
+    return greedy_ordered_bits(M, later, a_bits & eligible)
 
 
 SECRETARY_KINDS = {

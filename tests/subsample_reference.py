@@ -17,7 +17,6 @@ from fractions import Fraction
 from ocrs.bitset import SubsetMask, iter_bits, popcount
 from ocrs.matroid import Matroid
 from ocrs.oracle import EnumerationTooLarge
-from ocrs.preselect import ExactModeTooLarge
 from ocrs.priors import Prior, to_fraction
 from ocrs.sampling import SubsampleLaw
 from ocrs.schemes import IndependentSubsampling, PrefixSubsampling, Scheme, greedy_ordered_bits
@@ -57,7 +56,7 @@ def reference_unspanned_prob_independent(
     """
     support = P.support()
     if support is None:
-        raise ExactModeTooLarge("exact mode needs an explicit prior support")
+        raise EnumerationTooLarge("exact mode needs an explicit prior support")
     rho = to_fraction(rho)
     jbit = 1 << j
     num = Fraction(0)
@@ -69,7 +68,7 @@ def reference_unspanned_prob_independent(
         pool = atom & S.bits & ~jbit
         size = popcount(pool)
         if size > INDEPENDENT_EXACT_LIMIT:
-            raise ExactModeTooLarge(
+            raise EnumerationTooLarge(
                 f"atom restricted to S has {size} elements; limit {INDEPENDENT_EXACT_LIMIT}"
             )
         elems = list(iter_bits(pool))
@@ -98,10 +97,10 @@ def reference_unspanned_prob_prefix(M: Matroid, P: Prior, S: SubsetMask, j: int)
     """
     support = P.support()
     if support is None:
-        raise ExactModeTooLarge("exact mode needs an explicit prior support")
+        raise EnumerationTooLarge("exact mode needs an explicit prior support")
     i = popcount(S.bits)
     if i > PREFIX_EXACT_LIMIT:
-        raise ExactModeTooLarge(f"|S|={i} exceeds prefix enumeration limit {PREFIX_EXACT_LIMIT}")
+        raise EnumerationTooLarge(f"|S|={i} exceeds prefix enumeration limit {PREFIX_EXACT_LIMIT}")
     jbit = 1 << j
     pool = list(iter_bits(S.bits & ~jbit))
     fact = [math.factorial(x) for x in range(i + 1)]

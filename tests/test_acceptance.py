@@ -34,6 +34,7 @@ from ocrs import (
     two_element_instance,
     verify_axioms,
 )
+from ocrs.bitset import mask_of
 from ocrs.cli import cli_run
 from ocrs.harness import hoeffding_halfwidth
 from ocrs.schemes import greedy_ordered_bits
@@ -116,7 +117,7 @@ def test_c03_prefix_subsampling_laws_exact():
         )
         pi = Permutation(Random(n).sample(range(n), n))
         for i in range(1, n + 1):
-            head = pi.first_bits(i - 1)
+            head = mask_of(pi.order[: i - 1])
             e = pi.order[i - 1]
             for s_bits in range(1 << n):
                 if s_bits & ~head:

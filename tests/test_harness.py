@@ -369,20 +369,29 @@ class TestCli:
             {"kind": "ordered_greedy", "order": "01"},
             {"kind": "independent_subsampling", "order": [0, 1], "rho": "1/0"},
             {"kind": "permutation_mixture", "components": [{"order": [0, 1], "weight": None}]},
+            {"kind": "ordered_greedy", "order": 5},
+            {**two_element_instance().to_spec(), "canonical_order": 7},
             ["lp-build", "--instance", "twoelem", "--eps", "1/0"],
             ["lp-build", "--instance", "kuniform:4,2", "--eps", "0", "--mode", "mc"],
             ["lp-build", "--instance", "kuniform:4,2", "--reduction", "secretary",
              "--competitiveness", "0"],
+            *(["lp-build", "--instance", "kuniform:4,2", "--reduction", "secretary",
+               "--competitiveness", c, "--mode", "mc"] for c in ("inf", "1e308", "1.5")),
             ["gen-instance", "--instance", "parallel-hats:1/0"],
         ],
-        ids=["float-order", "string-order", "rho-1/0", "null-weight", "eps-1/0",
-             "mc-eps-0", "competitiveness-0", "hats-1/0"],
+        ids=["float-order", "string-order", "rho-1/0", "null-weight", "int-order",
+             "int-canonical-order", "eps-1/0", "mc-eps-0", "competitiveness-0",
+             "competitiveness-inf", "competitiveness-1e308", "competitiveness-1.5", "hats-1/0"],
     )
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, capsys, case):
-        # A scheme JSON (a dict here) or a flag read badly is a configuration
-        # error, not a crash: exit 1 means that no element qualified.
+        # A scheme or instance JSON (a dict here) or a flag read badly is a
+        # configuration error, not a crash: exit 1 means that no element qualified.
         argv = case
-        if isinstance(case, dict):
+        if isinstance(case, dict) and "matroid" in case:
+            path = tmp_path / "instance.json"
+            path.write_text(json.dumps(case))
+            argv = ["oracle-alpha", "--instance", str(path)]
+        elif isinstance(case, dict):
             path = tmp_path / "scheme.json"
             path.write_text(json.dumps(case))
             argv = ["evaluate", "--instance", "twoelem", "--scheme", str(path), "--trials", "10"]

@@ -28,15 +28,13 @@ from ocrs.sampling import to_fraction
 from ocrs.schemes import greedy_ordered_bits, order_by_weight, secretary_wrap_bits
 from ocrs.simplex import solve_lp
 
-from conftest import random_explicit_prior, random_small_matroid
+from conftest import NoDraws, random_explicit_prior, random_small_matroid
 
 
 class TestWeightGrid:
     def test_small_grid_contents(self):
         grid = WeightGrid(n=2, eps=Fraction(1, 2), p_min=Fraction(1))
-        vals = grid.values()
-        assert vals == [Fraction(i, 4) for i in range(5)]
-        assert vals[0] == 0
+        assert (grid.step, grid.top_index) == (Fraction(1, 4), 4)
         assert grid.max_value >= 1 / grid.p_min
 
     def test_floor_examples(self):
@@ -94,6 +92,13 @@ class TestEstimation:
         for build in self.builders(Random(0), 1):
             _, report = build()
             assert report.converged and set(report.estimation_samples.values()) == {1}
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_unknown_secretary_kind_refused_before_any_draw(mode):
+    M, P = UniformMatroid(3, 1), AllActivePrior(3)
+    with pytest.raises(ValueError, match="unknown secretary kind 'nope'"):
+        build_secretary_reduction(M, P, "nope", c=1, eps=0.5, rng=NoDraws(), mode=mode)
 
 
 class TestSolveRestricted:

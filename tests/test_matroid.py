@@ -16,7 +16,7 @@ from ocrs import (
     verify_axioms,
 )
 from ocrs.bitset import popcount
-from ocrs.matroid import Matroid, greedy_ordered_bits
+from ocrs.matroid import IndependentSetGrower, Matroid, greedy_ordered_bits
 from ocrs.sampling import EnumerationTooLarge
 
 from conftest import FAMILIES, membership_span, random_small_matroid, triangle
@@ -311,7 +311,7 @@ def test_grower_matches_oracle_greedy(rng):
     for m in matroids:
         offers = [*range(m.n)] * 2
         rng.shuffle(offers)
-        g = m.grower()
+        g = IndependentSetGrower(m)
         cur = 0
         for e in offers:
             expect = not (cur >> e) & 1 and m._independent(cur | (1 << e))

@@ -27,7 +27,6 @@ from ocrs import preselect
 from ocrs.harness import parse_instance
 from ocrs.oracle import exact_balancedness, max_uncontentious_alpha
 from ocrs.preselect import (
-    ExactModeTooLarge,
     exact_unspanned_prob_independent,
     exact_unspanned_prob_prefix,
 )
@@ -141,19 +140,19 @@ class TestExactProbabilities:
 
     def test_independent_enumeration_guard(self):
         inst = gen_kuniform_allactive(14, 2)
-        with pytest.raises(ExactModeTooLarge):
+        with pytest.raises(EnumerationTooLarge):
             exact_unspanned_prob_independent(
                 inst.matroid, inst.prior, SubsetMask.full(14), 0, Fraction(1, 2)
             )
 
     def test_prefix_enumeration_guard(self):
         inst = gen_kuniform_allactive(15, 2)  # the law is drawn on the 14 others
-        with pytest.raises(ExactModeTooLarge):
+        with pytest.raises(EnumerationTooLarge):
             exact_unspanned_prob_prefix(inst.matroid, inst.prior, SubsetMask.full(15), 0)
 
     def test_opaque_prior_rejected(self):
         p = SamplerPrior(3, lambda r: 0b111)
-        with pytest.raises(ExactModeTooLarge):
+        with pytest.raises(EnumerationTooLarge):
             exact_unspanned_prob_independent(
                 UniformMatroid(3, 1), p, SubsetMask.full(3), 0, Fraction(1, 2)
             )
@@ -373,7 +372,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             PreselectConfig(alpha=0.5, mode="guess")
 
-    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("samples", [0, -5, 2.5, "10"])
     def test_sample_override_must_be_positive(self, samples):
         with pytest.raises(ValueError, match="sample_override"):
             PreselectConfig(alpha=0.5, sample_override=samples)

@@ -17,7 +17,7 @@ from ocrs import (
     random_permutation,
     t_rho,
 )
-from ocrs.bitset import full_mask, iter_bits, popcount
+from ocrs.bitset import full_mask, iter_bits, mask_of, popcount
 from ocrs.sampling import (
     PrefixLaw,
     draw_index,
@@ -156,21 +156,6 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation([0, 3])
 
-    def test_prefix_examples(self):
-        sigma = Permutation([2, 0, 1])
-        assert sigma.prefix_of(2) == SubsetMask.empty(3)
-        assert sigma.prefix_of(1) == SubsetMask.from_elements(3, [2, 0])
-        assert sigma.prefix_of(0) == SubsetMask.from_elements(3, [2])
-
-    def test_prefix_of_last_is_rest(self):
-        sigma = Permutation([1, 3, 0, 2])
-        assert sigma.prefix_of(2) == SubsetMask.from_elements(4, [1, 3, 0])
-
-    def test_position_inverse(self):
-        sigma = Permutation([3, 1, 0, 2])
-        for p, e in enumerate(sigma.order):
-            assert sigma.position(e) == p
-
     def test_random_permutation_reproducible(self):
         assert random_permutation(6, Random(5)) == random_permutation(6, Random(5))
 
@@ -252,7 +237,7 @@ class TestPrefixSubsample:
         n = pi.n
         law = sentinel_prefix_law(n)
         for i in range(1, n + 1):
-            head = pi.first_bits(i - 1)
+            head = mask_of(pi.order[: i - 1])
             e = pi.order[i - 1]
             for s_bits in range(1 << n):
                 if s_bits & ~head:
@@ -274,7 +259,7 @@ class TestPrefixSubsample:
         n = pi.n
         law = sentinel_prefix_law(n)
         for i in range(1, n + 1):
-            head = pi.first_bits(i - 1)
+            head = mask_of(pi.order[: i - 1])
             lhs = {}
             for t, p in law.items():
                 key = t & head

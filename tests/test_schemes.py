@@ -23,6 +23,7 @@ from ocrs import (
     scheme_from_spec,
     secretary_wrap,
 )
+from ocrs.bitset import mask_of
 from ocrs.sampling import draw_index, random_permutation, t_rho_bits
 from ocrs.schemes import (
     by_weight_arrivals,
@@ -88,7 +89,7 @@ class TestOnlineConsistency:
         scheme = IndependentSubsampling(order, Fraction(1, 2))
         for seed in range(30):
             for k in range(1, 4):
-                head = order.first_bits(k)
+                head = mask_of(order.order[:k])
                 a1 = Random(seed).randrange(8)
                 a2 = (a1 & head) | (Random(seed + 100).randrange(8) & ~head)
                 x1 = scheme.run_bits(m, a1, Random(777 + seed))
