@@ -22,7 +22,7 @@ from .priors import (
     prior_from_spec,
     to_fraction,
 )
-from .sampling import Permutation
+from .sampling import Permutation, spec_field
 from .schemes import Scheme, secretary_wrap_bits, SECRETARY_KINDS
 
 
@@ -61,12 +61,15 @@ class Instance:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "Instance":
+        """Inverse of `to_spec`; a missing or mistyped field raises
+        ValueError naming it (`spec_field`)."""
+        matroid = matroid_from_spec(spec_field(spec, "matroid"))  # checks spec is a dict
         order = spec.get("canonical_order")
         return cls(
             name=spec.get("name", "instance"),
-            matroid=matroid_from_spec(spec["matroid"]),
-            prior=prior_from_spec(spec["prior"]),
-            declared_alpha=to_fraction(spec["declared_alpha"]),
+            matroid=matroid,
+            prior=prior_from_spec(spec_field(spec, "prior")),
+            declared_alpha=to_fraction(spec_field(spec, "declared_alpha")),
             canonical_order=None if order is None else Permutation(order),
             provenance=spec.get("provenance", ""),
         )
@@ -233,6 +236,9 @@ def hoeffding_halfwidth(level: float, count: int) -> float:
     return math.sqrt(math.log(2 / (1 - level)) / (2 * count))
 
 
+TRIAL_BATCH = 4096  # trials per sliced batch: the bits of each element's word
+
+
 def estimate_balancedness(
     M: Matroid,
     scheme: Scheme,
@@ -244,13 +250,32 @@ def estimate_balancedness(
 ) -> BalancednessReport:
     """Run the scheme's run phase on fresh active sets and report, per
     element, the conditional selection frequency with a two-sided
-    Hoeffding interval. Elements never seen active get a no-data row."""
+    Hoeffding interval. Elements never seen active get a no-data row.
+
+    When the scheme has a sliced run phase (`Scheme.run_words`: greedy and
+    the subsampling schemes) and the matroid a sliced greedy
+    (`Matroid.greedy_words`: uniform, graphic and their restrictions), the
+    trials run in batches of TRIAL_BATCH, each element's state one int with
+    bit t for trial t: the prior draws the batch's active words
+    (`Prior.trial_words`), the scheme its keep-words over them, greedy folds
+    along the order on words, and the counts are bit counts. So one big-int
+    operation serves a whole batch, with the law of the per-trial path but
+    not its stream. Otherwise (the mixtures, an explicit matroid) each trial
+    is one pass through `Prior.count`."""
     M.check_over(scheme=scheme, prior=P)
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0 < ci_level < 1:
         raise ValueError(f"ci_level must lie in (0, 1), got {ci_level}")
-    act, sel = P.count(trials, rng, partial(scheme.run_bits, M))
+    if scheme.run_words is None or M.greedy_words is None:
+        act, sel = P.count(trials, rng, partial(scheme.run_bits, M))
+    else:
+        act, sel = [0] * M.n, [0] * M.n
+        for done in range(0, trials, TRIAL_BATCH):
+            words = P.trial_words(min(TRIAL_BATCH, trials - done), rng)
+            for e, (a, s) in enumerate(zip(words, scheme.run_words(M, words, rng))):
+                act[e] += a.bit_count()
+                sel[e] += s.bit_count()
     elements = []
     for e in range(M.n):
         if act[e] == 0:
@@ -270,15 +295,20 @@ def measure_competitiveness(
     M: Matroid, secretary_kind: str, w, trials: int, rng: Random
 ) -> float:
     """Average ratio of the secretary algorithm's selected weight to the
-    offline optimum, over fresh arrival orders (no active-set masking)."""
+    offline optimum, over fresh arrival orders (no active-set masking).
+    Each element's selections are counted as ints and the ratio
+    sum_e w_e count_e / (trials OPT) is formed in Fractions (`to_fraction`),
+    so only the returned float is rounded: a 1-competitive run reads 1.0."""
     if secretary_kind not in SECRETARY_KINDS:
         raise ValueError(f"unknown secretary kind {secretary_kind!r}")
     full = SubsetMask.full(M.n)
-    opt = float(M.weighted_rank(w, full))
+    exact_w = [to_fraction(x) for x in w]
+    opt = M.weighted_rank(exact_w, full)
     if opt <= 0:
         raise ValueError("offline optimum is zero; competitiveness undefined")
-    total = 0.0
+    counts = [0] * M.n
     for _ in range(trials):
-        chosen = secretary_wrap_bits(secretary_kind, w, M, full.bits, rng)
-        total += sum(w[e] for e in iter_bits(chosen))
-    return total / trials / opt
+        for e in iter_bits(secretary_wrap_bits(secretary_kind, w, M, full.bits, rng)):
+            counts[e] += 1
+    total = sum((x * c for x, c in zip(exact_w, counts) if c), Fraction(0))
+    return float(total / (trials * opt))

@@ -13,6 +13,10 @@ the exact scan in `sampling.unspanned_counts` walk these hooks. Greedy
 active arrival; the first k active arrivals for a uniform matroid; an
 inline label merge for a graphic one, whose `_independent` is the same
 fold; the parent's fold over the masked active set for a restriction.
+`greedy_words` is the same greedy over a batch of trials, one word per
+element with bit t for trial t: a bit-sliced count for a uniform matroid,
+bit-sliced component labels for a graphic one, the parent's kernel for a
+restriction, and none (None) for an explicit set list.
 `_unspanned(bits, within)` is the one batch span query; a graphic matroid
 answers it by merging its span state's component labels along `bits`.
 Built-in families: uniform, graphic (multi-edges allowed), explicit set
@@ -24,6 +28,8 @@ read-only use.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .bitset import (
@@ -34,7 +40,7 @@ from .bitset import (
     mask_of,
     popcount,
 )
-from .sampling import EnumerationTooLarge
+from .sampling import EnumerationTooLarge, spec_field
 
 EXHAUSTIVE_LIMIT = 16
 
@@ -86,6 +92,12 @@ class Matroid:
                 if not spanned:
                     taken |= 1 << e
         return taken
+
+    # Greedy sliced across trials: `greedy_words(order, words)` takes one word
+    # per element, bit t set when the element is offered in trial t, and
+    # returns each element's word of trials where `greedy_bits` takes it. Only
+    # the families that define it have one (None: no kernel).
+    greedy_words = None
 
     def _basis_bits(self, bits: int) -> int:
         return greedy_ordered_bits(self, iter_bits(bits), bits)
@@ -215,6 +227,33 @@ class UniformMatroid(Matroid):
                         break
         return taken
 
+    def greedy_words(self, order, words):
+        # A bit-sliced count of the arrivals taken, started at 2^L - k for
+        # L = k.bit_length(): its carry out of the top plane marks the trials
+        # that hold k, which take nothing more.
+        taken = [0] * self.n
+        if not self.k:
+            return taken
+        trials = reduce(or_, words, 0)
+        top = self.k.bit_length()
+        start = (1 << top) - self.k
+        planes = [trials if start >> i & 1 else 0 for i in range(top)]
+        full = 0
+        for e in order:
+            carry = words[e] & ~full
+            if carry:
+                taken[e] = carry
+                for i, plane in enumerate(planes):
+                    planes[i] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    full |= carry
+                    if full == trials:
+                        break
+        return taken
+
     def span_start(self):
         return 0  # min(|R|, k): R spans everything once it holds k elements
 
@@ -259,6 +298,50 @@ class GraphicMatroid(Matroid):
                 if cu != cv:
                     state = state.replace(cv, cu)
                     taken |= 1 << e
+        return taken
+
+    def greedy_words(self, order, words):
+        # Bit-sliced component labels: label[v][j] holds bit j of v's label in
+        # every trial. An edge is taken in the trials where its ends' labels
+        # differ, and there v's component takes u's label by a masked select.
+        # Only vertices on a taken edge can share a label, so `label` holds
+        # those alone; any other vertex is its own component in every trial,
+        # labelled by itself, and an edge to it merges it alone.
+        trials = reduce(or_, words, 0)
+        width = range((self.vertices - 1).bit_length())
+        label: dict[int, list[int]] = {}
+        edges, taken = self.edges, [0] * self.n
+        for e in order:
+            offered = words[e]
+            if not offered:
+                continue
+            u, v = edges[e]
+            if v in label and u not in label:
+                u, v = v, u
+            lu = label.get(u) or [trials if u >> j & 1 else 0 for j in width]
+            if v not in label:
+                if u != v:  # v, on no taken edge yet, joins u's component
+                    taken[e] = offered
+                    label[u] = lu
+                    own = (trials if v >> j & 1 else 0 for j in width)
+                    label[v] = [y ^ ((y ^ x) & offered) for x, y in zip(lu, own)]
+                continue
+            lv = label[v]
+            differ = 0
+            for x, y in zip(lu, lv):
+                differ |= x ^ y
+            take = offered & differ  # a loop never differs
+            if not take:
+                continue
+            taken[e] = take
+            for w, lw in label.items():
+                same = take  # the trials where w is in v's component
+                for x, y in zip(lw, lv):
+                    same &= ~(x ^ y)
+                    if not same:
+                        break
+                else:
+                    label[w] = [x ^ ((x ^ y) & same) for x, y in zip(lw, lu)]
         return taken
 
     def _unspanned(self, bits: int, within: int) -> int:
@@ -344,6 +427,8 @@ class RestrictionMatroid(Matroid):
         super().__init__(parent.n)
         self.parent = parent
         self.ground_bits = X.bits & parent.ground_bits
+        if parent.greedy_words is None:
+            self.greedy_words = None  # a kernel only over the parent's
 
     def _independent(self, bits: int) -> bool:
         return bits & ~self.ground_bits == 0 and self.parent._independent(bits)
@@ -353,6 +438,12 @@ class RestrictionMatroid(Matroid):
 
     def greedy_bits(self, order, a_bits):
         return self.parent.greedy_bits(order, a_bits & self.ground_bits)
+
+    def greedy_words(self, order, words):
+        ground = self.ground_bits
+        return self.parent.greedy_words(
+            order, [w if ground >> e & 1 else 0 for e, w in enumerate(words)]
+        )
 
     def span_start(self):
         return self.parent.span_start()
@@ -401,12 +492,17 @@ def verify_axioms(M: Matroid, limit: int = EXHAUSTIVE_LIMIT) -> bool:
 
 
 def matroid_from_spec(spec: dict) -> Matroid:
-    """Build a matroid from its JSON dict form."""
-    kind = spec.get("type")
+    """Build a matroid from its JSON dict form; each field is read by
+    `spec_field`, so a missing or mistyped one raises ValueError naming it."""
+    kind = spec_field(spec, "type")
     if kind == "uniform":
-        return UniformMatroid(int(spec["n"]), int(spec["k"]))
+        return UniformMatroid(int(spec_field(spec, "n")), int(spec_field(spec, "k")))
     if kind == "graphic":
-        return GraphicMatroid(int(spec["vertices"]), [tuple(e) for e in spec["edges"]])
+        return GraphicMatroid(
+            int(spec_field(spec, "vertices")), [tuple(e) for e in spec_field(spec, "edges", list)]
+        )
     if kind == "explicit":
-        return ExplicitMatroid(int(spec["n"]), spec["independent_sets"])
+        return ExplicitMatroid(
+            int(spec_field(spec, "n")), spec_field(spec, "independent_sets", list)
+        )
     raise ValueError(f"unknown matroid type {kind!r}")

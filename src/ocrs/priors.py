@@ -2,9 +2,11 @@
 
 A prior needs only `sample_bits` (`SamplerPrior` adapts a function); the
 explicit, product and all-active priors also report exact activation
-probabilities. `Prior` states p_min and marginal once for every prior:
-p_min is exact when those are known, else estimated from the prior's own
-draws (`Prior.count`), which is all the Monte-Carlo routes read.
+probabilities. `trial_words` draws a batch of active sets sliced, one word
+per element with bit t for draw t, for the sliced balancedness estimate.
+`Prior` states p_min and marginal once for every prior: p_min is exact when
+those are known, else estimated from the prior's own draws (`Prior.count`),
+which is all the Monte-Carlo routes read.
 
 Exact probabilities are kept as Fractions, so enumeration (oracles, exact
 preselection) and the exact draws of `sampling` carry no rounding error.
@@ -20,7 +22,14 @@ from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bitset import DimensionMismatch, SubsetMask, full_mask, iter_bits, mask_of
-from .sampling import EnumerationTooLarge, draw_index, exact_cdf, t_rho_bits, to_fraction
+from .sampling import (
+    EnumerationTooLarge,
+    draw_index,
+    exact_cdf,
+    spec_field,
+    t_rho_bits,
+    to_fraction,
+)
 
 PROB_SUM_TOL = Fraction(1, 10**12)
 MODES = ("exact", "mc", "auto")
@@ -66,6 +75,23 @@ class Prior:
     def sample(self, rng: Random) -> SubsetMask:
         return SubsetMask(self.n, self.sample_bits(rng))
 
+    def trial_words(self, trials: int, rng: Random) -> list[int]:
+        """The active sets of `trials` independent draws, sliced: word e has
+        bit t set when e is active in draw t. By default `trials` calls of
+        `sample_bits`, grouped by atom, so each distinct set is spread over
+        its elements once; priors with a per-element law draw each word
+        directly."""
+        sample = self.sample_bits
+        by_atom: dict[int, int] = {}
+        for t in range(trials):
+            a = sample(rng)
+            by_atom[a] = by_atom.get(a, 0) | 1 << t
+        words = [0] * self.n
+        for a, drawn in by_atom.items():
+            for e in iter_bits(a):
+                words[e] |= drawn
+        return words
+
     def count(
         self, m: int, rng: Random, select: Optional[Callable[[int, Random], int]] = None
     ) -> tuple[list[int], list[int]]:
@@ -73,7 +99,11 @@ class Prior:
 
         Each draw samples an active set a and then, when `select` is given,
         selects `select(a, rng)` from it, in that order on the one rng. This
-        is the library's Monte-Carlo counting loop.
+        is the library's per-trial Monte-Carlo counting loop: every route
+        that counts draws calls it, except `estimate_balancedness` on a
+        scheme and matroid with sliced kernels, which counts whole batches
+        of trials from `trial_words` (see there); the per-trial loop stays
+        its fallback and its test reference.
 
         The counts are bit-sliced: levels[i] holds bit i of every count, the
         selections n bits above the activations, and each draw adds its mask
@@ -280,6 +310,9 @@ class AllActivePrior(ExplicitPrior):
     def sample_bits(self, rng: Random) -> int:
         return self._full
 
+    def trial_words(self, trials: int, rng: Random) -> list[int]:
+        return [full_mask(trials)] * self.n
+
     def to_spec(self) -> dict:
         return {"type": "all_active", "n": self.n}
 
@@ -306,6 +339,10 @@ class ProductPrior(Prior):
         for xi, group in self._groups.items():
             bits |= t_rho_bits(group, xi, rng)
         return bits
+
+    def trial_words(self, trials: int, rng: Random) -> list[int]:
+        every = full_mask(trials)  # element i is active in each trial w.p. x_i
+        return [t_rho_bits(every, xi, rng) for xi in self.x]
 
     def activation_probabilities(self):
         return list(self.x)
@@ -386,19 +423,22 @@ def hidden_element_prior(n: int, alpha, delta, j: int) -> ExplicitPrior:
 
 
 def prior_from_spec(spec: dict) -> Prior:
-    """Build a prior from its JSON dict form."""
-    kind = spec.get("type")
+    """Build a prior from its JSON dict form; each field is read by
+    `spec_field`, so a missing or mistyped one raises ValueError naming it."""
+    kind = spec_field(spec, "type")
     if kind == "explicit":
         return ExplicitPrior(
-            int(spec["n"]),
-            [(atom["elements"], atom["prob"]) for atom in spec["support"]],
+            int(spec_field(spec, "n")),
+            [(spec_field(atom, "elements", list), spec_field(atom, "prob"))
+             for atom in spec_field(spec, "support", list)],
         )
     if kind == "all_active":
-        return AllActivePrior(int(spec["n"]))
+        return AllActivePrior(int(spec_field(spec, "n")))
     if kind == "product":
-        return ProductPrior([to_fraction(x) for x in spec["x"]])
+        return ProductPrior([to_fraction(x) for x in spec_field(spec, "x", list)])
     if kind == "hidden_element":
         return hidden_element_prior(
-            int(spec["n"]), spec["alpha"], spec["delta"], int(spec["j"])
+            int(spec_field(spec, "n")), spec_field(spec, "alpha"), spec_field(spec, "delta"),
+            int(spec_field(spec, "j")),
         )
     raise ValueError(f"unknown prior type {kind!r}")

@@ -2,8 +2,10 @@
 
 Every draw compares fair bits. Per-element draws compare bit planes
 (`_below`): thinning with rho, the prefix subsample (the elements before a
-uniformly placed sentinel) with the sentinel's own uniform; categorical
-draws bisect an integer CDF, with one rejection width per draw. A
+uniformly placed sentinel) with the sentinel's own uniform, for one draw
+or, sliced, for a batch of trials at once (`prefix_subsample_words`, bit t
+of each word for trial t); categorical draws bisect an integer CDF, with
+one rejection width per draw. A
 permutation is drawn by fair-bit Fisher-Yates (`shuffled`), stream-equal to
 `Random.shuffle`: the same `getrandbits` calls, so a seeded order does not
 depend on the stdlib. The prefix law's conditional insertion law,
@@ -49,6 +51,20 @@ def to_fraction(x) -> Fraction:
         return Fraction(x)
     except (TypeError, ZeroDivisionError):
         raise ValueError(f"not a rational number: {x!r}") from None
+
+
+def spec_field(spec, key: str, kind: type = object):
+    """`spec[key]` of a JSON object. A spec that is not an object, a missing
+    field, or a field that is not a `kind` (`list` for a JSON array) raises
+    ValueError naming the field."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"expected an object with field {key!r}, got {spec!r}")
+    if key not in spec:
+        raise ValueError(f"missing field {key!r}")
+    value = spec[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"field {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -154,6 +170,34 @@ def prefix_subsample_bits(n: int, rng: Random) -> int:
 
 def prefix_subsample(n: int, rng: Random) -> SubsetMask:
     return SubsetMask(n, prefix_subsample_bits(n, rng))
+
+
+def prefix_subsample_words(words: Sequence[int], rng: Random) -> list[int]:
+    """`prefix_subsample_bits` over a batch of trials, sliced: words[e] holds
+    the trials (bit t for trial t) in which element e is decided, and the
+    result holds those in which U_e < U_s, for iid uniform U_e(t) and U_s(t).
+    Each level draws one sentinel word, bit t the next digit of U_s(t), then
+    one word for each element still undecided in some trial, compared as in
+    `_below`. So T ∩ a has the prefix law on a in every trial, a the active set."""
+    getrandbits = rng.getrandbits
+    width = max((w.bit_length() for w in words), default=0)
+    undecided = list(words)
+    kept = [0] * len(words)
+    live = [e for e, w in enumerate(words) if w]
+    while live:
+        s = getrandbits(width)
+        still = []
+        for e in live:
+            bits = undecided[e]
+            decided = bits & (s ^ getrandbits(bits.bit_length()))
+            if decided:  # u_i < s_i keeps, u_i > s_i drops
+                kept[e] |= decided & s
+                bits ^= decided
+                undecided[e] = bits
+            if bits:
+                still.append(e)
+        live = still
+    return kept
 
 
 def exact_cdf(weights: Sequence[Fraction]) -> list[int]:

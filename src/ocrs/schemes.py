@@ -11,7 +11,9 @@ are online by construction.
 Each scheme states its own randomness once, in two twins side by side:
 `run_bits` draws it for one pass (Monte-Carlo), and `outcomes` credits
 each element its exact selection probability on one active set (exact
-balancedness).
+balancedness). Greedy and the subsampling schemes also state it sliced,
+`run_words`: one pass per batch of trials, each element's state one word
+with bit t for trial t, on the matroid's sliced greedy (`greedy_words`).
 
 Schemes:
 
@@ -43,7 +45,9 @@ from .sampling import (
     draw_index,
     exact_cdf,
     prefix_subsample_bits,
+    prefix_subsample_words,
     shuffled,
+    spec_field,
     t_rho_bits,
     unspanned_counts,
 )
@@ -72,6 +76,12 @@ class Scheme:
 
     n: int
 
+    # `run_words(M, words, rng)`: `run_bits` over a batch of trials, sliced.
+    # words[e] holds the trials (bit t for trial t) in which e is active; the
+    # result holds those in which e is selected, each trial with run_bits's
+    # law. None: the scheme has no sliced run phase.
+    run_words = None
+
     def run_bits(self, M: Matroid, a_bits: int, rng: Random) -> int:
         raise NotImplementedError
 
@@ -92,6 +102,9 @@ class OrderedGreedy(Scheme):
 
     def run_bits(self, M, a_bits, rng):
         return greedy_ordered_bits(M, self.order.order, a_bits)
+
+    def run_words(self, M, words, rng):
+        return M.greedy_words(self.order.order, words)
 
     def outcomes(self, M, a_bits):
         yield Fraction(1), greedy_ordered_bits(M, self.order.order, a_bits)
@@ -139,6 +152,11 @@ class IndependentSubsampling(_Subsampling):
         t = t_rho_bits(self._full, self.rho, rng)
         return greedy_ordered_bits(M, self.order.order, a_bits & t)
 
+    def run_words(self, M, words, rng):
+        # Each element is thinned in the trials where it is active: its keep
+        # bit elsewhere is never read.
+        return M.greedy_words(self.order.order, [t_rho_bits(a, self.rho, rng) for a in words])
+
     def to_spec(self):
         return {
             "kind": "independent_subsampling",
@@ -161,6 +179,9 @@ class PrefixSubsampling(_Subsampling):
     def run_bits(self, M, a_bits, rng):
         t = prefix_subsample_bits(self.n, rng)
         return greedy_ordered_bits(M, self.order.order, a_bits & t)
+
+    def run_words(self, M, words, rng):
+        return M.greedy_words(self.order.order, prefix_subsample_words(words, rng))
 
     def to_spec(self):
         return {"kind": "prefix_subsampling", "order": list(self.order.order)}
@@ -313,21 +334,26 @@ def _num_str(x):
 def scheme_from_spec(spec: dict) -> Scheme:
     """Inverse of `to_spec`. Numbers are read by `to_fraction` (in the
     constructors for rho and mixture weights), so a JSON float means its
-    decimal digits."""
-    kind = spec.get("kind")
+    decimal digits. Each field is read by `spec_field`, so a missing or
+    mistyped one raises ValueError naming it."""
+    kind = spec_field(spec, "kind")
     if kind == "ordered_greedy":
-        return OrderedGreedy(Permutation(spec["order"]))
+        return OrderedGreedy(Permutation(spec_field(spec, "order")))
     if kind == "independent_subsampling":
-        return IndependentSubsampling(Permutation(spec["order"]), spec["rho"])
+        return IndependentSubsampling(
+            Permutation(spec_field(spec, "order")), spec_field(spec, "rho")
+        )
     if kind == "prefix_subsampling":
-        return PrefixSubsampling(Permutation(spec["order"]))
+        return PrefixSubsampling(Permutation(spec_field(spec, "order")))
     if kind == "permutation_mixture":
         return PermutationMixture(
-            [(Permutation(c["order"]), c["weight"]) for c in spec["components"]]
+            [(Permutation(spec_field(c, "order")), spec_field(c, "weight"))
+             for c in spec_field(spec, "components", list)]
         )
     if kind == "weight_mixture":
         return WeightMixture(
-            spec["secretary"],
-            [([to_fraction(x) for x in c["w"]], c["weight"]) for c in spec["components"]],
+            spec_field(spec, "secretary"),
+            [([to_fraction(x) for x in spec_field(c, "w", list)], spec_field(c, "weight"))
+             for c in spec_field(spec, "components", list)],
         )
     raise ValueError(f"unknown scheme kind {kind!r}")

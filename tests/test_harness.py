@@ -404,6 +404,34 @@ class TestCli:
         assert sum("error:" in line for line in err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, case",
+        [
+            ("components", {"kind": "permutation_mixture", "components": 5}),
+            ("w", {"kind": "weight_mixture", "secretary": "greedy_by_weight",
+                   "components": [{"w": 5, "weight": 1}]}),
+            ("support", {**two_element_instance().to_spec(),
+                         "prior": {"type": "explicit", "n": 2, "support": 5}}),
+            ("independent_sets", {**two_element_instance().to_spec(),
+                                  "matroid": {"type": "explicit", "n": 2, "independent_sets": 5}}),
+            ("declared_alpha", {k: v for k, v in two_element_instance().to_spec().items()
+                                if k != "declared_alpha"}),
+        ],
+        ids=["components", "component-w", "support", "independent-sets", "no-declared-alpha"],
+    )
+    def test_malformed_spec_field_exits_2_naming_it(self, tmp_path, capsys, field, case):
+        # A number where a list belongs ended in "TypeError: 'int' object is not
+        # iterable", and a missing field printed only its bare name.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(case))
+        if "matroid" in case:
+            argv = ["oracle-alpha", "--instance", str(path)]
+        else:
+            argv = ["evaluate", "--instance", "twoelem", "--scheme", str(path), "--trials", "10"]
+        assert cli_run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and f"field '{field}'" in err[0], err
+
     @pytest.mark.parametrize("command", ["run", "evaluate"])
     @pytest.mark.parametrize(
         "flag",
@@ -536,7 +564,20 @@ class TestCli:
 
 class TestGoldenOutputs:
     """Seeded CLI outputs pinned to literals: greedy, the grower and the
-    exact scan walk each family's span state, and none of them may move."""
+    exact scan walk each family's span state, and none of them may move.
+    A pinned Monte-Carlo row must also lie within the 1 - 1e-9 Hoeffding
+    half-width of its exact value, which no seed misses by chance."""
+
+    # Exact tight values: the hats base edge (element 34) under thinning at
+    # 1/4, and the last element of kuniform:30,15 under the prefix scheme.
+    HATS_BASE_EDGE = Fraction(1, 4) * Fraction(15, 16) ** 17
+    KUNIFORM_LAST = Fraction(4, 31)
+
+    @staticmethod
+    def assert_near_exact(row: str, exact: Fraction) -> None:
+        _, active, selected, *_ = row.split(",")
+        half = hoeffding_halfwidth(1 - 1e-9, int(active))
+        assert abs(Fraction(int(selected), int(active)) - exact) <= half, row
 
     def test_evaluate_graphic_greedy(self, tmp_path):
         rc = cli_run(
@@ -548,58 +589,59 @@ class TestGoldenOutputs:
         lines = (tmp_path / "ev.csv").read_text().splitlines()
         assert lines[:2] == [
             "element,active_count,selected_count,estimate,ci_lo,ci_hi",
-            "0,2000,519,0.2595,0.22310522919927908,0.2958947708007209",
+            "0,2000,506,0.253,0.21660522919927908,0.28939477080072096",
         ]
         assert [line.split(",")[1:3] for line in lines[1:]] == [
             ["2000", str(c)]
             for c in [
-                519, 479, 523, 540, 477, 515, 506, 505, 526, 528, 488, 496, 485,
-                499, 491, 523, 531, 485, 498, 491, 503, 441, 468, 480, 455, 422,
-                449, 471, 432, 455, 458, 458, 440, 439, 152, 513, 351,
+                506, 513, 507, 490, 513, 511, 552, 491, 525, 505, 504, 479, 506,
+                508, 527, 500, 492, 525, 462, 522, 454, 445, 484, 428, 450, 463,
+                416, 481, 424, 423, 403, 392, 416, 411, 179, 527, 381,
             ]
         ]
+        self.assert_near_exact(lines[1 + 34], self.HATS_BASE_EDGE)
 
     # `evaluate --instance parallel-hats:1/2 --scheme indep --order canonical
     # --trials 2000 --seed 7 --out P`: P.csv in full.
     HATS_CSV = """\
 element,active_count,selected_count,estimate,ci_lo,ci_hi
-0,2000,519,0.2595,0.22310522919927908,0.2958947708007209
-1,2000,479,0.2395,0.20310522919927906,0.2758947708007209
-2,2000,523,0.2615,0.22510522919927908,0.2978947708007209
-3,2000,540,0.27,0.2336052291992791,0.306394770800721
-4,2000,477,0.2385,0.20210522919927906,0.2748947708007209
-5,2000,515,0.2575,0.22110522919927908,0.2938947708007209
-6,2000,506,0.253,0.21660522919927908,0.28939477080072096
-7,2000,505,0.2525,0.21610522919927908,0.2888947708007209
-8,2000,526,0.263,0.22660522919927908,0.29939477080072097
-9,2000,528,0.264,0.22760522919927909,0.30039477080072097
-10,2000,488,0.244,0.20760522919927907,0.28039477080072095
-11,2000,496,0.248,0.21160522919927907,0.28439477080072095
-12,2000,485,0.2425,0.20610522919927907,0.2788947708007209
-13,2000,499,0.2495,0.21310522919927907,0.2858947708007209
-14,2000,491,0.2455,0.20910522919927907,0.2818947708007209
-15,2000,523,0.2615,0.22510522919927908,0.2978947708007209
-16,2000,531,0.2655,0.2291052291992791,0.3018947708007209
-17,2000,485,0.2425,0.20610522919927907,0.2788947708007209
-18,2000,498,0.249,0.21260522919927907,0.28539477080072095
-19,2000,491,0.2455,0.20910522919927907,0.2818947708007209
-20,2000,503,0.2515,0.21510522919927907,0.2878947708007209
-21,2000,441,0.2205,0.18410522919927907,0.25689477080072093
-22,2000,468,0.234,0.1976052291992791,0.27039477080072094
-23,2000,480,0.24,0.20360522919927906,0.27639477080072095
-24,2000,455,0.2275,0.19110522919927908,0.26389477080072093
-25,2000,422,0.211,0.17460522919927907,0.24739477080072092
-26,2000,449,0.2245,0.18810522919927908,0.26089477080072093
-27,2000,471,0.2355,0.19910522919927906,0.2718947708007209
-28,2000,432,0.216,0.17960522919927907,0.2523947708007209
-29,2000,455,0.2275,0.19110522919927908,0.26389477080072093
-30,2000,458,0.229,0.19260522919927908,0.26539477080072094
-31,2000,458,0.229,0.19260522919927908,0.26539477080072094
-32,2000,440,0.22,0.18360522919927907,0.25639477080072093
-33,2000,439,0.2195,0.18310522919927907,0.2558947708007209
-34,2000,152,0.076,0.03960522919927907,0.11239477080072093
-35,2000,513,0.2565,0.22010522919927908,0.2928947708007209
-36,2000,351,0.1755,0.13910522919927906,0.21189477080072092
+0,2000,506,0.253,0.21660522919927908,0.28939477080072096
+1,2000,513,0.2565,0.22010522919927908,0.2928947708007209
+2,2000,507,0.2535,0.21710522919927908,0.2898947708007209
+3,2000,490,0.245,0.20860522919927907,0.28139477080072095
+4,2000,513,0.2565,0.22010522919927908,0.2928947708007209
+5,2000,511,0.2555,0.21910522919927908,0.2918947708007209
+6,2000,552,0.276,0.2396052291992791,0.312394770800721
+7,2000,491,0.2455,0.20910522919927907,0.2818947708007209
+8,2000,525,0.2625,0.22610522919927908,0.2988947708007209
+9,2000,505,0.2525,0.21610522919927908,0.2888947708007209
+10,2000,504,0.252,0.21560522919927907,0.28839477080072096
+11,2000,479,0.2395,0.20310522919927906,0.2758947708007209
+12,2000,506,0.253,0.21660522919927908,0.28939477080072096
+13,2000,508,0.254,0.21760522919927908,0.29039477080072096
+14,2000,527,0.2635,0.22710522919927909,0.2998947708007209
+15,2000,500,0.25,0.21360522919927907,0.28639477080072095
+16,2000,492,0.246,0.20960522919927907,0.28239477080072095
+17,2000,525,0.2625,0.22610522919927908,0.2988947708007209
+18,2000,462,0.231,0.19460522919927908,0.26739477080072094
+19,2000,522,0.261,0.22460522919927908,0.29739477080072096
+20,2000,454,0.227,0.19060522919927908,0.26339477080072093
+21,2000,445,0.2225,0.18610522919927908,0.25889477080072093
+22,2000,484,0.242,0.20560522919927907,0.27839477080072095
+23,2000,428,0.214,0.17760522919927907,0.2503947708007209
+24,2000,450,0.225,0.18860522919927908,0.26139477080072093
+25,2000,463,0.2315,0.19510522919927908,0.26789477080072094
+26,2000,416,0.208,0.17160522919927906,0.24439477080072092
+27,2000,481,0.2405,0.20410522919927906,0.2768947708007209
+28,2000,424,0.212,0.17560522919927907,0.24839477080072092
+29,2000,423,0.2115,0.17510522919927907,0.24789477080072092
+30,2000,403,0.2015,0.16510522919927909,0.23789477080072094
+31,2000,392,0.196,0.15960522919927908,0.23239477080072093
+32,2000,416,0.208,0.17160522919927906,0.24439477080072092
+33,2000,411,0.2055,0.16910522919927906,0.24189477080072092
+34,2000,179,0.0895,0.05310522919927907,0.12589477080072092
+35,2000,527,0.2635,0.22710522919927909,0.2998947708007209
+36,2000,381,0.1905,0.15410522919927908,0.22689477080072093
 """
 
     # `evaluate --instance kuniform:30,15 --scheme prefix --order canonical
@@ -607,36 +649,36 @@ element,active_count,selected_count,estimate,ci_lo,ci_hi
     # matroid stops at its k-th active arrival; this pins that exit.
     KUNIFORM_CSV = """\
 element,active_count,selected_count,estimate,ci_lo,ci_hi
-0,2000,974,0.487,0.45060522919927903,0.5233947708007209
-1,2000,999,0.4995,0.4631052291992791,0.5358947708007209
-2,2000,980,0.49,0.45360522919927904,0.526394770800721
-3,2000,1010,0.505,0.46860522919927905,0.541394770800721
-4,2000,976,0.488,0.45160522919927903,0.5243947708007209
-5,2000,983,0.4915,0.4551052291992791,0.5278947708007209
-6,2000,996,0.498,0.46160522919927904,0.534394770800721
-7,2000,1009,0.5045,0.468105229199279,0.5408947708007209
-8,2000,1022,0.511,0.47460522919927906,0.547394770800721
-9,2000,1001,0.5005,0.464105229199279,0.5368947708007209
-10,2000,990,0.495,0.45860522919927904,0.531394770800721
-11,2000,985,0.4925,0.4561052291992791,0.5288947708007209
-12,2000,980,0.49,0.45360522919927904,0.526394770800721
-13,2000,1003,0.5015,0.465105229199279,0.5378947708007209
-14,2000,999,0.4995,0.4631052291992791,0.5358947708007209
-15,2000,883,0.4415,0.40510522919927905,0.47789477080072096
-16,2000,763,0.3815,0.3451052291992791,0.4178947708007209
-17,2000,723,0.3615,0.3251052291992791,0.3978947708007209
-18,2000,625,0.3125,0.27610522919927905,0.34889477080072095
-19,2000,570,0.285,0.24860522919927905,0.3213947708007209
-20,2000,513,0.2565,0.22010522919927908,0.2928947708007209
-21,2000,431,0.2155,0.17910522919927907,0.2518947708007209
-22,2000,467,0.2335,0.1971052291992791,0.26989477080072094
-23,2000,382,0.191,0.15460522919927908,0.22739477080072093
-24,2000,381,0.1905,0.15410522919927908,0.22689477080072093
-25,2000,333,0.1665,0.13010522919927908,0.20289477080072094
-26,2000,311,0.1555,0.11910522919927907,0.19189477080072093
-27,2000,296,0.148,0.11160522919927907,0.18439477080072092
-28,2000,265,0.1325,0.09610522919927908,0.16889477080072093
-29,2000,268,0.134,0.09760522919927908,0.17039477080072093
+0,2000,951,0.4755,0.4391052291992791,0.5118947708007209
+1,2000,984,0.492,0.45560522919927904,0.528394770800721
+2,2000,999,0.4995,0.4631052291992791,0.5358947708007209
+3,2000,991,0.4955,0.4591052291992791,0.5318947708007209
+4,2000,1001,0.5005,0.464105229199279,0.5368947708007209
+5,2000,996,0.498,0.46160522919927904,0.534394770800721
+6,2000,957,0.4785,0.4421052291992791,0.5148947708007209
+7,2000,1041,0.5205,0.484105229199279,0.5568947708007209
+8,2000,987,0.4935,0.4571052291992791,0.5298947708007209
+9,2000,967,0.4835,0.4471052291992791,0.5198947708007209
+10,2000,998,0.499,0.46260522919927904,0.535394770800721
+11,2000,996,0.498,0.46160522919927904,0.534394770800721
+12,2000,997,0.4985,0.4621052291992791,0.5348947708007209
+13,2000,951,0.4755,0.4391052291992791,0.5118947708007209
+14,2000,980,0.49,0.45360522919927904,0.526394770800721
+15,2000,867,0.4335,0.39710522919927904,0.46989477080072095
+16,2000,791,0.3955,0.3591052291992791,0.4318947708007209
+17,2000,693,0.3465,0.3101052291992791,0.3828947708007209
+18,2000,622,0.311,0.2746052291992791,0.3473947708007209
+19,2000,562,0.281,0.2446052291992791,0.317394770800721
+20,2000,541,0.2705,0.2341052291992791,0.3068947708007209
+21,2000,448,0.224,0.18760522919927908,0.26039477080072093
+22,2000,451,0.2255,0.18910522919927908,0.26189477080072093
+23,2000,408,0.204,0.16760522919927906,0.2403947708007209
+24,2000,403,0.2015,0.16510522919927909,0.23789477080072094
+25,2000,350,0.175,0.13860522919927906,0.21139477080072092
+26,2000,345,0.1725,0.13610522919927906,0.2088947708007209
+27,2000,320,0.16,0.12360522919927908,0.19639477080072093
+28,2000,260,0.13,0.09360522919927908,0.16639477080072093
+29,2000,258,0.129,0.09260522919927908,0.16539477080072093
 """
 
     def test_evaluate_files_byte_for_byte(self, tmp_path):
@@ -647,6 +689,7 @@ element,active_count,selected_count,estimate,ci_lo,ci_hi
         )
         assert rc == 0
         assert (tmp_path / "P.csv").read_bytes() == self.HATS_CSV.encode()
+        self.assert_near_exact(self.HATS_CSV.splitlines()[1 + 34], self.HATS_BASE_EDGE)
         # P.json holds the same rows, as numbers keyed by the CSV header
         # (a float's repr reads back to the same float), and the run's context.
         header, *rows = (line.split(",") for line in self.HATS_CSV.splitlines())
@@ -661,7 +704,7 @@ element,active_count,selected_count,estimate,ci_lo,ci_hi
                            "rho": "1/4"},
                 "seed": 7,
             },
-            "min_estimate": 0.076,
+            "min_estimate": 0.0895,
             "trials": 2000,
         }
         want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -675,6 +718,7 @@ element,active_count,selected_count,estimate,ci_lo,ci_hi
         )
         assert rc == 0
         assert (tmp_path / "K.csv").read_bytes() == self.KUNIFORM_CSV.encode()
+        self.assert_near_exact(self.KUNIFORM_CSV.splitlines()[1 + 29], self.KUNIFORM_LAST)
 
     @pytest.mark.parametrize(
         "kind, order", [("indep", [5, 4, 3, 2, 1, 0]), ("prefix", [5, 4, 3, 2, 0, 1])]

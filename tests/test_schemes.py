@@ -303,6 +303,14 @@ class TestClassicSecretary:
         c = measure_competitiveness(m, "greedy_by_weight", (1, 3, 2, 5), 50, Random(2))
         assert c == 1.0
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("w", [(0.9, 0.4, 1.3, 0.7, 1.1), (0.1, 0.2, 0.7), (0.3, 0.3, 0.3)])
+    def test_float_weights_are_summed_exactly(self, w, k):
+        # Summed as floats, (0.9, 0.4, 1.3, 0.7, 1.1) at k = 2 over 1,000 trials
+        # read 1.0000000000000187, outside the (0, 1] a claimed competitiveness takes.
+        m = UniformMatroid(len(w), k)
+        assert measure_competitiveness(m, "greedy_by_weight", w, 1000, Random(2)) == 1.0
+
     def test_competitiveness_refusals(self):
         m = UniformMatroid(3, 1)
         with pytest.raises(ValueError, match="unknown secretary kind 'nope'"):
