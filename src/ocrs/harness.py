@@ -301,6 +301,8 @@ def measure_competitiveness(
     so only the returned float is rounded: a 1-competitive run reads 1.0."""
     if secretary_kind not in SECRETARY_KINDS:
         raise ValueError(f"unknown secretary kind {secretary_kind!r}")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     full = SubsetMask.full(M.n)
     exact_w = [to_fraction(x) for x in w]
     opt = M.weighted_rank(exact_w, full)

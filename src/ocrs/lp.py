@@ -20,9 +20,9 @@ Monte-Carlo mode, the unrestricted LP over the estimated columns.
 Each build keeps one restricted master (`RestrictedMaster`): a single
 `simplex.Tableau`, solved by both phases once, to which every later column
 is added and re-optimised by phase 2 from the basis the last solve ended
-on. Columns enter as they are: the tableau rescales a row when an entry
-needs it (`simplex` module docstring), so neither mode states its
-denominators. `solve_restricted` is the cold solve of the same LP, kept
+on. Columns enter as they are: the tableau scales each added column by
+the factor its denominators need (`simplex` module docstring), so neither
+mode states its denominators. `solve_restricted` is the cold solve of the same LP, kept
 as the cross-check.
 """
 

@@ -496,13 +496,13 @@ def matroid_from_spec(spec: dict) -> Matroid:
     `spec_field`, so a missing or mistyped one raises ValueError naming it."""
     kind = spec_field(spec, "type")
     if kind == "uniform":
-        return UniformMatroid(int(spec_field(spec, "n")), int(spec_field(spec, "k")))
+        return UniformMatroid(spec_field(spec, "n", int), spec_field(spec, "k", int))
     if kind == "graphic":
         return GraphicMatroid(
-            int(spec_field(spec, "vertices")), [tuple(e) for e in spec_field(spec, "edges", list)]
+            spec_field(spec, "vertices", int), spec_field(spec, "edges", [(int, int)])
         )
     if kind == "explicit":
         return ExplicitMatroid(
-            int(spec_field(spec, "n")), spec_field(spec, "independent_sets", list)
+            spec_field(spec, "n", int), spec_field(spec, "independent_sets", [[int]])
         )
     raise ValueError(f"unknown matroid type {kind!r}")

@@ -428,17 +428,17 @@ def prior_from_spec(spec: dict) -> Prior:
     kind = spec_field(spec, "type")
     if kind == "explicit":
         return ExplicitPrior(
-            int(spec_field(spec, "n")),
-            [(spec_field(atom, "elements", list), spec_field(atom, "prob"))
+            spec_field(spec, "n", int),
+            [(spec_field(atom, "elements", [int]), spec_field(atom, "prob"))
              for atom in spec_field(spec, "support", list)],
         )
     if kind == "all_active":
-        return AllActivePrior(int(spec_field(spec, "n")))
+        return AllActivePrior(spec_field(spec, "n", int))
     if kind == "product":
         return ProductPrior([to_fraction(x) for x in spec_field(spec, "x", list)])
     if kind == "hidden_element":
         return hidden_element_prior(
-            int(spec_field(spec, "n")), spec_field(spec, "alpha"), spec_field(spec, "delta"),
-            int(spec_field(spec, "j")),
+            spec_field(spec, "n", int), spec_field(spec, "alpha"), spec_field(spec, "delta"),
+            spec_field(spec, "j", int),
         )
     raise ValueError(f"unknown prior type {kind!r}")

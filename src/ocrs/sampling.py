@@ -53,17 +53,35 @@ def to_fraction(x) -> Fraction:
         raise ValueError(f"not a rational number: {x!r}") from None
 
 
-def spec_field(spec, key: str, kind: type = object):
+def _has_shape(value, kind) -> bool:
+    if isinstance(kind, type):
+        return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    if not isinstance(value, list):
+        return False
+    items = kind * len(value) if isinstance(kind, list) else kind
+    return len(value) == len(items) and all(map(_has_shape, value, items))
+
+
+def _shape_name(kind) -> str:
+    if isinstance(kind, type):
+        return kind.__name__
+    items = [_shape_name(k) for k in kind] + (["..."] if isinstance(kind, list) else [])
+    return f"[{', '.join(items)}]"
+
+
+def spec_field(spec, key: str, kind=object):
     """`spec[key]` of a JSON object. A spec that is not an object, a missing
-    field, or a field that is not a `kind` (`list` for a JSON array) raises
-    ValueError naming the field."""
+    field, or a field not of shape `kind` raises ValueError naming the field.
+    A shape is a type (`int` takes no bool or float), `[k]` for an array of
+    shape-k items, or a tuple for an array of exactly those shapes:
+    `[(int, int)]` is an array of int pairs."""
     if not isinstance(spec, dict):
         raise ValueError(f"expected an object with field {key!r}, got {spec!r}")
     if key not in spec:
         raise ValueError(f"missing field {key!r}")
     value = spec[key]
-    if not isinstance(value, kind):
-        raise ValueError(f"field {key!r} must be a {kind.__name__}, got {value!r}")
+    if not _has_shape(value, kind):
+        raise ValueError(f"field {key!r} must be {_shape_name(kind)}, got {value!r}")
     return value
 
 

@@ -22,19 +22,16 @@ Gomory 1961; Dantzig and Wolfe 1960). Adding a column leaves the current
 basis primal feasible, so the next `solve` runs phase 2 only, from that
 basis. The new column enters as B^-1 a: the artificial block of the
 tableau holds D * B^-1 of the scaled rows, so its tableau column is
-sum_r T[i][art0 + r] * a_r over the column's scaled entries a_r, an
-integer when every a_r is. An entry whose a_r is not first has its row
-rescaled by the factor f it misses. T = D * B^-1 M with D = |det B| and
-M = [A | slacks | artificials | b], row r's slack and artificial unit
-columns. Row r times f, those two kept, is M' = S M E (S scales row r, E
-divides the two columns by f). If neither is basic, B' = S B: D' = f D and
-T' = f T E, every entry outside the two columns times f. If one is basic
-in row i (a slack, or an artificial before phase 1 or in a row phase 1
-dropped as redundant), B' = S B E_B: D' = D and T' = E_B^-1 T E, row i
-times f outside the two columns, which are 0 in every other row. Either
-way T' is the Bareiss tableau of the rescaled system, so later pivots
-divide exactly, and scale[r] *= f keeps the duals (scale[r] * val / D)
-and the phase-1 costs reading the unscaled row; no caller scales a row.
+sum_r T[i][art0 + r] * a_r over the column's scaled entries a_r. Rows keep
+the scale they were given at construction; an added column carries its
+own. Its entries times their rows' scales are multiplied by f_j, the lcm
+of the denominators left, so the column is integral and holds the
+variable x_j / f_j. It is then one more integer column of the scaled
+system, so the tableau stays D * B^-1 of it and later pivots divide
+exactly. Phase 2 prices the column at c_j * f_j, and `solve` reports
+x_j = f_j times its value. A positive column factor changes neither the
+sign of a reduced cost nor the order of a column's ratios, so Bland's
+rule pivots as it would on the unscaled column.
 `solve_lp` is the one-shot use of the same object.
 
 Problem form (all variables nonnegative):
@@ -90,8 +87,8 @@ def _integer_multiple(values: Sequence) -> tuple[list[int], int]:
 
 
 class Tableau:
-    """One LP's integer tableau, its basis and its row scaling, kept across
-    solves so that columns can be added and the LP re-optimised.
+    """One LP's integer tableau, its basis and its row and column scaling,
+    kept across solves so that columns can be added and the LP re-optimised.
 
     The first `solve` runs both phases; after `add_column`, `solve` runs
     phase 2 from the basis the last solve ended on. Each solve returns the
@@ -111,6 +108,9 @@ class Tableau:
         b_ub = list(b_ub or [])
         A_eq = [list(r) for r in (A_eq or [])]
         b_eq = list(b_eq or [])
+        for name, A, b in (("A_eq", A_eq, b_eq), ("A_ub", A_ub, b_ub)):
+            if len(A) != len(b):
+                raise ValueError(f"{name} has length {len(A)} but its right-hand side {len(b)}")
         self.c = [_rational(ci) for ci in c]
         self.maximize = maximize
         nv = len(self.c)
@@ -123,11 +123,11 @@ class Tableau:
         width = nv + ns + m  # vars | slacks | artificials
         art0 = nv + ns
 
-        # Row r is multiplied by flip[r] * scale[r] (scale > 0) to make it integral
-        # with a nonnegative right-hand side. Its slack and its artificial keep unit
-        # entries, so each stands for scale[r] times that of the unscaled row.
+        # Row r is multiplied, here and only here, by scale[r]: the lcm of its
+        # denominators, negated where that makes the right-hand side nonnegative.
+        # Its slack and its artificial stand for |scale[r]| times those of the
+        # unscaled row.
         self.tab = []
-        self.flip = []
         self.scale = []
         for r, (coeffs, b) in enumerate(rows):
             if len(coeffs) != nv:
@@ -136,14 +136,15 @@ class Tableau:
             row = ints[:nv] + [0] * (width - nv) + ints[nv:]
             if r >= n_eq:
                 row[nv + (r - n_eq)] = 1
-            sign = -1 if b < 0 else 1
-            if sign < 0:
+            if b < 0:
                 row = [-v for v in row]
+                s = -s
             row[art0 + r] = 1
             self.tab.append(row)
-            self.flip.append(sign)
             self.scale.append(s)
 
+        # Column j holds the variable x_j / col_scale[j], so c[j] is c_j * col_scale[j].
+        self.col_scale = [1] * nv
         self.basis = [art0 + r for r in range(m)]
         self.den = 1  # shared denominator: the tableau's values are tab[i][j] / den
         self.dropped = None  # rows found redundant by phase 1; None until it has run
@@ -206,22 +207,10 @@ class Tableau:
             self._pivot(leaving, entering)
             iters += 1
 
-    def _rescale(self, r: int, f: int) -> None:
-        """Multiply row r of the system by f > 1, keeping the unit entries of
-        its slack and artificial (the two cases of the module docstring)."""
-        nv = len(self.c)
-        units = {nv + self.ns + r} | ({nv + r - self.n_eq} if r >= self.n_eq else set())
-        basic = [row for row, b in zip(self.tab, self.basis) if b in units]
-        if not basic:
-            self.den *= f
-        for row in basic or self.tab:
-            row[:] = [v if j in units else f * v for j, v in enumerate(row)]
-        self.scale[r] *= f
-
     def add_column(self, a_ub: Sequence = (), a_eq: Sequence = (), cost=0) -> None:
         """Append a structural variable with entries `a_eq` in the equality
-        rows and `a_ub` in the inequality rows; it enters nonbasic at 0. A row
-        where an entry is not an integer once scaled is rescaled first."""
+        rows and `a_ub` in the inequality rows; it enters nonbasic at 0,
+        multiplied by the factor that makes it integral under the rows' scales."""
         nv = len(self.c)
         column = list(a_eq) + list(a_ub)
         if len(a_eq) != self.n_eq or len(a_ub) != self.ns:
@@ -229,18 +218,14 @@ class Tableau:
                 f"column has {len(a_eq)} equality and {len(a_ub)} inequality entries, "
                 f"expected {self.n_eq} and {self.ns}"
             )
-        scaled = []
-        for r, v in enumerate(column):
-            v = _rational(v) * self.scale[r]
-            if v.denominator > 1:
-                self._rescale(r, v.denominator)
-            scaled.append(self.flip[r] * v.numerator)
+        scaled, f = _integer_multiple([_rational(v) * s for v, s in zip(column, self.scale)])
         art0 = nv + self.ns
         tab = self.tab
         for row in tab:
             row.insert(nv, sum(row[art0 + r] * v for r, v in enumerate(scaled) if v))
         self.basis = [b + (b >= nv) for b in self.basis]
-        self.c.append(_rational(cost))
+        self.c.append(_rational(cost) * f)
+        self.col_scale.append(f)
         # A row phase 1 found redundant holds a basic artificial at 0. If the new
         # column reaches it, pivot the column in there: the row's right-hand side
         # is 0, so the basis stays feasible, and the row is no longer redundant.
@@ -258,14 +243,14 @@ class Tableau:
         width = art0 + m
         iters = 0
         if self.dropped is None:
-            # Phase 1: drive artificials to zero. Artificial r costs 1/scale[r], so
+            # Phase 1: drive artificials to zero. Artificial r costs 1/|scale[r]|, so
             # the phase-1 objective is the unscaled artificials' sum; scaled to
             # integers.
             lcm_scale = math.lcm(*self.scale)
-            cost1 = [0] * art0 + [lcm_scale // s for s in self.scale]
+            cost1 = [0] * art0 + [lcm_scale // abs(s) for s in self.scale]
             iters = self._run(cost1, width)
             residual = sum(
-                Fraction(tab[i][width], self.den * self.scale[b - art0])
+                Fraction(tab[i][width], self.den * abs(self.scale[b - art0]))
                 for i, b in enumerate(basis)
                 if b >= art0
             )
@@ -291,18 +276,18 @@ class Tableau:
         x = [Fraction(0)] * nv
         for i, b in enumerate(basis):
             if b < nv:
-                x[b] = Fraction(tab[i][width], den)
-        objective = sum((self.c[b] * x[b] for b in basis if b < nv), Fraction(0))
-
-        # Duals y = c_B B^-1: artificial columns of the final tableau hold B^-1 of
-        # the scaled rows; undo the row scaling, the flip, the cost scaling and
-        # the max sign. A still-basic artificial's row gets y_r = c_B e_i = 0.
+                x[b] = Fraction(self.col_scale[b] * tab[i][width], den)
         sense = -1 if self.maximize else 1
         priced = [(i, cost2[b]) for i, b in enumerate(basis) if cost2[b]]
+        objective = Fraction(sense * sum(ci * tab[i][width] for i, ci in priced), den * cost_scale)
+
+        # Duals y = c_B B^-1: artificial columns of the final tableau hold B^-1 of
+        # the scaled rows; undo the row scaling, the cost scaling and the max
+        # sign. A still-basic artificial's row gets y_r = c_B e_i = 0.
         y = []
         for r in range(m):
             val = sum(ci * tab[i][art0 + r] for i, ci in priced)
-            y.append(Fraction(sense * self.flip[r] * self.scale[r] * val, den * cost_scale))
+            y.append(Fraction(sense * self.scale[r] * val, den * cost_scale))
         return LpResult(
             x=x,
             objective=objective,

@@ -416,12 +416,30 @@ class TestCli:
                                   "matroid": {"type": "explicit", "n": 2, "independent_sets": 5}}),
             ("declared_alpha", {k: v for k, v in two_element_instance().to_spec().items()
                                 if k != "declared_alpha"}),
+            ("independent_sets", {**two_element_instance().to_spec(),
+                                  "matroid": {"type": "explicit", "n": 2, "independent_sets": [5]}}),
+            ("edges", {**two_element_instance().to_spec(),
+                       "matroid": {"type": "graphic", "vertices": 3, "edges": [5, 6]}}),
+            ("edges", {**two_element_instance().to_spec(),
+                       "matroid": {"type": "graphic", "vertices": 3, "edges": [[0, 1, 2], [1, 2]]}}),
+            ("n", {**two_element_instance().to_spec(),
+                   "matroid": {"type": "uniform", "n": [2], "k": 1}}),
+            ("n", {**two_element_instance().to_spec(),
+                   "matroid": {"type": "uniform", "n": "two", "k": 1}}),
+            ("k", {**two_element_instance().to_spec(),
+                   "matroid": {"type": "uniform", "n": 2, "k": 1.5}}),
+            ("elements", {**two_element_instance().to_spec(),
+                          "prior": {"type": "explicit", "n": 2,
+                                    "support": [{"elements": [0, "a"], "prob": "1"}]}}),
         ],
-        ids=["components", "component-w", "support", "independent-sets", "no-declared-alpha"],
+        ids=["components", "component-w", "support", "independent-sets", "no-declared-alpha",
+             "independent-set-item", "edge-item", "edge-triple", "uniform-n-list",
+             "uniform-n-string", "uniform-k-float", "atom-element"],
     )
     def test_malformed_spec_field_exits_2_naming_it(self, tmp_path, capsys, field, case):
         # A number where a list belongs ended in "TypeError: 'int' object is not
-        # iterable", and a missing field printed only its bare name.
+        # iterable", a missing field printed only its bare name, an item of the
+        # wrong type escaped as a TypeError, and int() read k = 1.5 as 1.
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(case))
         if "matroid" in case:

@@ -456,8 +456,8 @@ class TestRestrictedMaster:
         x = [Fraction(1, 2), Fraction(1, 2)]
         master = RestrictedMaster(LpColumn("a", [Fraction(1, 2), Fraction(0)]), x)
         assert master.solve().beta == 0
-        # A third is no multiple of x's halves: the row is rescaled, the column
-        # enters whole, and lam = (2/5, 3/5) reaches beta = 2/5 on both rows.
+        # A third is no multiple of x's halves: the column is scaled by 3, enters
+        # whole, and lam = (2/5, 3/5) reaches beta = 2/5 on both rows.
         master.add(LpColumn("b", [Fraction(0), Fraction(1, 3)]))
         sol = master.solve()
         assert sol.beta == Fraction(2, 5) and sol.lam == [Fraction(2, 5), Fraction(3, 5)]

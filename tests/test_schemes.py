@@ -317,6 +317,9 @@ class TestClassicSecretary:
             measure_competitiveness(m, "nope", (1, 2, 3), 10, NoDraws())
         with pytest.raises(ValueError, match="offline optimum is zero"):
             measure_competitiveness(m, "greedy_by_weight", (0, 0, 0), 10, NoDraws())
+        for trials in (0, -1):  # 0 divided Fraction(0) by 0 trials
+            with pytest.raises(ValueError, match="at least one trial"):
+                measure_competitiveness(m, "greedy_by_weight", (1, 2, 3), trials, NoDraws())
 
 
 class TestWeightMixture:

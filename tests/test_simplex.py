@@ -66,6 +66,16 @@ class TestBasics:
         assert res.dual_ub == [-1]
         assert res.dual_ub[0] * F(-2) == res.objective
 
+    def test_right_hand_side_of_another_length_is_refused(self):
+        # zip truncated the longer side: two rows solved as one, or an
+        # equality dropped and objective 0 returned
+        with pytest.raises(ValueError, match="A_ub has length 2 but its right-hand side 1"):
+            solve_lp([1], A_ub=[[1], [1]], b_ub=[1], maximize=True)
+        with pytest.raises(ValueError, match="A_eq has length 1 but its right-hand side 0"):
+            solve_lp([1, 1], A_eq=[[1, 1]], b_eq=[])
+        with pytest.raises(ValueError, match="A_ub has length 0 but its right-hand side 1"):
+            Tableau([1], b_ub=[1])
+
     def test_float_mode(self):
         res = solve_lp([1.0, 1.0], A_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 2.0], maximize=True)
         assert abs(res.objective - 3.0) < 1e-9
@@ -213,14 +223,16 @@ class TestWarmTableau:
     """`Tableau.add_column` then `solve` re-optimises from the basis the last
     solve ended on; every solve must agree with a cold `solve_lp` of the
     same columns. Added entries have denominators the rows need not have,
-    so rows are rescaled, with their slack and artificial nonbasic or basic:
-    before phase 1, after it, and in rows phase 1 dropped as redundant."""
+    so the column is scaled by the factor they miss, while the rows keep
+    their scales: before phase 1, after it, and in rows phase 1 dropped as
+    redundant."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(exact_lps(), st.data())
     def test_added_columns_match_a_cold_solve(self, lp, data):
-        # `small` and fifths, which no row of `exact_lps` holds
-        entry = st.one_of(small, st.builds(Fraction, st.integers(-4, 4), st.just(5)))
+        # `small`, fifths and sevenths, which no row of `exact_lps` holds, so one
+        # column may need the lcm of two missing denominators
+        entry = st.one_of(small, st.builds(Fraction, st.integers(-4, 4), st.sampled_from([5, 7])))
         tableau = Tableau(**lp)
         steps = data.draw(st.integers(1, 4))
         for step in range(steps):
@@ -248,8 +260,9 @@ class TestWarmTableau:
 
     def test_a_dropped_row_is_rescaled(self):
         # x1 + x2 = 1 twice over: phase 1 drops the second row, its artificial
-        # left basic at 0. A fifth in that row rescales it, and the column
-        # then pivots in there, since it makes the row independent.
+        # left basic at 0. A fifth in that row scales the column by 5, which
+        # then pivots in there, since it makes the row independent; x3 reads
+        # 5 times the value of its scaled column.
         lp = dict(c=[F(1), F(2)], A_ub=[], b_ub=[], A_eq=[[F(1), F(1)], [F(2), F(2)]],
                   b_eq=[F(1), F(2)], maximize=False)
         tableau = Tableau(**lp)
@@ -260,6 +273,21 @@ class TestWarmTableau:
         res = tableau.solve()
         assert res.objective == solve_lp(**lp).objective
         _assert_optimal(lp, res)
+
+    def test_added_column_leaves_the_tableau_as_it_was(self):
+        # Rows are scaled once, at construction: a column of thirds, fifths and
+        # sevenths changes no existing entry, no row scale and not den.
+        lp = dict(c=[F(1), F(1)], A_ub=[[F(1, 2), F(1)], [F(1), F(3)]], b_ub=[F(2), F(3)],
+                  A_eq=[[F(1), F(1)]], b_eq=[F(1)], maximize=True)
+        tableau = Tableau(**lp)
+        for _ in range(2):  # before the first solve and after it
+            before = [list(row) for row in tableau.tab], list(tableau.scale), tableau.den
+            nv = len(tableau.c)
+            tableau.add_column(a_ub=[F(1, 3), F(2, 7)], a_eq=[F(1, 5)], cost=F(1, 2))
+            after = [row[:nv] + row[nv + 1:] for row in tableau.tab]
+            assert (after, tableau.scale, tableau.den) == before
+            assert tableau.col_scale[nv] == 105  # 1/5, 1/3 * 2 (row scale 2), 2/7
+            tableau.solve()
 
     def test_wrong_length_is_refused_then_reoptimised(self):
         tableau = Tableau([1], A_ub=[[1]], b_ub=[1], maximize=True)
