@@ -12,7 +12,7 @@ from functools import partial
 from random import Random
 from typing import Optional
 
-from .bitset import DimensionMismatch, SubsetMask, iter_bits
+from .bitset import DimensionMismatch, SubsetMask
 from .matroid import GraphicMatroid, ExplicitMatroid, Matroid, UniformMatroid, matroid_from_spec
 from .priors import (
     AllActivePrior,
@@ -23,7 +23,7 @@ from .priors import (
     to_fraction,
 )
 from .sampling import Permutation, spec_field
-from .schemes import Scheme, secretary_wrap_bits, SECRETARY_KINDS
+from .schemes import SECRETARY_KINDS, Scheme, by_weight_arrivals, secretary_wrap_bits
 
 
 @dataclass
@@ -69,7 +69,7 @@ class Instance:
             name=spec.get("name", "instance"),
             matroid=matroid,
             prior=prior_from_spec(spec_field(spec, "prior")),
-            declared_alpha=to_fraction(spec_field(spec, "declared_alpha")),
+            declared_alpha=spec_field(spec, "declared_alpha", Fraction),
             canonical_order=None if order is None else Permutation(order),
             provenance=spec.get("provenance", ""),
         )
@@ -296,21 +296,18 @@ def measure_competitiveness(
 ) -> float:
     """Average ratio of the secretary algorithm's selected weight to the
     offline optimum, over fresh arrival orders (no active-set masking).
-    Each element's selections are counted as ints and the ratio
-    sum_e w_e count_e / (trials OPT) is formed in Fractions (`to_fraction`),
-    so only the returned float is rounded: a 1-competitive run reads 1.0."""
+    `Prior.count` on an all-active prior, which draws nothing, counts the
+    selections, and sum_e w_e count_e / (trials OPT) is formed in Fractions
+    (`to_fraction`): only the returned float is rounded, 1-competitive is 1.0."""
     if secretary_kind not in SECRETARY_KINDS:
         raise ValueError(f"unknown secretary kind {secretary_kind!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    full = SubsetMask.full(M.n)
     exact_w = [to_fraction(x) for x in w]
-    opt = M.weighted_rank(exact_w, full)
+    opt = M.weighted_rank(exact_w, SubsetMask.full(M.n))
     if opt <= 0:
         raise ValueError("offline optimum is zero; competitiveness undefined")
-    counts = [0] * M.n
-    for _ in range(trials):
-        for e in iter_bits(secretary_wrap_bits(secretary_kind, w, M, full.bits, rng)):
-            counts[e] += 1
+    select = partial(secretary_wrap_bits, secretary_kind, w, M, arrivals=by_weight_arrivals(w))
+    _, counts = AllActivePrior(M.n).count(trials, rng, select)
     total = sum((x * c for x, c in zip(exact_w, counts) if c), Fraction(0))
     return float(total / (trials * opt))

@@ -15,8 +15,8 @@ Each comes in a Monte-Carlo flavour (counters over m joint samples, with a
 supports, which marginalises the subsample onto each atom A: one span-state
 scan over A ∩ S (`sampling.unspanned_counts`) counts the keep/drop patterns
 that leave the candidate unspanned, by how many they keep, and the law
-weighs them by that number alone. It refuses before step 1 an atom past the
-limit of `sampling.SubsampleLaw`. `priors.exact_or_sampled` picks the flavour.
+weighs them by that number alone. A scan past `sampling.SCAN_BUDGET` refuses
+before any draw; `priors.exact_or_sampled` picks the flavour, and falls back.
 """
 
 from __future__ import annotations
@@ -132,10 +132,8 @@ def _exact_unspanned_prob(M: Matroid, P: Prior, j: int, law: SubsampleLaw, drawn
     def unspanned(atom: int):
         if atom & jbit:
             pool = atom & drawn_on
-            r = popcount(pool)
-            law.check(r)
-            w = law.weights(r)
             free = unspanned_counts(M, [*iter_bits(pool & ~jbit), j])[-1]
+            w = law.weights(popcount(pool))
             prob = sum(c * w[s] for s, c in enumerate(free) if c)
             if prob:
                 yield prob, jbit
@@ -163,19 +161,24 @@ def _preselect(M, P, cfg, rng, prefix_mode: bool) -> Permutation:
     n = M.n
     threshold = cfg.alpha if prefix_mode else cfg.alpha / 2
 
+    def fill(qualifying) -> Permutation:
+        order = [0] * n
+        remaining = full_mask(n)
+        for i in range(n, 0, -1):
+            chosen = next(qualifying(SubsetMask(n, remaining)), -1)
+            if chosen < 0:
+                raise NoQualifyingElement(i, order[i:])
+            order[i - 1] = chosen
+            remaining &= ~(1 << chosen)
+        return Permutation(order)
+
     def exact():
-        law = PrefixLaw() if prefix_mode else IndependentLaw(threshold)
-
-        def fits(atom: int):  # fail fast: every positive atom is checked before step 1
-            law.check(popcount(atom))
-            return ((1, atom),)
-
-        probs = P.exact_count(fits)
+        live = ~P.never_active_bits
         if prefix_mode:
             stat = lambda S, j: exact_unspanned_prob_prefix(M, P, S, j)
         else:
             stat = lambda S, j: exact_unspanned_prob_independent(M, P, S, j, threshold)
-        return lambda S: (j for j in iter_bits(S.bits) if probs[j] and stat(S, j) >= threshold)
+        return fill(lambda S: (j for j in iter_bits(S.bits & live) if stat(S, j) >= threshold))
 
     def sampled():
         m = cfg.sample_override or sample_size(
@@ -193,18 +196,9 @@ def _preselect(M, P, cfg, rng, prefix_mode: bool) -> Permutation:
             # never-sampled elements cannot qualify; conservative choice
             return (j for j in iter_bits(S.bits) if act[j] and unspanned[j] * den >= num * act[j])
 
-        return qualifying
+        return fill(qualifying)
 
-    qualifying = exact_or_sampled(P, cfg.mode, exact, sampled)
-    order = [0] * n
-    remaining = full_mask(n)
-    for i in range(n, 0, -1):
-        chosen = next(qualifying(SubsetMask(n, remaining)), -1)
-        if chosen < 0:
-            raise NoQualifyingElement(i, order[i:])
-        order[i - 1] = chosen
-        remaining &= ~(1 << chosen)
-    return Permutation(order)
+    return exact_or_sampled(P, cfg.mode, exact, sampled)
 
 
 def preselect_independent(M: Matroid, P: Prior, cfg: PreselectConfig, rng: Random) -> Permutation:

@@ -429,16 +429,16 @@ def prior_from_spec(spec: dict) -> Prior:
     if kind == "explicit":
         return ExplicitPrior(
             spec_field(spec, "n", int),
-            [(spec_field(atom, "elements", [int]), spec_field(atom, "prob"))
+            [(spec_field(atom, "elements", [int]), spec_field(atom, "prob", Fraction))
              for atom in spec_field(spec, "support", list)],
         )
     if kind == "all_active":
         return AllActivePrior(spec_field(spec, "n", int))
     if kind == "product":
-        return ProductPrior([to_fraction(x) for x in spec_field(spec, "x", list)])
+        return ProductPrior(spec_field(spec, "x", [Fraction]))
     if kind == "hidden_element":
         return hidden_element_prior(
-            spec_field(spec, "n", int), spec_field(spec, "alpha"), spec_field(spec, "delta"),
-            spec_field(spec, "j", int),
+            spec_field(spec, "n", int), spec_field(spec, "alpha", Fraction),
+            spec_field(spec, "delta", Fraction), spec_field(spec, "j", int),
         )
     raise ValueError(f"unknown prior type {kind!r}")

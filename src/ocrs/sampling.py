@@ -17,7 +17,8 @@ Exact consumers do not enumerate subsamples. Greedy selects e exactly when
 e is kept and stays outside the span of the kept active elements before it,
 so every exact quantity is a sum over span states: `unspanned_counts` scans
 an order once, counting keep/drop patterns by (span state, number kept), and
-each law weighs a pattern by its size alone (`SubsampleLaw.weights`).
+each law weighs a pattern by its size alone (`SubsampleLaw.weights`). The
+scan's own work, against SCAN_BUDGET, is the one limit on exact subsampling.
 """
 
 from __future__ import annotations
@@ -53,36 +54,42 @@ def to_fraction(x) -> Fraction:
         raise ValueError(f"not a rational number: {x!r}") from None
 
 
-def _has_shape(value, kind) -> bool:
+def _read(value, kind):
+    """`value` read as shape `kind`; ValueError when it has another shape."""
     if isinstance(kind, type):
-        return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
-    if not isinstance(value, list):
-        return False
-    items = kind * len(value) if isinstance(kind, list) else kind
-    return len(value) == len(items) and all(map(_has_shape, value, items))
+        if kind is Fraction and not isinstance(value, bool):
+            return to_fraction(value)
+        if (type(value) is int and value >= 0) if kind is int else isinstance(value, kind):
+            return value
+    elif isinstance(value, list):
+        items = kind * len(value) if isinstance(kind, list) else kind
+        if len(value) == len(items):
+            return [_read(v, k) for v, k in zip(value, items)]
+    raise ValueError
 
 
 def _shape_name(kind) -> str:
     if isinstance(kind, type):
-        return kind.__name__
+        return {int: "int >= 0", Fraction: "rational"}.get(kind, kind.__name__)
     items = [_shape_name(k) for k in kind] + (["..."] if isinstance(kind, list) else [])
     return f"[{', '.join(items)}]"
 
 
 def spec_field(spec, key: str, kind=object):
-    """`spec[key]` of a JSON object. A spec that is not an object, a missing
-    field, or a field not of shape `kind` raises ValueError naming the field.
-    A shape is a type (`int` takes no bool or float), `[k]` for an array of
-    shape-k items, or a tuple for an array of exactly those shapes:
-    `[(int, int)]` is an array of int pairs."""
+    """`spec[key]` of a JSON object, read as shape `kind`; a non-object spec, a
+    missing field or another shape raises ValueError naming the field. A shape
+    is a type (`int`: a count or index, no bool, float or negative; `Fraction`:
+    what `to_fraction` reads), `[k]` for an array of shape-k items, or a tuple
+    for exactly those shapes in an array: `[(int, int)]` is an array of pairs."""
     if not isinstance(spec, dict):
         raise ValueError(f"expected an object with field {key!r}, got {spec!r}")
     if key not in spec:
         raise ValueError(f"missing field {key!r}")
     value = spec[key]
-    if not _has_shape(value, kind):
-        raise ValueError(f"field {key!r} must be {_shape_name(kind)}, got {value!r}")
-    return value
+    try:
+        return _read(value, kind)
+    except ValueError:
+        raise ValueError(f"field {key!r} must be {_shape_name(kind)}, got {value!r}") from None
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -235,6 +242,9 @@ def draw_index(cdf: list[int], rng: Random) -> int:
     return bisect_right(cdf, u)
 
 
+SCAN_BUDGET = 2**18  # the cells a span scan may pass (`unspanned_counts`)
+
+
 def unspanned_counts(M, elements: Sequence[int]) -> list[list[int]]:
     """For each e = elements[t], by s: how many of the 2^t keep/drop patterns
     over elements[:t] keep s elements and leave e outside the span of those
@@ -242,11 +252,18 @@ def unspanned_counts(M, elements: Sequence[int]) -> list[list[int]]:
     (`Matroid.span_step`), so the work grows with the number of states, not
     with 2^t. A state's counts by s are packed into one int, count s in bits
     s*width and up (no count exceeds 2^t < 2^width), so keeping an element
-    is one shift and merging two states one addition."""
+    is one shift and merging two states one addition. It raises
+    `EnumerationTooLarge` past SCAN_BUDGET cells: before step t it adds its
+    states times their t + 1 counts, so any scan of at most 14 elements fits
+    (at most 2^t states at step t, 212,993 cells)."""
     width = len(elements) + 1
     states = {M.span_start(): 1}
     free_by_t = []
-    for e in elements:
+    cells = 0
+    for t, e in enumerate(elements):
+        cells += len(states) * (t + 1)
+        if cells > SCAN_BUDGET:
+            raise EnumerationTooLarge(f"span scan passes its budget of {SCAN_BUDGET} cells")
         free = 0
         after: dict = {}
         for state, counts in states.items():
@@ -269,15 +286,8 @@ class SubsampleLaw:
     sentinel is uniform), and Pr[T ∩ a = B] depends only on |a| and |B|:
     `weights(r)` lists it by |B| for |a| = r. So exact consumers weigh the
     keep/drop patterns of `unspanned_counts` over an active atom, not over
-    the ground set; `limit` bounds |a|, the same for both laws.
+    the ground set, and the scan's budget is their only limit by size.
     """
-
-    limit = 13
-
-    def check(self, r: int) -> None:
-        """Raise `EnumerationTooLarge` when |a| = r exceeds `limit`."""
-        if r > self.limit:
-            raise EnumerationTooLarge(f"{type(self).__name__} on {r} elements; limit {self.limit}")
 
 
 class IndependentLaw(SubsampleLaw):
@@ -299,8 +309,8 @@ class PrefixLaw(SubsampleLaw):
 
 
 # Each law's weights are built once per (rho, r): the exact routes ask for
-# them once per atom, candidate and arrival. The keys stay few: r is checked
-# against `limit` first, and a run uses a handful of rho values.
+# them once per atom, candidate and arrival. The keys stay few: r <= 723 once
+# a scan of r elements fits SCAN_BUDGET, and a run uses a handful of rho values.
 @functools.cache
 def _independent_weights(rho: Fraction, r: int) -> tuple[Fraction, ...]:
     return tuple(rho**s * (1 - rho) ** (r - s) for s in range(r + 1))

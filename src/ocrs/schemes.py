@@ -126,7 +126,6 @@ class _Subsampling(Scheme):
         # pattern with s of them kept has probability weights(t + 1)[s + 1],
         # the law on A restricted to those t + 1 elements.
         active = [e for e in self.order.order if a_bits >> e & 1]
-        self.law.check(len(active))
         for t, (e, free) in enumerate(zip(active, unspanned_counts(M, active))):
             w = self.law.weights(t + 1)
             prob = sum(c * w[s + 1] for s, c in enumerate(free) if c)
@@ -332,28 +331,27 @@ def _num_str(x):
 
 
 def scheme_from_spec(spec: dict) -> Scheme:
-    """Inverse of `to_spec`. Numbers are read by `to_fraction` (in the
-    constructors for rho and mixture weights), so a JSON float means its
-    decimal digits. Each field is read by `spec_field`, so a missing or
-    mistyped one raises ValueError naming it."""
+    """Inverse of `to_spec`. Each field is read by `spec_field`, so a missing
+    or mistyped one raises ValueError naming it; numbers are read as
+    `Fraction`, so a JSON float means its decimal digits."""
     kind = spec_field(spec, "kind")
     if kind == "ordered_greedy":
         return OrderedGreedy(Permutation(spec_field(spec, "order")))
     if kind == "independent_subsampling":
         return IndependentSubsampling(
-            Permutation(spec_field(spec, "order")), spec_field(spec, "rho")
+            Permutation(spec_field(spec, "order")), spec_field(spec, "rho", Fraction)
         )
     if kind == "prefix_subsampling":
         return PrefixSubsampling(Permutation(spec_field(spec, "order")))
     if kind == "permutation_mixture":
         return PermutationMixture(
-            [(Permutation(spec_field(c, "order")), spec_field(c, "weight"))
+            [(Permutation(spec_field(c, "order")), spec_field(c, "weight", Fraction))
              for c in spec_field(spec, "components", list)]
         )
     if kind == "weight_mixture":
         return WeightMixture(
             spec_field(spec, "secretary"),
-            [([to_fraction(x) for x in spec_field(c, "w", list)], spec_field(c, "weight"))
+            [(spec_field(c, "w", [Fraction]), spec_field(c, "weight", Fraction))
              for c in spec_field(spec, "components", list)],
         )
     raise ValueError(f"unknown scheme kind {kind!r}")

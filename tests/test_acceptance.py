@@ -197,10 +197,21 @@ def test_c06_prefix_scheme_tight_instance():
         (e3.ci_lo <= 0.15 <= e3.ci_hi, f"MC estimate {e3.estimate} CI [{e3.ci_lo},{e3.ci_hi}]")
     )
 
-    big = Fraction(10 * 11, 2 * 20 * 21)  # n=20, k=10
+    # Past 13 elements, exactly: the span scan holds k + 1 uniform states.
+    last = {}
+    for n, k in ((20, 10), (30, 15)):
+        tight = gen_kuniform_allactive(n, k)
+        bal = exact_balancedness(tight.matroid, PrefixSubsampling(tight.canonical_order), tight.prior)
+        last[n] = bal[-1]
+        checks.append(
+            (bal[-1] == min(bal) == Fraction(k * (k + 1), 2 * n * (n + 1)),
+             f"kuniform:{n},{k} exact last-element balance {bal[-1]}, minimum {min(bal)}")
+        )
+    checks.append((last[30] == Fraction(4, 31), f"n=30 value {last[30]}"))
+    big = last[20]
     checks.append((big == Fraction(11, 84) and big >= Fraction(1, 8), f"n=20 value {big}"))
     checks.append((big - Fraction(1, 8) < Fraction(3, 20) - Fraction(1, 8), "no shrink toward limit"))
-    announce("Criterion 6: prefix-scheme tight instance (exact 3/20, MC, limit trend)", checks)
+    announce("Criterion 6: prefix-scheme tight instance (exact 3/20, 11/84, 4/31; MC; limit trend)", checks)
 
 
 def test_c07_independent_scheme_tight_instance():
@@ -220,6 +231,16 @@ def test_c07_independent_scheme_tight_instance():
     )
     checks.append((base_edge.estimate >= 0.5**2 / 4, f"floor: {base_edge.estimate} < 0.0625"))
     checks.append((rep.min_estimate() >= 0.5**2 / 4 - 0.002, "some element under the floor"))
+    # Exact where the span scan fits its budget: the base edge with m hats
+    # is (1/4)(15/16)^m. The full 37 edges stay Monte-Carlo.
+    for m in (6, 7):
+        hats = gen_parallel_hats(Fraction(1, 2), m_override=m)
+        bal = exact_balancedness(
+            hats.matroid, IndependentSubsampling(hats.canonical_order, Fraction(1, 4)), hats.prior
+        )
+        checks.append(
+            (bal[2 * m] == Fraction(1, 4) * Fraction(15, 16) ** m, f"m={m} exact base edge {bal[2 * m]}")
+        )
     announce("Criterion 7: independent-scheme tight instance (base edge ~ 0.0835)", checks)
 
 

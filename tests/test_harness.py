@@ -431,15 +431,39 @@ class TestCli:
             ("elements", {**two_element_instance().to_spec(),
                           "prior": {"type": "explicit", "n": 2,
                                     "support": [{"elements": [0, "a"], "prob": "1"}]}}),
+            ("independent_sets", {**two_element_instance().to_spec(),
+                                  "matroid": {"type": "explicit", "n": 2,
+                                              "independent_sets": [[], [-1]]}}),
+            ("elements", {**two_element_instance().to_spec(),
+                          "prior": {"type": "explicit", "n": 2,
+                                    "support": [{"elements": [-1], "prob": "1"}]}}),
+            ("edges", {**two_element_instance().to_spec(),
+                       "matroid": {"type": "graphic", "vertices": 3, "edges": [[0, -1], [1, 2]]}}),
+            ("x", {**two_element_instance().to_spec(),
+                   "prior": {"type": "product", "x": ["a", "1/2"]}}),
+            ("prob", {**two_element_instance().to_spec(),
+                      "prior": {"type": "explicit", "n": 2,
+                                "support": [{"elements": [0], "prob": "x"}]}}),
+            ("declared_alpha", {**two_element_instance().to_spec(), "declared_alpha": "zz"}),
+            ("rho", {"kind": "independent_subsampling", "order": [0, 1], "rho": "zz"}),
+            ("weight", {"kind": "permutation_mixture",
+                        "components": [{"order": [0, 1], "weight": True}]}),
+            ("w", {"kind": "weight_mixture", "secretary": "greedy_by_weight",
+                   "components": [{"w": ["a", 1], "weight": 1}]}),
         ],
         ids=["components", "component-w", "support", "independent-sets", "no-declared-alpha",
              "independent-set-item", "edge-item", "edge-triple", "uniform-n-list",
-             "uniform-n-string", "uniform-k-float", "atom-element"],
+             "uniform-n-string", "uniform-k-float", "atom-element", "independent-set-negative",
+             "atom-element-negative", "edge-negative", "product-x-literal", "atom-prob-literal",
+             "declared-alpha-literal", "rho-literal", "component-weight-bool",
+             "component-w-literal"],
     )
     def test_malformed_spec_field_exits_2_naming_it(self, tmp_path, capsys, field, case):
         # A number where a list belongs ended in "TypeError: 'int' object is not
         # iterable", a missing field printed only its bare name, an item of the
-        # wrong type escaped as a TypeError, and int() read k = 1.5 as 1.
+        # wrong type escaped as a TypeError, and int() read k = 1.5 as 1. A
+        # negative index printed "negative shift count", and a rational that
+        # does not parse "Invalid literal for Fraction", neither naming the field.
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(case))
         if "matroid" in case:
@@ -551,33 +575,63 @@ class TestCli:
             ("kuniform:8,4", "prefix", "exact"),
             ("kuniform:9,4", "prefix", "exact"),
             ("kuniform:13,6", "prefix", "exact"),
-            ("kuniform:14,7", "prefix", "monte_carlo"),
+            ("kuniform:14,7", "prefix", "exact"),
             ("kuniform:13,6", "indep", "exact"),
-            ("kuniform:14,7", "indep", "monte_carlo"),
-            ("kuniform:30,15", "prefix", "monte_carlo"),
-            ("kuniform:30,15", "indep", "monte_carlo"),
+            ("kuniform:14,7", "indep", "exact"),
+            ("kuniform:30,15", "prefix", "exact"),
+            ("kuniform:30,15", "indep", "exact"),
+            ("parallel-hats:1/2,m=8", "prefix", "monte_carlo"),
+            ("parallel-hats:1/2,m=8", "indep", "monte_carlo"),
         ],
     )
     def test_auto_mode_is_exact_when_the_support_fits(self, monkeypatch, instance, kind, mode):
-        # Every statistic is stubbed to qualify each candidate; the test reads
-        # which family _preselect asks, exact or Monte-Carlo.
+        # Every statistic that answers is stubbed to qualify each candidate;
+        # the test reads which family _preselect asks, exact or Monte-Carlo.
+        # An exact statistic still runs its span scan first, which refuses
+        # past the budget (8 hats, all active), and auto falls back.
         seen = []
 
-        def exact_stat(*args):
-            seen.append("exact")
-            return Fraction(1)
+        def stub_exact(stat):
+            def exact_stat(*args):
+                stat(*args)
+                seen.append("exact")
+                return Fraction(1)
+
+            return exact_stat
 
         def mc_stat(M, *args):
             seen.append("monte_carlo")
             return [1] * M.n, [1] * M.n
 
         for law in ("independent", "prefix"):
-            monkeypatch.setattr(preselect, "exact_unspanned_prob_" + law, exact_stat)
+            stat = getattr(preselect, "exact_unspanned_prob_" + law)
+            monkeypatch.setattr(preselect, "exact_unspanned_prob_" + law, stub_exact(stat))
             monkeypatch.setattr(preselect, "count_span_stats_" + law, mc_stat)
         for argv in (["preselect", "--kind", kind], ["run", "--scheme", kind]):
             seen.clear()
             assert cli_run(argv + ["--instance", instance, "--mode", "auto"]) == 0
             assert seen and set(seen) == {mode}
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["preselect", "--kind", "prefix"], ["preselect", "--kind", "indep"],
+         ["run", "--scheme", "prefix"]],
+        ids=["preselect-prefix", "preselect-indep", "run-prefix"],
+    )
+    def test_over_budget_auto_prints_what_mc_prints(self, capsys, argv):
+        # 8 hats, all active: the exact route's first span scan passes the
+        # budget. Exact exits 2 naming it; auto falls back before any draw,
+        # so its stdout is Monte-Carlo's, byte for byte.
+        argv = argv + ["--instance", "parallel-hats:1/2,m=8", "--samples", "300", "--seed", "5"]
+        assert cli_run(argv + ["--mode", "exact"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "budget" in err[0], err
+        outs = []
+        for mode in ("auto", "mc"):
+            assert cli_run(argv + ["--mode", mode]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0]
 
 
 class TestGoldenOutputs:

@@ -22,6 +22,7 @@ from ocrs import (
     exact_balancedness,
     gen_hidden_element,
     gen_kuniform_allactive,
+    gen_parallel_hats,
     max_uncontentious_alpha,
     parse_instance,
     scheme_from_spec,
@@ -204,14 +205,22 @@ class TestExactBalancedness:
             exact_balancedness(m, mix, AllActivePrior(2))
 
     def test_guards(self):
+        # The span scan's budget is the one limit by size. Uniform atoms hold
+        # at most k + 1 states, so 15 and 14 elements are exact; 8 hats (19
+        # edges, all active) pass the budget and refuse under both laws.
         big = gen_kuniform_allactive(15, 2)
-        with pytest.raises(EnumerationTooLarge):
-            exact_balancedness(
-                big.matroid, IndependentSubsampling(Permutation.identity(15), Fraction(1, 2)), big.prior
-            )
+        bal = exact_balancedness(
+            big.matroid, IndependentSubsampling(Permutation.identity(15), Fraction(1, 2)), big.prior
+        )
+        assert bal[-1] == Fraction(1, 2) * Fraction(15, 2**14)  # kept, and < 2 of 14 kept
         big14 = gen_kuniform_allactive(14, 2)
-        with pytest.raises(EnumerationTooLarge):
-            exact_balancedness(big14.matroid, PrefixSubsampling(Permutation.identity(14)), big14.prior)
+        bal = exact_balancedness(big14.matroid, PrefixSubsampling(Permutation.identity(14)), big14.prior)
+        assert bal[-1] == Fraction(2 * 3, 2 * 14 * 15)  # the tight k(k+1)/(2n(n+1))
+        hats = gen_parallel_hats(Fraction(1, 2), m_override=8)
+        order = hats.canonical_order
+        for scheme in (IndependentSubsampling(order, Fraction(1, 4)), PrefixSubsampling(order)):
+            with pytest.raises(EnumerationTooLarge, match="budget"):
+                exact_balancedness(hats.matroid, scheme, hats.prior)
 
     def test_float_spec_weights_read_exactly(self):
         # JSON floats 0.1 and 0.9 mean 1/10 and 9/10, not their binary values.

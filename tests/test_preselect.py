@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ocrs import (
     ExplicitPrior,
+    GraphicMatroid,
     IndependentSubsampling,
     NoQualifyingElement,
     PreselectConfig,
@@ -139,16 +140,29 @@ class TestExactProbabilities:
                 assert q == Fraction(min(k, i_sz), i_sz)
 
     def test_independent_enumeration_guard(self):
+        # The span scan's budget is the one limit: 14 uniform elements hold
+        # at most k + 1 states and are exact (escape iff j and all but at most
+        # one of the 13 others are thinned away); 8 hats, all active, refuse.
         inst = gen_kuniform_allactive(14, 2)
-        with pytest.raises(EnumerationTooLarge):
+        q = exact_unspanned_prob_independent(
+            inst.matroid, inst.prior, SubsetMask.full(14), 0, Fraction(1, 2)
+        )
+        assert q == Fraction(1, 2) * Fraction(1 + 13, 2**13)
+        hats = gen_parallel_hats(Fraction(1, 2), m_override=8)
+        with pytest.raises(EnumerationTooLarge, match="budget"):
             exact_unspanned_prob_independent(
-                inst.matroid, inst.prior, SubsetMask.full(14), 0, Fraction(1, 2)
+                hats.matroid, hats.prior, SubsetMask.full(hats.matroid.n), 0, Fraction(1, 4)
             )
 
     def test_prefix_enumeration_guard(self):
         inst = gen_kuniform_allactive(15, 2)  # the law is drawn on the 14 others
-        with pytest.raises(EnumerationTooLarge):
-            exact_unspanned_prob_prefix(inst.matroid, inst.prior, SubsetMask.full(15), 0)
+        q = exact_unspanned_prob_prefix(inst.matroid, inst.prior, SubsetMask.full(15), 0)
+        assert q == Fraction(2, 15)  # min(k, |S|) / |S|, as on small S
+        hats = gen_parallel_hats(Fraction(1, 2), m_override=8)
+        with pytest.raises(EnumerationTooLarge, match="budget"):
+            exact_unspanned_prob_prefix(
+                hats.matroid, hats.prior, SubsetMask.full(hats.matroid.n), 0
+            )
 
     def test_opaque_prior_rejected(self):
         p = SamplerPrior(3, lambda r: 0b111)
@@ -188,19 +202,25 @@ class TestPreselectExact:
 
     @pytest.mark.parametrize("law, n", [("independent", 15), ("prefix", 15)])
     def test_oversized_atom_fails_before_any_statistic(self, monkeypatch, law, n):
-        # {1..n-1} exceeds the limit of 13 elements; the exact route refuses
-        # before step 1, and auto goes to Monte-Carlo at once.
-        M = UniformMatroid(n, 1)
-        P = ExplicitPrior(n, [({0}, Fraction(1, 2)), (range(1, n), Fraction(1, 2))])
-        calls = []
+        # A star's edges are independent, so a span scan over all n of them
+        # holds 2^t states at step t and passes the budget: the first
+        # statistic refuses before it answers and before any draw, and auto
+        # falls back onto the stream a Monte-Carlo run sees.
+        M = GraphicMatroid(n + 1, [(0, v) for v in range(1, n + 1)])
+        P = ExplicitPrior(n, [({0}, Fraction(1, 2)), (range(n), Fraction(1, 2))])
+        answered = []
         stat = getattr(preselect, "exact_unspanned_prob_" + law)
-        monkeypatch.setattr(
-            preselect, "exact_unspanned_prob_" + law, lambda *a: calls.append(a) or stat(*a)
-        )
+
+        def counted(*args):
+            q = stat(*args)
+            answered.append(q)
+            return q
+
+        monkeypatch.setattr(preselect, "exact_unspanned_prob_" + law, counted)
         run = getattr(preselect, "preselect_" + law)
-        with pytest.raises(EnumerationTooLarge):
-            run(M, P, PreselectConfig(alpha=Fraction(1, 2), mode="exact"), Random(0))
-        assert calls == []
+        with pytest.raises(EnumerationTooLarge, match="budget"):
+            run(M, P, PreselectConfig(alpha=Fraction(1, 2), mode="exact"), NoDraws())
+        assert answered == []
 
         def outcome(mode):
             cfg = PreselectConfig(alpha=Fraction(1, 2), mode=mode, sample_override=50)
@@ -210,7 +230,7 @@ class TestPreselectExact:
                 return err.step, err.suffix
 
         assert outcome("auto") == outcome("mc")
-        assert calls == []
+        assert answered == []
 
     def test_never_active_element_is_skipped_then_fails(self, rng):
         # element 1 never active: conservative rule keeps it unqualified, so
@@ -225,30 +245,21 @@ class TestPreselectExact:
         assert str(exc.value) == "no qualifying element at step 1 (positions 1..1 filled)"
 
     @pytest.mark.parametrize("law", ["independent", "prefix"])
-    @pytest.mark.parametrize("n", [9, 13, 14])
+    @pytest.mark.parametrize("n", [9, 13, 14, 30])
     def test_takes_the_atoms_exact_balancedness_takes(self, law, n):
-        # One limit: exact preselection succeeds exactly when the exact
-        # evaluation of the scheme it builds does; both refuse 14 elements
-        # before any draw, though the prefix statistic enumerates the atom
-        # less its candidate.
+        # One limit, the span scan's budget: exact preselection succeeds
+        # exactly when the exact evaluation of the scheme it builds does.
+        # Uniform atoms hold at most k + 1 states, so both take every n here,
+        # though the prefix statistic scans the atom less its candidate.
         inst = gen_kuniform_allactive(n, n // 2)
         M, P, alpha = inst.matroid, inst.prior, inst.declared_alpha
         run = getattr(preselect, "preselect_" + law)
-        try:
-            order = run(M, P, PreselectConfig(alpha=alpha, mode="exact"), NoDraws())
-        except EnumerationTooLarge:
-            order = None
+        order = run(M, P, PreselectConfig(alpha=alpha, mode="exact"), NoDraws())
         if law == "independent":
-            scheme, floor = IndependentSubsampling(order or inst.canonical_order, alpha / 2), 4
+            scheme, floor = IndependentSubsampling(order, alpha / 2), 4
         else:
-            scheme, floor = PrefixSubsampling(order or inst.canonical_order), 2
-        try:
-            bal = exact_balancedness(M, scheme, P)
-        except EnumerationTooLarge:
-            bal = None
-        assert (order is None) == (bal is None) == (n > 13)
-        if bal is not None:
-            assert min(bal) >= alpha * alpha / floor
+            scheme, floor = PrefixSubsampling(order), 2
+        assert min(exact_balancedness(M, scheme, P)) >= alpha * alpha / floor
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1))

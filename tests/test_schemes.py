@@ -23,6 +23,7 @@ from ocrs import (
     scheme_from_spec,
     secretary_wrap,
 )
+from ocrs import schemes
 from ocrs.bitset import mask_of
 from ocrs.sampling import draw_index, random_permutation, t_rho_bits
 from ocrs.schemes import (
@@ -297,6 +298,20 @@ class TestClassicSecretary:
                     want |= 1 << e
             assert got == want
             assert ours.getstate() == ref.getstate()
+
+    def test_seeded_values_and_one_sort(self, monkeypatch):
+        # The tally counts through an all-active prior, which draws nothing,
+        # so the seeded values are those of a per-trial loop; greedy by
+        # weight reads arrivals sorted once, not one sort per trial.
+        sort = schemes.by_weight_arrivals
+        sorts = []
+        monkeypatch.setattr(schemes, "by_weight_arrivals", lambda w: sorts.append(w) or sort(w))
+        w = (5, 1, 4, 2, 3, 6)
+        for k, value in ((1, 0.6146666666666667), (2, 0.5249090909090909)):
+            m = UniformMatroid(6, k)
+            assert measure_competitiveness(m, "classic_1uniform", w, 500, Random(11)) == value
+            assert measure_competitiveness(m, "greedy_by_weight", w, 500, Random(11)) == 1.0
+        assert sorts == []
 
     def test_greedy_by_weight_is_one_competitive(self):
         m = UniformMatroid(4, 2)

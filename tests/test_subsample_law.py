@@ -2,6 +2,7 @@
 span-state scan against the whole-ground-set references, the work the scan
 does, and the reach that marginalising onto the atom buys."""
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -20,13 +21,20 @@ from ocrs import (
     SubsetMask,
     UniformMatroid,
     exact_balancedness,
+    gen_parallel_hats,
     max_uncontentious_alpha,
     preselect_prefix,
 )
-from ocrs.bitset import popcount
+from ocrs.bitset import iter_bits, popcount
 from ocrs.preselect import exact_unspanned_prob_independent, exact_unspanned_prob_prefix
 from ocrs.priors import AllActivePrior
-from ocrs.sampling import EnumerationTooLarge, IndependentLaw, PrefixLaw
+from ocrs.sampling import (
+    SCAN_BUDGET,
+    EnumerationTooLarge,
+    IndependentLaw,
+    PrefixLaw,
+    unspanned_counts,
+)
 
 from conftest import random_explicit_prior, random_small_matroid, sentinel_prefix_law
 from subsample_reference import (
@@ -67,13 +75,20 @@ class TestRestriction:
         assert sum(got.values()) == Fraction(3, 4)  # element 0 dropped
 
     def test_limits_bound_the_atom_not_the_ground_set(self):
-        with pytest.raises(EnumerationTooLarge):
-            next(law_outcomes(IndependentLaw(Fraction(1, 2)), (1 << 14) - 1))
-        with pytest.raises(EnumerationTooLarge):
-            next(law_outcomes(PrefixLaw(), (1 << 14) - 1))
-        assert sum(w for _, w in law_outcomes(PrefixLaw(), (1 << 13) - 1)) == 1
         far = 1 << 200
         assert dict(law_outcomes(PrefixLaw(), far)) == {far: Fraction(1, 2), 0: Fraction(1, 2)}
+        # The scan's budget is the one limit. Full hats has 37 edges: all
+        # active, the scan passes SCAN_BUDGET and refuses; atoms of 13 hat
+        # tops (a star, so 2^t states at step t) and of the base edge alone
+        # fit, and every edge there is selected exactly when it is kept.
+        hats = gen_parallel_hats(Fraction(1, 2))
+        M, n = hats.matroid, hats.matroid.n
+        scheme = IndependentSubsampling(hats.canonical_order, Fraction(1, 4))
+        with pytest.raises(EnumerationTooLarge, match=f"budget of {SCAN_BUDGET} cells"):
+            exact_balancedness(M, scheme, hats.prior)
+        small = ExplicitPrior(n, [(range(13), Fraction(1, 2)), ({34}, Fraction(1, 2))])
+        bal = exact_balancedness(M, scheme, small)
+        assert bal == [Fraction(1, 4) if e < 13 or e == 34 else None for e in range(n)]
 
 
 class TestAgainstWholeGroundSet:
@@ -117,6 +132,20 @@ def _family(rng: Random, kind: str):
         return ExplicitMatroid(base.n, [[e for e in range(base.n) if b >> e & 1] for b in members])
     base = _family(rng, rng.choice(["uniform", "graphic", "explicit"]))
     return base.restrict(SubsetMask(base.n, rng.randrange(1 << base.n)))
+
+
+def _family_on(rng: Random, kind: str, n: int):
+    """A matroid of the named family on exactly n elements."""
+    if kind == "uniform":
+        return UniformMatroid(n, rng.randint(0, n))
+    if kind == "graphic":
+        v = rng.randint(2, n + 1)
+        return GraphicMatroid(v, [(rng.randrange(v), rng.randrange(v)) for _ in range(n)])
+    if kind == "explicit":
+        base = _family_on(rng, rng.choice(["uniform", "graphic"]), n)
+        return ExplicitMatroid(n, [iter_bits(b) for b in range(1 << n) if base._independent(b)])
+    base = _family_on(rng, rng.choice(["uniform", "graphic", "explicit"]), n)
+    return base.restrict(SubsetMask(n, rng.randrange(1 << n)))
 
 
 class TestSpanScan:
@@ -172,6 +201,38 @@ class TestSpanScan:
         assert bal[0] == Fraction(1, 2)  # the first arrival is selected whenever it is kept
         if restricted:
             assert bal[r - 1] == 0  # outside the ground: never selected
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["uniform", "graphic", "explicit", "restricted"]),
+    )
+    def test_takes_every_atom_the_limit_of_13_took(self, seed, kind):
+        # A scan holds at most 2^t states at step t, so one of at most 14
+        # elements passes at most 13 * 2^14 + 1 = 212,993 cells: every atom
+        # of 13 elements fits, and so does the prefix statistic's scan of
+        # the 13 others and its candidate.
+        rng = Random(seed)
+        n = 14
+        m = _family_on(rng, kind, n)
+        order = Permutation(rng.sample(range(n), n))
+        atom = SubsetMask(n, ((1 << n) - 1) & ~(1 << rng.randrange(n)))
+        p = ExplicitPrior(n, [(atom, Fraction(1))])
+        for scheme in (IndependentSubsampling(order, Fraction(1, 3)), PrefixSubsampling(order)):
+            exact_balancedness(m, scheme, p)
+        j = rng.choice(list(atom))
+        exact_unspanned_prob_independent(m, p, atom, j, Fraction(1, 3))
+        exact_unspanned_prob_prefix(m, AllActivePrior(n), SubsetMask.full(n), j)
+
+    def test_the_widest_scan_at_14_elements_fits_and_at_15_refuses(self):
+        # Every subset independent: the default state is the kept set itself,
+        # so the scan holds 2^t states at step t, the most there can be.
+        assert 13 * 2**14 + 1 <= SCAN_BUDGET < 14 * 2**15 + 1
+        free = ExplicitMatroid(14, [iter_bits(b) for b in range(1 << 14)])
+        assert unspanned_counts(free, range(14))[-1] == [math.comb(13, s) for s in range(14)]
+        free = ExplicitMatroid(15, [iter_bits(b) for b in range(1 << 15)])
+        with pytest.raises(EnumerationTooLarge):
+            unspanned_counts(free, range(15))
 
 
 class _CountingUniform(UniformMatroid):
