@@ -108,7 +108,8 @@ def gen_parallel_hats(alpha, m_override: Optional[int] = None) -> Instance:
 
     Edge indices follow the canonical tight order: hat tops, hat bottoms,
     the base edge, then the parallel bundle; so the canonical order is the
-    identity. `m_override` forces the hat count (handy for small variants).
+    identity. `m_override` forces the hat count m >= 0 (handy for small
+    variants; m = 0 leaves the base edge and the bundle).
     """
     alpha = to_fraction(alpha)
     if not 0 < alpha <= Fraction(1, 2):
@@ -118,6 +119,8 @@ def gen_parallel_hats(alpha, m_override: Optional[int] = None) -> Instance:
         raise ValueError(f"1/alpha must be an integer, got {inv}")
     npar = int(inv)
     m = hats_count(alpha) if m_override is None else int(m_override)
+    if m < 0:
+        raise ValueError(f"hat count m must be >= 0, got {m}")
     u, uprime = 0, 1  # hat tips; spoke vertices are 2..m+1
     w, wprime = 2 + m, 3 + m
     edges = [(2 + i, u) for i in range(m)]
@@ -162,6 +165,14 @@ def gen_hidden_element(n: int, alpha, delta, j: int) -> Instance:
     )
 
 
+# each fixed-arity shorthand: its form and its argument count
+_SHORTHAND_FORMS = {
+    "kuniform": ("kuniform:N,K", 2),
+    "twoelem": ("twoelem", 0),
+    "hidden": ("hidden:N,ALPHA,DELTA,J", 4),
+}
+
+
 def parse_instance(text: str) -> Instance:
     """Shorthand parser: 'kuniform:N,K', 'twoelem', 'parallel-hats:ALPHA',
     'hidden:N,ALPHA,DELTA,J', or a path to an instance JSON file."""
@@ -170,11 +181,15 @@ def parse_instance(text: str) -> Instance:
 
         with open(text) as f:
             return Instance.from_spec(json.load(f))
-    name, _, args = text.partition(":")
+    name, colon, args = text.partition(":")
     name = name.replace("_", "-")
+    given = args.split(",") if colon else []
+    form, arity = _SHORTHAND_FORMS.get(name, (None, len(given)))
+    if len(given) != arity:
+        raise ValueError(f"instance {text!r} does not have the form {form}")
     if name == "kuniform":
-        n, k = (int(v) for v in args.split(","))
-        return gen_kuniform_allactive(n, k)
+        n, k = given
+        return gen_kuniform_allactive(int(n), int(k))
     if name == "twoelem":
         return two_element_instance()
     if name == "parallel-hats":
@@ -187,7 +202,7 @@ def parse_instance(text: str) -> Instance:
             m_override = int(val)
         return gen_parallel_hats(parts[0], m_override)
     if name == "hidden":
-        n, alpha, delta, j = args.split(",")
+        n, alpha, delta, j = given
         return gen_hidden_element(int(n), alpha, delta, int(j))
     raise ValueError(f"unknown instance spec {text!r}")
 

@@ -388,8 +388,9 @@ class GraphicMatroid(Matroid):
 class ExplicitMatroid(Matroid):
     """Set system given by an explicit list of independent sets.
 
-    No matroid axioms are enforced at construction; `verify_axioms` is the
-    checker, so deliberately broken families can be built and rejected there.
+    No matroid axioms are enforced at construction, so deliberately broken
+    families can be built; `verify_axioms` rejects them, and so does
+    `matroid_from_spec` when it reads one.
     """
 
     def __init__(self, n: int, independent_sets: Iterable[Iterable[int]]):
@@ -457,8 +458,36 @@ class RestrictionMatroid(Matroid):
         return f"RestrictionMatroid({self.parent!r}, ground={self.ground_bits:#x})"
 
 
+def _axiom_violation(members: set[int]) -> str | None:
+    """Why the listed family `members` is not the independent sets of a
+    matroid, or None when it is. It reads the listed sets only: the empty
+    set is listed, every listed set less one element is listed, and local
+    exchange holds: for a listed K and a, b, c outside K, if K+a and K+b+c
+    are listed, so is K+a+b or K+a+c. On a downward-closed family this is
+    the full exchange axiom (a larger set lends a smaller one an element)."""
+    if 0 not in members:
+        return "the empty set is not listed"
+    for x in members:
+        for e in iter_bits(x):
+            if x ^ (1 << e) not in members:
+                return f"{list(iter_bits(x))} is listed but not {list(iter_bits(x ^ 1 << e))}"
+    universe = reduce(or_, members, 0)
+    for x in members:  # x = K + b + c
+        elems = list(iter_bits(x))
+        for i, b in enumerate(elems):
+            for c in elems[i + 1 :]:
+                k = x & ~(1 << b | 1 << c)
+                for a in iter_bits(universe & ~x):
+                    ka, kab, kac = k | 1 << a, k | 1 << a | 1 << b, k | 1 << a | 1 << c
+                    if ka in members and kab not in members and kac not in members:
+                        sets = [list(iter_bits(y)) for y in (ka, x, kab, kac)]
+                        return "{} and {} are listed, but neither {} nor {}".format(*sets)
+    return None
+
+
 def verify_axioms(M: Matroid, limit: int = EXHAUSTIVE_LIMIT) -> bool:
-    """Exhaustively check non-emptiness, downward closure and exchange.
+    """Whether M's independent sets form a matroid (`_axiom_violation` on
+    every member, enumerated over all 2^n subsets).
 
     Only feasible for small ground sets; raises EnumerationTooLarge beyond
     `limit` elements.
@@ -466,34 +495,15 @@ def verify_axioms(M: Matroid, limit: int = EXHAUSTIVE_LIMIT) -> bool:
     if M.n > limit:
         raise EnumerationTooLarge(f"n={M.n} exceeds exhaustive limit {limit}")
     universe = M.ground_bits
-    members = [bits for bits in range(1 << M.n) if bits & ~universe == 0 and M._independent(bits)]
-    member_set = set(members)
-    if 0 not in member_set:
-        return False
-    for bits in members:
-        for e in iter_bits(bits):
-            if bits ^ (1 << e) not in member_set:
-                return False
-    by_size: dict[int, list[int]] = {}
-    for bits in members:
-        by_size.setdefault(popcount(bits), []).append(bits)
-    sizes = sorted(by_size)
-    for sx in sizes:
-        for sy in sizes:
-            if sy >= sx:
-                continue
-            for X in by_size[sx]:
-                for Y in by_size[sy]:
-                    if not any(
-                        Y | (1 << e) in member_set for e in iter_bits(X & ~Y)
-                    ):
-                        return False
-    return True
+    members = {bits for bits in range(1 << M.n) if bits & ~universe == 0 and M._independent(bits)}
+    return _axiom_violation(members) is None
 
 
 def matroid_from_spec(spec: dict) -> Matroid:
     """Build a matroid from its JSON dict form; each field is read by
-    `spec_field`, so a missing or mistyped one raises ValueError naming it."""
+    `spec_field`, so a missing or mistyped one raises ValueError naming it.
+    An explicit family must be a matroid (`_axiom_violation`): a broken one
+    raises ValueError naming `independent_sets`."""
     kind = spec_field(spec, "type")
     if kind == "uniform":
         return UniformMatroid(spec_field(spec, "n", int), spec_field(spec, "k", int))
@@ -502,7 +512,9 @@ def matroid_from_spec(spec: dict) -> Matroid:
             spec_field(spec, "vertices", int), spec_field(spec, "edges", [(int, int)])
         )
     if kind == "explicit":
-        return ExplicitMatroid(
-            spec_field(spec, "n", int), spec_field(spec, "independent_sets", [[int]])
-        )
+        M = ExplicitMatroid(spec_field(spec, "n", int), spec_field(spec, "independent_sets", [[int]]))
+        problem = _axiom_violation(M._sets)
+        if problem:
+            raise ValueError(f"field 'independent_sets' is not a matroid: {problem}")
+        return M
     raise ValueError(f"unknown matroid type {kind!r}")

@@ -133,8 +133,7 @@ def _exact_unspanned_prob(M: Matroid, P: Prior, j: int, law: SubsampleLaw, drawn
         if atom & jbit:
             pool = atom & drawn_on
             free = unspanned_counts(M, [*iter_bits(pool & ~jbit), j])[-1]
-            w = law.weights(popcount(pool))
-            prob = sum(c * w[s] for s, c in enumerate(free) if c)
+            prob = law.prob(free, popcount(pool))
             if prob:
                 yield prob, jbit
 

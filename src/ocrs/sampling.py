@@ -17,13 +17,13 @@ Exact consumers do not enumerate subsamples. Greedy selects e exactly when
 e is kept and stays outside the span of the kept active elements before it,
 so every exact quantity is a sum over span states: `unspanned_counts` scans
 an order once, counting keep/drop patterns by (span state, number kept), and
-each law weighs a pattern by its size alone (`SubsampleLaw.weights`). The
-scan's own work, against SCAN_BUDGET, is the one limit on exact subsampling.
+each law weighs those counts by pattern size alone, in integers
+(`SubsampleLaw.prob`). The scan's own work, against SCAN_BUDGET, is the one
+limit on exact subsampling.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -283,39 +283,32 @@ class SubsampleLaw:
 
     Both subsamplers keep their form under restriction: T ∩ a is the same
     law on a (for the prefix law, because the relative order of a and the
-    sentinel is uniform), and Pr[T ∩ a = B] depends only on |a| and |B|:
-    `weights(r)` lists it by |B| for |a| = r. So exact consumers weigh the
-    keep/drop patterns of `unspanned_counts` over an active atom, not over
-    the ground set, and the scan's budget is their only limit by size.
+    sentinel is uniform), and Pr[T ∩ a = B] depends only on |a| and |B|.
+    So exact consumers weigh the keep/drop patterns of `unspanned_counts`
+    over an active atom, not over the ground set: `prob(counts, r)` is the
+    mass of counts[s] patterns of size s on |a| = r, one integer numerator
+    over the law's one denominator for r. The laws cache nothing, so the
+    scan's budget is the only limit on exact work and memory.
     """
 
 
 class IndependentLaw(SubsampleLaw):
-    """Each element kept independently with probability rho (`t_rho_bits`)."""
+    """Each element kept independently with probability rho (`t_rho_bits`):
+    with rho = p/q, a pattern of size s on r elements weighs p^s (q-p)^(r-s) / q^r."""
 
     def __init__(self, rho):
         self.rho = to_fraction(rho)
 
-    def weights(self, r: int) -> tuple[Fraction, ...]:
-        return _independent_weights(self.rho, r)
+    def prob(self, counts: Sequence[int], r: int) -> Fraction:
+        p, q = self.rho.as_integer_ratio()
+        return Fraction(sum(c * p**s * (q - p) ** (r - s) for s, c in enumerate(counts) if c), q**r)
 
 
 class PrefixLaw(SubsampleLaw):
     """The elements before a uniformly placed sentinel (`prefix_subsample_bits`):
-    |T ∩ a| is uniform on {0..r}, then T ∩ a is a uniform subset of that size."""
+    |T ∩ a| is uniform on {0..r}, then T ∩ a is a uniform subset of that size,
+    so a pattern of size s on r elements weighs s! (r-s)! / (r+1)!."""
 
-    def weights(self, r: int) -> tuple[Fraction, ...]:
-        return _prefix_weights(r)
-
-
-# Each law's weights are built once per (rho, r): the exact routes ask for
-# them once per atom, candidate and arrival. The keys stay few: r <= 723 once
-# a scan of r elements fits SCAN_BUDGET, and a run uses a handful of rho values.
-@functools.cache
-def _independent_weights(rho: Fraction, r: int) -> tuple[Fraction, ...]:
-    return tuple(rho**s * (1 - rho) ** (r - s) for s in range(r + 1))
-
-
-@functools.cache
-def _prefix_weights(r: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1, (r + 1) * math.comb(r, s)) for s in range(r + 1))
+    def prob(self, counts: Sequence[int], r: int) -> Fraction:
+        f = math.factorial
+        return Fraction(sum(c * f(s) * f(r - s) for s, c in enumerate(counts) if c), f(r + 1))

@@ -122,13 +122,12 @@ class _Subsampling(Scheme):
 
     def outcomes(self, M, a_bits):
         # Greedy selects the active arrival e after t others exactly when e
-        # is kept and the kept ones of those t leave e unspanned; such a
-        # pattern with s of them kept has probability weights(t + 1)[s + 1],
-        # the law on A restricted to those t + 1 elements.
+        # is kept and the kept ones of those t leave e unspanned: with e,
+        # such a pattern keeps s + 1 of those t + 1 elements, weighed by the
+        # law on A restricted to them.
         active = [e for e in self.order.order if a_bits >> e & 1]
         for t, (e, free) in enumerate(zip(active, unspanned_counts(M, active))):
-            w = self.law.weights(t + 1)
-            prob = sum(c * w[s + 1] for s, c in enumerate(free) if c)
+            prob = self.law.prob([0, *free], t + 1)
             if prob:
                 yield prob, 1 << e
 

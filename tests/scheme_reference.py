@@ -5,7 +5,7 @@ before every scheme stated its own exact twin, `Scheme.outcomes`.
 The ladder reads the schemes' fields (`order`, `components`, `law`,
 `secretary_kind`) from outside, so it checks each scheme's `outcomes`
 against an independent statement of the same randomness: for a subsampling
-scheme, greedy on every subset of the atom, weighted by `law.weights`
+scheme, greedy on every subset of the atom, weighted by its law's definition
 (`subsample_reference.law_outcomes`). Values must agree with tolerance 0.
 """
 

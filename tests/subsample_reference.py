@@ -18,7 +18,7 @@ from ocrs.bitset import SubsetMask, iter_bits, popcount
 from ocrs.matroid import Matroid
 from ocrs.oracle import EnumerationTooLarge
 from ocrs.priors import Prior, to_fraction
-from ocrs.sampling import SubsampleLaw
+from ocrs.sampling import IndependentLaw, PrefixLaw, SubsampleLaw
 from ocrs.schemes import IndependentSubsampling, PrefixSubsampling, Scheme, greedy_ordered_bits
 
 from conftest import membership_span
@@ -29,13 +29,25 @@ INDEPENDENT_ENUM_LIMIT = 14  # 2^n thinning outcomes
 PREFIX_ENUM_LIMIT = 8  # (n+1)! sentinel permutations, enumerated by subset weight
 
 
+def law_weight(law: SubsampleLaw, r: int, s: int) -> Fraction:
+    """Pr[T ∩ a = B] for |a| = r and |B| = s, from each law's definition:
+    rho^s (1 - rho)^(r - s) when each element is kept with probability rho,
+    and 1 / ((r + 1) C(r, s)) for the prefix law, whose size is uniform on
+    {0..r} and whose subset of that size is uniform."""
+    if isinstance(law, IndependentLaw):
+        return law.rho**s * (1 - law.rho) ** (r - s)
+    if isinstance(law, PrefixLaw):
+        return Fraction(1, (r + 1) * math.comb(r, s))
+    raise TypeError(f"not a subsample law: {type(law).__name__}")
+
+
 def law_outcomes(law: SubsampleLaw, a_bits: int, avoid: int = 0):
     """Yield (B, Pr[T ∩ a = B]) for the subsets B of a that miss `avoid`,
     skipping outcomes of probability 0."""
-    weights = law.weights(popcount(a_bits))
+    r = popcount(a_bits)
     b = pool = a_bits & ~avoid
     while True:
-        w = weights[popcount(b)]
+        w = law_weight(law, r, popcount(b))
         if w:
             yield b, w
         if not b:

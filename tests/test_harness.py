@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -109,6 +110,28 @@ class TestParseInstance:
     def test_unknown_parallel_hats_option_rejected(self, spec):
         with pytest.raises(ValueError, match="parallel-hats option"):
             parse_instance(spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("kuniform:3", "kuniform:N,K"),
+            ("kuniform:4,2,9", "kuniform:N,K"),
+            ("hidden:3,1/3,1/20", "hidden:N,ALPHA,DELTA,J"),
+            ("hidden:3,1/3,1/20,0,1", "hidden:N,ALPHA,DELTA,J"),
+            ("twoelem:5", "form twoelem"),
+            ("parallel-hats:1/2,m=-1", "hat count m must be >= 0"),
+        ],
+    )
+    def test_wrong_arguments_name_the_form(self, spec, message):
+        # Each of these printed Python's unpacking message, read an argument
+        # that twoelem ignored, or built a graph of -1 hats whose bundle
+        # shared a vertex with the base edge.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_instance(spec)
+
+    def test_zero_hats_is_the_base_edge_and_the_bundle(self):
+        inst = parse_instance("parallel-hats:1/2,m=0")
+        assert inst.matroid.n == 3 and inst.matroid.rank(SubsetMask(3, 0b111)) == 2
 
     def test_json_file_round_trip(self, tmp_path):
         inst = two_element_instance()
@@ -450,13 +473,23 @@ class TestCli:
                         "components": [{"order": [0, 1], "weight": True}]}),
             ("w", {"kind": "weight_mixture", "secretary": "greedy_by_weight",
                    "components": [{"w": ["a", 1], "weight": 1}]}),
+            ("independent_sets", {**two_element_instance().to_spec(),
+                                  "matroid": {"type": "explicit", "n": 4,
+                                              "independent_sets": [[], [0], [1], [2], [3],
+                                                                   [0, 2], [1, 3]]},
+                                  "prior": {"type": "explicit", "n": 4,
+                                            "support": [{"elements": [0, 3], "prob": "2/7"},
+                                                        {"elements": [0, 1], "prob": "3/14"},
+                                                        {"elements": [1, 2, 3], "prob": "3/14"},
+                                                        {"elements": [0, 2, 3], "prob": "2/7"}]},
+                                  "canonical_order": [0, 1, 2, 3]}),
         ],
         ids=["components", "component-w", "support", "independent-sets", "no-declared-alpha",
              "independent-set-item", "edge-item", "edge-triple", "uniform-n-list",
              "uniform-n-string", "uniform-k-float", "atom-element", "independent-set-negative",
              "atom-element-negative", "edge-negative", "product-x-literal", "atom-prob-literal",
              "declared-alpha-literal", "rho-literal", "component-weight-bool",
-             "component-w-literal"],
+             "component-w-literal", "independent-sets-not-a-matroid"],
     )
     def test_malformed_spec_field_exits_2_naming_it(self, tmp_path, capsys, field, case):
         # A number where a list belongs ended in "TypeError: 'int' object is not
@@ -464,6 +497,7 @@ class TestCli:
         # wrong type escaped as a TypeError, and int() read k = 1.5 as 1. A
         # negative index printed "negative shift count", and a rational that
         # does not parse "Invalid literal for Fraction", neither naming the field.
+        # A family that breaks exchange gave a wrong alpha* and exit 0.
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(case))
         if "matroid" in case:

@@ -15,7 +15,7 @@ from ocrs import (
     matroid_from_spec,
     verify_axioms,
 )
-from ocrs.bitset import popcount
+from ocrs.bitset import iter_bits, popcount
 from ocrs.matroid import IndependentSetGrower, Matroid, greedy_ordered_bits
 from ocrs.sampling import EnumerationTooLarge
 
@@ -278,6 +278,29 @@ class TestAxioms:
         with pytest.raises(EnumerationTooLarge):
             verify_axioms(UniformMatroid(17, 2))
 
+    def test_local_exchange_is_full_exchange_on_four_elements(self):
+        # Every downward-closed family on 4 elements, against the exchange
+        # axiom stated whole: a larger member lends a smaller one an element.
+        n = 4
+        sets = sorted(range(1, 1 << n), key=popcount)
+        families = [{0}]
+        for x in sets:  # by size, so a set's subsets are decided before it
+            families += [
+                fam | {x} for fam in families if all(x ^ 1 << e in fam for e in range(n) if x >> e & 1)
+            ]
+
+        def exchange(fam):
+            return all(
+                any(y | 1 << e in fam for e in range(n) if (x & ~y) >> e & 1)
+                for x in fam
+                for y in fam
+                if popcount(x) > popcount(y)
+            )
+
+        verdicts = [verify_axioms(ExplicitMatroid(n, [list(iter_bits(b)) for b in fam])) for fam in families]
+        assert verdicts == [exchange(fam) for fam in families]
+        assert (len(families), sum(verdicts)) == (167, 68)  # the labelled counts
+
 
 class TestJson:
     def test_round_trips(self):
@@ -289,6 +312,17 @@ class TestJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             matroid_from_spec({"type": "laminar"})
+
+    def test_non_matroid_family_rejected_when_read(self):
+        # {1} and {0, 2} are listed, but neither {0, 1} nor {1, 2} is.
+        sets = [[], [0], [1], [2], [3], [0, 2], [1, 3]]
+        assert not verify_axioms(ExplicitMatroid(4, sets))  # built, then rejected
+        with pytest.raises(ValueError, match="field 'independent_sets' is not a matroid"):
+            matroid_from_spec({"type": "explicit", "n": 4, "independent_sets": sets})
+        with pytest.raises(ValueError, match="empty set"):
+            matroid_from_spec({"type": "explicit", "n": 2, "independent_sets": [[0]]})
+        with pytest.raises(ValueError, match=r"\[0, 1\] is listed but not \[1\]"):
+            matroid_from_spec({"type": "explicit", "n": 2, "independent_sets": [[], [0], [0, 1]]})
 
 
 def _membership_greedy(m, order, a_bits):

@@ -19,7 +19,6 @@ from ocrs import (
 )
 from ocrs.bitset import full_mask, iter_bits, mask_of, popcount
 from ocrs.sampling import (
-    PrefixLaw,
     draw_index,
     exact_cdf,
     prefix_subsample_bits,
@@ -302,11 +301,11 @@ class TestPrefixSubsample:
         # PrefixLaw mass, and the shortfalls sum to exactly the mass still
         # undecided: a tie with the sentinel on every level, at most n / 2^depth.
         law, undecided = word_law(lambda rng: prefix_subsample_bits(n, rng), depth)
-        weights = PrefixLaw().weights(n)
         shortfall = Fraction(0)
         for t in range(1 << n):
-            assert law.get(t, 0) <= weights[popcount(t)]
-            shortfall += weights[popcount(t)] - law.get(t, 0)
+            exact = Fraction(1, (n + 1) * math.comb(n, popcount(t)))
+            assert law.get(t, 0) <= exact
+            shortfall += exact - law.get(t, 0)
         assert shortfall == undecided
         assert 0 < undecided <= Fraction(n, 2**depth)
 

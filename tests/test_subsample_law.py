@@ -3,6 +3,7 @@ span-state scan against the whole-ground-set references, the work the scan
 does, and the reach that marginalising onto the atom buys."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -39,6 +40,7 @@ from ocrs.sampling import (
 from conftest import random_explicit_prior, random_small_matroid, sentinel_prefix_law
 from subsample_reference import (
     law_outcomes,
+    law_weight,
     reference_exact_balancedness,
     reference_unspanned_prob_independent,
     reference_unspanned_prob_prefix,
@@ -235,6 +237,21 @@ class TestSpanScan:
             unspanned_counts(free, range(15))
 
 
+class TestProb:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_is_the_counts_weighed_by_the_definition(self, data):
+        # rho 0 and 1 rest on 0**0 == 1: the one pattern that keeps nothing,
+        # or everything, has all the mass.
+        r = data.draw(st.integers(0, 40))
+        size = data.draw(st.integers(0, r + 1))
+        counts = [data.draw(st.integers(0, math.comb(r, s))) for s in range(size)]
+        rho = data.draw(st.sampled_from([0, 1, Fraction(1, 3), Fraction(2, 7), Fraction(1, 2)]))
+        for law in (IndependentLaw(rho), PrefixLaw()):
+            assert law.prob(counts, r) == sum(c * law_weight(law, r, s) for s, c in enumerate(counts))
+            assert law.prob([math.comb(r, s) for s in range(r + 1)], r) == 1
+
+
 class _CountingUniform(UniformMatroid):
     """A uniform matroid that counts its span steps."""
 
@@ -254,6 +271,24 @@ class TestReach:
         indep = IndependentSubsampling(order, Fraction(1, 4))
         assert exact_balancedness(m, indep, p) == [Fraction(1, 4)] * n
         assert exact_balancedness(m, PrefixSubsampling(order), p) == [Fraction(1, 2)] * n
+
+    def test_rank_one_scans_of_500_elements_hold_no_memory(self):
+        # Element t is selected when it is kept and none of the t before it
+        # is. The laws keep no table of weights, so nothing the weighing
+        # builds outlives the calls.
+        n = 500
+        m, p, order = UniformMatroid(n, 1), AllActivePrior(n), Permutation.identity(n)
+        quarter = Fraction(1, 4)
+        tracemalloc.start()
+        try:
+            indep = exact_balancedness(m, IndependentSubsampling(order, quarter), p)
+            prefix = exact_balancedness(m, PrefixSubsampling(order), p)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert indep == [quarter * (1 - quarter) ** t for t in range(n)]
+        assert prefix == [Fraction(1, (t + 1) * (t + 2)) for t in range(n)]
+        assert held < 2 * 2**20
 
     def test_exact_prefix_preselection_on_sparse_n20(self):
         n = 20
