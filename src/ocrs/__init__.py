@@ -39,7 +39,6 @@ from .matroid import (
 from .oracle import (
     AlphaCertificate,
     EnumerationTooLarge,
-    bruteforce_weighted_rank,
     exact_balancedness,
     max_uncontentious_alpha,
 )
@@ -62,7 +61,7 @@ from .priors import (
     hidden_element_prior,
     prior_from_spec,
 )
-from .sampling import Permutation, prefix_subsample, random_permutation, t_rho
+from .sampling import Permutation
 from .schemes import (
     IndependentSubsampling,
     OrderedGreedy,
@@ -70,10 +69,8 @@ from .schemes import (
     PrefixSubsampling,
     Scheme,
     WeightMixture,
-    greedy_ordered,
     order_by_weight,
     scheme_from_spec,
-    secretary_wrap,
 )
 
 __version__ = "0.1.0"

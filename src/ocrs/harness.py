@@ -65,12 +65,14 @@ class Instance:
         ValueError naming it (`spec_field`)."""
         matroid = matroid_from_spec(spec_field(spec, "matroid"))  # checks spec is a dict
         order = spec.get("canonical_order")
+        if order is not None:
+            order = Permutation(spec_field(spec, "canonical_order", [int]))
         return cls(
             name=spec.get("name", "instance"),
             matroid=matroid,
             prior=prior_from_spec(spec_field(spec, "prior")),
             declared_alpha=spec_field(spec, "declared_alpha", Fraction),
-            canonical_order=None if order is None else Permutation(order),
+            canonical_order=order,
             provenance=spec.get("provenance", ""),
         )
 
@@ -165,17 +167,20 @@ def gen_hidden_element(n: int, alpha, delta, j: int) -> Instance:
     )
 
 
-# each fixed-arity shorthand: its form and its argument count
+# each shorthand's form, named when its arguments do not read
 _SHORTHAND_FORMS = {
-    "kuniform": ("kuniform:N,K", 2),
-    "twoelem": ("twoelem", 0),
-    "hidden": ("hidden:N,ALPHA,DELTA,J", 4),
+    "kuniform": "kuniform:N,K",
+    "twoelem": "twoelem",
+    "parallel-hats": "parallel-hats:ALPHA[,m=M]",
+    "hidden": "hidden:N,ALPHA,DELTA,J",
 }
 
 
 def parse_instance(text: str) -> Instance:
-    """Shorthand parser: 'kuniform:N,K', 'twoelem', 'parallel-hats:ALPHA',
-    'hidden:N,ALPHA,DELTA,J', or a path to an instance JSON file."""
+    """Shorthand parser: 'kuniform:N,K', 'twoelem', 'parallel-hats:ALPHA[,m=M]',
+    'hidden:N,ALPHA,DELTA,J', or a path to an instance JSON file. Arguments
+    that do not read raise one ValueError naming the form; the generators
+    check their ranges themselves."""
     if text.endswith(".json"):
         import json
 
@@ -184,26 +189,30 @@ def parse_instance(text: str) -> Instance:
     name, colon, args = text.partition(":")
     name = name.replace("_", "-")
     given = args.split(",") if colon else []
-    form, arity = _SHORTHAND_FORMS.get(name, (None, len(given)))
-    if len(given) != arity:
-        raise ValueError(f"instance {text!r} does not have the form {form}")
-    if name == "kuniform":
-        n, k = given
-        return gen_kuniform_allactive(int(n), int(k))
-    if name == "twoelem":
+    malformed = ValueError(f"instance {text!r} does not have the form {_SHORTHAND_FORMS.get(name)}")
+
+    def read(convert, arg):
+        try:
+            return convert(arg)
+        except ValueError:
+            raise malformed from None
+
+    if name == "kuniform" and len(given) == 2:
+        return gen_kuniform_allactive(*map(read, (int, int), given))
+    if name == "twoelem" and not given:
         return two_element_instance()
-    if name == "parallel-hats":
-        parts = args.split(",")
+    if name == "parallel-hats" and given:
         m_override = None
-        for p in parts[1:]:
+        for p in given[1:]:
             key, _, val = p.partition("=")
             if key != "m":
                 raise ValueError(f"unknown parallel-hats option {p!r} (use m=M)")
-            m_override = int(val)
-        return gen_parallel_hats(parts[0], m_override)
-    if name == "hidden":
-        n, alpha, delta, j = given
-        return gen_hidden_element(int(n), alpha, delta, int(j))
+            m_override = read(int, val)
+        return gen_parallel_hats(read(to_fraction, given[0]), m_override)
+    if name == "hidden" and len(given) == 4:
+        return gen_hidden_element(*map(read, (int, to_fraction, to_fraction, int), given))
+    if name in _SHORTHAND_FORMS:
+        raise malformed
     raise ValueError(f"unknown instance spec {text!r}")
 
 

@@ -40,7 +40,7 @@ from .bitset import (
     mask_of,
     popcount,
 )
-from .sampling import EnumerationTooLarge, spec_field
+from .sampling import EnumerationTooLarge, check_in_ground_set, spec_field
 
 EXHAUSTIVE_LIMIT = 16
 
@@ -173,7 +173,7 @@ class IndependentSetGrower:
     matroid's span state: e is taken when the set so far leaves it unspanned.
     An element already held is refused (a size-capped state cannot tell).
     No library code calls it; it stays because `bench/tracer.py` patches its
-    `try_add`, whose count `bench/run.py` reads, and a test reference uses it."""
+    `try_add`, whose count `bench/run.py` reads."""
 
     def __init__(self, matroid: Matroid):
         self._step = matroid.span_step
@@ -485,15 +485,15 @@ def _axiom_violation(members: set[int]) -> str | None:
     return None
 
 
-def verify_axioms(M: Matroid, limit: int = EXHAUSTIVE_LIMIT) -> bool:
+def verify_axioms(M: Matroid) -> bool:
     """Whether M's independent sets form a matroid (`_axiom_violation` on
     every member, enumerated over all 2^n subsets).
 
     Only feasible for small ground sets; raises EnumerationTooLarge beyond
-    `limit` elements.
+    EXHAUSTIVE_LIMIT elements.
     """
-    if M.n > limit:
-        raise EnumerationTooLarge(f"n={M.n} exceeds exhaustive limit {limit}")
+    if M.n > EXHAUSTIVE_LIMIT:
+        raise EnumerationTooLarge(f"n={M.n} exceeds exhaustive limit {EXHAUSTIVE_LIMIT}")
     universe = M.ground_bits
     members = {bits for bits in range(1 << M.n) if bits & ~universe == 0 and M._independent(bits)}
     return _axiom_violation(members) is None
@@ -502,8 +502,9 @@ def verify_axioms(M: Matroid, limit: int = EXHAUSTIVE_LIMIT) -> bool:
 def matroid_from_spec(spec: dict) -> Matroid:
     """Build a matroid from its JSON dict form; each field is read by
     `spec_field`, so a missing or mistyped one raises ValueError naming it.
-    An explicit family must be a matroid (`_axiom_violation`): a broken one
-    raises ValueError naming `independent_sets`."""
+    An explicit family must lie in the ground set and be a matroid
+    (`_axiom_violation`): a broken one raises ValueError naming
+    `independent_sets`."""
     kind = spec_field(spec, "type")
     if kind == "uniform":
         return UniformMatroid(spec_field(spec, "n", int), spec_field(spec, "k", int))
@@ -512,7 +513,9 @@ def matroid_from_spec(spec: dict) -> Matroid:
             spec_field(spec, "vertices", int), spec_field(spec, "edges", [(int, int)])
         )
     if kind == "explicit":
-        M = ExplicitMatroid(spec_field(spec, "n", int), spec_field(spec, "independent_sets", [[int]]))
+        n, sets = spec_field(spec, "n", int), spec_field(spec, "independent_sets", [[int]])
+        check_in_ground_set(n, "independent_sets", sets)
+        M = ExplicitMatroid(n, sets)
         problem = _axiom_violation(M._sets)
         if problem:
             raise ValueError(f"field 'independent_sets' is not a matroid: {problem}")

@@ -1,11 +1,10 @@
 """Exact ground truth for small instances.
 
 The best achievable balancedness of any offline selection rule (by exact
-column generation over greedy orders, over an enumerated support), the
+column generation over greedy orders, over an enumerated support) and the
 exact per-element balancedness of any scheme from its `outcomes` (each
-scheme states its own randomness exactly, in `schemes.py`), and exhaustive
-weighted-rank maximization. Probabilities are Fractions end to end, so
-equality assertions in tests are legitimate.
+scheme states its own randomness exactly, in `schemes.py`). Probabilities
+are Fractions end to end, so equality assertions in tests are legitimate.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .bitset import iter_bits, popcount
+from .bitset import iter_bits
 from .lp import build_lp_scheme
 from .matroid import Matroid
 from .priors import Prior
@@ -23,12 +22,11 @@ from .schemes import greedy_ordered_bits  # noqa: F401 - unused; bench/tracer.py
 from .schemes import secretary_wrap_bits  # noqa: F401 - unused; bench/tracer.py patches this name
 from .simplex import solve_lp  # noqa: F401 - unused; bench/tracer.py patches this name
 
-BRUTEFORCE_LIMIT = 20
-
 
 def independent_subsets(M: Matroid, pool_bits: int) -> list[int]:
     """All independent subsets of pool_bits (the family is downward closed,
-    so depth-first growth visits each exactly once)."""
+    so depth-first growth visits each exactly once). Only the test references
+    call it; bench/tracer.py patches this name."""
     elems = list(iter_bits(pool_bits))
     out = [0]
 
@@ -116,12 +114,3 @@ def exact_balancedness(M: Matroid, scheme, P: Prior) -> list:
     selected = P.exact_count(lambda atom: _scheme_randomness(M, scheme, atom))
     probs = P.activation_probabilities()
     return [s / x if x > 0 else None for s, x in zip(selected, probs)]
-
-
-def bruteforce_weighted_rank(M: Matroid, w, S) -> object:
-    """Exhaustive max-weight independent subset of S; the ground truth the
-    greedy weighted rank is checked against."""
-    bits = S.bits if hasattr(S, "bits") else S
-    if popcount(bits) > BRUTEFORCE_LIMIT:
-        raise EnumerationTooLarge(f"|S|={popcount(bits)} exceeds {BRUTEFORCE_LIMIT}")
-    return max(sum(w[e] for e in iter_bits(y)) for y in independent_subsets(M, bits))

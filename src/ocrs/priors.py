@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .bitset import DimensionMismatch, SubsetMask, full_mask, iter_bits, mask_of
 from .sampling import (
     EnumerationTooLarge,
+    check_in_ground_set,
     draw_index,
     exact_cdf,
     spec_field,
@@ -424,14 +425,15 @@ def hidden_element_prior(n: int, alpha, delta, j: int) -> ExplicitPrior:
 
 def prior_from_spec(spec: dict) -> Prior:
     """Build a prior from its JSON dict form; each field is read by
-    `spec_field`, so a missing or mistyped one raises ValueError naming it."""
+    `spec_field`, so a missing or mistyped one raises ValueError naming it,
+    as does an explicit atom outside the ground set."""
     kind = spec_field(spec, "type")
     if kind == "explicit":
-        return ExplicitPrior(
-            spec_field(spec, "n", int),
-            [(spec_field(atom, "elements", [int]), spec_field(atom, "prob", Fraction))
-             for atom in spec_field(spec, "support", list)],
-        )
+        n = spec_field(spec, "n", int)
+        atoms = [(spec_field(atom, "elements", [int]), spec_field(atom, "prob", Fraction))
+                 for atom in spec_field(spec, "support", list)]
+        check_in_ground_set(n, "support", [elements for elements, _ in atoms])
+        return ExplicitPrior(n, atoms)
     if kind == "all_active":
         return AllActivePrior(spec_field(spec, "n", int))
     if kind == "product":

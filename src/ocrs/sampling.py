@@ -32,7 +32,7 @@ from itertools import accumulate
 from random import Random
 from typing import Iterable, Sequence
 
-from .bitset import SubsetMask, full_mask
+from .bitset import full_mask
 
 
 class EnumerationTooLarge(ValueError):
@@ -92,6 +92,14 @@ def spec_field(spec, key: str, kind=object):
         raise ValueError(f"field {key!r} must be {_shape_name(kind)}, got {value!r}") from None
 
 
+def check_in_ground_set(n: int, key: str, sets) -> None:
+    """ValueError naming field `key` and the first of its `sets` with an
+    element outside the ground set 0..n-1."""
+    for s in sets:
+        if any(e >= n for e in s):
+            raise ValueError(f"field {key!r} has {s} outside the ground set of size {n}")
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class Permutation:
     """A bijection on {0, ..., n-1}; order[p] is the element at position p.
@@ -120,10 +128,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.order)})"
-
-
-def random_permutation(n: int, rng: Random) -> Permutation:
-    return Permutation(shuffled(range(n), rng))
 
 
 def shuffled(elements: Iterable[int], rng: Random) -> list[int]:
@@ -179,11 +183,6 @@ def t_rho_bits(bits: int, rho, rng: Random) -> int:
     return bits if num == den else _below(bits, num, den, rng)
 
 
-def t_rho(S: SubsetMask, rho, rng: Random) -> SubsetMask:
-    """Keep each element of S independently with probability rho."""
-    return SubsetMask(S.n, t_rho_bits(S.bits, rho, rng))
-
-
 def prefix_subsample_bits(n: int, rng: Random) -> int:
     """Correlated subsample of {0..n-1} with the law of the elements before a
     uniformly placed sentinel (`PrefixLaw`): T = {e : U_e < U_s} for iid
@@ -191,10 +190,6 @@ def prefix_subsample_bits(n: int, rng: Random) -> int:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return _below(full_mask(n), 1, 0, rng)
-
-
-def prefix_subsample(n: int, rng: Random) -> SubsetMask:
-    return SubsetMask(n, prefix_subsample_bits(n, rng))
 
 
 def prefix_subsample_words(words: Sequence[int], rng: Random) -> list[int]:

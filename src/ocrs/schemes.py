@@ -55,11 +55,6 @@ from .sampling import (
 MIXTURE_WEIGHT_TOL = 1e-9
 
 
-def greedy_ordered(M: Matroid, pi: Permutation, A: SubsetMask) -> SubsetMask:
-    """Scan pi; take every active element that keeps the set independent."""
-    return SubsetMask(M.n, greedy_ordered_bits(M, pi.order, A.bits))
-
-
 def order_by_weight(w: Sequence) -> Permutation:
     """Decreasing-weight order, ties broken by ascending element index."""
     return Permutation(by_decreasing_weight(w, range(len(w))))
@@ -279,15 +274,9 @@ SECRETARY_KINDS = {
 }
 
 
-def secretary_wrap(
-    alg_kind: str, w: Sequence, M: Matroid, A: SubsetMask, rng: Random
-) -> SubsetMask:
-    """Run a secretary algorithm against weights masked by the active set."""
-    return SubsetMask(M.n, secretary_wrap_bits(alg_kind, w, M, A.bits, rng))
-
-
 def secretary_wrap_bits(alg_kind, w, M, a_bits, rng, arrivals=None) -> int:
-    """`secretary_wrap` on bits, with a by-weight caller's `arrivals`."""
+    """Replay secretary `alg_kind` against the weights w masked by the active
+    set a_bits; a by-weight caller passes its sorted `arrivals`."""
     return SECRETARY_KINDS[alg_kind](M, w, a_bits, rng, arrivals)
 
 

@@ -1,5 +1,7 @@
-"""Test-only reference for `ocrs.oracle.max_uncontentious_alpha`: the
-enumeration LP, with one variable per (atom, independent subset).
+"""Test-only references by enumeration of independent subsets: for
+`ocrs.oracle.max_uncontentious_alpha`, the enumeration LP, with one
+variable per (atom, independent subset); for `Matroid.weighted_rank`, the
+exhaustive max-weight independent subset.
 
 It needs no matroid structure beyond a downward-closed independence family,
 so it checks the library oracle's column generation, which rests on greedy
@@ -12,11 +14,22 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from ocrs.bitset import iter_bits
+from ocrs.bitset import iter_bits, popcount
 from ocrs.matroid import Matroid
 from ocrs.oracle import AlphaCertificate, EnumerationTooLarge, independent_subsets
 from ocrs.priors import Prior
 from ocrs.simplex import solve_lp
+
+BRUTEFORCE_LIMIT = 20
+
+
+def bruteforce_weighted_rank(M: Matroid, w, S) -> object:
+    """Exhaustive max-weight independent subset of S; the ground truth the
+    greedy weighted rank is checked against."""
+    bits = S.bits if hasattr(S, "bits") else S
+    if popcount(bits) > BRUTEFORCE_LIMIT:
+        raise EnumerationTooLarge(f"|S|={popcount(bits)} exceeds {BRUTEFORCE_LIMIT}")
+    return max(sum(w[e] for e in iter_bits(y)) for y in independent_subsets(M, bits))
 
 
 def reference_max_uncontentious_alpha(M: Matroid, P: Prior) -> AlphaCertificate:

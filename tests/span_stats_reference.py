@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from random import Random
 
 from ocrs.bitset import SubsetMask, iter_bits
-from ocrs.matroid import IndependentSetGrower, Matroid
+from ocrs.matroid import Matroid
 from ocrs.priors import Prior
 from ocrs.sampling import t_rho_bits
 
@@ -67,12 +67,13 @@ def reference_span_stats_prefix(
     ms, ks = stats.m, stats.k
     for _ in range(m):
         a = P.sample_bits(rng)
-        g = IndependentSetGrower(M)
+        taken = 0
         order = list(base)
         rng.shuffle(order)  # the stdlib's draw, which the library's own must equal
         for e in order:
             if (a >> e) & 1:
                 ms[e] += 1
-                if g.try_add(e):
+                if M._independent(taken | 1 << e):  # as `membership_span` grows its basis
+                    taken |= 1 << e
                     ks[e] += 1
     return stats

@@ -20,7 +20,6 @@ from ocrs import (
     PreselectConfig,
     SubsetMask,
     UniformMatroid,
-    bruteforce_weighted_rank,
     build_lp_scheme,
     build_secretary_reduction,
     estimate_balancedness,
@@ -40,6 +39,7 @@ from ocrs.harness import hoeffding_halfwidth
 from ocrs.schemes import greedy_ordered_bits
 
 from conftest import explicit_battery, sentinel_prefix_law
+from oracle_reference import bruteforce_weighted_rank
 
 
 def announce(label: str, checks: list):

@@ -120,12 +120,17 @@ class TestParseInstance:
             ("hidden:3,1/3,1/20,0,1", "hidden:N,ALPHA,DELTA,J"),
             ("twoelem:5", "form twoelem"),
             ("parallel-hats:1/2,m=-1", "hat count m must be >= 0"),
+            ("kuniform:a,2", "form kuniform:N,K"),
+            ("kuniform:5,2.5", "form kuniform:N,K"),
+            ("hidden:3,x,1/20,0", "form hidden:N,ALPHA,DELTA,J"),
+            ("parallel-hats:1/2,m=x", "form parallel-hats:ALPHA[,m=M]"),
+            ("parallel-hats", "form parallel-hats:ALPHA[,m=M]"),
         ],
     )
     def test_wrong_arguments_name_the_form(self, spec, message):
-        # Each of these printed Python's unpacking message, read an argument
-        # that twoelem ignored, or built a graph of -1 hats whose bundle
-        # shared a vertex with the base edge.
+        # Each of these printed Python's unpacking or literal message, read
+        # an argument that twoelem ignored, or built a graph of -1 hats whose
+        # bundle shared a vertex with the base edge.
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_instance(spec)
 
@@ -483,13 +488,21 @@ class TestCli:
                                                         {"elements": [1, 2, 3], "prob": "3/14"},
                                                         {"elements": [0, 2, 3], "prob": "2/7"}]},
                                   "canonical_order": [0, 1, 2, 3]}),
+            ("independent_sets", {**two_element_instance().to_spec(),
+                                  "matroid": {"type": "explicit", "n": 2,
+                                              "independent_sets": [[], [5]]}}),
+            ("support", {**two_element_instance().to_spec(),
+                         "prior": {"type": "explicit", "n": 2,
+                                   "support": [{"elements": [0, 5], "prob": "1"}]}}),
+            ("canonical_order", {**two_element_instance().to_spec(), "canonical_order": "01"}),
         ],
         ids=["components", "component-w", "support", "independent-sets", "no-declared-alpha",
              "independent-set-item", "edge-item", "edge-triple", "uniform-n-list",
              "uniform-n-string", "uniform-k-float", "atom-element", "independent-set-negative",
              "atom-element-negative", "edge-negative", "product-x-literal", "atom-prob-literal",
              "declared-alpha-literal", "rho-literal", "component-weight-bool",
-             "component-w-literal", "independent-sets-not-a-matroid"],
+             "component-w-literal", "independent-sets-not-a-matroid",
+             "independent-set-outside", "atom-outside", "canonical-order-string"],
     )
     def test_malformed_spec_field_exits_2_naming_it(self, tmp_path, capsys, field, case):
         # A number where a list belongs ended in "TypeError: 'int' object is not
@@ -497,7 +510,8 @@ class TestCli:
         # wrong type escaped as a TypeError, and int() read k = 1.5 as 1. A
         # negative index printed "negative shift count", and a rational that
         # does not parse "Invalid literal for Fraction", neither naming the field.
-        # A family that breaks exchange gave a wrong alpha* and exit 0.
+        # A family that breaks exchange gave a wrong alpha* and exit 0. A set
+        # outside the ground set was named as a hex mask or not at all.
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(case))
         if "matroid" in case:

@@ -11,7 +11,6 @@ from ocrs import (
     GraphicMatroid,
     SubsetMask,
     UniformMatroid,
-    bruteforce_weighted_rank,
     matroid_from_spec,
     verify_axioms,
 )
@@ -20,6 +19,7 @@ from ocrs.matroid import IndependentSetGrower, Matroid, greedy_ordered_bits
 from ocrs.sampling import EnumerationTooLarge
 
 from conftest import FAMILIES, membership_span, random_small_matroid, triangle
+from oracle_reference import bruteforce_weighted_rank
 
 
 def S(n, *elems):

@@ -17,7 +17,6 @@ from ocrs import (
     SubsetMask,
     UniformMatroid,
     WeightMixture,
-    bruteforce_weighted_rank,
     estimate_balancedness,
     exact_balancedness,
     gen_hidden_element,
@@ -35,7 +34,7 @@ from ocrs.preselect import exact_unspanned_prob_independent
 from ocrs.priors import AllActivePrior, SamplerPrior
 
 from conftest import explicit_battery, random_explicit_prior, random_small_matroid
-from oracle_reference import reference_max_uncontentious_alpha
+from oracle_reference import bruteforce_weighted_rank, reference_max_uncontentious_alpha
 from scheme_reference import ladder_outcomes, reference_exact_balancedness
 
 

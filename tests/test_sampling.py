@@ -13,9 +13,6 @@ from ocrs import (
     SubsetMask,
     UniformMatroid,
     parse_instance,
-    prefix_subsample,
-    random_permutation,
-    t_rho,
 )
 from ocrs.bitset import full_mask, iter_bits, mask_of, popcount
 from ocrs.sampling import (
@@ -32,16 +29,16 @@ from conftest import sentinel_prefix_law
 class TestTRho:
     def test_rho_zero_drops_everything(self, rng):
         s = SubsetMask.from_elements(5, [0, 2, 4])
-        assert all(not t_rho(s, 0.0, rng) for _ in range(20))
+        assert all(not t_rho_bits(s.bits, 0.0, rng) for _ in range(20))
 
     def test_rho_one_keeps_everything(self, rng):
         s = SubsetMask.from_elements(5, [0, 2, 4])
-        assert all(t_rho(s, 1.0, rng) == s for _ in range(20))
+        assert all(SubsetMask(5, t_rho_bits(s.bits, 1.0, rng)) == s for _ in range(20))
 
     def test_result_is_subset(self, rng):
         s = SubsetMask.from_elements(8, [1, 3, 4, 7])
         for _ in range(200):
-            assert t_rho(s, 0.3, rng).issubset(s)
+            assert SubsetMask(8, t_rho_bits(s.bits, 0.3, rng)).issubset(s)
 
     def test_marginal_rate_and_pairwise_independence(self, rng):
         trials = 30000
@@ -59,7 +56,7 @@ class TestTRho:
 
     def test_rho_out_of_range(self, rng):
         with pytest.raises(ValueError):
-            t_rho(SubsetMask.full(2), 1.5, rng)
+            t_rho_bits(0b11, 1.5, rng)
 
     @pytest.mark.parametrize(
         "rho, depth",
@@ -156,7 +153,7 @@ class TestPermutation:
             Permutation([0, 3])
 
     def test_random_permutation_reproducible(self):
-        assert random_permutation(6, Random(5)) == random_permutation(6, Random(5))
+        assert Permutation(shuffled(range(6), Random(5))) == Permutation(shuffled(range(6), Random(5)))
 
     def test_immutability_equality_and_hash(self):
         sigma = Permutation([2, 0, 1])
@@ -214,7 +211,7 @@ class TestShuffled:
         for seed in self.SEEDS:
             ref = list(range(9))
             Random(seed).shuffle(ref)
-            assert random_permutation(9, Random(seed)) == Permutation(ref)
+            assert Permutation(shuffled(range(9), Random(seed))) == Permutation(ref)
 
 
 class TestPrefixSubsample:
@@ -293,7 +290,7 @@ class TestPrefixSubsample:
 
     def test_needs_positive_n(self, rng):
         with pytest.raises(ValueError):
-            prefix_subsample(0, rng)
+            prefix_subsample_bits(0, rng)
 
     @pytest.mark.parametrize("n, depth", [(1, 8), (2, 5), (3, 4), (4, 3), (5, 3)])
     def test_sentinel_comparison_never_overshoots_the_exact_law(self, n, depth):

@@ -16,16 +16,14 @@ from ocrs import (
     UniformMatroid,
     WeightMixture,
     gen_kuniform_allactive,
-    greedy_ordered,
     measure_competitiveness,
     order_by_weight,
     preselect_prefix,
     scheme_from_spec,
-    secretary_wrap,
 )
 from ocrs import schemes
 from ocrs.bitset import mask_of
-from ocrs.sampling import draw_index, random_permutation, t_rho_bits
+from ocrs.sampling import draw_index, shuffled, t_rho_bits
 from ocrs.schemes import (
     by_weight_arrivals,
     greedy_ordered_bits,
@@ -42,19 +40,19 @@ def S(n, *elems):
 class TestGreedyOrdered:
     def test_empty_active_set(self):
         m = UniformMatroid(3, 2)
-        assert greedy_ordered(m, Permutation.identity(3), SubsetMask.empty(3)) == SubsetMask.empty(3)
+        assert greedy_ordered_bits(m, range(3), 0) == 0
 
     def test_first_active_wins_on_one_uniform(self):
         m = UniformMatroid(4, 1)
-        out = greedy_ordered(m, Permutation.identity(4), S(4, 1, 3))
+        out = SubsetMask(4, greedy_ordered_bits(m, range(4), S(4, 1, 3).bits))
         assert out == S(4, 1)
 
     def test_triangle_third_edge_closes_cycle(self):
-        out = greedy_ordered(triangle(), Permutation([0, 1, 2]), SubsetMask.full(3))
+        out = SubsetMask(3, greedy_ordered_bits(triangle(), [0, 1, 2], 0b111))
         assert out == S(3, 0, 1)
 
     def test_order_matters(self):
-        out = greedy_ordered(triangle(), Permutation([2, 1, 0]), SubsetMask.full(3))
+        out = SubsetMask(3, greedy_ordered_bits(triangle(), [2, 1, 0], 0b111))
         assert out == S(3, 2, 1)
 
 
@@ -177,12 +175,11 @@ class TestOrderByWeight:
 class TestSecretaryWrap:
     def test_empty_active_set_selects_nothing(self, rng):
         m = UniformMatroid(3, 1)
-        out = secretary_wrap("greedy_by_weight", (3, 1, 2), m, SubsetMask.empty(3), rng)
-        assert out == SubsetMask.empty(3)
+        assert secretary_wrap_bits("greedy_by_weight", (3, 1, 2), m, 0, rng) == 0
 
     def test_greedy_by_weight_takes_max(self, rng):
         m = UniformMatroid(3, 1)
-        out = secretary_wrap("greedy_by_weight", (3, 1, 2), m, SubsetMask.full(3), rng)
+        out = SubsetMask(3, secretary_wrap_bits("greedy_by_weight", (3, 1, 2), m, 0b111, rng))
         assert out == S(3, 0)
 
     def test_greedy_by_weight_attains_weighted_rank(self, rng):
@@ -191,7 +188,7 @@ class TestSecretaryWrap:
             p = random_explicit_prior(rng, m.n)
             w = tuple(Fraction(rng.randint(0, 9)) for _ in range(m.n))
             a = p.sample(rng)
-            out = secretary_wrap("greedy_by_weight", w, m, a, rng)
+            out = SubsetMask(m.n, secretary_wrap_bits("greedy_by_weight", w, m, a.bits, rng))
             assert sum(w[e] for e in out) == m.weighted_rank(w, a)
 
     def test_greedy_by_weight_fold_equals_its_stream(self, rng):
@@ -214,8 +211,7 @@ class TestSecretaryWrap:
     def test_zero_weights_never_selected(self, rng):
         m = UniformMatroid(3, 2)
         for kind in ("greedy_by_weight", "classic_1uniform"):
-            out = secretary_wrap(kind, (0, 0, 0), m, SubsetMask.full(3), rng)
-            assert out == SubsetMask.empty(3)
+            assert secretary_wrap_bits(kind, (0, 0, 0), m, 0b111, rng) == 0
 
 
 class TestGreedyOrderDominance:
@@ -279,7 +275,7 @@ class TestClassicSecretary:
 
     @pytest.mark.parametrize("rng_cls", [Random, _BitsOnlyRandom])
     def test_same_selection_and_stream_as_the_streaming_rule(self, rng_cls):
-        # Reference: arrivals in `random_permutation` order, inactive ones at
+        # Reference: arrivals in `shuffled` order, inactive ones at
         # weight 0; observe floor(n/e), then take each that is positive, at
         # least the best seen and keeps the set independent.
         for seed in range(300):
@@ -290,7 +286,7 @@ class TestClassicSecretary:
             ours, ref = rng_cls(seed), rng_cls(seed)
             got = secretary_wrap_bits("classic_1uniform", w, m, a_bits, ours)
             observe, best, want = math.floor(m.n / math.e), 0, 0
-            for seen, e in enumerate(random_permutation(m.n, ref).order):
+            for seen, e in enumerate(shuffled(range(m.n), ref)):
                 we = w[e] if a_bits >> e & 1 else 0
                 if seen < observe:
                     best = max(best, we)
