@@ -66,7 +66,7 @@ class Instance:
         matroid = matroid_from_spec(spec_field(spec, "matroid"))  # checks spec is a dict
         order = spec.get("canonical_order")
         if order is not None:
-            order = Permutation(spec_field(spec, "canonical_order", [int]))
+            order = spec_field(spec, "canonical_order", Permutation)
         return cls(
             name=spec.get("name", "instance"),
             matroid=matroid,

@@ -17,6 +17,8 @@ scan over A ∩ S (`sampling.unspanned_counts`) counts the keep/drop patterns
 that leave the candidate unspanned, by how many they keep, and the law
 weighs them by that number alone. A scan past `sampling.SCAN_BUDGET` refuses
 before any draw; `priors.exact_or_sampled` picks the flavour, and falls back.
+In both flavours, elements the prior knows never active take the leftover
+front positions once only they remain.
 """
 
 from __future__ import annotations
@@ -161,9 +163,16 @@ def _preselect(M, P, cfg, rng, prefix_mode: bool) -> Permutation:
     threshold = cfg.alpha if prefix_mode else cfg.alpha / 2
 
     def fill(qualifying) -> Permutation:
+        # A known never-active element is never in T ∩ A, so it changes no
+        # other element's statistic: once only such elements remain, they
+        # take the leftover front positions in ascending order.
+        never = P.never_active_bits
         order = [0] * n
         remaining = full_mask(n)
         for i in range(n, 0, -1):
+            if not remaining & ~never:
+                order[:i] = iter_bits(remaining)
+                break
             chosen = next(qualifying(SubsetMask(n, remaining)), -1)
             if chosen < 0:
                 raise NoQualifyingElement(i, order[i:])

@@ -138,53 +138,38 @@ class Prior:
         `outcomes(a)` yields credits p*w to each element of bits.
 
         Outcomes are counted by weight class: each distinct value pair
-        (p, w) over the whole support keeps one bit-sliced counter, as in
-        `count`, and an outcome adds its bits to it through a carry chain,
-        with integer operations only. Outcomes of equal weight on atoms of
-        equal p share a class. Only at the end does a class of c
-        outcomes take Fractions: one product p*w (none for w == 1) and, for
-        each of its ~log2(c) levels, the mass p*w*2^i credited to the set
-        that level holds. Equal sets are merged and each is expanded once.
+        (p, w) over the whole support, however its Fractions were made, keeps
+        one plain int count per element, and an outcome adds 1 to the count
+        of each element of its bits. Only at the end does a class take
+        Fractions: one product p*w (none for w == 1), and p*w*count credited
+        to each element it counted.
         """
         support = self.support()
         if support is None:
             raise EnumerationTooLarge("exact enumeration needs an explicit prior support")
-        # Classes are keyed by exact value as (numerator, denominator), so equal
-        # weights share one however they were made; two ints hash much faster
-        # than a Fraction. p's key -> (p, w's key -> (w, levels)).
-        classes: dict[tuple[int, int], tuple[Fraction, dict]] = {}
+        n = self.n
+        # (p, w) keyed by exact value as (numerator, denominator) pairs, which
+        # hash much faster than Fractions -> (p*w, per-element counts).
+        classes: dict[tuple, tuple[Fraction, list[int]]] = {}
         for a, p in support:
             if not p:
                 continue
-            by_w = classes.setdefault(p.as_integer_ratio(), (p, {}))[1]
+            p_key = p.as_integer_ratio()
             for w, bits in outcomes(a):
-                key = w.as_integer_ratio()
-                cls = by_w.get(key)
+                key = p_key, w.as_integer_ratio()
+                cls = classes.get(key)
                 if cls is None:
-                    cls = by_w[key] = (w, [])
-                levels = cls[1]
-                carry, i = bits, 0
-                while carry:
-                    if i == len(levels):
-                        levels.append(carry)
-                        break
-                    level = levels[i]
-                    levels[i] = level ^ carry
-                    carry &= level
-                    i += 1
-        mass: dict[int, Fraction] = {}
-        for p, by_w in classes.values():
-            for w, levels in by_w.values():
-                pw = p if w == 1 else p * w
-                for i, bits in enumerate(levels):
-                    if bits:
-                        q = pw * (1 << i) if i else pw
-                        old = mass.get(bits)
-                        mass[bits] = q if old is None else old + q
-        totals = [Fraction(0)] * self.n
-        for bits, q in mass.items():
-            for e in iter_bits(bits):
-                totals[e] += q
+                    cls = classes[key] = (p if w == 1 else p * w, [0] * n)
+                counts = cls[1]
+                while bits:
+                    low = bits & -bits
+                    counts[low.bit_length() - 1] += 1
+                    bits ^= low
+        totals = [Fraction(0)] * n
+        for pw, counts in classes.values():
+            for e, c in enumerate(counts):
+                if c:
+                    totals[e] += pw * c if c > 1 else pw
         return totals
 
     def support(self) -> Optional[list[tuple[int, Fraction]]]:

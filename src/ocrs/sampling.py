@@ -59,6 +59,8 @@ def _read(value, kind):
     if isinstance(kind, type):
         if kind is Fraction and not isinstance(value, bool):
             return to_fraction(value)
+        if kind is Permutation:
+            return Permutation(_read(value, [int]))
         if (type(value) is int and value >= 0) if kind is int else isinstance(value, kind):
             return value
     elif isinstance(value, list):
@@ -70,7 +72,8 @@ def _read(value, kind):
 
 def _shape_name(kind) -> str:
     if isinstance(kind, type):
-        return {int: "int >= 0", Fraction: "rational"}.get(kind, kind.__name__)
+        names = {int: "int >= 0", Fraction: "rational", Permutation: "a permutation of 0..n-1"}
+        return names.get(kind, kind.__name__)
     items = [_shape_name(k) for k in kind] + (["..."] if isinstance(kind, list) else [])
     return f"[{', '.join(items)}]"
 
@@ -79,8 +82,9 @@ def spec_field(spec, key: str, kind=object):
     """`spec[key]` of a JSON object, read as shape `kind`; a non-object spec, a
     missing field or another shape raises ValueError naming the field. A shape
     is a type (`int`: a count or index, no bool, float or negative; `Fraction`:
-    what `to_fraction` reads), `[k]` for an array of shape-k items, or a tuple
-    for exactly those shapes in an array: `[(int, int)]` is an array of pairs."""
+    what `to_fraction` reads; `Permutation`: an array of ints ordering 0..n-1),
+    `[k]` for an array of shape-k items, or a tuple for exactly those shapes in
+    an array: `[(int, int)]` is an array of pairs."""
     if not isinstance(spec, dict):
         raise ValueError(f"expected an object with field {key!r}, got {spec!r}")
     if key not in spec:

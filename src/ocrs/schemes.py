@@ -324,16 +324,16 @@ def scheme_from_spec(spec: dict) -> Scheme:
     `Fraction`, so a JSON float means its decimal digits."""
     kind = spec_field(spec, "kind")
     if kind == "ordered_greedy":
-        return OrderedGreedy(Permutation(spec_field(spec, "order")))
+        return OrderedGreedy(spec_field(spec, "order", Permutation))
     if kind == "independent_subsampling":
         return IndependentSubsampling(
-            Permutation(spec_field(spec, "order")), spec_field(spec, "rho", Fraction)
+            spec_field(spec, "order", Permutation), spec_field(spec, "rho", Fraction)
         )
     if kind == "prefix_subsampling":
-        return PrefixSubsampling(Permutation(spec_field(spec, "order")))
+        return PrefixSubsampling(spec_field(spec, "order", Permutation))
     if kind == "permutation_mixture":
         return PermutationMixture(
-            [(Permutation(spec_field(c, "order")), spec_field(c, "weight", Fraction))
+            [(spec_field(c, "order", Permutation), spec_field(c, "weight", Fraction))
              for c in spec_field(spec, "components", list)]
         )
     if kind == "weight_mixture":

@@ -495,6 +495,12 @@ class TestCli:
                          "prior": {"type": "explicit", "n": 2,
                                    "support": [{"elements": [0, 5], "prob": "1"}]}}),
             ("canonical_order", {**two_element_instance().to_spec(), "canonical_order": "01"}),
+            ("canonical_order", {**two_element_instance().to_spec(), "canonical_order": [0, 0]}),
+            ("order", {"kind": "ordered_greedy", "order": [0, 0]}),
+            ("order", {"kind": "prefix_subsampling", "order": [1, 2]}),
+            ("order", {"kind": "permutation_mixture",
+                       "components": [{"order": [0, 1], "weight": "1/2"},
+                                      {"order": [1, 1], "weight": "1/2"}]}),
         ],
         ids=["components", "component-w", "support", "independent-sets", "no-declared-alpha",
              "independent-set-item", "edge-item", "edge-triple", "uniform-n-list",
@@ -502,7 +508,8 @@ class TestCli:
              "atom-element-negative", "edge-negative", "product-x-literal", "atom-prob-literal",
              "declared-alpha-literal", "rho-literal", "component-weight-bool",
              "component-w-literal", "independent-sets-not-a-matroid",
-             "independent-set-outside", "atom-outside", "canonical-order-string"],
+             "independent-set-outside", "atom-outside", "canonical-order-string",
+             "canonical-order-repeat", "order-repeat", "order-outside", "component-order"],
     )
     def test_malformed_spec_field_exits_2_naming_it(self, tmp_path, capsys, field, case):
         # A number where a list belongs ended in "TypeError: 'int' object is not
@@ -511,7 +518,9 @@ class TestCli:
         # negative index printed "negative shift count", and a rational that
         # does not parse "Invalid literal for Fraction", neither naming the field.
         # A family that breaks exchange gave a wrong alpha* and exit 0. A set
-        # outside the ground set was named as a hex mask or not at all.
+        # outside the ground set was named as a hex mask or not at all, and an
+        # order that is not a permutation printed "not a permutation of 0..n-1"
+        # without its field.
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(case))
         if "matroid" in case:

@@ -232,17 +232,15 @@ class TestPreselectExact:
         assert outcome("auto") == outcome("mc")
         assert answered == []
 
-    def test_never_active_element_is_skipped_then_fails(self, rng):
-        # element 1 never active: conservative rule keeps it unqualified, so
-        # the loop fills the other slot and then fails with a partial order
+    def test_never_active_element_takes_the_front(self):
+        # Element 1 is never active, so it never qualifies and never changes
+        # element 0's statistic: 0 fills the last slot, 1 the one left over.
         m = UniformMatroid(2, 1)
         p = ExplicitPrior(2, [(0b01, 1)])
-        cfg = PreselectConfig(alpha=0.5, mode="exact")
-        with pytest.raises(NoQualifyingElement) as exc:
-            preselect_independent(m, p, cfg, rng)
-        assert exc.value.step == 1
-        assert exc.value.suffix == [0]
-        assert str(exc.value) == "no qualifying element at step 1 (positions 1..1 filled)"
+        for mode in ("exact", "mc"):
+            cfg = PreselectConfig(alpha=0.5, mode=mode, sample_override=200)
+            assert preselect_independent(m, p, cfg, Random(1)).order == (1, 0)
+            assert preselect_prefix(m, p, cfg, Random(1)).order == (1, 0)
 
     @pytest.mark.parametrize("law", ["independent", "prefix"])
     @pytest.mark.parametrize("n", [9, 13, 14, 30])
@@ -262,24 +260,34 @@ class TestPreselectExact:
         assert min(exact_balancedness(M, scheme, P)) >= alpha * alpha / floor
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.integers(0, 2**32 - 1))
-    def test_orders_at_alpha_star_meet_the_floors(self, seed):
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_orders_at_alpha_star_meet_the_floors(self, seed, never):
         # Preselected at alpha*, thinning at rho = alpha*/2 is alpha*^2/4-balanced
-        # and the random prefix alpha*^2/2-balanced, exactly.
+        # and the random prefix alpha*^2/2-balanced, exactly. never: a marginal
+        # leaves the elements outside a random nonempty set never active, and
+        # they take the front positions.
         rng = Random(seed)
         M = random_small_matroid(rng, max_n=6)
-        P = random_explicit_prior(rng, M.n)
+        n = M.n
+        P = random_explicit_prior(rng, n)
+        live = rng.randrange(1, 1 << n) if never else (1 << n) - 1
+        P = P.marginal(SubsetMask(n, live))
         alpha = max_uncontentious_alpha(M, P).alpha_star
-        # Every element is active somewhere, so only a loop is never selected.
-        assert (alpha == 0) == any(not M._independent(1 << e) for e in range(M.n))
+        # Every live element is active somewhere, so only a live loop is never selected.
+        loops = [e for e in range(n) if live >> e & 1 and not M._independent(1 << e)]
+        assert (alpha == 0) == bool(loops)
         if alpha == 0:
             return
         cfg = PreselectConfig(alpha=alpha, mode="exact")
-        order = preselect_independent(M, P, cfg, rng)
-        bal = exact_balancedness(M, IndependentSubsampling(order, alpha / 2), P)
-        assert min(bal) >= alpha * alpha / 4
-        order = preselect_prefix(M, P, cfg, rng)
-        assert min(exact_balancedness(M, PrefixSubsampling(order), P)) >= alpha * alpha / 2
+        front = [e for e in range(n) if not live >> e & 1]
+        for run, scheme, floor in (
+            (preselect_independent, lambda order: IndependentSubsampling(order, alpha / 2), 4),
+            (preselect_prefix, PrefixSubsampling, 2),
+        ):
+            order = run(M, P, cfg, rng)
+            assert list(order.order[: len(front)]) == front
+            bal = exact_balancedness(M, scheme(order), P)
+            assert min(b for b in bal if b is not None) >= alpha * alpha / floor
 
 
 class TestPreselectMonteCarlo:
@@ -299,8 +307,10 @@ class TestPreselectMonteCarlo:
         assert a == b
 
     def test_dead_element_raises_with_partial_order(self):
+        # An opaque prior does not know element 1 is dead, so it stays in
+        # play, is never sampled and never qualifies.
         m = UniformMatroid(2, 1)
-        p = ExplicitPrior(2, [(0b01, 1)])
+        p = SamplerPrior(2, lambda r: 0b01)
         cfg = PreselectConfig(alpha=0.5, eps=0.5, sample_override=200)
         with pytest.raises(NoQualifyingElement) as exc:
             preselect_independent(m, p, cfg, Random(1))

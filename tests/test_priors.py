@@ -324,7 +324,8 @@ class TestExactCount:
         assert got == [Fraction(4 * size, 21), Fraction(12 * size, 21), Fraction(4 * size, 21)]
 
     def test_arithmetic_grows_with_weight_classes_not_outcomes(self):
-        # 2^10 thinning outcomes on the one atom, in r + 1 = 11 classes by |B|
+        # The thinning scheme credits each of the one atom's 10 elements once,
+        # weighed by the law: at most one class per element, not 2^10 outcomes
         n = r = 10
         M = UniformMatroid(n, 4)
         P = AllActivePrior(n)
@@ -336,7 +337,19 @@ class TestExactCount:
         assert bal == reference_exact_count(P, lambda a: scheme.outcomes(M, a))  # p = 1
 
 
-# Outcome counts on either side of powers of two, where a counter grows a level.
+    def test_fractions_are_taken_per_class_and_element_not_per_atom(self):
+        # All 256 subsets of 8 elements at 1/256 each form one weight class, so
+        # the activation probabilities take at most 2n Fraction operations; a
+        # per-atom sum would take 256 additions.
+        n = 8
+        P = ExplicitPrior(n, [(a, Fraction(1, 2**n)) for a in range(2**n)])
+        P.atoms = [(a, _CountedFraction(p)) for a, p in P.atoms]
+        before = _CountedFraction.ops
+        assert P.activation_probabilities() == [Fraction(1, 2)] * n
+        assert _CountedFraction.ops - before <= 2 * n
+
+
+# Outcome counts on either side of powers of two.
 _NEAR_POWERS_OF_TWO = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
 _WEIGHTS = [0, 1, Fraction(1), Fraction(1, 2), Fraction(2, 4), Fraction(3, 7), Fraction(5, 6)]
 
