@@ -161,12 +161,12 @@ def exact_unspanned_prob_prefix(M: Matroid, P: Prior, S: SubsetMask, j: int) -> 
 def _preselect(M, P, cfg, rng, prefix_mode: bool) -> Permutation:
     n = M.n
     threshold = cfg.alpha if prefix_mode else cfg.alpha / 2
+    # A known never-active element is never in T ∩ A, so it changes no other
+    # element's statistic: once only such elements remain, they take the
+    # leftover front positions in ascending order.
+    never = P.never_active_bits
 
     def fill(qualifying) -> Permutation:
-        # A known never-active element is never in T ∩ A, so it changes no
-        # other element's statistic: once only such elements remain, they
-        # take the leftover front positions in ascending order.
-        never = P.never_active_bits
         order = [0] * n
         remaining = full_mask(n)
         for i in range(n, 0, -1):
@@ -181,12 +181,11 @@ def _preselect(M, P, cfg, rng, prefix_mode: bool) -> Permutation:
         return Permutation(order)
 
     def exact():
-        live = ~P.never_active_bits
         if prefix_mode:
             stat = lambda S, j: exact_unspanned_prob_prefix(M, P, S, j)
         else:
             stat = lambda S, j: exact_unspanned_prob_independent(M, P, S, j, threshold)
-        return fill(lambda S: (j for j in iter_bits(S.bits & live) if stat(S, j) >= threshold))
+        return fill(lambda S: (j for j in iter_bits(S.bits & ~never) if stat(S, j) >= threshold))
 
     def sampled():
         m = cfg.sample_override or sample_size(

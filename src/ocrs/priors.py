@@ -139,38 +139,46 @@ class Prior:
 
         Outcomes are counted by weight class: each distinct value pair
         (p, w) over the whole support, however its Fractions were made, keeps
-        one plain int count per element, and an outcome adds 1 to the count
-        of each element of its bits. Only at the end does a class take
-        Fractions: one product p*w (none for w == 1), and p*w*count credited
-        to each element it counted.
+        one bit-sliced counter, as in `count`, and an outcome adds its bits
+        to it through a carry chain. Counter level i credits p*w*2^i to each
+        element it holds, as a plain int numerator over the common
+        denominator of all classes; each element takes one Fraction at the
+        end, and none before.
         """
         support = self.support()
         if support is None:
             raise EnumerationTooLarge("exact enumeration needs an explicit prior support")
-        n = self.n
-        # (p, w) keyed by exact value as (numerator, denominator) pairs, which
-        # hash much faster than Fractions -> (p*w, per-element counts).
-        classes: dict[tuple, tuple[Fraction, list[int]]] = {}
+        # Classes are keyed by exact value as (numerator, denominator), which
+        # hash much faster than Fractions: p's key -> w's key -> counter levels.
+        classes: dict[tuple[int, int], dict[tuple[int, int], list[int]]] = {}
         for a, p in support:
             if not p:
                 continue
-            p_key = p.as_integer_ratio()
+            by_w = classes.setdefault(p.as_integer_ratio(), {})
             for w, bits in outcomes(a):
-                key = p_key, w.as_integer_ratio()
-                cls = classes.get(key)
-                if cls is None:
-                    cls = classes[key] = (p if w == 1 else p * w, [0] * n)
-                counts = cls[1]
-                while bits:
-                    low = bits & -bits
-                    counts[low.bit_length() - 1] += 1
-                    bits ^= low
-        totals = [Fraction(0)] * n
-        for pw, counts in classes.values():
-            for e, c in enumerate(counts):
-                if c:
-                    totals[e] += pw * c if c > 1 else pw
-        return totals
+                key = w.as_integer_ratio()
+                levels = by_w.get(key)
+                if levels is None:
+                    levels = by_w[key] = []
+                carry, i = bits, 0
+                while carry:
+                    if i == len(levels):
+                        levels.append(carry)
+                        break
+                    level = levels[i]
+                    levels[i] = level ^ carry
+                    carry &= level
+                    i += 1
+        den = math.lcm(*(pd * wd for (_, pd), by_w in classes.items() for _, wd in by_w))
+        nums = [0] * self.n
+        for (p_num, p_den), by_w in classes.items():
+            for (w_num, w_den), levels in by_w.items():
+                num = p_num * w_num * (den // (p_den * w_den))
+                for i, level in enumerate(levels):
+                    for e in iter_bits(level):
+                        nums[e] += num << i
+        zero = Fraction(0)
+        return [Fraction(v, den) if v else zero for v in nums]
 
     def support(self) -> Optional[list[tuple[int, Fraction]]]:
         """Explicit (bits, probability) atoms, or None when unknown."""

@@ -314,7 +314,9 @@ class TestPreselectMonteCarlo:
         cfg = PreselectConfig(alpha=0.5, eps=0.5, sample_override=200)
         with pytest.raises(NoQualifyingElement) as exc:
             preselect_independent(m, p, cfg, Random(1))
+        assert exc.value.step == 1
         assert exc.value.suffix == [0]
+        assert str(exc.value) == "no qualifying element at step 1 (positions 1..1 filled)"
 
     def test_monte_carlo_soundness_over_seed_battery(self):
         # On the tight all-active instances, the per-step failure rate of

@@ -279,15 +279,15 @@ class TestExactCount:
 
     def test_activation_probabilities_are_counted_once(self, rng):
         P = random_explicit_prior(rng, 5)
-        P.atoms = [(a, _CountedFraction(p)) for a, p in P.atoms]
+        count, calls = P.exact_count, []
+        P.exact_count = lambda outcomes: calls.append(outcomes) or count(outcomes)
         first = P.activation_probabilities()
-        done = _CountedFraction.ops
-        assert done > 0
+        assert len(calls) == 1
         first.clear()  # callers get a copy
         for _ in range(3):
             assert len(P.activation_probabilities()) == 5
         P.p_min(), P.never_active_bits
-        assert _CountedFraction.ops == done
+        assert len(calls) == 1
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -336,17 +336,17 @@ class TestExactCount:
         assert _CountedFraction.ops - before <= (r + 1) * r + n
         assert bal == reference_exact_count(P, lambda a: scheme.outcomes(M, a))  # p = 1
 
-
-    def test_fractions_are_taken_per_class_and_element_not_per_atom(self):
-        # All 256 subsets of 8 elements at 1/256 each form one weight class, so
-        # the activation probabilities take at most 2n Fraction operations; a
-        # per-atom sum would take 256 additions.
+    def test_probabilities_are_read_as_integer_ratios_only(self):
+        # All 256 subsets of 8 elements at 1/256 each form one weight class.
+        # The count reads each probability through as_integer_ratio and takes
+        # its Fractions from ints at the end; a per-atom sum would take 256
+        # additions, and per-level class masses one product per level.
         n = 8
         P = ExplicitPrior(n, [(a, Fraction(1, 2**n)) for a in range(2**n)])
         P.atoms = [(a, _CountedFraction(p)) for a, p in P.atoms]
         before = _CountedFraction.ops
         assert P.activation_probabilities() == [Fraction(1, 2)] * n
-        assert _CountedFraction.ops - before <= 2 * n
+        assert _CountedFraction.ops == before
 
 
 # Outcome counts on either side of powers of two.
