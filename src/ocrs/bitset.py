@@ -19,6 +19,18 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+def wide_bits(bits: int) -> list[int]:
+    """The set bit positions of ``bits`` in ascending order, found in its
+    binary digits: for a batch's trial words, thousands of bits wide, where
+    each step of `iter_bits` is a big-int operation."""
+    digits = bin(bits)[:1:-1]  # least significant first
+    found, i = [], digits.find("1")
+    while i >= 0:
+        found.append(i)
+        i = digits.find("1", i + 1)
+    return found
+
+
 def mask_of(elements: Iterable[int]) -> int:
     m = 0
     for e in elements:

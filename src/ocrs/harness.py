@@ -260,9 +260,6 @@ def hoeffding_halfwidth(level: float, count: int) -> float:
     return math.sqrt(math.log(2 / (1 - level)) / (2 * count))
 
 
-TRIAL_BATCH = 4096  # trials per sliced batch: the bits of each element's word
-
-
 def estimate_balancedness(
     M: Matroid,
     scheme: Scheme,
@@ -279,8 +276,8 @@ def estimate_balancedness(
     When the scheme has a sliced run phase (`Scheme.run_words`: greedy and
     the subsampling schemes) and the matroid a sliced greedy
     (`Matroid.greedy_words`: uniform, graphic and their restrictions), the
-    trials run in batches of TRIAL_BATCH, each element's state one int with
-    bit t for trial t: the prior draws the batch's active words
+    trials run in batches (`Prior.trial_batches`), each element's state one
+    int with bit t for trial t: the prior draws the batch's active words
     (`Prior.trial_words`), the scheme its keep-words over them, greedy folds
     along the order on words, and the counts are bit counts. So one big-int
     operation serves a whole batch, with the law of the per-trial path but
@@ -295,8 +292,7 @@ def estimate_balancedness(
         act, sel = P.count(trials, rng, partial(scheme.run_bits, M))
     else:
         act, sel = [0] * M.n, [0] * M.n
-        for done in range(0, trials, TRIAL_BATCH):
-            words = P.trial_words(min(TRIAL_BATCH, trials - done), rng)
+        for _, words in P.trial_batches(trials, rng):
             for e, (a, s) in enumerate(zip(words, scheme.run_words(M, words, rng))):
                 act[e] += a.bit_count()
                 sel[e] += s.bit_count()

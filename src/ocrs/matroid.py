@@ -17,8 +17,14 @@ fold; the parent's fold over the masked active set for a restriction.
 element with bit t for trial t: a bit-sliced count for a uniform matroid,
 bit-sliced component labels for a graphic one, the parent's kernel for a
 restriction, and none (None) for an explicit set list.
-`_unspanned(bits, within)` is the one batch span query; a graphic matroid
+`_unspanned(bits, within)` is the one span query; a graphic matroid
 answers it by merging its span state's component labels along `bits`.
+`unspanned_words(words, within, trials)` is its sliced twin, for a batch
+of trials: the words are folded once into the family's sliced span state
+(greedy's bit-sliced count for a uniform matroid, compared with k; the
+label fold of `greedy_words` for a graphic one, probed with each element's
+ends), a restriction masks them and asks its parent, and any other family
+asks `_unspanned` once per distinct set of the batch.
 Built-in families: uniform, graphic (multi-edges allowed), explicit set
 lists, and restrictions of any of these.
 
@@ -39,6 +45,7 @@ from .bitset import (
     iter_bits,
     mask_of,
     popcount,
+    wide_bits,
 )
 from .sampling import EnumerationTooLarge, check_in_ground_set, spec_field
 
@@ -135,6 +142,26 @@ class Matroid:
                 out |= 1 << e
         return out
 
+    def unspanned_words(self, words: Sequence[int], within: int, trials: int) -> list[int]:
+        """`_unspanned` over a batch of trials, sliced: words[e] holds the
+        trials (bits of the mask `trials`) whose set holds e, and the result
+        holds, per element of `within`, the trials whose set leaves it
+        unspanned (0 for any other element). By default one `_unspanned` per
+        distinct set of the batch, the empty set included; families override
+        it with one fold of the words into their sliced span state."""
+        columns = dict.fromkeys(wide_bits(trials), 0)  # trial -> its set
+        for e, word in enumerate(words):
+            for t in wide_bits(word):
+                columns[t] |= 1 << e
+        by_set: dict[int, int] = {}
+        for t, bits in columns.items():
+            by_set[bits] = by_set.get(bits, 0) | 1 << t
+        out = [0] * self.n
+        for bits, drawn in by_set.items():
+            for e in iter_bits(self._unspanned(bits, within)):
+                out[e] |= drawn
+        return out
+
     # -- span states ----------------------------------------------------------
 
     def span_start(self):
@@ -228,12 +255,22 @@ class UniformMatroid(Matroid):
         return taken
 
     def greedy_words(self, order, words):
-        # A bit-sliced count of the arrivals taken, started at 2^L - k for
-        # L = k.bit_length(): its carry out of the top plane marks the trials
-        # that hold k, which take nothing more.
+        return self._count_words(order, words)[0]
+
+    def unspanned_words(self, words, within, trials):
+        # Outside the span exactly in the trials that keep fewer than k.
+        below = trials & ~self._count_words(range(self.n), words)[1] if self.k else 0
+        return [below & ~w if within >> e & 1 else 0 for e, w in enumerate(words)]
+
+    def _count_words(self, order, words):
+        """(the words greedy takes along `order`, the trials that reach k).
+
+        A bit-sliced count of the arrivals taken, started at 2^L - k for
+        L = k.bit_length(): its carry out of the top plane marks the trials
+        that hold k, which take nothing more."""
         taken = [0] * self.n
         if not self.k:
-            return taken
+            return taken, 0
         trials = reduce(or_, words, 0)
         top = self.k.bit_length()
         start = (1 << top) - self.k
@@ -252,7 +289,7 @@ class UniformMatroid(Matroid):
                     full |= carry
                     if full == trials:
                         break
-        return taken
+        return taken, full
 
     def span_start(self):
         return 0  # min(|R|, k): R spans everything once it holds k elements
@@ -301,13 +338,31 @@ class GraphicMatroid(Matroid):
         return taken
 
     def greedy_words(self, order, words):
-        # Bit-sliced component labels: label[v][j] holds bit j of v's label in
-        # every trial. An edge is taken in the trials where its ends' labels
-        # differ, and there v's component takes u's label by a masked select.
-        # Only vertices on a taken edge can share a label, so `label` holds
-        # those alone; any other vertex is its own component in every trial,
-        # labelled by itself, and an edge to it merges it alone.
-        trials = reduce(or_, words, 0)
+        return self._label_words(order, words, reduce(or_, words, 0))[0]
+
+    def unspanned_words(self, words, within, trials):
+        # Outside the span in the trials where its ends' labels differ; a
+        # vertex on no taken edge is labelled by itself over all of `trials`,
+        # the batch's trials where nothing is kept included.
+        _, label = self._label_words(range(self.n), words, trials)
+        width = range((self.vertices - 1).bit_length())
+        edges, out = self.edges, [0] * self.n
+        for e in iter_bits(within):
+            ends = [label.get(w) or [trials if w >> j & 1 else 0 for j in width]
+                    for w in edges[e]]
+            for x, y in zip(*ends):
+                out[e] |= x ^ y
+        return out
+
+    def _label_words(self, order, words, trials):
+        """(the words greedy takes along `order`, the component labels after).
+
+        Bit-sliced component labels: label[v][j] holds bit j of v's label in
+        every trial of `trials`. An edge is taken in the trials where its
+        ends' labels differ, and there v's component takes u's label by a
+        masked select. Only vertices on a taken edge can share a label, so
+        `label` holds those alone; any other vertex is its own component in
+        every trial, labelled by itself, and an edge to it merges it alone."""
         width = range((self.vertices - 1).bit_length())
         label: dict[int, list[int]] = {}
         edges, taken = self.edges, [0] * self.n
@@ -342,7 +397,7 @@ class GraphicMatroid(Matroid):
                         break
                 else:
                     label[w] = [x ^ ((x ^ y) & same) for x, y in zip(lw, lu)]
-        return taken
+        return taken, label
 
     def _unspanned(self, bits: int, within: int) -> int:
         # Both loops peel the lowest set bit in place: no generator per query.
@@ -444,6 +499,12 @@ class RestrictionMatroid(Matroid):
         ground = self.ground_bits
         return self.parent.greedy_words(
             order, [w if ground >> e & 1 else 0 for e, w in enumerate(words)]
+        )
+
+    def unspanned_words(self, words, within, trials):
+        ground = self.ground_bits
+        return self.parent.unspanned_words(
+            [w if ground >> e & 1 else 0 for e, w in enumerate(words)], within & ground, trials
         )
 
     def span_start(self):

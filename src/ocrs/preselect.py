@@ -12,10 +12,15 @@ statistics are supported:
 
 Each comes in a Monte-Carlo flavour (counters over m joint samples, with a
 (1 - eps/4) relaxation of the threshold) and an exact flavour over explicit
-supports, which marginalises the subsample onto each atom A: one span-state
-scan over A ∩ S (`sampling.unspanned_counts`) counts the keep/drop patterns
-that leave the candidate unspanned, by how many they keep, and the law
-weighs them by that number alone. A scan past `sampling.SCAN_BUDGET` refuses
+supports. The independent counters run sliced: per batch of draws
+(`Prior.trial_batches`), each word of S is thinned once and one
+`Matroid.unspanned_words` call answers every candidate in every trial. The
+prefix counters draw an order of S per draw (`Prior.count`), so one fold
+cannot serve every candidate there. The exact flavour marginalises the
+subsample onto each atom A: one span-state scan over A ∩ S
+(`sampling.unspanned_counts`) counts the keep/drop patterns that leave the
+candidate unspanned, by how many they keep, and the law weighs them by
+that number alone. A scan past `sampling.SCAN_BUDGET` refuses
 before any draw; `priors.exact_or_sampled` picks the flavour, and falls back.
 In both flavours, elements the prior knows never active take the leftover
 front positions once only they remain.
@@ -93,16 +98,21 @@ def sample_size(n: int, alpha: float, eps: float, p_min: float) -> int:
 def count_span_stats_independent(
     M: Matroid, P: Prior, S: SubsetMask, rho, m: int, rng: Random
 ) -> tuple[list[int], list[int]]:
-    """`Prior.count` over m draws, each thinned by rho (read by `to_fraction`):
-    per element, how often it is active, and how often it is active in S and
-    escapes the span of the thinned active part of S."""
+    """Over m draws of P, thinned by rho (read by `to_fraction`): per element,
+    how often it is active, and how often it is active in S and escapes the
+    span of the thinned active part of S. The draws come in batches
+    (`Prior.trial_batches`); each batch thins the words of S once
+    (`t_rho_bits`), asks one `Matroid.unspanned_words`, and counts bits."""
     s_bits = S.bits
     rho = to_fraction(rho)
-
-    def unspanned(a: int, r: Random) -> int:
-        return M._unspanned(t_rho_bits(a, rho, r) & s_bits, a & s_bits)
-
-    return P.count(m, rng, unspanned)
+    act, unspanned = [0] * M.n, [0] * M.n
+    for trials, words in P.trial_batches(m, rng):
+        kept = [t_rho_bits(w, rho, rng) if s_bits >> e & 1 else 0 for e, w in enumerate(words)]
+        free = M.unspanned_words(kept, s_bits, trials)
+        for e, (a, f) in enumerate(zip(words, free)):
+            act[e] += a.bit_count()
+            unspanned[e] += (a & f).bit_count()
+    return act, unspanned
 
 
 def count_span_stats_prefix(

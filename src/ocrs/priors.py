@@ -3,7 +3,9 @@
 A prior needs only `sample_bits` (`SamplerPrior` adapts a function); the
 explicit, product and all-active priors also report exact activation
 probabilities. `trial_words` draws a batch of active sets sliced, one word
-per element with bit t for draw t, for the sliced balancedness estimate.
+per element with bit t for draw t, and `trial_batches` is the one loop over
+such batches, for the sliced balancedness estimate and the independent
+preselection statistic.
 `Prior` states p_min and marginal once for every prior: p_min is exact when
 those are known, else estimated from the prior's own draws (`Prior.count`),
 which is all the Monte-Carlo routes read.
@@ -19,13 +21,15 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from random import Random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .bitset import DimensionMismatch, SubsetMask, full_mask, iter_bits, mask_of
+from .bitset import DimensionMismatch, SubsetMask, full_mask, iter_bits, mask_of, wide_bits
 from .sampling import (
     EnumerationTooLarge,
+    _below,
     check_in_ground_set,
     draw_index,
+    draw_indices,
     exact_cdf,
     spec_field,
     t_rho_bits,
@@ -33,6 +37,7 @@ from .sampling import (
 )
 
 PROB_SUM_TOL = Fraction(1, 10**12)
+TRIAL_BATCH = 4096  # trials per sliced batch: the bits of each element's word
 MODES = ("exact", "mc", "auto")
 AUTO_EXACT_ATOMS = 4096  # auto enumerates an explicit support up to this many atoms
 
@@ -81,7 +86,7 @@ class Prior:
         bit t set when e is active in draw t. By default `trials` calls of
         `sample_bits`, grouped by atom, so each distinct set is spread over
         its elements once; priors with a per-element law draw each word
-        directly."""
+        directly, and an explicit prior splits the batch by mass."""
         sample = self.sample_bits
         by_atom: dict[int, int] = {}
         for t in range(trials):
@@ -93,6 +98,13 @@ class Prior:
                 words[e] |= drawn
         return words
 
+    def trial_batches(self, trials: int, rng: Random) -> Iterator[tuple[int, list[int]]]:
+        """`trials` draws as `trial_words` batches of up to TRIAL_BATCH: each
+        batch's trial mask (bit t for its draw t) and its words."""
+        for done in range(0, trials, TRIAL_BATCH):
+            size = min(TRIAL_BATCH, trials - done)
+            yield full_mask(size), self.trial_words(size, rng)
+
     def count(
         self, m: int, rng: Random, select: Optional[Callable[[int, Random], int]] = None
     ) -> tuple[list[int], list[int]]:
@@ -100,11 +112,13 @@ class Prior:
 
         Each draw samples an active set a and then, when `select` is given,
         selects `select(a, rng)` from it, in that order on the one rng. This
-        is the library's per-trial Monte-Carlo counting loop: every route
-        that counts draws calls it, except `estimate_balancedness` on a
-        scheme and matroid with sliced kernels, which counts whole batches
-        of trials from `trial_words` (see there); the per-trial loop stays
-        its fallback and its test reference.
+        is the library's per-trial Monte-Carlo counting loop: the prefix
+        preselection statistic, Monte-Carlo LP columns, `p_min`'s estimate
+        and `measure_competitiveness` call it, and `estimate_balancedness`
+        falls back to it where the scheme or the matroid has no sliced
+        kernel. The sliced routes (`estimate_balancedness` otherwise, the
+        independent preselection statistic) count whole batches of trials
+        from `trial_batches` instead.
 
         The counts are bit-sliced: levels[i] holds bit i of every count, the
         selections n bits above the activations, and each draw adds its mask
@@ -273,6 +287,40 @@ class ExplicitPrior(Prior):
 
     def sample_bits(self, rng: Random) -> int:
         return self.atoms[draw_index(self._cdf, rng)][0]
+
+    def trial_words(self, trials: int, rng: Random) -> list[int]:
+        """The batch's trials split by mass: a part of the atom list, at
+        first the whole list with every trial, sends each of its trials to
+        its lower half with that half's exact share of the part's integer
+        mass (`_below`, no draw when a half has no mass), the rest to its
+        upper half, down to single atoms. A part with no more trials than
+        atoms draws each of them from its own integer CDF (`draw_indices`),
+        so a large support pays one bisection per trial, as `sample_bits`
+        does, not a split per level."""
+        atoms, cdf = self.atoms, self._cdf
+        by_atom: dict[int, int] = {}  # atom index -> the trials that drew it
+        parts = [(0, len(atoms), full_mask(trials))]
+        while parts:
+            lo, hi, drawn = parts.pop()
+            if not drawn:
+                continue
+            if hi - lo == 1:
+                by_atom[lo] = drawn
+            elif drawn.bit_count() <= hi - lo:
+                ts = wide_bits(drawn)
+                for t, i in zip(ts, draw_indices(cdf, lo, hi, len(ts), rng)):
+                    by_atom[i] = by_atom.get(i, 0) | 1 << t
+            else:
+                mid = (lo + hi) // 2
+                base = cdf[lo - 1] if lo else 0
+                lower, total = cdf[mid - 1] - base, cdf[hi - 1] - base
+                kept = drawn if lower == total else _below(drawn, lower, total, rng)
+                parts += [(mid, hi, drawn & ~kept), (lo, mid, kept)]
+        words = [0] * self.n
+        for i, drawn in by_atom.items():
+            for e in iter_bits(atoms[i][0]):
+                words[e] |= drawn
+        return words
 
     def support(self):
         return list(self.atoms)

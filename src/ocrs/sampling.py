@@ -241,6 +241,22 @@ def draw_index(cdf: list[int], rng: Random) -> int:
     return bisect_right(cdf, u)
 
 
+def draw_indices(cdf: list[int], lo: int, hi: int, count: int, rng: Random) -> list[int]:
+    """`count` draws of `draw_index` from the part lo..hi-1 of an `exact_cdf`,
+    each u below the part's own mass, offset by the sum before lo."""
+    base = cdf[lo - 1] if lo else 0
+    total = cdf[hi - 1] - base
+    width = (total - 1).bit_length()
+    getrandbits = rng.getrandbits
+    drawn = []
+    for _ in range(count):
+        u = getrandbits(width)
+        while u >= total:
+            u = getrandbits(width)
+        drawn.append(bisect_right(cdf, base + u, lo, hi))
+    return drawn
+
+
 SCAN_BUDGET = 2**18  # the cells a span scan may pass (`unspanned_counts`)
 
 

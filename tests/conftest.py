@@ -69,6 +69,11 @@ def random_small_matroid(rng: Random, max_n: int = 8, family=None):
     return ExplicitMatroid(base.n, [[e for e in range(base.n) if (b >> e) & 1] for b in members])
 
 
+def column(words, t: int) -> int:
+    """Trial t's set: the elements whose word has bit t."""
+    return sum(1 << e for e, w in enumerate(words) if w >> t & 1)
+
+
 def membership_span(M, bits: int) -> int:
     """Span of `bits` within M's ground set from `M._independent` queries alone:
     a greedy basis Y of `bits`, then Y and every ground element e with Y + e

@@ -1,13 +1,16 @@
-"""Test-only reference for preselection's Monte-Carlo span statistics: the two
-counting loops `ocrs.preselect` ran before both became selectors on
-`Prior.count`.
+"""Test-only reference for preselection's Monte-Carlo span statistics:
+per-trial counting loops that take the span from `_independent` queries
+alone (`membership_span`).
 
-Each loop draws the active set and then thins or shuffles, on the one rng,
-and counts per element of S how often it is active (m) and how often it also
-escapes the span (k). The library's wrappers must give the same counts on
-S and leave the rng in the same state, so seeded preselection orders are
-unchanged. The prefix loop orders S with `Random.shuffle`, so the library's
-own Fisher-Yates is checked against the stdlib, not against itself.
+Each loop counts per element of S how often it is active (m) and how often
+it also escapes the span (k). The independent loop draws what the library's
+sliced statistic draws, on the one rng: each batch's active words
+(`Prior.trial_batches`), then the words of S thinned by rho. It then counts
+trial by trial, so the library's `Matroid.unspanned_words` is checked on the
+same batch words and the rng must end in the same state. The prefix loop
+draws one active set and one order of S per draw, the order by
+`Random.shuffle`, so the library's own Fisher-Yates is checked against the
+stdlib, not against itself.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from ocrs.matroid import Matroid
 from ocrs.priors import Prior
 from ocrs.sampling import t_rho_bits
 
-from conftest import membership_span
+from conftest import column, membership_span
 
 
 @dataclass
@@ -36,24 +39,22 @@ class SpanStats:
 
 
 def reference_span_stats_independent(
-    M: Matroid, P: Prior, S: SubsetMask, rho: float, m: int, rng: Random
+    M: Matroid, P: Prior, S: SubsetMask, rho, m: int, rng: Random
 ) -> SpanStats:
-    """Draw m active sets, thin each by rho, and count per element of S how
-    often it is active and how often it additionally escapes the span of the
-    thinned set (restricted to S)."""
+    """Draw m active sets in batches and thin each batch's words of S by rho,
+    then count per trial and per element of S how often it is active and how
+    often it additionally escapes the span of the thinned set."""
     stats = SpanStats.zeros(M.n)
     s_bits = S.bits
-    rho = float(rho)
     ms, ks = stats.m, stats.k
-    for _ in range(m):
-        a = P.sample_bits(rng)
-        b = t_rho_bits(a, rho, rng) & s_bits
-        sp = membership_span(M, b)
-        act = a & s_bits
-        for j in iter_bits(act):
-            ms[j] += 1
-            if not (sp >> j) & 1:
-                ks[j] += 1
+    for trials, words in P.trial_batches(m, rng):
+        kept = [t_rho_bits(w, rho, rng) if s_bits >> e & 1 else 0 for e, w in enumerate(words)]
+        for t in range(trials.bit_length()):
+            sp = membership_span(M, column(kept, t))
+            for j in iter_bits(column(words, t) & s_bits):
+                ms[j] += 1
+                if not (sp >> j) & 1:
+                    ks[j] += 1
     return stats
 
 

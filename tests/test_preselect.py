@@ -24,8 +24,8 @@ from ocrs import (
     sample_size,
     two_element_instance,
 )
-from ocrs import preselect
-from ocrs.harness import parse_instance
+from ocrs import preselect, priors
+from ocrs.harness import hoeffding_halfwidth, parse_instance
 from ocrs.oracle import exact_balancedness, max_uncontentious_alpha
 from ocrs.preselect import (
     exact_unspanned_prob_independent,
@@ -83,14 +83,16 @@ class TestCountStatsIndependent:
         act, unspanned = count_span_stats_independent(
             m, AllActivePrior(2), SubsetMask.from_elements(2, [0]), 1.0, 30, rng
         )
-        assert act[1] == 30  # activations are counted everywhere (`Prior.count`)
+        assert act[1] == 30  # activations are counted everywhere
         assert unspanned[1] == 0  # escapes are credited only inside S
         assert unspanned[0] == 0  # rho=1 keeps 0 itself, which spans itself
 
 
 class TestAgainstReferenceLoops:
-    """The span statistics are selectors on `Prior.count`; on S they count what
-    the two bespoke loops they replaced counted, on the same random stream."""
+    """On S the span statistics count what per-trial loops count from
+    membership queries alone, on the same random stream: the independent one
+    on the same batch words (in batches of 7, 16 or the default), the prefix
+    one on the same per-draw sets and orders."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
@@ -111,8 +113,10 @@ class TestAgainstReferenceLoops:
             want = reference_span_stats_prefix(M, P, S, m, ref)
         else:
             rho = rng.choice([0.0, 0.25, 0.5, rng.random(), 1.0])
-            act, unspanned = count_span_stats_independent(M, P, S, rho, m, ours)
-            want = reference_span_stats_independent(M, P, S, rho, m, ref)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(priors, "TRIAL_BATCH", rng.choice([7, 16, priors.TRIAL_BATCH]))
+                act, unspanned = count_span_stats_independent(M, P, S, rho, m, ours)
+                want = reference_span_stats_independent(M, P, S, rho, m, ref)
         assert [act[j] for j in S] == [want.m[j] for j in S]
         assert unspanned == want.k  # never credited outside S
         assert ours.getstate() == ref.getstate()
@@ -336,6 +340,27 @@ class TestPreselectMonteCarlo:
                 except NoQualifyingElement:
                     failures += 1
         assert failures / (2 * runs) <= eps / 4 + 0.05
+
+    @pytest.mark.parametrize("spec", ["kuniform:6,3", "parallel-hats:1/2,m=2",
+                                      "hidden:6,1/3,1/20,0", "product"])
+    def test_exact_statistic_inside_the_sliced_intervals(self, spec):
+        # Per element of S, the sliced counts' rate lies within the 1 - 1e-9
+        # Hoeffding half-width of the exact statistic, over a seed battery.
+        if spec == "product":
+            M, P = UniformMatroid(6, 2), ProductPrior(["1/3", "1/2", "2/7", "9/10", "1/5", "0"])
+            rho = Fraction(1, 4)
+        else:
+            inst = parse_instance(spec)
+            M, P, rho = inst.matroid, inst.prior, inst.declared_alpha / 2
+        for seed in range(4):
+            gen = Random(seed)
+            S = SubsetMask(M.n, gen.randrange(1, 1 << M.n) if seed else (1 << M.n) - 1)
+            act, unspanned = count_span_stats_independent(M, P, S, rho, 20000, gen)
+            for j in S:
+                if act[j]:
+                    exact = exact_unspanned_prob_independent(M, P, S, j, rho)
+                    half = hoeffding_halfwidth(1 - 1e-9, act[j])
+                    assert abs(Fraction(unspanned[j], act[j]) - exact) <= half, (seed, j)
 
     def test_bar_is_compared_exactly(self, monkeypatch):
         # (1 - eps/4) * alpha = 15/176 at alpha = 1/11, eps = 1/4, so 15 escapes in

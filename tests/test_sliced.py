@@ -5,6 +5,7 @@ sliced piece is checked against its per-trial twin: greedy against
 comparison on the same fair bits; the estimates against
 `exact_balancedness` at the 1 - 1e-9 Hoeffding level."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from random import Random
@@ -30,19 +31,14 @@ from ocrs import (
     exact_balancedness,
     parse_instance,
 )
-from ocrs import harness
+from ocrs import priors
 from ocrs.harness import hoeffding_halfwidth
-from ocrs.priors import AllActivePrior
+from ocrs.priors import AllActivePrior, hidden_element_prior
 from ocrs.sampling import prefix_subsample_words
 
-from conftest import sentinel_prefix_law
+from conftest import column, random_small_matroid, sentinel_prefix_law
 
 MISS = 1e-9  # no interval at this level is missed by chance in the suite
-
-
-def column(words, t: int) -> int:
-    """Trial t's set: the elements whose word has bit t."""
-    return sum(1 << e for e, w in enumerate(words) if w >> t & 1)
 
 
 def every_set(n: int) -> list[int]:
@@ -97,6 +93,63 @@ class TestSlicedGreedy:
         assert explicit.greedy_words is None
         assert explicit.restrict(SubsetMask(2, 0b01)).greedy_words is None
         assert UniformMatroid(2, 1).restrict(SubsetMask(2, 0b01)).greedy_words is not None
+
+
+# Vertices 3 and 5 lie on no edge; 0 and 4 carry loops, 0-1 a parallel pair.
+UNTOUCHED = GraphicMatroid(6, [(0, 0), (0, 1), (1, 0), (1, 2), (4, 4), (2, 0), (4, 2)])
+
+
+def assert_unspanned_words_per_trial(M, words, within, trials):
+    out = M.unspanned_words(words, within, trials)
+    assert len(out) == M.n
+    for t in range(trials.bit_length()):
+        assert column(out, t) == M._unspanned(column(words, t), within), (M, within, t)
+    assert all(w & ~trials == 0 for w in out)
+
+
+class TestSlicedSpan:
+    """`unspanned_words` is `_unspanned` per trial, bit for bit, in every
+    family: uniform and graphic by their folds, restrictions through the
+    parent's, explicit set lists through the default."""
+
+    @pytest.mark.parametrize(
+        "M",
+        [UniformMatroid(5, 0), UniformMatroid(5, 2), UniformMatroid(5, 5), LOOPY, UNTOUCHED,
+         UniformMatroid(6, 2).restrict(SubsetMask(6, 0b101101)),
+         UNTOUCHED.restrict(SubsetMask(7, 0b1011110)),
+         ExplicitMatroid(4, [[], [0], [1], [2], [3], [0, 2], [1, 3], [0, 3], [1, 2]])],
+        ids=["k=0", "k=2", "k=n", "graphic-loops-parallel", "graphic-untouched-vertices",
+             "uniform-restricted", "graphic-restricted", "explicit"],
+    )
+    def test_every_set_at_once(self, M):
+        # Trial t holds the set t, so trial 0 and the 3 trials past 2^n keep
+        # nothing: an untouched vertex must still read as its own component there.
+        trials = (1 << (1 << M.n) + 3) - 1
+        for within in ((1 << M.n) - 1, 0b1010101 & ((1 << M.n) - 1), 0):
+            assert_unspanned_words_per_trial(M, every_set(M.n), within, trials)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equals_unspanned_per_trial(self, data):
+        n = data.draw(st.integers(1, 8))
+        kind = data.draw(st.sampled_from(["uniform", "graphic", "explicit"]))
+        if kind == "uniform":
+            M = UniformMatroid(n, data.draw(st.integers(0, n)))
+        elif kind == "graphic":
+            v = data.draw(st.integers(1, 7))
+            ends = st.tuples(st.integers(0, v - 1), st.integers(0, v - 1))
+            M = GraphicMatroid(v, data.draw(st.lists(ends, min_size=n, max_size=n)))
+        else:
+            M = random_small_matroid(Random(data.draw(st.integers(0, 2**32 - 1))), family=kind)
+        n = M.n
+        if data.draw(st.booleans()):
+            M = M.restrict(SubsetMask(n, data.draw(st.integers(0, (1 << n) - 1))))
+        trials = (1 << data.draw(st.integers(1, 150))) - 1
+        sparse = data.draw(st.booleans())  # then most trials keep nothing
+        word = st.integers(0, trials).map(lambda w: w & w >> 1 & w >> 2 if sparse else w)
+        words = data.draw(st.lists(word, min_size=n, max_size=n))
+        within = data.draw(st.integers(0, (1 << n) - 1))
+        assert_unspanned_words_per_trial(M, words, within, trials)
 
 
 class ScriptedBits(Random):
@@ -207,15 +260,51 @@ class TestSlicedDraws:
         for T, p in sentinel_prefix_law(n).items():
             assert abs(Fraction(seen.get(T, 0), trials) - p) <= half, T
 
-    def test_prior_words_group_the_per_draw_sets(self):
-        # An explicit prior draws the batch's sets in order, as `sample_bits` does.
-        prior = ExplicitPrior(3, [(0b011, Fraction(1, 3)), (0b110, Fraction(1, 2)),
-                                  (0b000, Fraction(1, 6))])
-        words = prior.trial_words(300, Random(4))
+
+
+class TestExplicitPriorWords:
+    """An explicit prior splits each batch between halves of its atom list
+    by mass, and draws small parts per trial: checked in law, per seed, at
+    batch sizes that draw per trial at the top, split, or both."""
+
+    LAWS = {
+        "zero-atom": ExplicitPrior(4, [(0b0011, Fraction(1, 3)), (0b0110, Fraction(1, 2)),
+                                       (0b0000, Fraction(1, 6)), (0b1000, Fraction(0))]),
+        "hidden": hidden_element_prior(6, Fraction(1, 3), Fraction(1, 20), 0),
+        "product-support": ExplicitPrior(8, ProductPrior(
+            ["1/3", "1/2", "2/7", "9/10", "1/5", "3/4", "1/9", "5/8"]).support()),
+    }
+
+    @pytest.mark.parametrize("size", [1, 3, 100, 4096])
+    @pytest.mark.parametrize("name", list(LAWS))
+    def test_atom_frequencies_within_hoeffding(self, name, size):
+        prior, trials = self.LAWS[name], 8192
+        half = hoeffding_halfwidth(1 - MISS, trials)
+        for seed in range(4):
+            rng, seen = Random(seed), Counter()
+            for _ in range(trials // size):
+                words = prior.trial_words(size, rng)
+                seen.update(column(words, t) for t in range(size))
+            assert seen.keys() <= {bits for bits, p in prior.atoms if p}
+            for bits, p in prior.atoms:
+                assert abs(Fraction(seen[bits], trials) - p) <= half, (seed, bits)
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 4096])
+    def test_zero_probability_atoms_are_never_drawn(self, size):
+        # Zero atoms first, inside and last; the lower half of the list has no mass.
+        prior = ExplicitPrior(3, [(0b000, 0), (0b001, 0), (0b010, Fraction(1, 3)), (0b011, 0),
+                                  (0b100, Fraction(2, 3)), (0b111, 0)])
+        for seed in range(20):
+            words = prior.trial_words(size, Random(seed))
+            assert {column(words, t) for t in range(size)} <= {0b010, 0b100}
+
+    def test_one_atom_draws_nothing(self):
         rng = Random(4)
-        assert [column(words, t) for t in range(300)] == [
-            prior.sample_bits(rng) for _ in range(300)
-        ]
+        state = rng.getstate()
+        for size in (1, 2, 4096):
+            assert ExplicitPrior(3, [(0b101, 1)]).trial_words(size, rng) == [
+                (1 << size) - 1, 0, (1 << size) - 1]
+        assert rng.getstate() == state
         assert AllActivePrior(3).trial_words(5, Random(0)) == [0b11111] * 3
 
 
@@ -262,9 +351,10 @@ class TestSlicedEstimates:
                     name, seed, row)
 
     def test_batches_cover_every_trial(self, monkeypatch):
-        # 50 trials in batches of 7: the last batch is short, and greedy on an
-        # explicit prior draws nothing, so the counts are the per-trial loop's.
-        monkeypatch.setattr(harness, "TRIAL_BATCH", 7)
+        # 50 trials in batches of 7: the last batch is short, and greedy draws
+        # nothing, so the counts are greedy's per trial on the prior's words
+        # drawn in batches of 7, 7, ..., 7, 1.
+        monkeypatch.setattr(priors, "TRIAL_BATCH", 7)
         k4 = parse_instance("kuniform:4,2")
         report = estimate_balancedness(k4.matroid, PrefixSubsampling(k4.canonical_order),
                                        k4.prior, 50, Random(3))
@@ -272,8 +362,14 @@ class TestSlicedEstimates:
         M, prior = explicit_instance()
         greedy = OrderedGreedy(Permutation([3, 1, 4, 0, 5, 2]))
         report = estimate_balancedness(M, greedy, prior, 50, Random(3))
-        act, sel = prior.count(50, Random(3), partial(greedy.run_bits, M))
-        assert counts(report) == list(zip(act, sel))
+        rng, want = Random(3), [(0, 0)] * M.n
+        for size in [7] * 7 + [1]:
+            words = prior.trial_words(size, rng)
+            for t in range(size):
+                a = column(words, t)
+                s = greedy.run_bits(M, a, rng)
+                want = [(x + (a >> e & 1), y + (s >> e & 1)) for e, (x, y) in enumerate(want)]
+        assert counts(report) == want
 
     @pytest.mark.parametrize(
         "M, scheme",
