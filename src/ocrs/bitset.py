@@ -8,7 +8,7 @@ boundary; Python ints make the width-64 cutoff irrelevant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def iter_bits(bits: int) -> Iterator[int]:
@@ -29,6 +29,20 @@ def wide_bits(bits: int) -> list[int]:
         found.append(i)
         i = digits.find("1", i + 1)
     return found
+
+
+def distinct_sets(words: Sequence[int], trials: int) -> dict[int, int]:
+    """A batch of trials sliced into words (words[e] holds the trials whose
+    set holds e) read back as its distinct sets, each with the trials of the
+    mask `trials` that hold it; a trial in no word holds the empty set."""
+    columns = dict.fromkeys(wide_bits(trials), 0)  # trial -> its set
+    for e, word in enumerate(words):
+        for t in wide_bits(word):
+            columns[t] |= 1 << e
+    by_set: dict[int, int] = {}
+    for t, bits in columns.items():
+        by_set[bits] = by_set.get(bits, 0) | 1 << t
+    return by_set
 
 
 def mask_of(elements: Iterable[int]) -> int:

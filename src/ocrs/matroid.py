@@ -25,6 +25,14 @@ of trials: the words are folded once into the family's sliced span state
 label fold of `greedy_words` for a graphic one, probed with each element's
 ends), a restriction masks them and asks its parent, and any other family
 asks `_unspanned` once per distinct set of the batch.
+`unspanned_by_rest_words(words, within, trials)` is the same query with
+each candidate's own word left out, for the prefix preselection statistic:
+greedy's count read at k and past k for a uniform matroid; a
+leave-one-out label fold for a graphic one (the words outside `within`
+once, then each half of the candidates probed on a copy folded with the
+other half, so each word is folded O(log r) times for r candidates); the
+parent's kernel on the masked words for a restriction; and by default one
+`_unspanned(bits & ~(1 << j), 1 << j)` per candidate j of each distinct set.
 Built-in families: uniform, graphic (multi-edges allowed), explicit set
 lists, and restrictions of any of these.
 
@@ -41,11 +49,11 @@ from typing import Iterable, Sequence
 from .bitset import (
     DimensionMismatch,
     SubsetMask,
+    distinct_sets,
     full_mask,
     iter_bits,
     mask_of,
     popcount,
-    wide_bits,
 )
 from .sampling import EnumerationTooLarge, check_in_ground_set, spec_field
 
@@ -149,17 +157,23 @@ class Matroid:
         unspanned (0 for any other element). By default one `_unspanned` per
         distinct set of the batch, the empty set included; families override
         it with one fold of the words into their sliced span state."""
-        columns = dict.fromkeys(wide_bits(trials), 0)  # trial -> its set
-        for e, word in enumerate(words):
-            for t in wide_bits(word):
-                columns[t] |= 1 << e
-        by_set: dict[int, int] = {}
-        for t, bits in columns.items():
-            by_set[bits] = by_set.get(bits, 0) | 1 << t
         out = [0] * self.n
-        for bits, drawn in by_set.items():
+        for bits, drawn in distinct_sets(words, trials).items():
             for e in iter_bits(self._unspanned(bits, within)):
                 out[e] |= drawn
+        return out
+
+    def unspanned_by_rest_words(self, words: Sequence[int], within: int, trials: int) -> list[int]:
+        """`unspanned_words` with each candidate's own word left out: per
+        element j of `within`, the trials whose set less j leaves j
+        unspanned. By default one `_unspanned(bits & ~(1 << j), 1 << j)`
+        per candidate j and distinct set of the batch; families override it
+        with their sliced span state."""
+        out = [0] * self.n
+        for bits, drawn in distinct_sets(words, trials).items():
+            for j in iter_bits(within):
+                if self._unspanned(bits & ~(1 << j), 1 << j):
+                    out[j] |= drawn
         return out
 
     # -- span states ----------------------------------------------------------
@@ -262,6 +276,15 @@ class UniformMatroid(Matroid):
         below = trials & ~self._count_words(range(self.n), words)[1] if self.k else 0
         return [below & ~w if within >> e & 1 else 0 for e, w in enumerate(words)]
 
+    def unspanned_by_rest_words(self, words, within, trials):
+        # The same count, read at k by its carry and past k by the arrivals
+        # it refused: j is free where its word is clear and fewer than k are
+        # kept, or where its word is set and no more than k are.
+        taken, full = self._count_words(range(self.n), words)
+        below = trials & ~full if self.k else 0
+        upto = trials & ~reduce(or_, (w & ~t for w, t in zip(words, taken)), 0)
+        return [upto & w | below & ~w if within >> e & 1 else 0 for e, w in enumerate(words)]
+
     def _count_words(self, order, words):
         """(the words greedy takes along `order`, the trials that reach k).
 
@@ -341,20 +364,42 @@ class GraphicMatroid(Matroid):
         return self._label_words(order, words, reduce(or_, words, 0))[0]
 
     def unspanned_words(self, words, within, trials):
-        # Outside the span in the trials where its ends' labels differ; a
-        # vertex on no taken edge is labelled by itself over all of `trials`,
-        # the batch's trials where nothing is kept included.
+        # Outside the span in the trials where its ends' labels differ.
         _, label = self._label_words(range(self.n), words, trials)
-        width = range((self.vertices - 1).bit_length())
-        edges, out = self.edges, [0] * self.n
-        for e in iter_bits(within):
-            ends = [label.get(w) or [trials if w >> j & 1 else 0 for j in width]
-                    for w in edges[e]]
-            for x, y in zip(*ends):
-                out[e] |= x ^ y
+        return [self._apart(label, e, trials) if within >> e & 1 else 0 for e in range(self.n)]
+
+    def unspanned_by_rest_words(self, words, within, trials):
+        # A leave-one-out fold: the words outside `within` once, then each
+        # half of the candidates probed on a copy folded with the other half,
+        # so each word is folded O(log r) times for r candidates, not r.
+        out = [0] * self.n
+
+        def probe(label, candidates):
+            if len(candidates) > 1:
+                half = len(candidates) // 2
+                left, right = candidates[:half], candidates[half:]
+                probe(self._label_words(right, words, trials, label)[1], left)
+                probe(self._label_words(left, words, trials, label)[1], right)
+            elif candidates:
+                out[candidates[0]] = self._apart(label, candidates[0], trials)
+
+        rest = (e for e in range(self.n) if not within >> e & 1)
+        probe(self._label_words(rest, words, trials)[1], list(iter_bits(within)))
         return out
 
-    def _label_words(self, order, words, trials):
+    def _apart(self, label, e, trials):
+        """The trials of `trials` in which the labels of e's ends differ. A
+        vertex missing from `label` is labelled by itself over all of
+        `trials`, the batch's trials where nothing is kept included."""
+        width = range((self.vertices - 1).bit_length())
+        ends = [label.get(w) or [trials if w >> j & 1 else 0 for j in width]
+                for w in self.edges[e]]
+        differ = 0
+        for x, y in zip(*ends):
+            differ |= x ^ y
+        return differ
+
+    def _label_words(self, order, words, trials, start=None):
         """(the words greedy takes along `order`, the component labels after).
 
         Bit-sliced component labels: label[v][j] holds bit j of v's label in
@@ -362,9 +407,11 @@ class GraphicMatroid(Matroid):
         ends' labels differ, and there v's component takes u's label by a
         masked select. Only vertices on a taken edge can share a label, so
         `label` holds those alone; any other vertex is its own component in
-        every trial, labelled by itself, and an edge to it merges it alone."""
+        every trial, labelled by itself, and an edge to it merges it alone.
+        The fold starts from the labels `start` when given, which it leaves
+        as they are: a merge replaces a vertex's list, never edits it."""
         width = range((self.vertices - 1).bit_length())
-        label: dict[int, list[int]] = {}
+        label: dict[int, list[int]] = {} if start is None else dict(start)
         edges, taken = self.edges, [0] * self.n
         for e in order:
             offered = words[e]
@@ -496,16 +543,19 @@ class RestrictionMatroid(Matroid):
         return self.parent.greedy_bits(order, a_bits & self.ground_bits)
 
     def greedy_words(self, order, words):
-        ground = self.ground_bits
-        return self.parent.greedy_words(
-            order, [w if ground >> e & 1 else 0 for e, w in enumerate(words)]
-        )
+        return self.parent.greedy_words(order, self._masked(words))
 
     def unspanned_words(self, words, within, trials):
-        ground = self.ground_bits
-        return self.parent.unspanned_words(
-            [w if ground >> e & 1 else 0 for e, w in enumerate(words)], within & ground, trials
+        return self.parent.unspanned_words(self._masked(words), within & self.ground_bits, trials)
+
+    def unspanned_by_rest_words(self, words, within, trials):
+        return self.parent.unspanned_by_rest_words(
+            self._masked(words), within & self.ground_bits, trials
         )
+
+    def _masked(self, words):
+        ground = self.ground_bits
+        return [w if ground >> e & 1 else 0 for e, w in enumerate(words)]
 
     def span_start(self):
         return self.parent.span_start()

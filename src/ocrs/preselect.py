@@ -12,11 +12,16 @@ statistics are supported:
 
 Each comes in a Monte-Carlo flavour (counters over m joint samples, with a
 (1 - eps/4) relaxation of the threshold) and an exact flavour over explicit
-supports. The independent counters run sliced: per batch of draws
-(`Prior.trial_batches`), each word of S is thinned once and one
-`Matroid.unspanned_words` call answers every candidate in every trial. The
-prefix counters draw an order of S per draw (`Prior.count`), so one fold
-cannot serve every candidate there. The exact flavour marginalises the
+supports. Both counters run sliced: per batch of draws
+(`Prior.trial_batches`), the words of S are subsampled once and one
+matroid kernel answers every candidate in every trial. The independent
+counters thin each word by rho and ask `Matroid.unspanned_words`. The
+prefix counters keep the elements below one sentinel per trial,
+T = {e : U_e < U_s}, and ask `Matroid.unspanned_by_rest_words`, which
+probes each candidate j on T \\ {j}: given U_s that is the U_s-thinning of
+S \\ {j}, whose size is uniform on 0..|S| - 1 and which, given its size, is
+a uniform subset, so it has the law of j's prefix in a uniform order of S
+and one draw serves every candidate. The exact flavour marginalises the
 subsample onto each atom A: one span-state scan over A ∩ S
 (`sampling.unspanned_counts`) counts the keep/drop patterns that leave the
 candidate unspanned, by how many they keep, and the law weighs them by
@@ -42,10 +47,11 @@ from .sampling import (
     Permutation,
     PrefixLaw,
     SubsampleLaw,
-    shuffled,
+    prefix_subsample_words,
     t_rho_bits,
     unspanned_counts,
 )
+from .sampling import shuffled  # noqa: F401 - unused; bench/tracer.py patches this name
 
 
 class NoQualifyingElement(RuntimeError):
@@ -95,43 +101,50 @@ def sample_size(n: int, alpha: float, eps: float, p_min: float) -> int:
     return math.ceil(128 * math.log(4 * n / eps) / (alpha**2 * eps**2 * float(p_min)))
 
 
-def count_span_stats_independent(
-    M: Matroid, P: Prior, S: SubsetMask, rho, m: int, rng: Random
-) -> tuple[list[int], list[int]]:
-    """Over m draws of P, thinned by rho (read by `to_fraction`): per element,
-    how often it is active, and how often it is active in S and escapes the
-    span of the thinned active part of S. The draws come in batches
-    (`Prior.trial_batches`); each batch thins the words of S once
-    (`t_rho_bits`), asks one `Matroid.unspanned_words`, and counts bits."""
+def _count_sliced(M: Matroid, P: Prior, S: SubsetMask, m: int, rng: Random, draw, free_of):
+    """Over m draws of P in batches (`Prior.trial_batches`): per element, how
+    often it is active, and how often it is active in S and free in the
+    batch's `free_of(kept, S.bits, trials)`, where `kept = draw(words)`
+    subsamples the batch's words of S (0 outside S)."""
     s_bits = S.bits
-    rho = to_fraction(rho)
     act, unspanned = [0] * M.n, [0] * M.n
     for trials, words in P.trial_batches(m, rng):
-        kept = [t_rho_bits(w, rho, rng) if s_bits >> e & 1 else 0 for e, w in enumerate(words)]
-        free = M.unspanned_words(kept, s_bits, trials)
+        kept = draw([w if s_bits >> e & 1 else 0 for e, w in enumerate(words)])
+        free = free_of(kept, s_bits, trials)
         for e, (a, f) in enumerate(zip(words, free)):
             act[e] += a.bit_count()
             unspanned[e] += (a & f).bit_count()
     return act, unspanned
 
 
+def count_span_stats_independent(
+    M: Matroid, P: Prior, S: SubsetMask, rho, m: int, rng: Random
+) -> tuple[list[int], list[int]]:
+    """Over m draws of P, thinned by rho (read by `to_fraction`): per element,
+    how often it is active, and how often it is active in S and escapes the
+    span of the thinned active part of S. Each batch of draws thins the
+    words of S once (`t_rho_bits`) and asks one `Matroid.unspanned_words`."""
+    rho = to_fraction(rho)
+    thin = lambda words: [t_rho_bits(w, rho, rng) if w else 0 for w in words]
+    return _count_sliced(M, P, S, m, rng, thin, M.unspanned_words)
+
+
 def count_span_stats_prefix(
     M: Matroid, P: Prior, S: SubsetMask, m: int, rng: Random
 ) -> tuple[list[int], list[int]]:
-    """`Prior.count` over joint draws (active set, uniform order of S): per
-    element, how often it is active, and how often it is active in S and
-    escapes the span of the active elements of S before it."""
-    s_bits = S.bits
-    base = list(iter_bits(s_bits))
-    greedy = M.greedy_bits
-
-    def unspanned(a: int, r: Random) -> int:
-        order = shuffled(base, r)  # drawn even when a misses S, to keep the stream
-        if not a & s_bits:
-            return 0
-        return greedy(order, a)
-
-    return P.count(m, rng, unspanned)
+    """Over m draws of P: per element, how often it is active, and how often
+    it is active in S and escapes the span of the active elements of S
+    before it in a uniform order of S. Each batch of draws keeps the active
+    words of S below one sentinel per trial, T = {e : U_e < U_s}
+    (`prefix_subsample_words`), and asks one
+    `Matroid.unspanned_by_rest_words`, which probes each candidate j on
+    T \\ {j}. That is j's prefix law, with no conditioning on where j falls:
+    given U_s, T \\ {j} is the active part of the U_s-thinning of S \\ {j},
+    and over U_s that thinning has a size uniform on 0..|S| - 1 and, given
+    its size, is a uniform subset, as the elements before j in a uniform
+    order of S are. So one draw serves every candidate."""
+    draw = lambda words: prefix_subsample_words(words, rng)
+    return _count_sliced(M, P, S, m, rng, draw, M.unspanned_by_rest_words)
 
 
 def _exact_unspanned_prob(M: Matroid, P: Prior, j: int, law: SubsampleLaw, drawn_on: int):

@@ -4,8 +4,8 @@ A prior needs only `sample_bits` (`SamplerPrior` adapts a function); the
 explicit, product and all-active priors also report exact activation
 probabilities. `trial_words` draws a batch of active sets sliced, one word
 per element with bit t for draw t, and `trial_batches` is the one loop over
-such batches, for the sliced balancedness estimate and the independent
-preselection statistic.
+such batches, for the sliced balancedness estimate and the two
+preselection statistics.
 `Prior` states p_min and marginal once for every prior: p_min is exact when
 those are known, else estimated from the prior's own draws (`Prior.count`),
 which is all the Monte-Carlo routes read.
@@ -112,13 +112,13 @@ class Prior:
 
         Each draw samples an active set a and then, when `select` is given,
         selects `select(a, rng)` from it, in that order on the one rng. This
-        is the library's per-trial Monte-Carlo counting loop: the prefix
-        preselection statistic, Monte-Carlo LP columns, `p_min`'s estimate
-        and `measure_competitiveness` call it, and `estimate_balancedness`
-        falls back to it where the scheme or the matroid has no sliced
-        kernel. The sliced routes (`estimate_balancedness` otherwise, the
-        independent preselection statistic) count whole batches of trials
-        from `trial_batches` instead.
+        is the library's per-trial Monte-Carlo counting loop: Monte-Carlo LP
+        columns, `p_min`'s estimate and `measure_competitiveness` call it,
+        and `estimate_balancedness` falls back to it where the scheme or the
+        matroid has no sliced kernel. The sliced routes
+        (`estimate_balancedness` otherwise, the two preselection
+        statistics) count whole batches of trials from `trial_batches`
+        instead.
 
         The counts are bit-sliced: levels[i] holds bit i of every count, the
         selections n bits above the activations, and each draw adds its mask

@@ -3,14 +3,14 @@ per-trial counting loops that take the span from `_independent` queries
 alone (`membership_span`).
 
 Each loop counts per element of S how often it is active (m) and how often
-it also escapes the span (k). The independent loop draws what the library's
-sliced statistic draws, on the one rng: each batch's active words
-(`Prior.trial_batches`), then the words of S thinned by rho. It then counts
-trial by trial, so the library's `Matroid.unspanned_words` is checked on the
-same batch words and the rng must end in the same state. The prefix loop
-draws one active set and one order of S per draw, the order by
-`Random.shuffle`, so the library's own Fisher-Yates is checked against the
-stdlib, not against itself.
+it also escapes the span (k). Each draws what the library's sliced
+statistic draws, on the one rng: each batch's active words
+(`Prior.trial_batches`), then the words of S thinned by rho, or kept below
+a sentinel (`prefix_subsample_words`). It then counts trial by trial, so
+the library's `Matroid.unspanned_words` and
+`Matroid.unspanned_by_rest_words` are checked on the same batch words and
+the rng must end in the same state. The prefix loop probes each candidate
+on the kept set less the candidate itself.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from random import Random
 from ocrs.bitset import SubsetMask, iter_bits
 from ocrs.matroid import Matroid
 from ocrs.priors import Prior
-from ocrs.sampling import t_rho_bits
+from ocrs.sampling import prefix_subsample_words, t_rho_bits
 
 from conftest import column, membership_span
 
@@ -61,20 +61,20 @@ def reference_span_stats_independent(
 def reference_span_stats_prefix(
     M: Matroid, P: Prior, S: SubsetMask, m: int, rng: Random
 ) -> SpanStats:
-    """Joint samples (active set, uniform order of S); per element of S,
-    count activations and escapes from the span of the active prefix."""
+    """Draw m active sets in batches and keep each batch's words of S below a
+    sentinel, then count per trial and per element j of S how often it is
+    active and how often it additionally escapes the span of the kept set
+    less j."""
     stats = SpanStats.zeros(M.n)
-    base = list(iter_bits(S.bits))
+    s_bits = S.bits
     ms, ks = stats.m, stats.k
-    for _ in range(m):
-        a = P.sample_bits(rng)
-        taken = 0
-        order = list(base)
-        rng.shuffle(order)  # the stdlib's draw, which the library's own must equal
-        for e in order:
-            if (a >> e) & 1:
-                ms[e] += 1
-                if M._independent(taken | 1 << e):  # as `membership_span` grows its basis
-                    taken |= 1 << e
-                    ks[e] += 1
+    for trials, words in P.trial_batches(m, rng):
+        of_s = [w if s_bits >> e & 1 else 0 for e, w in enumerate(words)]
+        kept = prefix_subsample_words(of_s, rng)
+        for t in range(trials.bit_length()):
+            below = column(kept, t)
+            for j in iter_bits(column(words, t) & s_bits):
+                ms[j] += 1
+                if not membership_span(M, below & ~(1 << j)) >> j & 1:
+                    ks[j] += 1
     return stats

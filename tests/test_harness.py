@@ -26,6 +26,7 @@ from ocrs import (
     build_lp_scheme,
     build_secretary_reduction,
     estimate_balancedness,
+    exact_balancedness,
     gen_kuniform_allactive,
     gen_parallel_hats,
     max_uncontentious_alpha,
@@ -232,8 +233,6 @@ class TestEstimateBalancedness:
     def test_estimates_agree_with_exact_values_across_seeds(self):
         # nearly every element row of every seeded report should cover the
         # exact conditional probability with its interval
-        from ocrs import exact_balancedness
-
         rows = covered = 0
         for inst in (gen_kuniform_allactive(4, 2), two_element_instance()):
             scheme = PrefixSubsampling(Permutation.identity(inst.matroid.n))
@@ -850,12 +849,14 @@ element,active_count,selected_count,estimate,ci_lo,ci_hi
         self.assert_near_exact(self.KUNIFORM_CSV.splitlines()[1 + 29], self.KUNIFORM_LAST)
 
     @pytest.mark.parametrize(
-        "kind, order", [("indep", [5, 4, 3, 2, 1, 0]), ("prefix", [5, 4, 3, 2, 0, 1])]
+        "kind, order", [("indep", [5, 4, 3, 2, 1, 0]), ("prefix", [5, 4, 3, 0, 2, 1])]
     )
     def test_preselect_correlated_prior_seeded(self, capsys, kind, order):
-        # Every sample draws a categorical atom of the hidden-element prior
-        # (`draw_index`), then thins it or shuffles S (`shuffled`); both draws
-        # and their order on the one rng fix the preselected order.
+        # Each batch of samples draws categorical atoms of the hidden-element
+        # prior (`trial_words`), then thins the words of S or keeps them below a
+        # sentinel; both draws and their order on the one rng fix the
+        # preselected order. The pinned order meets its floor exactly:
+        # (1 - eps) alpha^2/4 thinned at alpha/2, (1 - eps) alpha^2/2 by prefix.
         rc = cli_run(
             ["preselect", "--instance", "hidden:6,1/3,1/20,0", "--kind", kind,
              "--samples", "500", "--seed", "3"]
@@ -863,6 +864,14 @@ element,active_count,selected_count,estimate,ci_lo,ci_hi
         assert rc == 0
         payload = {"instance": "hidden:6,1/3,1/20,0", "kind": kind, "order": order}
         assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        inst, eps = parse_instance("hidden:6,1/3,1/20,0"), Fraction(1, 4)
+        alpha = inst.declared_alpha
+        if kind == "indep":
+            scheme, floor = IndependentSubsampling(Permutation(order), alpha / 2), alpha**2 / 4
+        else:
+            scheme, floor = PrefixSubsampling(Permutation(order)), alpha**2 / 2
+        bal = exact_balancedness(inst.matroid, scheme, inst.prior)
+        assert min(bal) >= (1 - eps) * floor
 
     def test_lp_build_secretary_reduction(self, tmp_path):
         rc = cli_run(

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import pytest
@@ -90,9 +91,8 @@ class TestCountStatsIndependent:
 
 class TestAgainstReferenceLoops:
     """On S the span statistics count what per-trial loops count from
-    membership queries alone, on the same random stream: the independent one
-    on the same batch words (in batches of 7, 16 or the default), the prefix
-    one on the same per-draw sets and orders."""
+    membership queries alone, on the same random stream and the same batch
+    words (in batches of 7, 16 or the default)."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
@@ -108,13 +108,13 @@ class TestAgainstReferenceLoops:
         m = rng.randint(0, 40)
         draws = rng.randrange(2**32)
         ours, ref = Random(draws), Random(draws)
-        if prefix:
-            act, unspanned = count_span_stats_prefix(M, P, S, m, ours)
-            want = reference_span_stats_prefix(M, P, S, m, ref)
-        else:
-            rho = rng.choice([0.0, 0.25, 0.5, rng.random(), 1.0])
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(priors, "TRIAL_BATCH", rng.choice([7, 16, priors.TRIAL_BATCH]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(priors, "TRIAL_BATCH", rng.choice([7, 16, priors.TRIAL_BATCH]))
+            if prefix:
+                act, unspanned = count_span_stats_prefix(M, P, S, m, ours)
+                want = reference_span_stats_prefix(M, P, S, m, ref)
+            else:
+                rho = rng.choice([0.0, 0.25, 0.5, rng.random(), 1.0])
                 act, unspanned = count_span_stats_independent(M, P, S, rho, m, ours)
                 want = reference_span_stats_independent(M, P, S, rho, m, ref)
         assert [act[j] for j in S] == [want.m[j] for j in S]
@@ -345,22 +345,29 @@ class TestPreselectMonteCarlo:
                                       "hidden:6,1/3,1/20,0", "product"])
     def test_exact_statistic_inside_the_sliced_intervals(self, spec):
         # Per element of S, the sliced counts' rate lies within the 1 - 1e-9
-        # Hoeffding half-width of the exact statistic, over a seed battery.
+        # Hoeffding half-width of the exact statistic, over a seed battery,
+        # for the independent and the prefix statistic alike.
         if spec == "product":
             M, P = UniformMatroid(6, 2), ProductPrior(["1/3", "1/2", "2/7", "9/10", "1/5", "0"])
             rho = Fraction(1, 4)
         else:
             inst = parse_instance(spec)
             M, P, rho = inst.matroid, inst.prior, inst.declared_alpha / 2
+        statistics = [
+            (partial(count_span_stats_independent, rho=rho),
+             partial(exact_unspanned_prob_independent, rho=rho)),
+            (count_span_stats_prefix, exact_unspanned_prob_prefix),
+        ]
         for seed in range(4):
-            gen = Random(seed)
-            S = SubsetMask(M.n, gen.randrange(1, 1 << M.n) if seed else (1 << M.n) - 1)
-            act, unspanned = count_span_stats_independent(M, P, S, rho, 20000, gen)
-            for j in S:
-                if act[j]:
-                    exact = exact_unspanned_prob_independent(M, P, S, j, rho)
-                    half = hoeffding_halfwidth(1 - 1e-9, act[j])
-                    assert abs(Fraction(unspanned[j], act[j]) - exact) <= half, (seed, j)
+            for counted, exact_of in statistics:
+                gen = Random(seed)
+                S = SubsetMask(M.n, gen.randrange(1, 1 << M.n) if seed else (1 << M.n) - 1)
+                act, unspanned = counted(M, P, S, m=20000, rng=gen)
+                for j in S:
+                    if act[j]:
+                        exact = exact_of(M, P, S, j)
+                        half = hoeffding_halfwidth(1 - 1e-9, act[j])
+                        assert abs(Fraction(unspanned[j], act[j]) - exact) <= half, (seed, j)
 
     def test_bar_is_compared_exactly(self, monkeypatch):
         # (1 - eps/4) * alpha = 15/176 at alpha = 1/11, eps = 1/4, so 15 escapes in
@@ -370,17 +377,17 @@ class TestPreselectMonteCarlo:
         assert preselect_prefix(UniformMatroid(1, 1), AllActivePrior(1), cfg, Random(0)).order == (0,)
 
     def test_auto_matches_mc_when_an_atom_is_too_large(self):
-        # kuniform:10,5: the prefix law would be drawn on 9 > 8 elements
-        inst = parse_instance("kuniform:10,5")
-        orders = [
-            preselect_prefix(
-                inst.matroid, inst.prior,
-                PreselectConfig(alpha=inst.declared_alpha, mode=mode, sample_override=200),
-                Random(3),
-            )
-            for mode in ("auto", "mc")
-        ]
-        assert orders[0] == orders[1]
+        # The span scan of hats m = 8 passes its budget, so the exact route
+        # refuses, and auto falls back before any draw: mc's order and stream.
+        inst = parse_instance("parallel-hats:1/2,m=8")
+        cfg = lambda mode: PreselectConfig(alpha=inst.declared_alpha, mode=mode, sample_override=200)
+        with pytest.raises(EnumerationTooLarge):
+            preselect_prefix(inst.matroid, inst.prior, cfg("exact"), NoDraws())
+        rngs = {mode: Random(3) for mode in ("auto", "mc")}
+        orders = {mode: preselect_prefix(inst.matroid, inst.prior, cfg(mode), rng)
+                  for mode, rng in rngs.items()}
+        assert orders["auto"] == orders["mc"]
+        assert rngs["auto"].getstate() == rngs["mc"].getstate()
 
     def test_canonical_tight_order_qualifies(self):
         # On the parallel-edges-plus-hats instance, the canonical order's

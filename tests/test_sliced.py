@@ -99,34 +99,49 @@ class TestSlicedGreedy:
 UNTOUCHED = GraphicMatroid(6, [(0, 0), (0, 1), (1, 0), (1, 2), (4, 4), (2, 0), (4, 2)])
 
 
-def assert_unspanned_words_per_trial(M, words, within, trials):
+def assert_span_words_per_trial(M, words, within, trials):
+    """Both sliced span kernels against `_unspanned` in each trial t:
+    `unspanned_words` against `_unspanned(bits, within)`, and
+    `unspanned_by_rest_words` against `_unspanned(bits & ~(1 << j), 1 << j)`
+    for each candidate j of `within`, bits being trial t's set."""
     out = M.unspanned_words(words, within, trials)
-    assert len(out) == M.n
+    rest = M.unspanned_by_rest_words(words, within, trials)
+    assert len(out) == len(rest) == M.n
     for t in range(trials.bit_length()):
-        assert column(out, t) == M._unspanned(column(words, t), within), (M, within, t)
-    assert all(w & ~trials == 0 for w in out)
+        bits = column(words, t)
+        assert column(out, t) == M._unspanned(bits, within), (M, within, t)
+        want = sum(M._unspanned(bits & ~(1 << j), 1 << j) for j in range(M.n) if within >> j & 1)
+        assert column(rest, t) == want, (M, within, t)
+    assert all(w & ~trials == 0 for w in out + rest)
+
+
+# A loop at 0 and at 4, the parallel pair 0-1, the cycle 0-1-2 and the bridges 2-3, 3-4.
+BRIDGED = GraphicMatroid(5, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 0), (2, 3), (3, 4), (4, 4)])
 
 
 class TestSlicedSpan:
-    """`unspanned_words` is `_unspanned` per trial, bit for bit, in every
-    family: uniform and graphic by their folds, restrictions through the
-    parent's, explicit set lists through the default."""
+    """`unspanned_words` is `_unspanned` per trial, bit for bit, and
+    `unspanned_by_rest_words` is `_unspanned(bits & ~(1 << j), 1 << j)` per
+    trial and candidate j, in every family: uniform and graphic by their
+    folds, restrictions through the parent's, explicit set lists through the
+    default."""
 
     @pytest.mark.parametrize(
         "M",
-        [UniformMatroid(5, 0), UniformMatroid(5, 2), UniformMatroid(5, 5), LOOPY, UNTOUCHED,
+        [*(UniformMatroid(5, k) for k in range(6)), LOOPY, UNTOUCHED, BRIDGED,
          UniformMatroid(6, 2).restrict(SubsetMask(6, 0b101101)),
          UNTOUCHED.restrict(SubsetMask(7, 0b1011110)),
          ExplicitMatroid(4, [[], [0], [1], [2], [3], [0, 2], [1, 3], [0, 3], [1, 2]])],
-        ids=["k=0", "k=2", "k=n", "graphic-loops-parallel", "graphic-untouched-vertices",
-             "uniform-restricted", "graphic-restricted", "explicit"],
+        ids=["k=0", "k=1", "k=2", "k=3", "k=4", "k=n", "graphic-loops-parallel",
+             "graphic-untouched-vertices", "graphic-bridges-cycle", "uniform-restricted",
+             "graphic-restricted", "explicit"],
     )
     def test_every_set_at_once(self, M):
         # Trial t holds the set t, so trial 0 and the 3 trials past 2^n keep
         # nothing: an untouched vertex must still read as its own component there.
         trials = (1 << (1 << M.n) + 3) - 1
         for within in ((1 << M.n) - 1, 0b1010101 & ((1 << M.n) - 1), 0):
-            assert_unspanned_words_per_trial(M, every_set(M.n), within, trials)
+            assert_span_words_per_trial(M, every_set(M.n), within, trials)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
@@ -149,7 +164,7 @@ class TestSlicedSpan:
         word = st.integers(0, trials).map(lambda w: w & w >> 1 & w >> 2 if sparse else w)
         words = data.draw(st.lists(word, min_size=n, max_size=n))
         within = data.draw(st.integers(0, (1 << n) - 1))
-        assert_unspanned_words_per_trial(M, words, within, trials)
+        assert_span_words_per_trial(M, words, within, trials)
 
 
 class ScriptedBits(Random):
