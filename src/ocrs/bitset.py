@@ -31,18 +31,39 @@ def wide_bits(bits: int) -> list[int]:
     return found
 
 
-def distinct_sets(words: Sequence[int], trials: int) -> dict[int, int]:
-    """A batch of trials sliced into words (words[e] holds the trials whose
-    set holds e) read back as its distinct sets, each with the trials of the
-    mask `trials` that hold it; a trial in no word holds the empty set."""
-    columns = dict.fromkeys(wide_bits(trials), 0)  # trial -> its set
+def sliced(sets: Sequence[int], n: int) -> list[int]:
+    """Trial t's set sets[t], over elements 0..n-1, sliced into words:
+    word e has bit t set when sets[t] holds e. One binary digit string
+    holds every set, last trial first, so each word is one strided slice
+    of it, read most significant first: no big-int operation per bit."""
+    if not sets:
+        return [0] * n
+    spec = f"0{n}b"
+    digits = "".join([format(bits, spec) for bits in reversed(sets)])
+    return [int(digits[n - 1 - e :: n], 2) for e in range(n)]
+
+
+def unsliced(words: Sequence[int], trials: int) -> list[int]:
+    """The inverse of `sliced`: the sets of trials 0..trials-1, trial t's
+    set holding each e whose words[e] has bit t set. Each word's binary
+    digits, least significant first, are written with stride n into one
+    buffer, so trial t's set is its n digits from t*n, highest element first."""
+    n = len(words)
+    if not n or not trials:
+        return [0] * trials
+    digits = bytearray(trials * n)
     for e, word in enumerate(words):
-        for t in wide_bits(word):
-            columns[t] |= 1 << e
-    by_set: dict[int, int] = {}
-    for t, bits in columns.items():
-        by_set[bits] = by_set.get(bits, 0) | 1 << t
-    return by_set
+        digits[n - 1 - e :: n] = format(word, f"0{trials}b").encode()[::-1]
+    return [int(digits[i : i + n], 2) for i in range(0, len(digits), n)]
+
+
+def map_sets(fn, words: Sequence[int], trials: int) -> list[int]:
+    """`fn` applied to the set of each of trials 0..trials-1 of a batch
+    sliced into words (`unsliced`), and the images sliced back (`sliced`):
+    one call per distinct set."""
+    sets = unsliced(words, trials)
+    image = {bits: fn(bits) for bits in set(sets)}
+    return sliced([image[bits] for bits in sets], len(words))
 
 
 def mask_of(elements: Iterable[int]) -> int:

@@ -24,6 +24,7 @@ from .preselect import (
     PreselectConfig,
     preselect_independent,
     preselect_prefix,
+    sample_size,
 )
 from .priors import MODES, to_fraction
 from .schemes import (
@@ -106,9 +107,23 @@ def cmd_gen_instance(args) -> int:
     return 0
 
 
+def _note_uncertified_samples(inst: Instance, cfg: PreselectConfig) -> None:
+    """One stderr note when a Monte-Carlo --samples is below the per-step count
+    `sample_size` certifies, where p_min is exact: the note draws nothing."""
+    probs = inst.prior.activation_probabilities()
+    if cfg.sample_override is None or cfg.mode == "exact" or probs is None or not any(probs):
+        return
+    p_min = min(p for p in probs if p)
+    certified = sample_size(inst.matroid.n, float(cfg.alpha), float(cfg.eps), float(p_min))
+    if cfg.sample_override < certified:
+        print(f"note: --samples {cfg.sample_override} is below the {certified} samples per step "
+              "that sample_size certifies; the order carries no floor guarantee", file=sys.stderr)
+
+
 def cmd_preselect(args) -> int:
     inst = parse_instance(args.instance)
     cfg = _preselect_cfg(args, inst)
+    _note_uncertified_samples(inst, cfg)
     try:
         order = _PRESELECT[args.kind](inst.matroid, inst.prior, cfg, Random(args.seed))
     except NoQualifyingElement as err:

@@ -23,7 +23,7 @@ from .priors import (
     to_fraction,
 )
 from .sampling import Permutation, spec_field
-from .schemes import SECRETARY_KINDS, Scheme, by_weight_arrivals, secretary_wrap_bits
+from .schemes import Scheme, WeightMixture
 
 
 @dataclass
@@ -273,29 +273,17 @@ def estimate_balancedness(
     element, the conditional selection frequency with a two-sided
     Hoeffding interval. Elements never seen active get a no-data row.
 
-    When the scheme has a sliced run phase (`Scheme.run_words`: greedy and
-    the subsampling schemes) and the matroid a sliced greedy
-    (`Matroid.greedy_words`: uniform, graphic and their restrictions), the
-    trials run in batches (`Prior.trial_batches`), each element's state one
-    int with bit t for trial t: the prior draws the batch's active words
-    (`Prior.trial_words`), the scheme its keep-words over them, greedy folds
-    along the order on words, and the counts are bit counts. So one big-int
-    operation serves a whole batch, with the law of the per-trial path but
-    not its stream. Otherwise (the mixtures, an explicit matroid) each trial
-    is one pass through `Prior.count`."""
+    The trials are counted by `Prior.count` with the scheme's `run_words` as
+    the selector: per batch the prior draws the active words and the scheme
+    runs on them, one pass over the words for greedy and the subsampling
+    schemes (the matroid's `greedy_words`), one `run_bits` per trial
+    otherwise."""
     M.check_over(scheme=scheme, prior=P)
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0 < ci_level < 1:
         raise ValueError(f"ci_level must lie in (0, 1), got {ci_level}")
-    if scheme.run_words is None or M.greedy_words is None:
-        act, sel = P.count(trials, rng, partial(scheme.run_bits, M))
-    else:
-        act, sel = [0] * M.n, [0] * M.n
-        for _, words in P.trial_batches(trials, rng):
-            for e, (a, s) in enumerate(zip(words, scheme.run_words(M, words, rng))):
-                act[e] += a.bit_count()
-                sel[e] += s.bit_count()
+    act, sel = P.count(trials, rng, partial(scheme.run_words, M, rng=rng))
     elements = []
     for e in range(M.n):
         if act[e] == 0:
@@ -317,17 +305,16 @@ def measure_competitiveness(
     """Average ratio of the secretary algorithm's selected weight to the
     offline optimum, over fresh arrival orders (no active-set masking).
     `Prior.count` on an all-active prior, which draws nothing, counts the
-    selections, and sum_e w_e count_e / (trials OPT) is formed in Fractions
-    (`to_fraction`): only the returned float is rounded, 1-competitive is 1.0."""
-    if secretary_kind not in SECRETARY_KINDS:
-        raise ValueError(f"unknown secretary kind {secretary_kind!r}")
+    selections of the one-vector `WeightMixture` of w, and
+    sum_e w_e count_e / (trials OPT) is formed in Fractions (`to_fraction`):
+    only the returned float is rounded, 1-competitive is 1.0."""
+    scheme = WeightMixture(secretary_kind, [(w, 1)])
     if trials < 1:
         raise ValueError("need at least one trial")
     exact_w = [to_fraction(x) for x in w]
     opt = M.weighted_rank(exact_w, SubsetMask.full(M.n))
     if opt <= 0:
         raise ValueError("offline optimum is zero; competitiveness undefined")
-    select = partial(secretary_wrap_bits, secretary_kind, w, M, arrivals=by_weight_arrivals(w))
-    _, counts = AllActivePrior(M.n).count(trials, rng, select)
+    _, counts = AllActivePrior(M.n).count(trials, rng, partial(scheme.run_words, M, rng=rng))
     total = sum((x * c for x, c in zip(exact_w, counts) if c), Fraction(0))
     return float(total / (trials * opt))

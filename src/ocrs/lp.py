@@ -5,10 +5,13 @@ so they are solved by a cutting-plane / column-generation loop instead:
 solve the restricted primal over the columns found so far, read off the
 dual (mu, gamma), and ask the separation step for the most violated column
 -- the greedy order sorted by decreasing mu, or its floor onto the weight
-grid in the secretary reduction. New columns have their per-element
-selection probabilities either computed exactly over an explicit support,
-or estimated by Monte-Carlo as count ratios Fraction(count, m), with the
-usual relative-error sample size m = ceil(2 ln(2/delta) / (eta^2 p_min^2)).
+grid in the secretary reduction. A column is a scheme: `OrderedGreedy`
+along an order, or a one-vector `WeightMixture` replaying the secretary.
+New columns have their per-element selection probabilities either computed
+exactly over an explicit support (the scheme's `outcomes`), or estimated
+by Monte-Carlo as count ratios Fraction(count, m) (`Prior.count` over the
+scheme's `run_words`), with the usual relative-error sample size
+m = ceil(2 ln(2/delta) / (eta^2 p_min^2)).
 Either way every LP entry is a Fraction, so the build's arithmetic is exact
 in both modes; the modes differ only in how a column is priced.
 
@@ -30,23 +33,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .matroid import Matroid
 from .priors import Prior, exact_or_sampled, to_fraction
 from .sampling import EnumerationTooLarge
 from .schemes import (
     SECRETARY_KINDS,
+    OrderedGreedy,
     PermutationMixture,
+    Scheme,
     WeightMixture,
-    by_weight_arrivals,
-    greedy_ordered_bits,
     order_by_weight,
-    secretary_wrap_bits,
 )
+from .schemes import greedy_ordered_bits, secretary_wrap_bits  # noqa: F401 - bench/tracer.py
 from .simplex import LpResult, Tableau, solve_lp
 
 
@@ -173,10 +176,10 @@ def estimation_sample_size(eta: float, delta: float, p_min: float) -> int:
     return math.ceil(2 * math.log(2 / delta) / (eta**2 * float(p_min) ** 2))
 
 
-def exact_selection_column(P: Prior, select: Callable[[int], int]) -> list[Fraction]:
-    """Exact per-element selection probabilities of a deterministic selector
-    over an explicit support."""
-    return P.exact_count(lambda atom: ((1, select(atom)),))
+def exact_selection_column(M: Matroid, P: Prior, column: Scheme) -> list[Fraction]:
+    """Exact per-element selection probabilities of a column over an explicit
+    support, from its `outcomes`."""
+    return P.exact_count(partial(column.outcomes, M))
 
 
 @dataclass
@@ -207,24 +210,25 @@ class BuildReport:
 
 def _column_generation(
     M, P, eps, rng, mode, alpha_target, iteration_cap, estimation_override,
-    *, kind, stages, c, select, start, key_json,
+    *, kind, stages, c, column, start, key_json,
 ) -> tuple[list, BuildReport]:
     """The cutting-plane build both mixtures share; returns the mixture's
     (key, weight) items and the report.
 
-    The column family is given by `select(key)`, which makes one column's
-    selection `(atom, rng) -> bits` once per priced column, so what depends
-    on the key alone is computed once and not per atom; `start(x, p_min)`,
-    the first key and the separation that maps a dual mu to the next key;
-    and `key_json(key)`.
+    The column family is given by `column(key)`, the scheme one column runs
+    (made once per priced column, so what depends on the key alone is
+    computed once and not per atom or trial); `start(x, p_min)`, the first
+    key and the separation that maps a dual mu to the next key; and
+    `key_json(key)`.
     `priors.exact_or_sampled` reads `mode`. Exact columns are counted over
-    the support; their selector gets no rng, so a family that draws (a
-    random-arrival secretary) raises `EnumerationTooLarge`. Sampled x and
-    columns are count ratios over m draws of `Prior.count` each, after
-    p_min's: one m per build, `estimation_override` or the size for relative
-    accuracy eta = eps*c*alpha_target with confidence delta, an eps/stages
-    share of the failure budget union-bounded over the columns the loop can
-    visit. Both kinds are
+    the support from the scheme's `outcomes` (`exact_selection_column`), so
+    a family that draws (a random-arrival secretary) raises
+    `EnumerationTooLarge`. Sampled x and columns are count ratios over m
+    draws of `Prior.count` each, a column's selections by its `run_words`,
+    after p_min's: one m per build, `estimation_override` or the size for
+    relative accuracy eta = eps*c*alpha_target with confidence delta, an
+    eps/stages share of the failure budget union-bounded over the columns
+    the loop can visit. Both kinds are
     Fractions, so the loop stops at violation <= 0 in both modes, and the
     LP's lam, which its equality row makes sum to exactly 1, are the
     mixture weights as they are. The restricted LPs are one
@@ -276,8 +280,7 @@ def _column_generation(
             raise EnumerationTooLarge("exact columns need an explicit prior support")
         x = P.activation_probabilities()
         def price(key):
-            sel = select(key)
-            return exact_selection_column(P, lambda atom: sel(atom, None))
+            return exact_selection_column(M, P, column(key))
 
         return generate(True, x, P.p_min(rng=rng), price, {})
 
@@ -292,7 +295,8 @@ def _column_generation(
 
         def price(key):
             samples[str(key_json(key))] = m
-            return [Fraction(s, m) for s in P.count(m, rng, select(key))[1]]
+            run = partial(column(key).run_words, M, rng=rng)
+            return [Fraction(s, m) for s in P.count(m, rng, run)[1]]
 
         return generate(False, x, p_min, price, samples)
 
@@ -314,7 +318,7 @@ def build_lp_scheme(
     items, report = _column_generation(
         M, P, eps, rng, mode, alpha_target, iteration_cap, estimation_override,
         kind="permutation_mixture", stages=6, c=1,
-        select=lambda pi: lambda a, r: greedy_ordered_bits(M, pi.order, a),
+        column=OrderedGreedy,
         start=lambda x, p_min: (order_by_weight(x), order_by_weight),
         key_json=lambda pi: list(pi.order),
     )
@@ -356,14 +360,10 @@ def build_secretary_reduction(
             mu0[i] = Fraction(1, len(pos)) / x[i]
         return round_to_grid(mu0, grid), lambda mu: round_to_grid(mu, grid)
 
-    def select(wv):
-        arrivals = by_weight_arrivals(wv)  # read by greedy_by_weight only
-        return lambda a, r: secretary_wrap_bits(secretary_kind, wv, M, a, r, arrivals)
-
     items, report = _column_generation(
         M, P, eps, rng, mode, alpha_target, iteration_cap, estimation_override,
         kind="weight_mixture", stages=7, c=c,
-        select=select,
+        column=lambda wv: WeightMixture(secretary_kind, [(wv, 1)]),
         start=start,
         key_json=lambda wv: [str(v) for v in wv],
     )

@@ -16,7 +16,8 @@ fold; the parent's fold over the masked active set for a restriction.
 `greedy_words` is the same greedy over a batch of trials, one word per
 element with bit t for trial t: a bit-sliced count for a uniform matroid,
 bit-sliced component labels for a graphic one, the parent's kernel for a
-restriction, and none (None) for an explicit set list.
+restriction, and by default (an explicit set list) one `greedy_bits` per
+distinct set of the batch.
 `_unspanned(bits, within)` is the one span query; a graphic matroid
 answers it by merging its span state's component labels along `bits`.
 `unspanned_words(words, within, trials)` is its sliced twin, for a batch
@@ -42,16 +43,16 @@ read-only use.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 from typing import Iterable, Sequence
 
 from .bitset import (
     DimensionMismatch,
     SubsetMask,
-    distinct_sets,
     full_mask,
     iter_bits,
+    map_sets,
     mask_of,
     popcount,
 )
@@ -108,11 +109,13 @@ class Matroid:
                     taken |= 1 << e
         return taken
 
-    # Greedy sliced across trials: `greedy_words(order, words)` takes one word
-    # per element, bit t set when the element is offered in trial t, and
-    # returns each element's word of trials where `greedy_bits` takes it. Only
-    # the families that define it have one (None: no kernel).
-    greedy_words = None
+    def greedy_words(self, order: Sequence[int], words: Sequence[int]) -> list[int]:
+        """Greedy sliced across trials: words[e] holds the trials (bit t for
+        trial t) in which e is offered, and the result each element's word of
+        the trials in which `greedy_bits` takes it. By default one
+        `greedy_bits` per distinct set of the batch (`bitset.map_sets`);
+        families override it with one fold of the words."""
+        return map_sets(partial(self.greedy_bits, order), words, reduce(or_, words, 0).bit_length())
 
     def _basis_bits(self, bits: int) -> int:
         return greedy_ordered_bits(self, iter_bits(bits), bits)
@@ -157,11 +160,7 @@ class Matroid:
         unspanned (0 for any other element). By default one `_unspanned` per
         distinct set of the batch, the empty set included; families override
         it with one fold of the words into their sliced span state."""
-        out = [0] * self.n
-        for bits, drawn in distinct_sets(words, trials).items():
-            for e in iter_bits(self._unspanned(bits, within)):
-                out[e] |= drawn
-        return out
+        return map_sets(lambda bits: self._unspanned(bits, within), words, trials.bit_length())
 
     def unspanned_by_rest_words(self, words: Sequence[int], within: int, trials: int) -> list[int]:
         """`unspanned_words` with each candidate's own word left out: per
@@ -169,12 +168,10 @@ class Matroid:
         unspanned. By default one `_unspanned(bits & ~(1 << j), 1 << j)`
         per candidate j and distinct set of the batch; families override it
         with their sliced span state."""
-        out = [0] * self.n
-        for bits, drawn in distinct_sets(words, trials).items():
-            for j in iter_bits(within):
-                if self._unspanned(bits & ~(1 << j), 1 << j):
-                    out[j] |= drawn
-        return out
+        def free(bits):
+            return sum(self._unspanned(bits & ~(1 << j), 1 << j) for j in iter_bits(within))
+
+        return map_sets(free, words, trials.bit_length())
 
     # -- span states ----------------------------------------------------------
 
@@ -530,8 +527,6 @@ class RestrictionMatroid(Matroid):
         super().__init__(parent.n)
         self.parent = parent
         self.ground_bits = X.bits & parent.ground_bits
-        if parent.greedy_words is None:
-            self.greedy_words = None  # a kernel only over the parent's
 
     def _independent(self, bits: int) -> bool:
         return bits & ~self.ground_bits == 0 and self.parent._independent(bits)

@@ -12,9 +12,9 @@ statistics are supported:
 
 Each comes in a Monte-Carlo flavour (counters over m joint samples, with a
 (1 - eps/4) relaxation of the threshold) and an exact flavour over explicit
-supports. Both counters run sliced: per batch of draws
-(`Prior.trial_batches`), the words of S are subsampled once and one
-matroid kernel answers every candidate in every trial. The independent
+supports. Both counters run through `Prior.count`: per batch of draws, the
+words of S are subsampled once and one matroid kernel answers every
+candidate in every trial. The independent
 counters thin each word by rho and ask `Matroid.unspanned_words`. The
 prefix counters keep the elements below one sentinel per trial,
 T = {e : U_e < U_s}, and ask `Matroid.unspanned_by_rest_words`, which
@@ -101,20 +101,18 @@ def sample_size(n: int, alpha: float, eps: float, p_min: float) -> int:
     return math.ceil(128 * math.log(4 * n / eps) / (alpha**2 * eps**2 * float(p_min)))
 
 
-def _count_sliced(M: Matroid, P: Prior, S: SubsetMask, m: int, rng: Random, draw, free_of):
-    """Over m draws of P in batches (`Prior.trial_batches`): per element, how
-    often it is active, and how often it is active in S and free in the
-    batch's `free_of(kept, S.bits, trials)`, where `kept = draw(words)`
-    subsamples the batch's words of S (0 outside S)."""
+def _free_in(S: SubsetMask, draw, free_of):
+    """The selector of `Prior.count` for a span statistic: per element, the
+    trials where it is active in S and free in the batch's
+    `free_of(kept, S.bits, trials)`, where `kept = draw(words)` subsamples
+    the batch's words of S (0 outside S)."""
     s_bits = S.bits
-    act, unspanned = [0] * M.n, [0] * M.n
-    for trials, words in P.trial_batches(m, rng):
+
+    def select(words, trials):
         kept = draw([w if s_bits >> e & 1 else 0 for e, w in enumerate(words)])
-        free = free_of(kept, s_bits, trials)
-        for e, (a, f) in enumerate(zip(words, free)):
-            act[e] += a.bit_count()
-            unspanned[e] += (a & f).bit_count()
-    return act, unspanned
+        return [a & f for a, f in zip(words, free_of(kept, s_bits, trials))]
+
+    return select
 
 
 def count_span_stats_independent(
@@ -126,7 +124,7 @@ def count_span_stats_independent(
     words of S once (`t_rho_bits`) and asks one `Matroid.unspanned_words`."""
     rho = to_fraction(rho)
     thin = lambda words: [t_rho_bits(w, rho, rng) if w else 0 for w in words]
-    return _count_sliced(M, P, S, m, rng, thin, M.unspanned_words)
+    return P.count(m, rng, _free_in(S, thin, M.unspanned_words))
 
 
 def count_span_stats_prefix(
@@ -144,7 +142,7 @@ def count_span_stats_prefix(
     its size, is a uniform subset, as the elements before j in a uniform
     order of S are. So one draw serves every candidate."""
     draw = lambda words: prefix_subsample_words(words, rng)
-    return _count_sliced(M, P, S, m, rng, draw, M.unspanned_by_rest_words)
+    return P.count(m, rng, _free_in(S, draw, M.unspanned_by_rest_words))
 
 
 def _exact_unspanned_prob(M: Matroid, P: Prior, j: int, law: SubsampleLaw, drawn_on: int):

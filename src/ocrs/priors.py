@@ -3,12 +3,13 @@
 A prior needs only `sample_bits` (`SamplerPrior` adapts a function); the
 explicit, product and all-active priors also report exact activation
 probabilities. `trial_words` draws a batch of active sets sliced, one word
-per element with bit t for draw t, and `trial_batches` is the one loop over
-such batches, for the sliced balancedness estimate and the two
-preselection statistics.
+per element with bit t for draw t, and `Prior.count` is the library's one
+Monte-Carlo counting loop over such batches: evaluation, both preselection
+statistics, the Monte-Carlo LP build, `p_min`'s estimate and
+`measure_competitiveness` all count through it, each with its own
+selector on the batch's words.
 `Prior` states p_min and marginal once for every prior: p_min is exact when
-those are known, else estimated from the prior's own draws (`Prior.count`),
-which is all the Monte-Carlo routes read.
+those are known, else estimated from the prior's own draws (`Prior.count`).
 
 Exact probabilities are kept as Fractions, so enumeration (oracles, exact
 preselection) and the exact draws of `sampling` carry no rounding error.
@@ -21,9 +22,9 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from random import Random
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .bitset import DimensionMismatch, SubsetMask, full_mask, iter_bits, mask_of, wide_bits
+from .bitset import DimensionMismatch, SubsetMask, full_mask, iter_bits, mask_of, sliced, wide_bits
 from .sampling import (
     EnumerationTooLarge,
     _below,
@@ -84,64 +85,36 @@ class Prior:
     def trial_words(self, trials: int, rng: Random) -> list[int]:
         """The active sets of `trials` independent draws, sliced: word e has
         bit t set when e is active in draw t. By default `trials` calls of
-        `sample_bits`, grouped by atom, so each distinct set is spread over
-        its elements once; priors with a per-element law draw each word
-        directly, and an explicit prior splits the batch by mass."""
+        `sample_bits`, in order, read into words by `bitset.sliced`; priors
+        with a per-element law draw each word directly, and an explicit prior
+        splits the batch by mass."""
         sample = self.sample_bits
-        by_atom: dict[int, int] = {}
-        for t in range(trials):
-            a = sample(rng)
-            by_atom[a] = by_atom.get(a, 0) | 1 << t
-        words = [0] * self.n
-        for a, drawn in by_atom.items():
-            for e in iter_bits(a):
-                words[e] |= drawn
-        return words
-
-    def trial_batches(self, trials: int, rng: Random) -> Iterator[tuple[int, list[int]]]:
-        """`trials` draws as `trial_words` batches of up to TRIAL_BATCH: each
-        batch's trial mask (bit t for its draw t) and its words."""
-        for done in range(0, trials, TRIAL_BATCH):
-            size = min(TRIAL_BATCH, trials - done)
-            yield full_mask(size), self.trial_words(size, rng)
+        return sliced([sample(rng) for _ in range(trials)], self.n)
 
     def count(
-        self, m: int, rng: Random, select: Optional[Callable[[int, Random], int]] = None
+        self, m: int, rng: Random, select: Optional[Callable[[list[int], int], list[int]]] = None
     ) -> tuple[list[int], list[int]]:
-        """Per-element activation and selection counts over m draws.
+        """Per-element activation and selection counts over m draws: the
+        library's one Monte-Carlo counting loop.
 
-        Each draw samples an active set a and then, when `select` is given,
-        selects `select(a, rng)` from it, in that order on the one rng. This
-        is the library's per-trial Monte-Carlo counting loop: Monte-Carlo LP
-        columns, `p_min`'s estimate and `measure_competitiveness` call it,
-        and `estimate_balancedness` falls back to it where the scheme or the
-        matroid has no sliced kernel. The sliced routes
-        (`estimate_balancedness` otherwise, the two preselection
-        statistics) count whole batches of trials from `trial_batches`
-        instead.
-
-        The counts are bit-sliced: levels[i] holds bit i of every count, the
-        selections n bits above the activations, and each draw adds its mask
-        through a carry chain. A draw costs a few big-int operations, not one
-        per element, and the memory is O(n log m) whatever the masks are.
+        The draws come in batches of up to TRIAL_BATCH (`trial_words`), each
+        element's state one word with bit t for draw t. `select(words,
+        trials)`, when given, returns each element's word of the draws that
+        select it (trials: the batch's full trial mask), drawing on the same
+        rng after the batch. Both are counted by `bit_count`, so the memory
+        is one batch whatever m is; with no `select` the selection counts
+        are 0. Schemes select by `run_words`, preselection by span kernels.
         """
-        n = self.n
-        sample = self.sample_bits
-        levels = [0] * m.bit_length()  # no count exceeds m
-        for _ in range(m):
-            a = sample(rng)
-            carry = a if select is None else a | select(a, rng) << n
-            i = 0
-            while carry:
-                level = levels[i]
-                levels[i] = level ^ carry
-                carry &= level
-                i += 1
-        counts = [0] * (2 * n)
-        for i, level in enumerate(levels):
-            for e in iter_bits(level):
-                counts[e] += 1 << i
-        return counts[:n], counts[n:]
+        act, sel = [0] * self.n, [0] * self.n
+        for done in range(0, m, TRIAL_BATCH):
+            size = min(TRIAL_BATCH, m - done)
+            words = self.trial_words(size, rng)
+            for e, a in enumerate(words):
+                act[e] += a.bit_count()
+            if select is not None:
+                for e, s in enumerate(select(words, full_mask(size))):
+                    sel[e] += s.bit_count()
+        return act, sel
 
     def exact_count(
         self, outcomes: Callable[[int], Iterable[tuple[object, int]]]
@@ -153,7 +126,7 @@ class Prior:
 
         Outcomes are counted by weight class: each distinct value pair
         (p, w) over the whole support, however its Fractions were made, keeps
-        one bit-sliced counter, as in `count`, and an outcome adds its bits
+        one bit-sliced counter, and an outcome adds its bits
         to it through a carry chain. Counter level i credits p*w*2^i to each
         element it holds, as a plain int numerator over the common
         denominator of all classes; each element takes one Fraction at the
@@ -293,10 +266,11 @@ class ExplicitPrior(Prior):
         first the whole list with every trial, sends each of its trials to
         its lower half with that half's exact share of the part's integer
         mass (`_below`, no draw when a half has no mass), the rest to its
-        upper half, down to single atoms. A part with no more trials than
-        atoms draws each of them from its own integer CDF (`draw_indices`),
+        upper half, down to single atoms. A part with at most 4 trials per
+        atom draws each of them from its own integer CDF (`draw_indices`),
         so a large support pays one bisection per trial, as `sample_bits`
-        does, not a split per level."""
+        does, not a split per level: a split costs a few draws over the
+        batch's words, several bisections' worth."""
         atoms, cdf = self.atoms, self._cdf
         by_atom: dict[int, int] = {}  # atom index -> the trials that drew it
         parts = [(0, len(atoms), full_mask(trials))]
@@ -306,7 +280,7 @@ class ExplicitPrior(Prior):
                 continue
             if hi - lo == 1:
                 by_atom[lo] = drawn
-            elif drawn.bit_count() <= hi - lo:
+            elif drawn.bit_count() <= 4 * (hi - lo):
                 ts = wide_bits(drawn)
                 for t, i in zip(ts, draw_indices(cdf, lo, hi, len(ts), rng)):
                     by_atom[i] = by_atom.get(i, 0) | 1 << t

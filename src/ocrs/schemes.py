@@ -11,9 +11,10 @@ are online by construction.
 Each scheme states its own randomness once, in two twins side by side:
 `run_bits` draws it for one pass (Monte-Carlo), and `outcomes` credits
 each element its exact selection probability on one active set (exact
-balancedness). Greedy and the subsampling schemes also state it sliced,
-`run_words`: one pass per batch of trials, each element's state one word
-with bit t for trial t, on the matroid's sliced greedy (`greedy_words`).
+balancedness). `run_words` runs a batch of trials, each element's state
+one word with bit t for trial t, for `Prior.count`: by default one
+`run_bits` per trial, and for greedy and the subsampling schemes one pass
+over the words on the matroid's sliced greedy (`greedy_words`).
 
 Schemes:
 
@@ -34,7 +35,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator, Sequence
 
-from .bitset import SubsetMask, full_mask, mask_of
+from .bitset import SubsetMask, full_mask, mask_of, sliced, unsliced
 from .matroid import Matroid, by_decreasing_weight, greedy_ordered_bits
 from .priors import to_fraction
 from .sampling import (
@@ -71,14 +72,18 @@ class Scheme:
 
     n: int
 
-    # `run_words(M, words, rng)`: `run_bits` over a batch of trials, sliced.
-    # words[e] holds the trials (bit t for trial t) in which e is active; the
-    # result holds those in which e is selected, each trial with run_bits's
-    # law. None: the scheme has no sliced run phase.
-    run_words = None
-
     def run_bits(self, M: Matroid, a_bits: int, rng: Random) -> int:
         raise NotImplementedError
+
+    def run_words(self, M: Matroid, words: list[int], trials: int, rng: Random) -> list[int]:
+        """`run_bits` over a batch of trials, sliced: words[e] holds the
+        trials (bits of the full mask `trials`) in which e is active, and the
+        result those in which e is selected, each trial with run_bits's law.
+        By default one `run_bits` per trial, in trial order (`bitset.unsliced`,
+        then `bitset.sliced`); greedy and the subsampling schemes override it
+        with one pass over the words."""
+        run = self.run_bits
+        return sliced([run(M, a, rng) for a in unsliced(words, trials.bit_length())], self.n)
 
     def outcomes(self, M: Matroid, a_bits: int) -> Iterator[tuple[Fraction, int]]:
         raise NotImplementedError
@@ -98,11 +103,11 @@ class OrderedGreedy(Scheme):
     def run_bits(self, M, a_bits, rng):
         return greedy_ordered_bits(M, self.order.order, a_bits)
 
-    def run_words(self, M, words, rng):
+    def run_words(self, M, words, trials, rng):
         return M.greedy_words(self.order.order, words)
 
     def outcomes(self, M, a_bits):
-        yield Fraction(1), greedy_ordered_bits(M, self.order.order, a_bits)
+        yield 1, greedy_ordered_bits(M, self.order.order, a_bits)
 
     def to_spec(self):
         return {"kind": "ordered_greedy", "order": list(self.order.order)}
@@ -145,7 +150,7 @@ class IndependentSubsampling(_Subsampling):
         t = t_rho_bits(self._full, self.rho, rng)
         return greedy_ordered_bits(M, self.order.order, a_bits & t)
 
-    def run_words(self, M, words, rng):
+    def run_words(self, M, words, trials, rng):
         # Each element is thinned in the trials where it is active: its keep
         # bit elsewhere is never read.
         return M.greedy_words(self.order.order, [t_rho_bits(a, self.rho, rng) for a in words])
@@ -173,7 +178,7 @@ class PrefixSubsampling(_Subsampling):
         t = prefix_subsample_bits(self.n, rng)
         return greedy_ordered_bits(M, self.order.order, a_bits & t)
 
-    def run_words(self, M, words, rng):
+    def run_words(self, M, words, trials, rng):
         return M.greedy_words(self.order.order, prefix_subsample_words(words, rng))
 
     def to_spec(self):
@@ -194,13 +199,14 @@ class _Mixture(Scheme):
             raise ValueError("empty mixture")
         weights = [to_fraction(wt) for _, wt in components]
         total = sum(weights, Fraction(0))
-        if any(wt < 0 for wt in weights) or abs(total - 1) > MIXTURE_WEIGHT_TOL:
+        if any(wt < 0 for wt in weights) or abs(float(total) - 1) > MIXTURE_WEIGHT_TOL:
             raise ValueError(f"mixture weights must be >= 0 and sum to 1, got sum {float(total)}")
         self.components = [(col, wt / total) for (col, _), wt in zip(components, weights)]
         self._cdf = exact_cdf([wt for _, wt in self.components])
 
     def run_bits(self, M, a_bits, rng):
-        return self._select(M, draw_index(self._cdf, rng), a_bits, rng)
+        i = draw_index(self._cdf, rng) if len(self._cdf) > 1 else 0  # one column: no draw
+        return self._select(M, i, a_bits, rng)
 
     def outcomes(self, M, a_bits):
         for i, (_, wt) in enumerate(self.components):

@@ -4,8 +4,9 @@ alone (`membership_span`).
 
 Each loop counts per element of S how often it is active (m) and how often
 it also escapes the span (k). Each draws what the library's sliced
-statistic draws, on the one rng: each batch's active words
-(`Prior.trial_batches`), then the words of S thinned by rho, or kept below
+statistic draws, on the one rng: each batch's active words (`trial_words`
+in batches of up to `priors.TRIAL_BATCH`, as `Prior.count` draws them),
+then the words of S thinned by rho, or kept below
 a sentinel (`prefix_subsample_words`). It then counts trial by trial, so
 the library's `Matroid.unspanned_words` and
 `Matroid.unspanned_by_rest_words` are checked on the same batch words and
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
+from ocrs import priors
 from ocrs.bitset import SubsetMask, iter_bits
 from ocrs.matroid import Matroid
 from ocrs.priors import Prior
@@ -38,6 +40,14 @@ class SpanStats:
         return cls([0] * n, [0] * n)
 
 
+def batches(P: Prior, m: int, rng: Random):
+    """m draws of P as (size, words) batches of up to `priors.TRIAL_BATCH`,
+    each drawn just before its caller draws on it."""
+    for done in range(0, m, priors.TRIAL_BATCH):
+        size = min(priors.TRIAL_BATCH, m - done)
+        yield size, P.trial_words(size, rng)
+
+
 def reference_span_stats_independent(
     M: Matroid, P: Prior, S: SubsetMask, rho, m: int, rng: Random
 ) -> SpanStats:
@@ -47,9 +57,9 @@ def reference_span_stats_independent(
     stats = SpanStats.zeros(M.n)
     s_bits = S.bits
     ms, ks = stats.m, stats.k
-    for trials, words in P.trial_batches(m, rng):
+    for size, words in batches(P, m, rng):
         kept = [t_rho_bits(w, rho, rng) if s_bits >> e & 1 else 0 for e, w in enumerate(words)]
-        for t in range(trials.bit_length()):
+        for t in range(size):
             sp = membership_span(M, column(kept, t))
             for j in iter_bits(column(words, t) & s_bits):
                 ms[j] += 1
@@ -68,10 +78,10 @@ def reference_span_stats_prefix(
     stats = SpanStats.zeros(M.n)
     s_bits = S.bits
     ms, ks = stats.m, stats.k
-    for trials, words in P.trial_batches(m, rng):
+    for size, words in batches(P, m, rng):
         of_s = [w if s_bits >> e & 1 else 0 for e, w in enumerate(words)]
         kept = prefix_subsample_words(of_s, rng)
-        for t in range(trials.bit_length()):
+        for t in range(size):
             below = column(kept, t)
             for j in iter_bits(column(words, t) & s_bits):
                 ms[j] += 1

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrs import DimensionMismatch, SubsetMask
-from ocrs.bitset import full_mask, iter_bits, mask_of, popcount
+from ocrs.bitset import full_mask, iter_bits, mask_of, popcount, sliced, unsliced
+
+from conftest import column
 
 
 def test_constructors_and_contents():
@@ -54,3 +58,31 @@ def test_bit_helpers():
     assert mask_of([0, 2]) == 0b101
     assert full_mask(4) == 0b1111
     assert popcount(0b1011) == 3
+
+
+@st.composite
+def trial_sets(draw):
+    """n in 1..70 and a list of sets over it, often with empty trials, at
+    the end too."""
+    n = draw(st.integers(1, 70))
+    bits = st.integers(0, (1 << n) - 1)
+    sets = draw(st.lists(st.one_of(st.just(0), bits), max_size=40))
+    return n, sets + [0] * draw(st.integers(0, 3))
+
+
+class TestSliced:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(trial_sets())
+    def test_round_trip(self, case):
+        n, sets = case
+        words = sliced(sets, n)
+        assert len(words) == n
+        assert [column(words, t) for t in range(len(sets))] == sets
+        assert all(w >> len(sets) == 0 for w in words)
+        assert unsliced(words, len(sets)) == sets
+
+    def test_no_trials_and_no_elements(self):
+        assert sliced([], 3) == [0, 0, 0]
+        assert unsliced([0, 0, 0], 0) == []
+        assert sliced([0, 0], 0) == []
+        assert unsliced([], 2) == [0, 0]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 
 from ocrs import (
     DimensionMismatch,
+    ExplicitPrior,
     IndependentSubsampling,
     Instance,
     OrderedGreedy,
@@ -345,6 +347,21 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert sorted(payload["order"]) == [0, 1]
+
+    def test_preselect_samples_below_the_certified_count_are_noted(self, capsys):
+        # p_min is exact here, so the note draws nothing: stdout is the seeded
+        # order of the same run without it, and one stderr line names both
+        # counts: sample_size asks 841,301 draws per step at alpha 1/3, eps 1/4.
+        argv = ["preselect", "--instance", "hidden:6,1/3,1/20,0", "--kind", "prefix",
+                "--samples", "500", "--seed", "3"]
+        assert cli_run(argv) == 0
+        out, err = capsys.readouterr()
+        payload = {"instance": "hidden:6,1/3,1/20,0", "kind": "prefix", "order": [5, 4, 3, 0, 2, 1]}
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert err.startswith("note: --samples 500 is below the 841301 samples per step")
+        assert err.count("\n") == 1
+        assert cli_run(argv + ["--mode", "exact"]) == 0  # exact reads no samples
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("alpha", [[], ["--alpha", "5/7"]])
     def test_preselect_exact_at_tight_alpha(self, capsys, alpha):
@@ -962,45 +979,58 @@ element,active_count,selected_count,estimate,ci_lo,ci_hi
         }
 
     # `lp-build --instance hidden:6,1/3,1/20,0 --reduction secretary --secretary
-    # classic_1uniform --mode mc --samples 300 --seed 1`: the 20 weight vectors
+    # classic_1uniform --mode mc --samples 300 --seed 1`: the 21 weight vectors
     # the build priced, each on 300 samples, and the 6 its mixture keeps, in
-    # order, with their weights; then the beta trajectory. Every sample runs
-    # the classic secretary on its own shuffle of the same rng.
+    # order, with their weights; then the beta trajectory. Each column counts
+    # one batch of the prior's words, then runs the classic secretary trial by
+    # trial, each on its own shuffle of the same rng.
     CLASSIC_PRICED = [
-        ["0", "0", "0", "20/3", "0", "0"],
-        ["0", "0", "0", "27/14", "43/21", "7/3"],
-        ["0", "0", "0", "53/42", "425/84", "0"],
-        ["0", "3/8", "143/56", "293/168", "29/14", "0"],
-        ["0", "6/7", "101/56", "2/21", "43/24", "55/28"],
-        ["0", "65/21", "0", "11/7", "157/84", "0"],
-        ["103/84", "23/21", "2/7", "19/28", "433/168", "83/84"],
-        ["107/56", "0", "5/4", "109/84", "167/84", "19/24"],
-        ["181/168", "1/28", "379/168", "19/14", "33/28", "8/7"],
-        ["187/168", "25/56", "43/28", "253/168", "75/56", "59/56"],
-        ["211/168", "57/56", "0", "349/168", "121/84", "187/168"],
-        ["221/168", "0", "319/168", "0", "467/168", "43/42"],
-        ["23/12", "19/84", "209/168", "19/14", "149/84", "31/42"],
-        ["289/168", "31/28", "17/14", "31/28", "25/24", "57/56"],
-        ["31/24", "15/56", "75/56", "241/168", "35/24", "69/56"],
-        ["43/42", "43/168", "247/168", "251/168", "311/168", "71/84"],
-        ["5/42", "23/14", "43/84", "25/12", "19/56", "13/7"],
-        ["55/42", "41/168", "115/84", "239/168", "17/12", "107/84"],
-        ["75/56", "0", "7/4", "17/14", "17/12", "227/168"],
-        ["83/84", "11/28", "55/56", "265/168", "127/56", "37/56"],
+        ["0", "0", "0", "0", "0", "1145/168"],
+        ["0", "0", "0", "37/6", "0", "113/84"],
+        ["0", "0", "283/168", "211/168", "11/4", "299/168"],
+        ["0", "0", "829/168", "97/84", "0", "275/168"],
+        ["0", "263/168", "341/168", "17/4", "3/56", "0"],
+        ["0", "389/168", "181/168", "17/12", "23/28", "337/168"],
+        ["121/84", "187/84", "29/28", "19/24", "35/24", "69/56"],
+        ["151/84", "227/168", "0", "44/21", "23/21", "25/14"],
+        ["155/56", "29/56", "31/21", "145/168", "40/21", "1"],
+        ["2", "13/28", "0", "269/168", "143/84", "191/84"],
+        ["23/21", "159/56", "67/168", "149/168", "373/168", "39/56"],
+        ["257/168", "15/28", "113/56", "311/168", "2/7", "313/168"],
+        ["323/168", "233/168", "227/168", "215/168", "5/4", "95/84"],
+        ["325/168", "15/28", "17/84", "31/28", "131/56", "41/21"],
+        ["335/168", "317/168", "53/84", "19/14", "55/168", "43/21"],
+        ["403/168", "1/56", "2/7", "34/21", "43/28", "193/84"],
+        ["45/28", "31/24", "205/168", "157/168", "233/168", "283/168"],
+        ["5/2", "173/168", "149/168", "11/6", "3/4", "10/7"],
+        ["83/42", "40/21", "13/21", "229/168", "31/84", "169/84"],
+        ["87/56", "89/56", "65/56", "25/28", "59/42", "37/24"],
+        ["99/56", "40/21", "5/6", "7/8", "44/21", "137/168"],
     ]
     CLASSIC_KEPT = [
-        (16, "293842/41759129"), (4, "9704973/41759129"), (12, "22779413/41759129"),
-        (18, "4173272/41759129"), (9, "255818/41759129"), (14, "4551811/41759129"),
+        (11, "6487015/34586889"), (18, "1637109/11528963"), (17, "6837754/34586889"),
+        (20, "795528/11528963"), (8, "4126872/11528963"), (19, "1583593/34586889"),
     ]
     CLASSIC_BETAS = [
-        0.1111111111111111, 0.13924050632911392, 0.17314313821938024, 0.1923135293296344,
-        0.21253522127246466, 0.22863726166198026, 0.2295473484960167, 0.23722749995917788,
-        0.25613211365660166, 0.25906753644108477, 0.2596894585386203, 0.2752562225475842,
-        0.2872232216657753, 0.287459612612775, 0.2878410863732208, 0.2898164265429714,
-        0.29317575131156454, 0.29324108879710153, 0.2934288212764208,
+        0.11363636363636363, 0.16645244215938304, 0.20243884994993563, 0.21978083190698522,
+        0.24106980607980064, 0.24777111044000052, 0.2604288715804941, 0.2806916470309481,
+        0.2835790204651991, 0.29248567581542206, 0.2946806242462414, 0.30586726707523904,
+        0.30652369052665296, 0.31718115707869, 0.33757802165921263, 0.3389428268626203,
+        0.3409647896344698, 0.3508296833011405, 0.3522661558119759, 0.3529348071750541,
     ]
 
-    def test_lp_build_classic_secretary_mc_seeded(self, capsys):
+    def test_lp_build_classic_secretary_mc_seeded(self, capsys, monkeypatch):
+        # Every count the build makes is kept, to check its law below.
+        counted = []
+        count = ExplicitPrior.count
+
+        def recorded(P, m, rng, select=None):
+            act, sel = count(P, m, rng, select)
+            column = None if select is None else select.func.__self__.components[0][0]
+            counted.append((column, act, sel))
+            return act, sel
+
+        monkeypatch.setattr(ExplicitPrior, "count", recorded)
         rc = cli_run(
             ["lp-build", "--instance", "hidden:6,1/3,1/20,0", "--reduction", "secretary",
              "--secretary", "classic_1uniform", "--mode", "mc", "--samples", "300",
@@ -1026,15 +1056,54 @@ element,active_count,selected_count,estimate,ci_lo,ci_hi
             "estimation_samples": samples,
             "exact_columns": False,
             "gamma": self.CLASSIC_BETAS[-1],
-            "iterations": 19,
+            "iterations": 20,
             "kind": "weight_mixture",
-            "lp_solves": 19,
+            "lp_solves": 20,
             "n": 6,
             "notes": [],
-            "pivots": 35,
+            "pivots": 43,
         }
         payload = {"instance": "hidden:6,1/3,1/20,0", "report": report, "scheme": scheme}
         assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+        # The pinned stream is one draw of the right law: x and every priced
+        # column lie within the 1 - 1e-9 Hoeffding half-width of their exact
+        # values, a column's over all 6! arrival orders of every atom.
+        inst = parse_instance("hidden:6,1/3,1/20,0")
+        half = hoeffding_halfwidth(1 - 1e-9, 300)
+        (none, act, _), *priced = counted
+        assert none is None and len(priced) == len(self.CLASSIC_PRICED)
+        for got, want in zip(act, inst.prior.activation_probabilities()):
+            assert abs(Fraction(got, 300) - want) <= half
+        for w, _, sel in priced:
+            assert [str(x) for x in w] in self.CLASSIC_PRICED
+            exact = classic_by_every_order(inst.matroid, inst.prior, w)
+            for got, want in zip(sel, exact):
+                assert abs(Fraction(got, 300) - want) <= half, (w, got, want)
+
+
+def classic_by_every_order(M, P, w) -> list[Fraction]:
+    """Exact per-element selection probabilities of the classic secretary
+    with weights w over P's support, over all n! arrival orders of each
+    atom: observe the first floor(n/e), then take each later active arrival
+    of positive weight at least the best seen that keeps the set independent."""
+    n = M.n
+    observe = math.floor(n / math.e)
+    totals = [Fraction(0)] * n
+    for a, p in P.support():
+        counts = [0] * n
+        for order in itertools.permutations(range(n)):
+            best = max((w[e] for e in order[:observe] if a >> e & 1), default=0)
+            taken = 0
+            for e in order[observe:]:
+                grown = SubsetMask(n, taken | 1 << e)
+                if a >> e & 1 and 0 < w[e] >= best and M.is_independent(grown):
+                    taken = grown.bits
+            for e in range(n):
+                counts[e] += taken >> e & 1
+        for e in range(n):
+            totals[e] += p * Fraction(counts[e], math.factorial(n))
+    return totals
 
 
 class _ExactBitsOnly(Random):

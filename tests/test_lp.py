@@ -25,7 +25,8 @@ from ocrs.lp import GridRangeError, RestrictedMaster, estimation_sample_size, ex
 from ocrs.harness import parse_instance
 from ocrs.priors import AllActivePrior, EnumerationTooLarge, ProductPrior, SamplerPrior
 from ocrs.sampling import to_fraction
-from ocrs.schemes import greedy_ordered_bits, order_by_weight, secretary_wrap_bits
+from ocrs.sampling import Permutation
+from ocrs.schemes import OrderedGreedy, WeightMixture, order_by_weight
 from ocrs.simplex import solve_lp
 
 from conftest import NoDraws, random_explicit_prior, random_small_matroid
@@ -117,9 +118,7 @@ class TestSolveRestricted:
         inst = two_element_instance()
         cols = []
         for order in ((0, 1), (1, 0)):
-            q = exact_selection_column(
-                inst.prior, lambda atom, order=order: greedy_ordered_bits(inst.matroid, order, atom)
-            )
+            q = exact_selection_column(inst.matroid, inst.prior, OrderedGreedy(Permutation(order)))
             cols.append(LpColumn(key=order, q=q))
         x = inst.prior.activation_probabilities()
         sol = solve_restricted(cols, x)
@@ -169,9 +168,7 @@ class TestSeparation:
             mu = [Fraction(rng.randint(0, 9), 10) for _ in range(n)]
 
             def dual_value(order):
-                q = exact_selection_column(
-                    p, lambda atom, order=order: greedy_ordered_bits(m, order, atom)
-                )
+                q = exact_selection_column(m, p, OrderedGreedy(Permutation(order)))
                 return sum(qi * mi for qi, mi in zip(q, mu))
 
             best = dual_value(order_by_weight(mu).order)
@@ -428,10 +425,10 @@ class TestRestrictedMaster:
             if rng.random() < 0.5:
                 order = rng.sample(range(M.n), M.n)
                 return LpColumn(order, exact_selection_column(
-                    P, lambda a: greedy_ordered_bits(M, order, a)))
+                    M, P, OrderedGreedy(Permutation(order))))
             w = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(M.n)]
             return LpColumn(w, exact_selection_column(
-                P, lambda a: secretary_wrap_bits("greedy_by_weight", w, M, a, None)))
+                M, P, WeightMixture("greedy_by_weight", [(w, 1)])))
 
         master = RestrictedMaster(column(), x)
         _assert_warm_equals_cold(master.columns, x, master.solve())

@@ -28,12 +28,15 @@ from ocrs import (
     max_uncontentious_alpha,
     prior_from_spec,
 )
-from ocrs import preselect
+from ocrs import preselect, priors
+from ocrs.bitset import sliced, unsliced
+from ocrs.harness import hoeffding_halfwidth
 from ocrs.oracle import exact_balancedness
 from ocrs.priors import exact_or_sampled
 from ocrs.sampling import EnumerationTooLarge
 
 from conftest import NoDraws, random_explicit_prior
+from count_reference import reference_count
 from exact_count_reference import reference_exact_count
 
 
@@ -210,47 +213,77 @@ class TestPriorThatOnlyDraws:
         assert preselect.preselect_prefix(M, P, cfg, Random(0)).order == (1, 0)
 
 
-def _naive_count(P, m, rng, select):
-    """Per-draw, per-element counting: what `Prior.count` must agree with."""
-    act, sel = [0] * P.n, [0] * P.n
-    for _ in range(m):
-        a = P.sample_bits(rng)
-        s = select(a, rng)
-        for e in range(P.n):
-            act[e] += (a >> e) & 1
-            sel[e] += (s >> e) & 1
-    return act, sel
+def per_trial(select, rng, n):
+    """A `Prior.count` selector that runs `select(a, rng)` on each trial's
+    set a in trial order, as a scheme's default `run_words` does."""
+    return lambda words, trials: sliced(
+        [select(a, rng) for a in unsliced(words, trials.bit_length())], n
+    )
 
 
 class TestCount:
+    """`Prior.count` against the per-draw carry chain it replaced
+    (`count_reference`): equal counts and rng state where the two draw the
+    same stream, the same law elsewhere."""
+
     @pytest.mark.parametrize("m", [0, 1, 7, 8, 1023, 1024])
     @pytest.mark.parametrize("n", [1, 13, 70])
-    def test_matches_a_naive_count(self, n, m):
-        # Random masks in and out, so each element's counter carries at its own times.
+    def test_matches_a_naive_count(self, n, m, monkeypatch):
+        select = lambda a, r: a & r.getrandbits(n) if r.random() < 0.5 else r.getrandbits(n)
+        for batch in (7, priors.TRIAL_BATCH):  # many batches and a short last one, or one
+            monkeypatch.setattr(priors, "TRIAL_BATCH", batch)
+            # A SamplerPrior's batch is `sample_bits` per trial, in order: with
+            # no selector the streams coincide.
+            P = SamplerPrior(n, lambda r: r.getrandbits(n))
+            ours, ref = Random(n * m), Random(n * m)
+            assert P.count(m, ours) == reference_count(P, m, ref)
+            assert ours.getstate() == ref.getstate()
+            # An all-active prior draws nothing, so a per-trial selector sees
+            # the stream the per-draw loop gave it. Random masks in and out,
+            # so each element's counter carries at its own times.
+            P = AllActivePrior(n)
+            ours, ref = Random(n * m), Random(n * m)
+            got = P.count(m, ours, per_trial(select, ours, n))
+            assert got == reference_count(P, m, ref, select)
+            assert ours.getstate() == ref.getstate()
+
+    def test_selections_have_the_per_draw_law(self):
+        # With a selector on a drawing prior the batch draws its sets before
+        # any selection, so the streams differ; each rate lies within the
+        # 1 - 1e-9 Hoeffding half-width of its exact value: active 1/2,
+        # selected 1/2 * 1/4 + 1/2 * 1/2 = 3/8.
+        n, m = 13, 20_000
         P = SamplerPrior(n, lambda r: r.getrandbits(n))
         select = lambda a, r: a & r.getrandbits(n) if r.random() < 0.5 else r.getrandbits(n)
-        ours, ref = Random(n * m), Random(n * m)
-        assert P.count(m, ours, select) == _naive_count(P, m, ref, select)
-        assert ours.getstate() == ref.getstate()
+        half = hoeffding_halfwidth(1 - 1e-9, m)
+        for seed in range(3):
+            rng = Random(seed)
+            for act, sel in (P.count(m, rng, per_trial(select, rng, n)),
+                             reference_count(P, m, Random(seed), select)):
+                assert all(abs(a / m - 1 / 2) <= half for a in act), seed
+                assert all(abs(s / m - 3 / 8) <= half for s in sel), seed
 
     @pytest.mark.parametrize("m", [0, 1, 1023, 1024])
     def test_every_draw_full_and_no_selector(self, m):
         act, sel = AllActivePrior(70).count(m, Random(0))
         assert act == [m] * 70 and sel == [0] * 70
 
-    def test_memory_is_bounded_in_the_number_of_distinct_sets(self):
-        # A tally keyed by selected set would hold 50,000 keys here.
+    def test_memory_is_bounded_by_one_batch(self):
+        # Every selected set distinct: the counts hold one batch at a time, so
+        # 12 batches peak where 3 do.
         n = 64
         P = SamplerPrior(n, lambda r: r.getrandbits(n))
-        distinct = itertools.count(1)
-        tracemalloc.start()
-        try:
-            act, sel = P.count(50_000, Random(1), lambda a, r: next(distinct))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sel[0] == 25_000 and sum(act) > 0
-        assert peak < 1 << 20
+        peaks = []
+        for m in (3 * priors.TRIAL_BATCH, 12 * priors.TRIAL_BATCH):
+            distinct = itertools.count(1)
+            tracemalloc.start()
+            try:
+                act, sel = P.count(m, Random(1), per_trial(lambda a, r: next(distinct), None, n))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sel[0] == m // 2 and sum(act) > 0
+        assert peaks[1] < 1.25 * peaks[0] and peaks[1] < 1 << 21
 
 
 class TestExactCount:

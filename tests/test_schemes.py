@@ -297,8 +297,8 @@ class TestClassicSecretary:
 
     def test_seeded_values_and_one_sort(self, monkeypatch):
         # The tally counts through an all-active prior, which draws nothing,
-        # so the seeded values are those of a per-trial loop; greedy by
-        # weight reads arrivals sorted once, not one sort per trial.
+        # so the seeded values are those of a per-trial loop; the one-vector
+        # mixture sorts its arrivals once per measurement, not once per trial.
         sort = schemes.by_weight_arrivals
         sorts = []
         monkeypatch.setattr(schemes, "by_weight_arrivals", lambda w: sorts.append(w) or sort(w))
@@ -307,7 +307,7 @@ class TestClassicSecretary:
             m = UniformMatroid(6, k)
             assert measure_competitiveness(m, "classic_1uniform", w, 500, Random(11)) == value
             assert measure_competitiveness(m, "greedy_by_weight", w, 500, Random(11)) == 1.0
-        assert sorts == []
+        assert sorts == [w] * 4
 
     def test_greedy_by_weight_is_one_competitive(self):
         m = UniformMatroid(4, 2)

@@ -7,7 +7,6 @@ comparison on the same fair bits; the estimates against
 
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from random import Random
 
 import pytest
@@ -89,10 +88,35 @@ class TestSlicedGreedy:
         assert_greedy_words_per_trial(M, order, trials, words)
 
     def test_families_without_a_kernel(self):
-        explicit = ExplicitMatroid(2, [[], [0], [1]])
-        assert explicit.greedy_words is None
-        assert explicit.restrict(SubsetMask(2, 0b01)).greedy_words is None
-        assert UniformMatroid(2, 1).restrict(SubsetMask(2, 0b01)).greedy_words is not None
+        # An explicit set list, and its restriction, greedy by the default: one
+        # `greedy_bits` per distinct set of the batch.
+        explicit = ExplicitMatroid(4, [[], [0], [1], [2], [3], [0, 2], [1, 3], [0, 3], [1, 2]])
+        gen = Random(5)
+        for M in (explicit, explicit.restrict(SubsetMask(4, 0b1101))):
+            for order in ([0, 1, 2, 3], [3, 1, 0, 2]):
+                assert_greedy_words_per_trial(M, order, 1 << M.n, every_set(M.n))
+                words = [gen.getrandbits(100) for _ in range(M.n)]
+                assert_greedy_words_per_trial(M, order, 100, words)
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [PermutationMixture([(Permutation([0, 1, 2, 3]), Fraction(1, 3)),
+                             (Permutation([3, 1, 2, 0]), Fraction(2, 3))]),
+         WeightMixture("classic_1uniform", [((1, 2, 3, 4), 1)]),
+         WeightMixture("greedy_by_weight", [((1, 2, 3, 4), Fraction(1, 2)),
+                                            ((4, 0, 2, 1), Fraction(1, 2))])],
+        ids=["permutation-mixture", "classic", "weight-mixture"],
+    )
+    def test_default_run_words_is_run_bits_per_trial(self, scheme):
+        # Trials past the last active one still run, in order, on the empty set.
+        M, trials = UniformMatroid(4, 2), 70
+        words = [Random(e).getrandbits(60) for e in range(4)]
+        ours, ref = Random(9), Random(9)
+        got = scheme.run_words(M, words, (1 << trials) - 1, ours)
+        for t in range(trials):
+            assert column(got, t) == scheme.run_bits(M, column(words, t), ref), t
+        assert all(w >> trials == 0 for w in got)
+        assert ours.getstate() == ref.getstate()
 
 
 # Vertices 3 and 5 lie on no edge; 0 and 4 carry loops, 0-1 a parallel pair.
@@ -247,7 +271,8 @@ class TestSlicedDraws:
         n, trials = 1 + seed, 50 + 40 * seed
         words = random_words(seed, n, trials)
         rng = ScriptedBits(seed)
-        got = PrefixSubsampling(Permutation.identity(n)).run_words(UniformMatroid(n, n), words, rng)
+        scheme = PrefixSubsampling(Permutation.identity(n))
+        got = scheme.run_words(UniformMatroid(n, n), words, (1 << trials) - 1, rng)
         assert got == scalar_prefix(words, rng.script)
         assert all(k & ~w == 0 for k, w in zip(got, words))
 
@@ -258,7 +283,7 @@ class TestSlicedDraws:
         words = random_words(seed, n, trials)
         rng = ScriptedBits(seed)
         scheme = IndependentSubsampling(Permutation.identity(n), rho)
-        got = scheme.run_words(UniformMatroid(n, n), words, rng)
+        got = scheme.run_words(UniformMatroid(n, n), words, (1 << trials) - 1, rng)
         assert got == scalar_thinning(words, Fraction(rho), rng.script)
 
     def test_prefix_draw_has_the_sentinel_law(self):
@@ -350,6 +375,9 @@ def battery():
     M, prior = product_instance()
     yield ("product prior indep", M, prior,
            IndependentSubsampling(Permutation(range(M.n - 1, -1, -1)), Fraction(1, 3)))
+    yield ("explicit matroid prefix", ExplicitMatroid(3, [[], [0], [1], [2], [0, 2]]),
+           ExplicitPrior(3, [(0b111, Fraction(1, 2)), (0b011, Fraction(1, 2))]),
+           PrefixSubsampling(Permutation([2, 0, 1])))
 
 
 class TestSlicedEstimates:
@@ -393,13 +421,22 @@ class TestSlicedEstimates:
                 (Permutation([0, 1, 2]), Fraction(1, 3)), (Permutation([2, 1, 0]), Fraction(2, 3))
             ])),
             (UniformMatroid(3, 2), WeightMixture("classic_1uniform", [((1, 2, 3), 1)])),
-            (ExplicitMatroid(3, [[], [0], [1], [2], [0, 2]]),
-             PrefixSubsampling(Permutation([2, 0, 1]))),
+            (ExplicitMatroid(3, [[], [0], [1], [2], [0, 2]]), OrderedGreedy(Permutation([2, 0, 1]))),
         ],
         ids=["permutation-mixture", "weight-mixture", "explicit-matroid"],
     )
     def test_no_kernel_is_the_per_trial_loop(self, M, scheme):
+        # One batch of the prior's words, then the scheme's `run_bits` (or,
+        # on the explicit matroid, greedy's `greedy_bits`) trial by trial.
         prior = ExplicitPrior(3, [(0b111, Fraction(1, 2)), (0b011, Fraction(1, 2))])
         report = estimate_balancedness(M, scheme, prior, 500, Random(8))
-        act, sel = prior.count(500, Random(8), partial(scheme.run_bits, M))
-        assert counts(report) == list(zip(act, sel))
+        rng = Random(8)
+        words = prior.trial_words(500, rng)
+        want = [[0, 0] for _ in range(M.n)]
+        for t in range(500):
+            a = column(words, t)
+            s = scheme.run_bits(M, a, rng)
+            for e in range(M.n):
+                want[e][0] += a >> e & 1
+                want[e][1] += s >> e & 1
+        assert counts(report) == [tuple(c) for c in want]
