@@ -113,7 +113,7 @@ def _note_uncertified_samples(inst: Instance, cfg: PreselectConfig) -> None:
     probs = inst.prior.activation_probabilities()
     if cfg.sample_override is None or cfg.mode == "exact" or probs is None or not any(probs):
         return
-    p_min = min(p for p in probs if p)
+    p_min = inst.prior.p_min()
     certified = sample_size(inst.matroid.n, float(cfg.alpha), float(cfg.eps), float(p_min))
     if cfg.sample_override < certified:
         print(f"note: --samples {cfg.sample_override} is below the {certified} samples per step "

@@ -1,39 +1,37 @@
 """Matroid membership oracles with derived rank / span / basis / restriction.
 
 Every matroid here answers independence queries over a ground set
-{0, ..., n-1}. `span_start` and `span_step` are each family's one statement
-of incremental span: they walk a set's span one element at a time, as a
-small state. By default the state is the basis of the set grown along the
-walk (one `_independent` query per step); a uniform matroid keeps the size
-capped at k, a graphic one a string of component labels, and a restriction
-delegates to its parent. `IndependentSetGrower` (no library caller) and
-the exact scan in `sampling.unspanned_counts` walk these hooks. Greedy
-(`greedy_ordered_bits`, and through it rank and bases) dispatches to
-`Matroid.greedy_bits`, one fold per family: by default one `span_step` per
-active arrival; the first k active arrivals for a uniform matroid; an
-inline label merge for a graphic one, whose `_independent` is the same
-fold; the parent's fold over the masked active set for a restriction.
-`greedy_words` is the same greedy over a batch of trials, one word per
-element with bit t for trial t: a bit-sliced count for a uniform matroid,
-bit-sliced component labels for a graphic one, the parent's kernel for a
-restriction, and by default (an explicit set list) one `greedy_bits` per
-distinct set of the batch.
-`_unspanned(bits, within)` is the one span query; a graphic matroid
-answers it by merging its span state's component labels along `bits`.
-`unspanned_words(words, within, trials)` is its sliced twin, for a batch
-of trials: the words are folded once into the family's sliced span state
-(greedy's bit-sliced count for a uniform matroid, compared with k; the
-label fold of `greedy_words` for a graphic one, probed with each element's
-ends), a restriction masks them and asks its parent, and any other family
-asks `_unspanned` once per distinct set of the batch.
-`unspanned_by_rest_words(words, within, trials)` is the same query with
-each candidate's own word left out, for the prefix preselection statistic:
-greedy's count read at k and past k for a uniform matroid; a
-leave-one-out label fold for a graphic one (the words outside `within`
-once, then each half of the candidates probed on a copy folded with the
-other half, so each word is folded O(log r) times for r candidates); the
-parent's kernel on the masked words for a restriction; and by default one
-`_unspanned(bits & ~(1 << j), 1 << j)` per candidate j of each distinct set.
+{0, ..., n-1}. A family gives `_independent`, and optionally a span state
+and the fast kernels that a workload measures; everything else derives
+from the span state. `span_start` and `span_step` walk a set's span one
+element at a time, as a small state: by default the basis of the set grown
+along the walk (one `_independent` query per step); a uniform matroid keeps
+the size capped at k, a graphic one a string of component labels, and a
+restriction reads an element outside its ground set as spanned and sends
+any other to its parent's step.
+
+On the span state the base class states every query once:
+`_unspanned(bits, within)`, the one span query (`bits` walked in, each
+element of `within` probed with one step), which `span` asks; greedy
+(`greedy_ordered_bits`, and through it rank and bases), `Matroid.greedy_bits`,
+one `span_step` per active arrival; and their batch forms over words, one
+per element with bit t for trial t: `greedy_words`,
+`unspanned_words(words, within, trials)` and
+`unspanned_by_rest_words(words, within, trials)` (each candidate's own word
+left out, for the prefix preselection statistic), by default one per-trial
+query per distinct set of the batch. `IndependentSetGrower` (no library
+caller) and the exact scan in `sampling.unspanned_counts` walk the hooks.
+
+The uniform and graphic families override the kernels that the workloads
+run. Uniform: greedy takes the first k active arrivals, and the batch forms
+read one bit-sliced count of the arrivals taken (below k: unspanned; read
+at k by its carry and past k by the arrivals it refused, for the
+leave-one-out form). Graphic: `_independent` is greedy's inline label
+merge, and the batch forms fold bit-sliced component labels, an element
+unspanned where its ends' labels differ (the leave-one-out form folds the
+words outside `within` once, then probes each half of the candidates on a
+copy folded with the other half, so each word is folded O(log r) times for
+r candidates). Explicit set lists and restrictions run the base class.
 Built-in families: uniform, graphic (multi-edges allowed), explicit set
 lists, and restrictions of any of these.
 
@@ -144,30 +142,29 @@ class Matroid:
         return sum(w[e] for e in order if chosen >> e & 1)
 
     def _unspanned(self, bits: int, within: int) -> int:
-        """The elements of `within` (in the ground set) outside the span of
-        `bits` (any set): those a basis of `bits` stays independent with."""
-        basis = self._basis_bits(bits)
-        out = 0
-        for e in iter_bits(within & ~basis):
-            if self._independent(basis | (1 << e)):
-                out |= 1 << e
-        return out
+        """The elements of `within` outside the span of `bits` (any set):
+        `bits` walked into the span state, then one `span_step` probe for
+        each element of `within & ~bits`."""
+        step, state = self.span_step, self.span_start()
+        for e in iter_bits(bits):
+            state = step(state, e)[1]
+        return sum(1 << e for e in iter_bits(within & ~bits) if not step(state, e)[0])
 
     def unspanned_words(self, words: Sequence[int], within: int, trials: int) -> list[int]:
         """`_unspanned` over a batch of trials, sliced: words[e] holds the
         trials (bits of the mask `trials`) whose set holds e, and the result
         holds, per element of `within`, the trials whose set leaves it
-        unspanned (0 for any other element). By default one `_unspanned` per
-        distinct set of the batch, the empty set included; families override
-        it with one fold of the words into their sliced span state."""
+        unspanned (0 for any other element): one `_unspanned` per distinct
+        set of the batch, the empty set included. Uniform and graphic
+        matroids fold the words once into their sliced span state."""
         return map_sets(lambda bits: self._unspanned(bits, within), words, trials.bit_length())
 
     def unspanned_by_rest_words(self, words: Sequence[int], within: int, trials: int) -> list[int]:
         """`unspanned_words` with each candidate's own word left out: per
         element j of `within`, the trials whose set less j leaves j
-        unspanned. By default one `_unspanned(bits & ~(1 << j), 1 << j)`
-        per candidate j and distinct set of the batch; families override it
-        with their sliced span state."""
+        unspanned: one `_unspanned(bits & ~(1 << j), 1 << j)` per candidate
+        j and distinct set of the batch. Uniform and graphic matroids fold
+        the words into their sliced span state."""
         def free(bits):
             return sum(self._unspanned(bits & ~(1 << j), 1 << j) for j in iter_bits(within))
 
@@ -185,9 +182,9 @@ class Matroid:
         A span state stands for a set R by what the rest of a scan needs of
         it: which elements R spans. Here it is the basis of R grown along
         the scan, so R spans e exactly when that basis plus e is dependent.
-        It asks `_independent` alone: `_unspanned` and `_basis_bits` run
-        greedy, whose default fold walks these hooks. Families override
-        both hooks with a smaller key."""
+        It asks `_independent` alone. `_unspanned` and greedy, and through
+        them every derived query, walk these hooks; families override both
+        with a smaller key."""
         grown = state | 1 << e
         if grown == state or not self._independent(grown):
             return True, state
@@ -250,9 +247,6 @@ class UniformMatroid(Matroid):
 
     def _independent(self, bits: int) -> bool:
         return popcount(bits) <= self.k
-
-    def _unspanned(self, bits: int, within: int) -> int:
-        return 0 if popcount(bits) >= self.k else within & ~bits
 
     def greedy_bits(self, order, a_bits):
         left, taken = self.k, 0  # the first k active arrivals
@@ -328,9 +322,9 @@ class GraphicMatroid(Matroid):
     """Forests of a multigraph; ground-set elements are edge indices.
 
     Parallel edges are supported: a second copy of any edge always closes a
-    cycle. Every query walks one representation: a string with one character
-    `chr(label)` per vertex, naming its component, so a merge is one
-    `replace`. In a span state the label is the smallest vertex of the
+    cycle. Every per-trial query walks one representation: a string with one
+    character `chr(label)` per vertex, naming its component, so a merge is
+    one `replace`. In a span state the label is the smallest vertex of the
     component.
     """
 
@@ -443,26 +437,6 @@ class GraphicMatroid(Matroid):
                     label[w] = [x ^ ((x ^ y) & same) for x, y in zip(lw, lu)]
         return taken, label
 
-    def _unspanned(self, bits: int, within: int) -> int:
-        # Both loops peel the lowest set bit in place: no generator per query.
-        state, edges = self._start, self.edges  # no basis: an edge on a cycle merges nothing
-        rest = within & ~bits
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            u, v = edges[low.bit_length() - 1]
-            cu, cv = state[u], state[v]
-            if cu != cv:
-                state = state.replace(cv, cu)
-        out = 0
-        while rest:  # unspanned iff its ends stay apart; a loop never is
-            low = rest & -rest
-            rest ^= low
-            u, v = edges[low.bit_length() - 1]
-            if state[u] != state[v]:
-                out |= low
-        return out
-
     def span_start(self):
         return self._start  # every vertex its own component
 
@@ -518,7 +492,8 @@ class RestrictionMatroid(Matroid):
 
     Span is reported within the restricted ground set, so it agrees with the
     parent's span intersected with X. The span state is the parent's: an
-    element outside X reads as spanned, any other goes to the parent's step.
+    element outside X reads as spanned, any other goes to the parent's step,
+    and every other query runs the base class on that state.
     """
 
     def __init__(self, parent: Matroid, X: SubsetMask):
@@ -530,27 +505,6 @@ class RestrictionMatroid(Matroid):
 
     def _independent(self, bits: int) -> bool:
         return bits & ~self.ground_bits == 0 and self.parent._independent(bits)
-
-    def _unspanned(self, bits: int, within: int) -> int:
-        return self.parent._unspanned(bits & self.ground_bits, within & self.ground_bits)
-
-    def greedy_bits(self, order, a_bits):
-        return self.parent.greedy_bits(order, a_bits & self.ground_bits)
-
-    def greedy_words(self, order, words):
-        return self.parent.greedy_words(order, self._masked(words))
-
-    def unspanned_words(self, words, within, trials):
-        return self.parent.unspanned_words(self._masked(words), within & self.ground_bits, trials)
-
-    def unspanned_by_rest_words(self, words, within, trials):
-        return self.parent.unspanned_by_rest_words(
-            self._masked(words), within & self.ground_bits, trials
-        )
-
-    def _masked(self, words):
-        ground = self.ground_bits
-        return [w if ground >> e & 1 else 0 for e, w in enumerate(words)]
 
     def span_start(self):
         return self.parent.span_start()

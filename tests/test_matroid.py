@@ -210,6 +210,9 @@ class TestGreedyFolds:
             order = rng.sample(range(m.n), rng.randint(0, m.n) if partial else m.n)
             a_bits = rng.getrandbits(m.n)  # a partial order leaves some of it out
             assert m.greedy_bits(order, a_bits) == Matroid.greedy_bits(m, order, a_bits)
+            if restricted:  # the base fold on the restriction is the parent's on a ∩ X
+                want = m.parent.greedy_bits(order, a_bits & m.ground_bits)
+                assert m.greedy_bits(order, a_bits) == want
 
     def test_edge_cases(self):
         loops = GraphicMatroid(3, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2)])

@@ -23,6 +23,7 @@ from ocrs import (
     PermutationMixture,
     PrefixSubsampling,
     ProductPrior,
+    RestrictionMatroid,
     SubsetMask,
     UniformMatroid,
     WeightMixture,
@@ -43,6 +44,11 @@ MISS = 1e-9  # no interval at this level is missed by chance in the suite
 def every_set(n: int) -> list[int]:
     """Words over 2^n trials in which trial t is the set t: all sets at once."""
     return [sum(1 << t for t in range(1 << n) if t >> e & 1) for e in range(n)]
+
+
+def masked_to(M, words):
+    """`words` with every element outside the restriction M's ground set cleared."""
+    return [w if M.ground_bits >> e & 1 else 0 for e, w in enumerate(words)]
 
 
 def assert_greedy_words_per_trial(M, order, trials, words):
@@ -86,6 +92,11 @@ class TestSlicedGreedy:
         words = data.draw(st.lists(st.integers(0, (1 << trials) - 1), min_size=n, max_size=n))
         order = data.draw(st.permutations(range(n)))
         assert_greedy_words_per_trial(M, order, trials, words)
+        if isinstance(M, RestrictionMatroid):
+            # The reference above runs the restriction's own span steps too:
+            # tie it to its parent's kernel on the words masked to X.
+            masked = masked_to(M, words)
+            assert M.greedy_words(order, words) == M.parent.greedy_words(order, masked)
 
     def test_families_without_a_kernel(self):
         # An explicit set list, and its restriction, greedy by the default: one
@@ -147,8 +158,9 @@ class TestSlicedSpan:
     """`unspanned_words` is `_unspanned` per trial, bit for bit, and
     `unspanned_by_rest_words` is `_unspanned(bits & ~(1 << j), 1 << j)` per
     trial and candidate j, in every family: uniform and graphic by their
-    folds, restrictions through the parent's, explicit set lists through the
-    default."""
+    folds, explicit set lists and restrictions through the base class's
+    default, a restriction also against its parent's kernels on masked
+    words."""
 
     @pytest.mark.parametrize(
         "M",
@@ -189,6 +201,12 @@ class TestSlicedSpan:
         words = data.draw(st.lists(word, min_size=n, max_size=n))
         within = data.draw(st.integers(0, (1 << n) - 1))
         assert_span_words_per_trial(M, words, within, trials)
+        if isinstance(M, RestrictionMatroid):
+            # As for greedy: the parent's kernels on the words masked to X.
+            masked, inside = masked_to(M, words), within & M.ground_bits
+            for kernel in ("unspanned_words", "unspanned_by_rest_words"):
+                got = getattr(M, kernel)(words, within, trials)
+                assert got == getattr(M.parent, kernel)(masked, inside, trials), kernel
 
 
 class ScriptedBits(Random):
