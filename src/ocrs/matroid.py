@@ -23,15 +23,16 @@ query per distinct set of the batch. `IndependentSetGrower` (no library
 caller) and the exact scan in `sampling.unspanned_counts` walk the hooks.
 
 The uniform and graphic families override the kernels that the workloads
-run. Uniform: greedy takes the first k active arrivals, and the batch forms
-read one bit-sliced count of the arrivals taken (below k: unspanned; read
-at k by its carry and past k by the arrivals it refused, for the
-leave-one-out form). Graphic: `_independent` is greedy's inline label
-merge, and the batch forms fold bit-sliced component labels, an element
-unspanned where its ends' labels differ (the leave-one-out form folds the
-words outside `within` once, then probes each half of the candidates on a
-copy folded with the other half, so each word is folded O(log r) times for
-r candidates). Explicit set lists and restrictions run the base class.
+run. Uniform: greedy, the one per-trial kernel a family keeps, takes the
+first k active arrivals, and the batch forms read one bit-sliced count of
+the arrivals taken (below k: unspanned; read at k by its carry and past k
+by the arrivals it refused, for the leave-one-out form). Graphic: greedy
+and `_independent` run the base fold, and the batch forms fold bit-sliced
+component labels, an element unspanned where its ends' labels differ (the
+leave-one-out form folds the words outside `within` once, then probes each
+half of the candidates on a copy folded with the other half, so each word
+is folded O(log r) times for r candidates). Explicit set lists and
+restrictions run the base class.
 Built-in families: uniform, graphic (multi-edges allowed), explicit set
 lists, and restrictions of any of these.
 
@@ -95,8 +96,8 @@ class Matroid:
     def greedy_bits(self, order: Iterable[int], a_bits: int) -> int:
         """Scan `order`; take every element of a_bits that the ones taken
         before it leave unspanned, one `span_step` per element of a_bits.
-        Families override this fold with a kernel that draws nothing and
-        returns the same set."""
+        Only the uniform family overrides this fold, with a kernel that
+        draws nothing and returns the same set."""
         step = self.span_step
         state = self.span_start()
         taken = 0
@@ -322,10 +323,10 @@ class GraphicMatroid(Matroid):
     """Forests of a multigraph; ground-set elements are edge indices.
 
     Parallel edges are supported: a second copy of any edge always closes a
-    cycle. Every per-trial query walks one representation: a string with one
-    character `chr(label)` per vertex, naming its component, so a merge is
-    one `replace`. In a span state the label is the smallest vertex of the
-    component.
+    cycle. Every per-trial query, greedy and `_independent` included, walks
+    the span state through the base class: a string with one character
+    `chr(label)` per vertex, naming its component (its smallest vertex), so
+    a merge is one `replace`.
     """
 
     def __init__(self, vertices: int, edges: Sequence[tuple[int, int]]):
@@ -339,17 +340,6 @@ class GraphicMatroid(Matroid):
 
     def _independent(self, bits: int) -> bool:
         return self.greedy_bits(iter_bits(bits), bits) == bits
-
-    def greedy_bits(self, order, a_bits):
-        state, edges, taken = self._start, self.edges, 0  # labels need only be consistent
-        for e in order:
-            if a_bits >> e & 1:
-                u, v = edges[e]
-                cu, cv = state[u], state[v]
-                if cu != cv:
-                    state = state.replace(cv, cu)
-                    taken |= 1 << e
-        return taken
 
     def greedy_words(self, order, words):
         return self._label_words(order, words, reduce(or_, words, 0))[0]

@@ -1,13 +1,13 @@
 """Prior distributions over active sets.
 
-A prior needs only `sample_bits` (`SamplerPrior` adapts a function); the
-explicit, product and all-active priors also report exact activation
-probabilities. `trial_words` draws a batch of active sets sliced, one word
-per element with bit t for draw t, and `Prior.count` is the library's one
-Monte-Carlo counting loop over such batches: evaluation, both preselection
-statistics, the Monte-Carlo LP build, `p_min`'s estimate and
-`measure_competitiveness` all count through it, each with its own
-selector on the batch's words.
+A prior states its law once, as `sample_bits` (one draw; `SamplerPrior`
+adapts a function) or `trial_words` (a batch, one word per element with
+bit t for draw t), and each derives from the other. The explicit, product
+and all-active priors state the batch and report exact activation
+probabilities. `Prior.count` is the library's one Monte-Carlo counting
+loop over such batches: evaluation, both preselection statistics, the
+Monte-Carlo LP build, `p_min`'s estimate and `measure_competitiveness` all
+count through it, each with its own selector on the batch's words.
 `Prior` states p_min and marginal once for every prior: p_min is exact when
 those are known, else estimated from the prior's own draws (`Prior.count`).
 
@@ -29,7 +29,6 @@ from .sampling import (
     EnumerationTooLarge,
     _below,
     check_in_ground_set,
-    draw_index,
     draw_indices,
     exact_cdf,
     spec_field,
@@ -52,14 +51,15 @@ def exact_or_sampled(P: Prior, mode: str, exact: Callable, sampled: Callable):
 
     `mode` "exact" runs `exact()`, "mc" runs `sampled()`, and "auto" tries
     `exact()` when P's support is explicit with at most AUTO_EXACT_ATOMS
-    atoms, falling back to `sampled()` whenever it raises
-    `EnumerationTooLarge`. An exact route must raise before it draws from
-    any rng, so a fallback sees the stream a Monte-Carlo run would."""
+    atoms (`support_size`, which lists none), falling back to `sampled()`
+    whenever it raises `EnumerationTooLarge`. An exact route must raise
+    before it draws from any rng, so a fallback sees the stream a
+    Monte-Carlo run would."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
     if mode == "auto":
-        support = P.support()
-        if support is not None and len(support) <= AUTO_EXACT_ATOMS:
+        size = P.support_size()
+        if size is not None and size <= AUTO_EXACT_ATOMS:
             try:
                 return exact()
             except EnumerationTooLarge:
@@ -69,7 +69,7 @@ def exact_or_sampled(P: Prior, mode: str, exact: Callable, sampled: Callable):
 
 
 class Prior:
-    """Base class; subclasses implement `sample_bits`."""
+    """Base class; subclasses define `sample_bits` or `trial_words`."""
 
     n: int
 
@@ -77,7 +77,11 @@ class Prior:
         self.n = n
 
     def sample_bits(self, rng: Random) -> int:
-        raise NotImplementedError
+        """One draw: by default the batch of one, `trial_words(1, rng)`."""
+        if type(self).trial_words is Prior.trial_words:
+            raise NotImplementedError(f"{type(self).__name__} defines neither sample_bits "
+                                      "nor trial_words")
+        return mask_of(e for e, word in enumerate(self.trial_words(1, rng)) if word)
 
     def sample(self, rng: Random) -> SubsetMask:
         return SubsetMask(self.n, self.sample_bits(rng))
@@ -171,6 +175,11 @@ class Prior:
         """Explicit (bits, probability) atoms, or None when unknown."""
         return None
 
+    def support_size(self) -> Optional[int]:
+        """How many atoms `support` lists, or None when it lists none."""
+        support = self.support()
+        return None if support is None else len(support)
+
     def activation_probabilities(self) -> Optional[list[Fraction]]:
         """Exact activation probabilities, counted once; None only when unknown
         (an opaque sampler), not when the support is too large to list."""
@@ -258,9 +267,6 @@ class ExplicitPrior(Prior):
         )
         self._cdf = exact_cdf([p for _, p in self.atoms])
 
-    def sample_bits(self, rng: Random) -> int:
-        return self.atoms[draw_index(self._cdf, rng)][0]
-
     def trial_words(self, trials: int, rng: Random) -> list[int]:
         """The batch's trials split by mass: a part of the atom list, at
         first the whole list with every trial, sends each of its trials to
@@ -268,8 +274,8 @@ class ExplicitPrior(Prior):
         mass (`_below`, no draw when a half has no mass), the rest to its
         upper half, down to single atoms. A part with at most 4 trials per
         atom draws each of them from its own integer CDF (`draw_indices`),
-        so a large support pays one bisection per trial, as `sample_bits`
-        does, not a split per level: a split costs a few draws over the
+        so a large support pays one bisection per trial, a single draw
+        included, not a split per level: a split costs a few draws over the
         batch's words, several bisections' worth."""
         atoms, cdf = self.atoms, self._cdf
         by_atom: dict[int, int] = {}  # atom index -> the trials that drew it
@@ -321,10 +327,6 @@ class AllActivePrior(ExplicitPrior):
 
     def __init__(self, n: int):
         super().__init__(n, [(full_mask(n), Fraction(1))])
-        self._full = full_mask(n)
-
-    def sample_bits(self, rng: Random) -> int:
-        return self._full
 
     def trial_words(self, trials: int, rng: Random) -> list[int]:
         return [full_mask(trials)] * self.n
@@ -345,16 +347,7 @@ class ProductPrior(Prior):
         for xi in self.x:
             if not 0 <= xi <= 1:
                 raise PriorError(f"activation probability {xi} outside [0,1]")
-        self._groups: dict[Fraction, int] = {}  # x value -> mask of its elements
-        for i, xi in enumerate(self.x):
-            self._groups[xi] = self._groups.get(xi, 0) | 1 << i
         self._random = sum(0 < xi < 1 for xi in self.x)  # 2^_random atoms
-
-    def sample_bits(self, rng: Random) -> int:
-        bits = 0
-        for xi, group in self._groups.items():
-            bits |= t_rho_bits(group, xi, rng)
-        return bits
 
     def trial_words(self, trials: int, rng: Random) -> list[int]:
         every = full_mask(trials)  # element i is active in each trial w.p. x_i
@@ -365,6 +358,9 @@ class ProductPrior(Prior):
 
     def support(self):
         return None if self._random > 16 else list(self._atoms)
+
+    def support_size(self):
+        return None if self._random > 16 else 2**self._random
 
     @cached_property
     def _atoms(self) -> list[tuple[int, Fraction]]:

@@ -231,19 +231,15 @@ def exact_cdf(weights: Sequence[Fraction]) -> list[int]:
 
 
 def draw_index(cdf: list[int], rng: Random) -> int:
-    """One exact draw from an `exact_cdf`: u uniform below the last sum, by
-    rejection on fair bits, then the first index whose running sum exceeds u."""
-    total = cdf[-1]
-    width = (total - 1).bit_length()
-    u = rng.getrandbits(width)
-    while u >= total:
-        u = rng.getrandbits(width)
-    return bisect_right(cdf, u)
+    """One exact draw from an `exact_cdf`: `draw_indices` of one over all of
+    it. A one-entry CDF draws `getrandbits(0)`, which moves no state."""
+    return draw_indices(cdf, 0, len(cdf), 1, rng)[0]
 
 
 def draw_indices(cdf: list[int], lo: int, hi: int, count: int, rng: Random) -> list[int]:
-    """`count` draws of `draw_index` from the part lo..hi-1 of an `exact_cdf`,
-    each u below the part's own mass, offset by the sum before lo."""
+    """`count` exact draws from the part lo..hi-1 of an `exact_cdf`: each a u
+    uniform below the part's own mass, by rejection on fair bits, then the
+    first index whose running sum exceeds u plus the sum before lo."""
     base = cdf[lo - 1] if lo else 0
     total = cdf[hi - 1] - base
     width = (total - 1).bit_length()

@@ -205,8 +205,7 @@ class _Mixture(Scheme):
         self._cdf = exact_cdf([wt for _, wt in self.components])
 
     def run_bits(self, M, a_bits, rng):
-        i = draw_index(self._cdf, rng) if len(self._cdf) > 1 else 0  # one column: no draw
-        return self._select(M, i, a_bits, rng)
+        return self._select(M, draw_index(self._cdf, rng), a_bits, rng)
 
     def outcomes(self, M, a_bits):
         for i, (_, wt) in enumerate(self.components):

@@ -890,6 +890,53 @@ element,active_count,selected_count,estimate,ci_lo,ci_hi
         bal = exact_balancedness(inst.matroid, scheme, inst.prior)
         assert min(bal) >= (1 - eps) * floor
 
+    @staticmethod
+    def run_stdout(instance, scheme, active, selected) -> str:
+        payload = {"active": active, "instance": instance, "scheme": scheme, "selected": selected}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "seed, active, selected", [(5, [0, 1, 2, 3, 4, 5], [0]), (9, [2], [2]), (12, [3], [3])]
+    )
+    def test_run_correlated_prior_seeded(self, capsys, seed, active, selected):
+        # A single draw of the hidden-element prior is its batch of one: one
+        # categorical index, drawn as the batch draws it.
+        instance = "hidden:6,1/3,1/20,0"
+        assert cli_run(["run", "--instance", instance, "--scheme", "greedy",
+                        "--seed", str(seed)]) == 0
+        scheme = {"kind": "ordered_greedy", "order": list(range(6))}
+        assert capsys.readouterr().out == self.run_stdout(instance, scheme, active, selected)
+
+    def test_run_all_active_thinning_seeded(self, capsys):
+        argv = ["run", "--instance", "kuniform:8,4", "--scheme", "indep", "--order",
+                "canonical", "--seed", "3"]
+        assert cli_run(argv) == 0
+        scheme = {"kind": "independent_subsampling", "order": list(range(8)), "rho": "1/4"}
+        want = self.run_stdout("kuniform:8,4", scheme, list(range(8)), [6])
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
+        "instance, seed, weights, selected",
+        [("hidden:6,1/3,1/20,0", 5, ["1"], [2]),
+         ("hidden:6,1/3,1/20,0", 5, ["1/3", "2/3"], [5]),
+         ("kuniform:6,3", 4, ["1/3", "2/3"], [0, 1, 2]),
+         ("kuniform:6,3", 7, ["1/3", "2/3"], [3, 4, 5])],
+    )
+    def test_run_permutation_mixture_seeded(self, tmp_path, capsys, instance, seed, weights,
+                                            selected):
+        # The mixture draws its column after the prior's draw (`draw_index`);
+        # a one-column mixture draws `getrandbits(0)`, which moves no state.
+        orders = [[2, 0, 1, 3, 4, 5], [5, 4, 3, 2, 1, 0]][: len(weights)]
+        scheme = PermutationMixture(
+            [(Permutation(order), Fraction(wt)) for order, wt in zip(orders, weights)]
+        ).to_spec()
+        path = tmp_path / "mixture.json"
+        path.write_text(json.dumps(scheme))
+        assert cli_run(["run", "--instance", instance, "--scheme", str(path),
+                        "--seed", str(seed)]) == 0
+        want = self.run_stdout(instance, scheme, list(range(6)), selected)
+        assert capsys.readouterr().out == want
+
     def test_lp_build_secretary_reduction(self, tmp_path):
         rc = cli_run(
             ["lp-build", "--instance", "kuniform:6,3", "--reduction", "secretary",

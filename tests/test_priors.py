@@ -213,6 +213,19 @@ class TestPriorThatOnlyDraws:
         assert preselect.preselect_prefix(M, P, cfg, Random(0)).order == (1, 0)
 
 
+def test_a_prior_states_one_of_its_draw_forms():
+    # Each form derives from the other: `sample_bits` is the batch of one,
+    # `trial_words` is `sample_bits` per trial. A prior stating neither says so.
+    class Lawless(Prior):
+        pass
+
+    for draw in (lambda P: P.sample_bits(Random(0)), lambda P: P.trial_words(3, Random(0)),
+                 lambda P: P.count(5, Random(0))):
+        with pytest.raises(NotImplementedError, match="neither sample_bits nor trial_words"):
+            draw(Lawless(2))
+    assert _DrawsOnly(2, TestPriorThatOnlyDraws.FN).trial_words(4, Random(0))[0] == 0b1111
+
+
 def per_trial(select, rng, n):
     """A `Prior.count` selector that runs `select(a, rng)` on each trial's
     set a in trial order, as a scheme's default `run_words` does."""
@@ -478,6 +491,14 @@ class TestExactOrSampled:
 
         for P in (SamplerPrior(2, lambda r: 0b11), ProductPrior([Fraction(1, 2)] * 13)):
             assert exact_or_sampled(P, "auto", exact, lambda: "mc") == "mc"
+
+    def test_auto_counts_a_product_support_without_listing_it(self):
+        # 16 random coordinates: 65,536 atoms, past AUTO_EXACT_ATOMS, so auto
+        # samples and never builds them; 12 give 4,096, and auto goes exact.
+        big, small = ProductPrior([Fraction(1, 3)] * 16), ProductPrior([Fraction(1, 3)] * 12)
+        assert exact_or_sampled(big, "auto", lambda: "exact", lambda: "mc") == "mc"
+        assert "_atoms" not in vars(big)
+        assert exact_or_sampled(small, "auto", lambda: "exact", lambda: "mc") == "exact"
 
     def test_auto_falls_back_only_when_the_exact_route_refuses(self):
         def refuse():

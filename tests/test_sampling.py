@@ -361,10 +361,11 @@ class TestIntegerCdf:
 
 
 def test_product_prior_law_exact_within_its_expansions():
-    # Each group of equal x is one thinning: 1/4 takes at most two words,
-    # 3/8 at most three, 0 and 1 none, so five words decide every draw.
+    # A single draw is the batch of one, each element thinned on its own:
+    # each 1/4 takes at most two words, 3/8 at most three, 0 and 1 none, so
+    # seven words decide every draw.
     x = [Fraction(1, 4), Fraction(1, 4), Fraction(3, 8), Fraction(0), Fraction(1)]
-    law, undecided = word_law(ProductPrior(x).sample_bits, 5)
+    law, undecided = word_law(ProductPrior(x).sample_bits, 7)
     assert undecided == 0
     for t in range(1 << len(x)):
         p = math.prod(xi if (t >> i) & 1 else 1 - xi for i, xi in enumerate(x))
