@@ -19,18 +19,6 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-def wide_bits(bits: int) -> list[int]:
-    """The set bit positions of ``bits`` in ascending order, found in its
-    binary digits: for a batch's trial words, thousands of bits wide, where
-    each step of `iter_bits` is a big-int operation."""
-    digits = bin(bits)[:1:-1]  # least significant first
-    found, i = [], digits.find("1")
-    while i >= 0:
-        found.append(i)
-        i = digits.find("1", i + 1)
-    return found
-
-
 def sliced(sets: Sequence[int], n: int) -> list[int]:
     """Trial t's set sets[t], over elements 0..n-1, sliced into words:
     word e has bit t set when sets[t] holds e. One binary digit string

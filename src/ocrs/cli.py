@@ -224,10 +224,11 @@ def cmd_lp_build(args) -> int:
 
 
 def _competitiveness(text: str) -> float:
-    """A number in (0, 1]: no online algorithm beats the offline optimum."""
-    if not 0 < (c := float(text)) <= 1:
+    """A rational in (0, 1], read by `to_fraction` as --eps and --alpha are:
+    no online algorithm beats the offline optimum. The build takes its float."""
+    if not 0 < (c := to_fraction(text)) <= 1:
         raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
-    return c
+    return float(c)
 
 
 def _add_io(p: argparse.ArgumentParser) -> None:

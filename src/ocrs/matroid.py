@@ -1,14 +1,15 @@
 """Matroid membership oracles with derived rank / span / basis / restriction.
 
 Every matroid here answers independence queries over a ground set
-{0, ..., n-1}. A family gives `_independent`, and optionally a span state
-and the fast kernels that a workload measures; everything else derives
-from the span state. `span_start` and `span_step` walk a set's span one
-element at a time, as a small state: by default the basis of the set grown
-along the walk (one `_independent` query per step); a uniform matroid keeps
-the size capped at k, a graphic one a string of component labels, and a
-restriction reads an element outside its ground set as spanned and sends
-any other to its parent's step.
+{0, ..., n-1}. A family gives `_independent` or a span state, the base class
+derives the other, and a family may add the fast kernels that a workload
+measures; everything else derives from the span state. `span_start` and
+`span_step` walk a set's span one element at a time, as a small state: by
+default the basis of the set grown along the walk (one `_independent` query
+per step), and by default `_independent` asks whether greedy over a set takes
+all of it. A uniform matroid keeps the size capped at k, a graphic one a
+string of component labels, and a restriction reads an element outside its
+ground set as spanned and sends any other to its parent's step.
 
 On the span state the base class states every query once:
 `_unspanned(bits, within)`, the one span query (`bits` walked in, each
@@ -61,7 +62,7 @@ EXHAUSTIVE_LIMIT = 16
 
 
 class Matroid:
-    """Base membership oracle. Subclasses implement `_independent`."""
+    """Base membership oracle. Subclasses define `_independent` or `span_step`."""
 
     n: int
     ground_bits: int  # effective ground set; full except for restrictions
@@ -73,7 +74,12 @@ class Matroid:
     # -- membership ---------------------------------------------------------
 
     def _independent(self, bits: int) -> bool:
-        raise NotImplementedError
+        """Whether `bits` is independent: by default, whether greedy over it,
+        walking the span state, takes all of it."""
+        if type(self).span_step is Matroid.span_step:
+            raise NotImplementedError(f"{type(self).__name__} defines neither _independent "
+                                      "nor span_step")
+        return self.greedy_bits(iter_bits(bits), bits) == bits
 
     def _bits(self, S: SubsetMask) -> int:
         if S.n != self.n:
@@ -134,7 +140,7 @@ class Matroid:
         which is optimal on matroids. Weights must be nonnegative.
         """
         if S.n != self.n or len(w) != self.n:
-            raise DimensionMismatch("weight vector / set / matroid sizes differ")
+            raise DimensionMismatch(f"{len(w)} weights, set over {S.n}, matroid over {self.n}")
         for wi in w:
             if wi < 0:
                 raise ValueError(f"negative weight {wi}")
@@ -184,8 +190,8 @@ class Matroid:
         it: which elements R spans. Here it is the basis of R grown along
         the scan, so R spans e exactly when that basis plus e is dependent.
         It asks `_independent` alone. `_unspanned` and greedy, and through
-        them every derived query, walk these hooks; families override both
-        with a smaller key."""
+        them every derived query, walk these hooks; a family with a smaller
+        key overrides them, and then `_independent` derives from its key."""
         grown = state | 1 << e
         if grown == state or not self._independent(grown):
             return True, state
@@ -246,9 +252,6 @@ class UniformMatroid(Matroid):
         super().__init__(n)
         self.k = k
 
-    def _independent(self, bits: int) -> bool:
-        return popcount(bits) <= self.k
-
     def greedy_bits(self, order, a_bits):
         left, taken = self.k, 0  # the first k active arrivals
         if left:
@@ -306,10 +309,8 @@ class UniformMatroid(Matroid):
                         break
         return taken, full
 
-    def span_start(self):
-        return 0  # min(|R|, k): R spans everything once it holds k elements
-
     def span_step(self, state, e):
+        # min(|R|, k): R spans everything once it holds k elements
         return (True, state) if state >= self.k else (False, state + 1)
 
     def to_spec(self) -> dict:
@@ -337,9 +338,6 @@ class GraphicMatroid(Matroid):
             if not (0 <= u < vertices and 0 <= v < vertices):
                 raise ValueError(f"edge ({u},{v}) outside vertex range {vertices}")
         self._start = "".join(map(chr, range(vertices)))
-
-    def _independent(self, bits: int) -> bool:
-        return self.greedy_bits(iter_bits(bits), bits) == bits
 
     def greedy_words(self, order, words):
         return self._label_words(order, words, reduce(or_, words, 0))[0]
@@ -461,7 +459,7 @@ class ExplicitMatroid(Matroid):
         self._sets = frozenset(mask_of(s) for s in independent_sets)
         for bits in self._sets:
             if bits >> n:
-                raise ValueError("independent set outside ground set")
+                raise ValueError(f"independent set {bits:#x} outside ground set of size {n}")
 
     def _independent(self, bits: int) -> bool:
         return bits in self._sets
@@ -492,9 +490,6 @@ class RestrictionMatroid(Matroid):
         super().__init__(parent.n)
         self.parent = parent
         self.ground_bits = X.bits & parent.ground_bits
-
-    def _independent(self, bits: int) -> bool:
-        return bits & ~self.ground_bits == 0 and self.parent._independent(bits)
 
     def span_start(self):
         return self.parent.span_start()

@@ -24,7 +24,7 @@ from functools import cached_property
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
-from .bitset import DimensionMismatch, SubsetMask, full_mask, iter_bits, mask_of, sliced, wide_bits
+from .bitset import DimensionMismatch, SubsetMask, full_mask, iter_bits, mask_of, sliced
 from .sampling import (
     EnumerationTooLarge,
     _below,
@@ -273,10 +273,10 @@ class ExplicitPrior(Prior):
         its lower half with that half's exact share of the part's integer
         mass (`_below`, no draw when a half has no mass), the rest to its
         upper half, down to single atoms. A part with at most 4 trials per
-        atom draws each of them from its own integer CDF (`draw_indices`),
-        so a large support pays one bisection per trial, a single draw
-        included, not a split per level: a split costs a few draws over the
-        batch's words, several bisections' worth."""
+        atom draws each of its trials (read by `iter_bits`) from its own
+        integer CDF (`draw_indices`), so a large support pays one bisection
+        per trial, a single draw included, not a split per level: a split
+        costs a few draws over the batch's words, several bisections' worth."""
         atoms, cdf = self.atoms, self._cdf
         by_atom: dict[int, int] = {}  # atom index -> the trials that drew it
         parts = [(0, len(atoms), full_mask(trials))]
@@ -287,7 +287,7 @@ class ExplicitPrior(Prior):
             if hi - lo == 1:
                 by_atom[lo] = drawn
             elif drawn.bit_count() <= 4 * (hi - lo):
-                ts = wide_bits(drawn)
+                ts = list(iter_bits(drawn))
                 for t, i in zip(ts, draw_indices(cdf, lo, hi, len(ts), rng)):
                     by_atom[i] = by_atom.get(i, 0) | 1 << t
             else:

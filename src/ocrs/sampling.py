@@ -1,14 +1,14 @@
 """Exact draws, subsampling operators and their exact laws, permutations.
 
-Every draw compares fair bits. Per-element draws compare bit planes
-(`_below`): thinning with rho, the prefix subsample (the elements before a
-uniformly placed sentinel) with the sentinel's own uniform, for one draw
-or, sliced, for a batch of trials at once (`prefix_subsample_words`, bit t
-of each word for trial t); categorical draws bisect an integer CDF, with
-one rejection width per draw. A
-permutation is drawn by fair-bit Fisher-Yates (`shuffled`), stream-equal to
-`Random.shuffle`: the same `getrandbits` calls, so a seeded order does not
-depend on the stdlib. The prefix law's conditional insertion law,
+Every draw compares fair bits. Per-element draws compare bit planes:
+thinning with rho's binary digits (`_below`), the prefix subsample (the
+elements before a uniformly placed sentinel) with the sentinel's own
+uniform, sliced for a batch of trials at once (`prefix_subsample_words`,
+bit t of each word for trial t), a single draw its batch of one.
+Categorical draws bisect an integer CDF, with one rejection width per draw.
+A permutation is drawn by fair-bit Fisher-Yates (`shuffled`), stream-equal
+to `Random.shuffle`: the same `getrandbits` calls, so a seeded order does
+not depend on the stdlib. The prefix law's conditional insertion law,
 Pr[next element lands in T | current intersection has size s] = (s+1)/(i+1),
 is what the prefix-based scheme's guarantee rests on; the exact-enumeration
 tests reproduce it with zero error.
@@ -31,8 +31,6 @@ from fractions import Fraction
 from itertools import accumulate
 from random import Random
 from typing import Iterable, Sequence
-
-from .bitset import full_mask
 
 
 class EnumerationTooLarge(ValueError):
@@ -152,27 +150,20 @@ def shuffled(elements: Iterable[int], rng: Random) -> list[int]:
 
 
 def _below(bits: int, num: int, den: int, rng: Random) -> int:
-    """The elements e of `bits` with U_e < r, for iid uniform U_e (Knuth-Yao).
-    Level i draws one word holding bit u_i of every undecided element; it is
-    kept if u_i < r_i, r's binary digit, dropped if u_i > r_i, and undecided
-    on a tie, until nothing is undecided or r's expansion ends. r is num/den,
-    or, with num 1 and den 0, a sentinel's uniform U_s: one more fair bit per word."""
+    """The elements e of `bits` with U_e < num/den, for iid uniform U_e
+    (Knuth-Yao). Level i draws one word holding bit u_i of every undecided
+    element; it is kept if u_i < r_i, the ratio's binary digit, dropped if
+    u_i > r_i, and undecided on a tie, until nothing is undecided or the
+    expansion ends."""
     kept = 0
     while bits and num:
-        width = bits.bit_length()
-        if den:
-            u = rng.getrandbits(width)
-            num <<= 1
-            digit = num >= den
-            if digit:
-                num -= den
-        else:
-            u = rng.getrandbits(width + 1)
-            digit = u >> width
-        if digit:  # u_i = 0 keeps, u_i = 1 stays undecided
+        u = rng.getrandbits(bits.bit_length())
+        num <<= 1
+        if num >= den:  # r_i = 1: u_i = 0 keeps, u_i = 1 stays undecided
+            num -= den
             kept |= bits & ~u
             bits &= u
-        else:  # u_i = 1 drops, u_i = 0 stays undecided
+        else:  # r_i = 0: u_i = 1 drops, u_i = 0 stays undecided
             bits &= ~u
     return kept
 
@@ -189,20 +180,21 @@ def t_rho_bits(bits: int, rho, rng: Random) -> int:
 
 def prefix_subsample_bits(n: int, rng: Random) -> int:
     """Correlated subsample of {0..n-1} with the law of the elements before a
-    uniformly placed sentinel (`PrefixLaw`): T = {e : U_e < U_s} for iid
-    uniform U on the elements and a sentinel s (`_below`)."""
+    uniformly placed sentinel (`PrefixLaw`): `prefix_subsample_words` of one
+    trial in which every element is decided, read back as one mask."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _below(full_mask(n), 1, 0, rng)
+    return sum(w << e for e, w in enumerate(prefix_subsample_words([1] * n, rng)))
 
 
 def prefix_subsample_words(words: Sequence[int], rng: Random) -> list[int]:
-    """`prefix_subsample_bits` over a batch of trials, sliced: words[e] holds
+    """The prefix subsample over a batch of trials, sliced: words[e] holds
     the trials (bit t for trial t) in which element e is decided, and the
     result holds those in which U_e < U_s, for iid uniform U_e(t) and U_s(t).
     Each level draws one sentinel word, bit t the next digit of U_s(t), then
-    one word for each element still undecided in some trial, compared as in
-    `_below`. So T ∩ a has the prefix law on a in every trial, a the active set."""
+    one word for each element still undecided in some trial: u_i < s_i keeps,
+    u_i > s_i drops, a tie stays undecided. So T ∩ a has the prefix law on a
+    in every trial, a the active set."""
     getrandbits = rng.getrandbits
     width = max((w.bit_length() for w in words), default=0)
     undecided = list(words)

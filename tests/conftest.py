@@ -77,7 +77,10 @@ def column(words, t: int) -> int:
 def membership_span(M, bits: int) -> int:
     """Span of `bits` within M's ground set from `M._independent` queries alone:
     a greedy basis Y of `bits`, then Y and every ground element e with Y + e
-    dependent. A reference for the library's span query that shares none of it."""
+    dependent. A reference for the library's span query: an explicit family's
+    lookup shares none of it, and the `_independent` that the other families
+    derive from their span state is checked against the definitions it
+    replaced (`test_matroid.py::TestIndependenceFromTheSpanState`)."""
     basis = 0
     for e in range(M.n):
         if (bits >> e) & 1 and M._independent(basis | (1 << e)):

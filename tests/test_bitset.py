@@ -25,6 +25,18 @@ def test_bits_must_fit_ground_set():
         SubsetMask(2, -1)
 
 
+@pytest.mark.parametrize(
+    "call, bad",
+    [(lambda: SubsetMask(-1), "-1"), (lambda: SubsetMask(3).add(5), "element 5"),
+     (lambda: SubsetMask(3).add(-1), "element -1")],
+    ids=["negative-size", "add-past-n", "add-negative"],
+)
+def test_input_checks_name_the_bad_value(call, bad):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and bad in str(info.value)
+
+
 def test_set_algebra():
     a = SubsetMask(4, 0b0110)
     b = SubsetMask(4, 0b0011)

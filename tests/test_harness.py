@@ -449,6 +449,24 @@ class TestCli:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [["--instance", "hidden:6,1/3,1/20,0", "--mode", "exact"],
+         ["--instance", "kuniform:4,2", "--mode", "mc", "--eps", "1/2", "--seed", "1"]],
+        ids=["exact", "mc"],
+    )
+    def test_competitiveness_is_read_as_a_rational(self, capsys, argv):
+        # --competitiveness is read by `to_fraction`, as --eps and --alpha are,
+        # so 1/2 and its decimal build the same bytes. The Monte-Carlo build's
+        # sample size grows with 1/c, so there c = 1 builds others.
+        out = {}
+        for c in ("1/2", "0.5", "1"):
+            argv_c = ["lp-build", *argv, "--reduction", "secretary", "--competitiveness", c]
+            assert cli_run(argv_c) == 0
+            out[c] = capsys.readouterr().out
+        assert out["1/2"] == out["0.5"]
+        assert (out["1/2"] != out["1"]) == ("mc" in argv)
+
+    @pytest.mark.parametrize(
         "field, case",
         [
             ("components", {"kind": "permutation_mixture", "components": 5}),

@@ -102,6 +102,27 @@ def test_unknown_secretary_kind_refused_before_any_draw(mode):
         build_secretary_reduction(M, P, "nope", c=1, eps=0.5, rng=NoDraws(), mode=mode)
 
 
+def _secretary(c, eps):
+    return build_secretary_reduction(UniformMatroid(3, 1), AllActivePrior(3), "greedy_by_weight",
+                                     c=c, eps=eps, rng=NoDraws())
+
+
+@pytest.mark.parametrize(
+    "call, error, bad",
+    [(lambda: WeightGrid(n=2, eps=Fraction(1, 2), p_min=Fraction(1)).floor(-0.5), GridRangeError,
+      "-0.5"),
+     (lambda: _secretary(0, 0.5), ValueError, "c=0"),
+     (lambda: _secretary(-0.5, 0.5), ValueError, "c=-0.5"),
+     (lambda: _secretary(1, 0), ValueError, "eps=0")],
+    ids=["grid-negative", "secretary-c-0", "secretary-c-negative", "secretary-eps-0"],
+)
+def test_input_checks_name_the_bad_value(call, error, bad):
+    # Each is refused before any draw.
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error and bad in str(info.value)
+
+
 class TestSolveRestricted:
     def test_single_matching_column(self):
         col = LpColumn(key="c", q=[Fraction(1, 2), Fraction(1, 3)])

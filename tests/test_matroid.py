@@ -54,6 +54,77 @@ class TestMembership:
         assert m.is_independent(S(2, 1))
 
 
+def _is_forest(m: GraphicMatroid, bits: int) -> bool:
+    """Whether the edges of `bits` hold no cycle: union-find on the vertices."""
+    root = list(range(m.vertices))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for e in iter_bits(bits):
+        u, v = (find(w) for w in m.edges[e])
+        if u == v:
+            return False
+        root[u] = v
+    return True
+
+
+class TestIndependenceFromTheSpanState:
+    """A family gives `_independent` or a span state, and the base class
+    derives the other. The family definitions the span state replaced are
+    the references: the size cap, a forest, and the parent's membership
+    inside X."""
+
+    def test_uniform_is_the_size_cap(self):
+        for n in range(11):
+            for k in range(n + 1):
+                m = UniformMatroid(n, k)
+                assert all(m._independent(b) == (popcount(b) <= k) for b in range(1 << n))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(FAMILIES))
+    def test_graphic_and_restrictions(self, seed, family):
+        rng = Random(seed)
+        m = random_small_matroid(rng, family=family)  # graphic: loops and parallel edges
+        x = rng.randrange(1 << m.n)
+        r = m.restrict(SubsetMask(m.n, x))
+        for bits in range(1 << m.n):
+            assert r._independent(bits) == (bits & ~x == 0 and m._independent(bits))
+            if family == "graphic":
+                greedy_takes_all = m.greedy_bits(iter_bits(bits), bits) == bits
+                assert m._independent(bits) == greedy_takes_all == _is_forest(m, bits)
+
+    def test_a_family_states_one_of_them(self):
+        class Lawless(Matroid):
+            pass
+
+        for query in (lambda m: m._independent(0b01), lambda m: m.span_step(0, 0),
+                      lambda m: m.is_independent(S(2, 1)), lambda m: m.rank(S(2, 0, 1))):
+            with pytest.raises(NotImplementedError, match="neither _independent nor span_step"):
+                query(Lawless(2))
+
+
+@pytest.mark.parametrize(
+    "call, error, bad",
+    [(lambda: UniformMatroid(3, 1).weighted_rank([1, 2], SubsetMask(3)), DimensionMismatch,
+      "2 weights"),
+     (lambda: UniformMatroid(3, 4), ValueError, "k=4"),
+     (lambda: UniformMatroid(3, -1), ValueError, "k=-1"),
+     (lambda: GraphicMatroid(2, [(0, 1), (0, 5)]), ValueError, "edge (0,5)"),
+     (lambda: ExplicitMatroid(2, [[], [3]]), ValueError, "0x8"),
+     (lambda: UniformMatroid(3, 1).restrict(SubsetMask(4)), DimensionMismatch,
+      "restriction over 4")],
+    ids=["weighted-rank-sizes", "uniform-k-past-n", "uniform-k-negative", "graphic-edge",
+         "explicit-set", "restriction-size"],
+)
+def test_input_checks_name_the_bad_value(call, error, bad):
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error and bad in str(info.value)
+
+
 class TestRank:
     def test_uniform_rank_capped(self):
         assert UniformMatroid(4, 2).rank(S(4, 0, 1, 2)) == 2

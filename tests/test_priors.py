@@ -546,6 +546,19 @@ class TestHiddenElementPrior:
             hidden_element_prior(3, Fraction(1, 2), Fraction(1, 100), j)
 
 
+@pytest.mark.parametrize(
+    "call, error, bad",
+    [(lambda: ProductPrior([Fraction(1, 2), Fraction(3, 2)]), PriorError, "3/2"),
+     (lambda: ProductPrior([-0.25]), PriorError, "-1/4"),
+     (lambda: prior_from_spec({"type": "gaussian", "n": 2}), ValueError, "'gaussian'")],
+    ids=["product-x-past-1", "product-x-negative", "unknown-type"],
+)
+def test_input_checks_name_the_bad_value(call, error, bad):
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error and bad in str(info.value)
+
+
 def test_json_round_trips(rng):
     priors = [
         AllActivePrior(3),

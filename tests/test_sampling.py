@@ -20,6 +20,7 @@ from ocrs.sampling import (
     exact_cdf,
     prefix_subsample_bits,
     shuffled,
+    spec_field,
     t_rho_bits,
 )
 
@@ -143,6 +144,18 @@ def thinning_law(bits, rho, depth):
 def kept_mass(law, mask):
     """Mass of the draws that keep every element of mask."""
     return sum((p for t, p in law.items() if t & mask == mask), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [(lambda: spec_field(5, "n"), "got 5"), (lambda: spec_field([1, 2], "n"), "got [1, 2]"),
+     (lambda: Permutation(5), "got 5"), (lambda: Permutation(None), "got None")],
+    ids=["spec-int", "spec-list", "order-int", "order-none"],
+)
+def test_input_checks_name_the_bad_value(call, bad):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and bad in str(info.value)
 
 
 class TestPermutation:
@@ -292,11 +305,14 @@ class TestPrefixSubsample:
         with pytest.raises(ValueError):
             prefix_subsample_bits(0, rng)
 
-    @pytest.mark.parametrize("n, depth", [(1, 8), (2, 5), (3, 4), (4, 3), (5, 3)])
+    @pytest.mark.parametrize("n, depth", [(1, 8), (2, 9), (3, 12), (4, 15), (5, 18)])
     def test_sentinel_comparison_never_overshoots_the_exact_law(self, n, depth):
         # Within `depth` words the draw gives no subset more than its
         # PrefixLaw mass, and the shortfalls sum to exactly the mass still
-        # undecided: a tie with the sentinel on every level, at most n / 2^depth.
+        # undecided. A level spends one word on the sentinel and one on each
+        # undecided element, so `depth` words complete at least
+        # depth // (n + 1) levels (here 3 or more), and an element is still
+        # undecided only after a tie with the sentinel on every one of them.
         law, undecided = word_law(lambda rng: prefix_subsample_bits(n, rng), depth)
         shortfall = Fraction(0)
         for t in range(1 << n):
@@ -304,7 +320,7 @@ class TestPrefixSubsample:
             assert law.get(t, 0) <= exact
             shortfall += exact - law.get(t, 0)
         assert shortfall == undecided
-        assert 0 < undecided <= Fraction(n, 2**depth)
+        assert 0 < undecided <= Fraction(n, 2 ** (depth // (n + 1)))
 
 
 def _conditional_law(draw, depth):

@@ -395,6 +395,19 @@ class TestWeightMixture:
                 del sorts[:]
 
 
+@pytest.mark.parametrize(
+    "call, bad",
+    [(lambda: IndependentSubsampling(Permutation.identity(2), Fraction(3, 2)), "3/2"),
+     (lambda: IndependentSubsampling(Permutation.identity(2), -0.5), "-0.5"),
+     (lambda: scheme_from_spec({"kind": "magic", "order": [0, 1]}), "'magic'")],
+    ids=["rho-past-1", "rho-negative", "unknown-kind"],
+)
+def test_input_checks_name_the_bad_value(call, bad):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and bad in str(info.value)
+
+
 def test_scheme_json_round_trips(rng):
     order = Permutation([2, 0, 1])
     schemes = [

@@ -13,6 +13,19 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
+@pytest.mark.parametrize(
+    "kwargs, bad",
+    [({"A_ub": [[F(1)]], "b_ub": [F(1)]}, "row 0 has 1 entries, expected 2"),
+     ({"A_eq": [[F(1), F(1)]], "b_eq": [F(1)], "A_ub": [[F(1), F(1), F(1)]], "b_ub": [F(1)]},
+      "row 1 has 3 entries, expected 2")],
+    ids=["short-row", "long-row"],
+)
+def test_input_checks_name_the_bad_value(kwargs, bad):
+    with pytest.raises(ValueError) as info:
+        solve_lp([F(1), F(1)], **kwargs)
+    assert info.type is ValueError and bad in str(info.value)
+
+
 class TestBasics:
     def test_box_maximum_with_duals(self):
         # max x + y, x <= 1, y <= 2
